@@ -68,7 +68,6 @@ def _config(scn: Scenario) -> opt.OptimizerConfig:
         rr_margin=scn.rr_margin,
         fault_impedance_floor=scn.fault_impedance_floor,
         obj_tol=scn.objective_tol,
-        dispatch_tol=scn.dispatch_tol,
         max_iters=scn.max_iters,
     )
 
@@ -246,9 +245,8 @@ def cmd_timeseries(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
                 feasible = False
         elif step % scn.dispatch_every == 0:
             try:
-                outputs = opt.dispatch_to_fixed_point(
-                    net, scn.fuse_curves, settings, _available(scn, step),
-                    config)
+                outputs = opt.solve_dispatch(
+                    net, _available(scn, step), scn.fuse_curves, config)
                 net = net.with_dg_outputs(outputs)
             except opt.InfeasibleError:
                 feasible = False
@@ -256,11 +254,7 @@ def cmd_timeseries(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
 
         sol = solve_distflow(net, tol=scn.powerflow_tol)
         ssub = opt.build_settings_subproblem(net, sol, config)
-        dsub = opt.build_dispatch_subproblem(net, sol, scn.fuse_curves,
-                                             settings, _available(scn, step),
-                                             config)
-        slacks = opt._dispatch_slacks(
-            net, dsub, {u.id: u.p_out for u in net.dg_units if u.curtailable})
+        slacks = opt.pair_slacks(net, ssub, scn.fuse_curves, config)
         clearing = opt.total_clearing_time(net, ssub, settings)
         row: list = [step]
         by_id = {u.id: u for u in net.dg_units}

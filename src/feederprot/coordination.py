@@ -1,4 +1,4 @@
-"""Pair coordination: range/margin checks, backup delay, margin currents.
+"""Pair coordination: range/margin checks and backup delay.
 
 A pair couples a primary device (the one meant to operate first) with
 its backup.  Under fuse saving, the recloser's first fast curve is the
@@ -17,8 +17,7 @@ from enum import Enum
 import numpy as np
 
 from . import fault as flt
-from .curves import (CurveRangeError, FuseCurve, NO_OPERATION, RecloserCurve,
-                     fuse_inverse_current, fuse_time)
+from .curves import FuseCurve, NO_OPERATION, RecloserCurve, fuse_time
 from .model import Network, dg_between
 from .power_flow import PowerFlowSolution
 
@@ -181,32 +180,6 @@ def backup_delay(pair: CoordinationPair, delta_rr: float,
     if math.isinf(t_hi) or math.isinf(t_lo):
         return NO_OPERATION
     return t_hi - t_lo
-
-
-def coordination_current_margin(pair: CoordinationPair,
-                                delta_t: float) -> float:
-    """Disparity bound for a fuse-recloser pair at the binding current.
-
-    Evaluates the recloser's first fast curve at the design range
-    maximum and inverts the fuse MM table at that time plus delta_t; the
-    returned current headroom is the largest disparity that keeps the
-    pair's time gap at least delta_t at the binding point.
-    """
-    if pair.kind is not PairKind.FUSE_RECLOSER:
-        raise ValueError("margin current is defined for fuse-recloser pairs")
-    i_max_r = pair.range[1]
-    t_r = pair.primary.time_at(i_max_r)
-    if math.isinf(t_r):
-        raise CurveRangeError(
-            f"pair {pair.id}: recloser does not operate at range max")
-    try:
-        i_f_limit = fuse_inverse_current(pair.backup.curve, pair.backup.which,
-                                         t_r + delta_t)
-    except CurveRangeError as exc:
-        raise CurveRangeError(
-            f"pair {pair.id}: margin {delta_t} s unreachable on fuse "
-            f"{pair.backup.curve.name}") from exc
-    return i_f_limit - i_max_r
 
 
 def build_pairs(network: Network, sol: PowerFlowSolution,

@@ -188,23 +188,16 @@ def fuse_time(curve: FuseCurve, which: str, i_fault: float) -> float:
 
     Below the first tabulated current the fuse does not melt and
     NO_OPERATION is returned.  Above the last point the time is clamped
-    to the final tabulated value; use fuse_time_detail to see the flag.
+    to the final tabulated value.
     """
-    t, _ = fuse_time_detail(curve, which, i_fault)
-    return t
-
-
-def fuse_time_detail(curve: FuseCurve, which: str,
-                     i_fault: float) -> tuple[float, bool]:
-    """As fuse_time, plus a flag marking clamped high-end extrapolation."""
     if which not in ("mm", "tc"):
         raise ValueError(f"fuse curve selector must be mm or tc, got {which!r}")
     points = curve.mm_points if which == "mm" else curve.tc_points
     if i_fault < points[0][0]:
-        return NO_OPERATION, False
+        return NO_OPERATION
     if i_fault > points[-1][0]:
-        return points[-1][1], True
-    return _interp_loglog(points, i_fault), False
+        return points[-1][1]
+    return _interp_loglog(points, i_fault)
 
 
 def fuse_inverse_current(curve: FuseCurve, which: str, t_target: float) -> float:

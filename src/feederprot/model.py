@@ -252,24 +252,6 @@ def validate(network: Network) -> list[Violation]:
     return out
 
 
-def downstream_dg(network: Network, node: int) -> frozenset[int]:
-    """Ids of DG units tapped at or beyond the given node."""
-    if not 0 <= node < network.n_nodes:
-        raise UnknownElementError(f"node {node} not on feeder")
-    return frozenset(u.id for u in network.dg_units if u.tap_node >= node)
-
-
-def section_dg(network: Network, j: int) -> frozenset[int]:
-    """Ids of DG units on the section between node j and j+1.
-
-    By the attachment convention, a unit on that section is recorded at
-    tap_node == j.
-    """
-    if not 0 <= j < network.n_nodes - 1:
-        raise UnknownElementError(f"node {j} is not the head of a section")
-    return frozenset(u.id for u in network.dg_units if u.tap_node == j)
-
-
 def dg_between(network: Network, upstream_node: int,
                downstream_node: int) -> frozenset[int]:
     """DG ids with upstream_node <= tap < downstream_node (pair disparity set)."""

@@ -169,7 +169,7 @@ class Scenario:
     rr_margin: float = 0.3
     fault_impedance_floor: float = 0.0
     powerflow_tol: float = 1e-8
-    dispatch_tol: float = 1e-6
+    dispatch_tol: float = 1e-6  # tolerances.dispatch; no effect
     objective_tol: float = 1e-4
     max_iters: int = 20
     dispatch_every: int = 1
@@ -194,8 +194,12 @@ def _resolve(ref: str, base_dir: Path) -> Path:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    """Parse a scenario file and its referenced network."""
-    path = Path(path)
+    """Parse a scenario file and its referenced network.
+
+    A relative path is looked up in the working directory first, then
+    among the shipped fixtures.
+    """
+    path = _resolve(str(path), Path())
     try:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:

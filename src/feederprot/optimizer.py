@@ -7,11 +7,14 @@ Two coupled sub-problems are solved in turn until nothing moves:
   under the pair constraints is a linear program over the D vector.  On
   a radial chain it is solved exactly by downstream-first propagation,
   which also realizes the lexicographically-smallest optimum.
-* dispatch: maximize total DG real output subject to per-pair bounds on
-  the fuse-recloser current disparity.  Every disparity is monotone
-  non-decreasing in each unit's output, so a bisection on a global
-  curtailment factor followed by tail-first per-unit restoration reaches
-  a component-wise maximal feasible point.
+* dispatch: maximize total DG real output subject to the settings
+  ladder staying solvable at the candidate operating state.  Every
+  disparity is monotone non-decreasing in each unit's output, so a
+  bisection on a global curtailment factor followed by tail-first
+  per-unit restoration reaches a component-wise maximal feasible point.
+
+The ladder at the candidate state is the only feasibility model; the
+per-pair disparity slack it reports is derived from the same ladder.
 """
 
 from __future__ import annotations
@@ -22,12 +25,13 @@ from enum import Enum
 
 from . import fault as flt
 from .coordination import current_grid
-from .curves import (FuseCurve, NO_OPERATION, RecloserCurve, RecloserSettings,
-                     fuse_time)
+from .curves import (FuseCurve, RecloserCurve, RecloserSettings,
+                     fuse_inverse_current, fuse_time)
 from .model import Network, dg_between
 from .power_flow import PowerFlowSolution, solve_distflow
 
 LL_FACTOR = math.sqrt(3) / 2  # line-line fault proxy from the 3-phase value
+MAX_DISPARITY_BOUND = 1024.0  # pu; reported when no fuse cap binds
 
 
 class StopReason(Enum):
@@ -50,7 +54,7 @@ class OptimizerConfig:
     rr_margin: float = 0.3
     fault_impedance_floor: float = 0.0
     obj_tol: float = 1e-4
-    dispatch_tol: float = 1e-6
+    dispatch_tol: float = 1e-6  # no effect; kept so existing callers work
     max_iters: int = 20
     d_min: float = 0.1
     d_max: float = 1.0
@@ -65,6 +69,10 @@ class FusePairData:
     i_recloser_min: float  # same fault through the impedance floor
     delta_fr: float
 
+    @property
+    def id(self) -> str:
+        return f"{self.rec_id}-L{self.lateral_id}"
+
 
 @dataclass(frozen=True)
 class RecloserPairData:
@@ -74,25 +82,18 @@ class RecloserPairData:
     i_primary_min: float
     delta_rr: float
 
+    @property
+    def id(self) -> str:
+        return f"{self.up_id}-{self.down_id}"
+
 
 @dataclass(frozen=True)
 class SettingsSubproblem:
     i_max: dict[str, float]
-    i_min: dict[str, float]
     fr: tuple[FusePairData, ...]
     rr: tuple[RecloserPairData, ...]
     pickup_lo: dict[str, float]  # twice the maximum load current
     pickup_hi: dict[str, float]  # half the minimum line-line fault current
-
-
-@dataclass(frozen=True)
-class DispatchSubproblem:
-    bounds: dict[str, float]  # fuse pair id -> disparity bound
-    pair_laterals: dict[str, tuple[str, int]]  # pair id -> (rec, lateral)
-    available: dict[int, float]  # curtailable DG id -> ceiling
-    settings_sub: SettingsSubproblem  # reference-state settings data
-    pickups: dict[str, float]
-    fuse_curves: dict[str, FuseCurve]
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,6 @@ def build_settings_subproblem(network: Network, sol: PowerFlowSolution,
     """Freeze the fault-current data that linearizes the settings problem."""
     models = flt.build_all_fault_models(network, sol)
     i_max: dict[str, float] = {}
-    i_min: dict[str, float] = {}
     pickup_lo: dict[str, float] = {}
     pickup_hi: dict[str, float] = {}
     fr: list[FusePairData] = []
@@ -137,7 +137,6 @@ def build_settings_subproblem(network: Network, sol: PowerFlowSolution,
         mx, mn = flt.max_min_fault_currents(
             network, sol, rec.id, config.fault_impedance_floor, models)
         i_max[rec.id] = mx
-        i_min[rec.id] = mn
         pickup_lo[rec.id] = 2.0 * _load_current(network, sol, rec.node)
         pickup_hi[rec.id] = 0.5 * LL_FACTOR * mn
         zone = flt._recloser_zone(network, rec.id)
@@ -162,18 +161,19 @@ def build_settings_subproblem(network: Network, sol: PowerFlowSolution,
                     for i in dg_between(network, up.node, down.node))
         rr.append(RecloserPairData(up.id, down.id, a_max, a_min, delta))
 
-    return SettingsSubproblem(i_max, i_min, tuple(fr), tuple(rr),
+    return SettingsSubproblem(i_max, tuple(fr), tuple(rr),
                               pickup_lo, pickup_hi)
 
 
-def _affine_slope(curve: RecloserCurve, pickup: float, current: float) -> float:
+def _affine_slope(curve: RecloserCurve, pickup: float, current: float,
+                  pair: str) -> float:
     """dT/dD at the given current with pickup frozen; T = slope*D + K."""
     c = curve.constants
     mult = current / pickup
     denom = mult ** c.m - c.c
     if mult <= 1.0 or denom <= 0.0:
         raise InfeasibleError(
-            "-", f"current {current:.4g} pu below operating region of pickup "
+            pair, f"current {current:.4g} pu below operating region of pickup "
                  f"{pickup:.4g} pu")
     return c.a / denom + c.b
 
@@ -201,12 +201,12 @@ def _solve_settings_at_pickups(network: Network, sub: SettingsSubproblem,
                 if math.isinf(t_fuse):
                     continue  # fuse never melts here; no constraint at i
                 slope = _affine_slope(curve[pd.rec_id], pickups[pd.rec_id],
-                                      float(i))
+                                      float(i), pd.id)
                 limit = ((t_fuse - config.fr_margin - kconst[pd.rec_id])
                          / slope)
                 if limit < ub[pd.rec_id]:
                     ub[pd.rec_id] = limit
-                    ub_pair[pd.rec_id] = f"{pd.rec_id}-L{pd.lateral_id}"
+                    ub_pair[pd.rec_id] = pd.id
 
     rr_up = {pd.down_id: pd for pd in sub.rr}
     lb: dict[str, float] = {rec.id: config.d_min for rec in order}
@@ -218,9 +218,6 @@ def _solve_settings_at_pickups(network: Network, sub: SettingsSubproblem,
             raise InfeasibleError(
                 pair, f"needs D >= {d:.4f} but fuse pair caps it at "
                       f"{ub[rec.id]:.4f}")
-        if d > config.d_max + 1e-12:
-            raise InfeasibleError(rec.id, f"needs D >= {d:.4f} > "
-                                          f"{config.d_max}")
         dial[rec.id] = d
         pd = rr_up.get(rec.id)
         if pd is not None:
@@ -229,22 +226,22 @@ def _solve_settings_at_pickups(network: Network, sub: SettingsSubproblem,
             # lowered by the in-between DG disparity
             for i in current_grid(pd.i_primary_min, pd.i_primary):
                 slope_down = _affine_slope(curve[rec.id], pickups[rec.id],
-                                           float(i))
+                                           float(i), pd.id)
                 i_up = float(i) - pd.delta_rr
                 if i_up <= 0:
                     raise InfeasibleError(
-                        f"{pd.up_id}-{pd.down_id}",
+                        pd.id,
                         f"disparity {pd.delta_rr:.4g} pu swamps the backup "
                         f"current at {i:.4g} pu")
                 slope_up = _affine_slope(curve[pd.up_id], pickups[pd.up_id],
-                                         i_up)
+                                         i_up, pd.id)
                 need = (config.rr_margin + slope_down * d + kconst[rec.id]
                         - kconst[pd.up_id]) / slope_up
                 if need > lb[pd.up_id]:
                     lb[pd.up_id] = need
                     if need > config.d_max + 1e-12:
                         raise InfeasibleError(
-                            f"{pd.up_id}-{pd.down_id}",
+                            pd.id,
                             f"backup needs D = {need:.4f} > {config.d_max}")
     return {rid: RecloserSettings(pickup=pickups[rid],
                                   time_dial=min(max(dial[rid], config.d_min),
@@ -258,8 +255,8 @@ def solve_settings(network: Network, sub: SettingsSubproblem,
     """Minimum-total-clearing-time settings at rule-selected pickups.
 
     Pickups sit at twice the maximum load current, which maximizes the
-    margin headroom of every fuse pair; the dispatch stage assumes the
-    same selection when it converts margins into disparity bounds.
+    margin headroom of every fuse pair; pair_slacks assumes the same
+    selection when it converts margins into disparity bounds.
     """
     pickups = dict(sub.pickup_lo)
     for rid, hi in sub.pickup_hi.items():
@@ -306,89 +303,50 @@ def total_clearing_time(network: Network, sub: SettingsSubproblem,
     return total
 
 
-def build_dispatch_subproblem(network: Network, sol: PowerFlowSolution,
-                              fuse_curves: dict[str, FuseCurve],
-                              settings: dict[str, RecloserSettings],
-                              available: dict[int, float],
-                              config: OptimizerConfig) -> DispatchSubproblem:
-    """Disparity bounds per fuse-recloser pair for the dispatch stage.
+def pair_slacks(network: Network, sub: SettingsSubproblem,
+                fuse_curves: dict[str, FuseCurve],
+                config: OptimizerConfig) -> dict[str, float]:
+    """Disparity headroom of every fuse-recloser pair, keyed by pair id.
 
-    The bound is the largest disparity the settings stage can absorb for
-    the pair: the margin constraint, quantified over the pair's current
-    range, caps the recloser's dial from above, while the chain of
-    recloser-recloser constraints forces the dial from below.  The
-    handover point between the two is located by bisecting on the
-    disparity.  Pickups follow the same selection rule the settings
-    stage applies, so the passed operating settings only matter through
-    the fault state already baked into ``sol``.
+    A pair's bound is the largest disparity its recloser's floor dial D
+    (the ladder solved without fuse caps) still coordinates with.  At
+    each grid current i the fuse must not melt before
+    T_i = D*slope_i + fr_margin + K, which holds while the fuse current
+    stays at or below the MM table's current at T_i: the first tabulated
+    current when T_i lies above the table, and no limit when T_i is at
+    or below its clamped tail.  The bound, clamped to
+    [0, MAX_DISPARITY_BOUND], minus the pair's disparity is its slack.
     """
-    sub = build_settings_subproblem(network, sol, config)
     pickups = dict(sub.pickup_lo)
-    dials = _solve_settings_at_pickups(network, sub, fuse_curves, pickups,
+    floor = _solve_settings_at_pickups(network, sub, fuse_curves, pickups,
                                        config, enforce_ub=False)
-
-    bounds: dict[str, float] = {}
-    pair_laterals: dict[str, tuple[str, int]] = {}
+    slacks: dict[str, float] = {}
     for pd in sub.fr:
         curve = network.recloser(pd.rec_id).sequence.coordinating_curve
-        pickup = pickups[pd.rec_id]
-        kconst = curve.constants.K
-        need = dials[pd.rec_id].time_dial
-        grid = current_grid(pd.i_recloser_min, pd.i_recloser)
-        slopes = [_affine_slope(curve, pickup, float(i)) for i in grid]
-
-        def dial_cap(delta: float) -> float:
-            best = math.inf
-            for i, slope in zip(grid, slopes):
-                t_fuse = fuse_time(fuse_curves[pd.fuse], "mm",
-                                   float(i) + delta)
-                if math.isinf(t_fuse):
-                    continue
-                best = min(best,
-                           (t_fuse - config.fr_margin - kconst) / slope)
-            return best
-
-        pid = f"{pd.rec_id}-L{pd.lateral_id}"
-        pair_laterals[pid] = (pd.rec_id, pd.lateral_id)
-        if dial_cap(0.0) < need:
-            bounds[pid] = 0.0
-            continue
-        lo, hi = 0.0, 1.0
-        while dial_cap(hi) >= need and hi < 1024.0:
-            lo, hi = hi, hi * 2.0
-        if hi >= 1024.0:  # fuse cap never meets the dial floor
-            bounds[pid] = hi
-            continue
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if dial_cap(mid) >= need:
-                lo = mid
+        fuse = fuse_curves[pd.fuse]
+        base = config.fr_margin + curve.constants.K
+        dial = floor[pd.rec_id].time_dial
+        bound = MAX_DISPARITY_BOUND
+        for i in current_grid(pd.i_recloser_min, pd.i_recloser):
+            t_need = dial * _affine_slope(curve, pickups[pd.rec_id], float(i),
+                                          pd.id) + base
+            if t_need <= fuse.mm_points[-1][1]:
+                continue
+            if t_need > fuse.mm_points[0][1]:
+                reach = fuse.mm_points[0][0]
             else:
-                hi = mid
-        bounds[pid] = lo
-    return DispatchSubproblem(bounds, pair_laterals, dict(available),
-                              sub, pickups, dict(fuse_curves))
+                reach = fuse_inverse_current(fuse, "mm", t_need)
+            bound = min(bound, reach - float(i))
+        slacks[pd.id] = max(bound, 0.0) - pd.delta_fr
+    return slacks
 
 
-def _candidate_deltas(network: Network, sub: DispatchSubproblem,
-                      outputs: dict[int, float],
-                      ) -> tuple[dict[str, float], dict[str, float]]:
-    """Pair disparities at the candidate outputs, keyed by pair id."""
-    net = network.with_dg_outputs(outputs)
-    sol = solve_distflow(net)
-    models = flt.build_all_fault_models(net, sol)
-    fr = {}
-    for pair_id, (rec_id, lat_id) in sub.pair_laterals.items():
-        study = flt.solve_fault(net, sol, flt.at_lateral(lat_id), 0.0, models)
-        fr[pair_id] = study.delta_fr[rec_id]
-    rr = {}
-    for pd in sub.settings_sub.rr:
-        node = net.recloser(pd.down_id).node
-        study = flt.solve_fault(net, sol, flt.at_node(node), 0.0, models)
-        rr[f"{pd.up_id}-{pd.down_id}"] = sum(
-            study.i_dg[i] for i in dg_between(net, net.recloser(pd.up_id).node,
-                                              node))
-    return fr, rr
+def _settings_at(network: Network, fuse_curves: dict[str, FuseCurve],
+                 config: OptimizerConfig) -> dict[str, RecloserSettings]:
+    """Settings for the network as dispatched; raises InfeasibleError."""
+    sol = solve_distflow(network)
+    sub = build_settings_subproblem(network, sol, config)
+    return solve_settings(network, sub, fuse_curves, config)
 
 
 def settings_feasible_at(network: Network,
@@ -396,62 +354,46 @@ def settings_feasible_at(network: Network,
                          config: OptimizerConfig) -> bool:
     """Whether admissible settings exist for the network as dispatched.
 
-    The per-pair disparity bounds alone miss the coupling through the
-    recloser-recloser chain: a higher disparity downstream raises the
-    dial an upstream device needs, which tightens its own fuse cap.
-    Solving the full ladder at the candidate state captures that.
+    The ladder is solved in full at the candidate state, so a higher
+    disparity downstream that raises the dial an upstream device needs,
+    and with it tightens that device's own fuse cap, is accounted for.
     """
-    sol = solve_distflow(network)
-    ssub = build_settings_subproblem(network, sol, config)
-    if any(ssub.pickup_lo[r] > ssub.pickup_hi[r] for r in ssub.pickup_lo):
-        return False
     try:
-        _solve_settings_at_pickups(network, ssub, fuse_curves,
-                                   dict(ssub.pickup_lo), config)
+        _settings_at(network, fuse_curves, config)
     except InfeasibleError:
         return False
     return True
 
 
-def _dispatch_slacks(network: Network, sub: DispatchSubproblem,
-                     outputs: dict[int, float]) -> dict[str, float]:
-    fr, _ = _candidate_deltas(network, sub, outputs)
-    return {pid: sub.bounds[pid] - fr[pid] for pid in sub.pair_laterals}
-
-
-def solve_dispatch(network: Network, sub: DispatchSubproblem,
+def solve_dispatch(network: Network, available: dict[int, float],
+                   fuse_curves: dict[str, FuseCurve],
                    config: OptimizerConfig) -> dict[int, float]:
     """Component-wise maximal curtailable outputs that leave the settings
     ladder solvable.
 
+    ``available`` maps each curtailable unit to its output ceiling.
     Feasibility of a candidate point re-solves the ladder at that
     operating state.  Bisection on a single curtailment factor finds a
     feasible base point; tail-first per-unit restoration then pushes
-    every unit to its individual limit.
+    every unit to its individual limit.  When even full curtailment is
+    infeasible the ladder's InfeasibleError, naming the binding pair,
+    propagates.
     """
-    ids = sorted(sub.available)
+    ids = sorted(available)
 
     def feasible(outputs: dict[int, float]) -> bool:
         return settings_feasible_at(network.with_dg_outputs(outputs),
-                                    sub.fuse_curves, config)
-
-    if not ids:
-        if not feasible({}):
-            raise InfeasibleError(
-                "-", "fixed DG contribution leaves no admissible settings")
-        return {}
+                                    fuse_curves, config)
 
     def at_factor(t: float) -> dict[int, float]:
-        return {i: t * sub.available[i] for i in ids}
+        return {i: t * available[i] for i in ids}
 
-    if feasible(at_factor(1.0)):
+    if ids and feasible(at_factor(1.0)):
         return at_factor(1.0)
-    if not feasible(at_factor(0.0)):
-        slacks = _dispatch_slacks(network, sub, at_factor(0.0))
-        worst = min(slacks, key=slacks.get)
-        raise InfeasibleError(
-            worst, "infeasible even with full curtailment; "
-                   "non-curtailable contribution exceeds the bound")
+    # raises the ladder's own error if even zero output is infeasible
+    _settings_at(network.with_dg_outputs(at_factor(0.0)), fuse_curves, config)
+    if not ids:
+        return {}
 
     lo, hi = 0.0, 1.0
     while hi - lo > 1e-9:
@@ -465,7 +407,7 @@ def solve_dispatch(network: Network, sub: DispatchSubproblem,
     # restoration pass, feeder tail first, deterministic order
     tail_first = sorted(ids, key=lambda i: (-network.dg(i).tap_node, i))
     for uid in tail_first:
-        p_lo, p_hi = outputs[uid], sub.available[uid]
+        p_lo, p_hi = outputs[uid], available[uid]
         if p_hi - p_lo <= 1e-12:
             continue
         trial = dict(outputs)
@@ -473,7 +415,7 @@ def solve_dispatch(network: Network, sub: DispatchSubproblem,
         if feasible(trial):
             outputs[uid] = p_hi
             continue
-        while p_hi - p_lo > 1e-9 * max(sub.available[uid], 1.0):
+        while p_hi - p_lo > 1e-9 * max(available[uid], 1.0):
             mid = 0.5 * (p_lo + p_hi)
             trial[uid] = mid
             if feasible(trial):
@@ -484,43 +426,10 @@ def solve_dispatch(network: Network, sub: DispatchSubproblem,
     return outputs
 
 
-def dispatch_to_fixed_point(network: Network,
-                            fuse_curves: dict[str, FuseCurve],
-                            settings: dict[str, RecloserSettings],
-                            available: dict[int, float],
-                            config: OptimizerConfig,
-                            max_passes: int = 40) -> dict[int, float]:
-    """Dispatch with the pair bounds re-frozen at each new operating state.
-
-    The disparity bounds depend on the operating point they were computed
-    at, and they tighten as output grows; substituting the dispatch
-    result straight back produces a slowly damped two-cycle.  Averaging
-    each new point with the previous state keeps the same fixed point
-    and contracts quickly.  Returns the last dispatch result, which is
-    feasible for the bounds frozen at (numerically) that same state.
-    """
-    state = {u.id: u.p_out for u in network.dg_units if u.id in available}
-    out = state
-    for _ in range(max_passes):
-        net = network.with_dg_outputs(state)
-        sol = solve_distflow(net)
-        dsub = build_dispatch_subproblem(net, sol, fuse_curves, settings,
-                                         available, config)
-        out = solve_dispatch(net, dsub, config)
-        shift = max((abs(out[i] - state[i]) for i in out), default=0.0)
-        if shift < config.dispatch_tol:
-            break
-        state = {i: 0.5 * (state[i] + out[i]) for i in out}
-    return out
-
-
 def baseline_settings(network: Network, fuse_curves: dict[str, FuseCurve],
                       config: OptimizerConfig) -> dict[str, RecloserSettings]:
     """Design-time settings from the no-DG configuration."""
-    design = replace(network, dg_units=())
-    sol = solve_distflow(design)
-    sub = build_settings_subproblem(design, sol, config)
-    return solve_settings(design, sub, fuse_curves, config)
+    return _settings_at(replace(network, dg_units=()), fuse_curves, config)
 
 
 def alternate(network: Network, fuse_curves: dict[str, FuseCurve],
@@ -530,8 +439,9 @@ def alternate(network: Network, fuse_curves: dict[str, FuseCurve],
                          dict[str, RecloserSettings]]:
     """Alternate dispatch and settings until both objectives settle.
 
-    Each iteration dispatches DG under bounds from the latest settings,
-    re-solves the load flow and fault data, then re-optimizes settings.
+    Each iteration dispatches DG to the largest outputs the settings
+    ladder admits, re-solves the load flow and fault data once, then
+    re-optimizes settings on that state.
     Convergence is declared when both objectives and every constraint
     slack move by less than the configured tolerance; a two-cycle
     oscillation is reported as MAX_ITERS with the cycling values.
@@ -540,31 +450,24 @@ def alternate(network: Network, fuse_curves: dict[str, FuseCurve],
                                                      config)
     net = apply_settings(network, settings)
 
-    def snapshot(net_now, settings_now) -> Iterate:
-        sol = solve_distflow(net_now)
-        sub = build_settings_subproblem(net_now, sol, config)
-        dsub = build_dispatch_subproblem(net_now, sol, fuse_curves,
-                                         settings_now, available, config)
-        slacks = _dispatch_slacks(net_now, dsub,
-                                  {u.id: u.p_out for u in net_now.dg_units
-                                   if u.id in available})
+    def snapshot(net_now, settings_now, sub) -> Iterate:
         return Iterate(
             dg_outputs={u.id: u.p_out for u in net_now.dg_units},
             settings=dict(settings_now),
             obj_clearing_time=total_clearing_time(net_now, sub, settings_now),
             obj_dg_output=sum(u.p_out for u in net_now.dg_units),
-            slacks=slacks,
+            slacks=pair_slacks(net_now, sub, fuse_curves, config),
         )
 
-    prev = snapshot(net, settings)
+    prev = snapshot(net, settings, build_settings_subproblem(
+        net, solve_distflow(net), config))
     iterates: list[Iterate] = []
     stop = StopReason.MAX_ITERS
     converged = False
 
     for _ in range(config.max_iters):
         try:
-            outputs = dispatch_to_fixed_point(net, fuse_curves, settings,
-                                              available, config)
+            outputs = solve_dispatch(net, available, fuse_curves, config)
         except InfeasibleError:
             stop = StopReason.INFEASIBLE
             break
@@ -576,9 +479,10 @@ def alternate(network: Network, fuse_curves: dict[str, FuseCurve],
         except InfeasibleError:
             stop = StopReason.INFEASIBLE
             break
+        # re-dialing changes no electrical state, so ssub still holds
         net = apply_settings(net, settings)
 
-        cur = snapshot(net, settings)
+        cur = snapshot(net, settings, ssub)
         iterates.append(cur)
         d_time = abs(cur.obj_clearing_time - prev.obj_clearing_time)
         d_out = abs(cur.obj_dg_output - prev.obj_dg_output)

@@ -15,7 +15,6 @@ def scenario_config(scn) -> opt.OptimizerConfig:
         rr_margin=scn.rr_margin,
         fault_impedance_floor=scn.fault_impedance_floor,
         obj_tol=scn.objective_tol,
-        dispatch_tol=scn.dispatch_tol,
         max_iters=scn.max_iters,
     )
 

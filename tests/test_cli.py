@@ -50,6 +50,15 @@ class TestExitCodes:
         assert main(["powerflow", "--scenario", FIVE_NODE,
                      "--margins", "wide"] + out) == EXIT_INPUT
 
+    def test_bare_scenario_name_resolves_from_any_directory(
+            self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["powerflow", "--scenario", "five_node_scenario.json",
+                     "--out-dir", "out"]) == EXIT_OK
+        assert (tmp_path / "out" / "powerflow_nodes.csv").exists()
+        assert main(["powerflow", "--scenario", "nope.json",
+                     "--out-dir", "out"]) == EXIT_INPUT
+
     def test_timeseries_requires_profile(self, tmp_path):
         assert main(["timeseries", "--scenario", FIVE_NODE,
                      "--out-dir", str(tmp_path)]) == EXIT_INPUT

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from feederprot import coordination as coord
-from feederprot.curves import (CurveRangeError, FuseCurve, NO_OPERATION,
-                               RecloserCurve, RecloserSettings, TCIConstants,
-                               fuse_time, tci_time)
+from feederprot.curves import (FuseCurve, NO_OPERATION, RecloserCurve,
+                               RecloserSettings, TCIConstants, fuse_time,
+                               tci_time)
 
 VI = TCIConstants(a=19.61, b=0.491, c=1.0, m=2.0, K=0.0)
 
@@ -172,31 +172,6 @@ class TestRecloserPairProperties:
         report = coord.check_pair(pair, sweep)
         raw = coord.backup_delay(pair, 1.0, 9.0)
         assert report.backup_delay == pytest.approx(abs(raw))
-
-
-class TestCurrentMargin:
-    def test_round_trip_identity(self):
-        pair = fr_pair(rng=(2.0, 6.0))
-        for delta_t in (0.05, 0.1, 0.3):
-            headroom = coord.coordination_current_margin(pair, delta_t)
-            t_r = pair.primary.time_at(6.0)
-            t_f = fuse_time(pair.backup.curve, "mm", 6.0 + headroom)
-            assert t_f == pytest.approx(t_r + delta_t, rel=1e-9)
-
-    def test_monotone_decreasing_in_margin(self):
-        pair = fr_pair(rng=(2.0, 6.0))
-        values = [coord.coordination_current_margin(pair, dt)
-                  for dt in (0.05, 0.1, 0.2, 0.4)]
-        assert all(a > b for a, b in zip(values, values[1:]))
-
-    def test_only_defined_for_fuse_pairs(self):
-        with pytest.raises(ValueError):
-            coord.coordination_current_margin(rr_pair(), 0.1)
-
-    def test_unreachable_margin_raises(self):
-        pair = fr_pair(rng=(2.0, 6.0))
-        with pytest.raises(CurveRangeError):
-            coord.coordination_current_margin(pair, 1e6)
 
 
 class TestBuildPairs:

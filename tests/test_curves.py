@@ -8,8 +8,8 @@ import pytest
 from feederprot.curves import (
     CurveRangeError, FuseCurve, NO_OPERATION, RecloserCurve, RecloserSettings,
     ReclosingSequence, TCIConstants, fuse_inverse_current, fuse_time,
-    fuse_time_detail, invert_tci_for_current, load_curve_families,
-    load_fuse_curves, tci_asymptote, tci_time)
+    invert_tci_for_current, load_curve_families, load_fuse_curves,
+    tci_asymptote, tci_time)
 
 VERY_INVERSE = TCIConstants(a=19.61, b=0.491, c=1.0, m=2.0, K=0.0)
 
@@ -147,11 +147,11 @@ class TestFuseCurves:
 
     def test_above_band_clamps_with_flag(self):
         fuse = self._fuse()
-        t, clamped = fuse_time_detail(fuse, "mm", 100.0)
-        assert clamped
-        assert abs(t - 32.0 / 256.0) < 1e-12
-        _, in_band = fuse_time_detail(fuse, "mm", 10.0)
-        assert not in_band
+        # above the last tabulated current the final time holds
+        assert abs(fuse_time(fuse, "mm", 100.0) - 32.0 / 256.0) < 1e-12
+        assert fuse_time(fuse, "mm", 100.0) == fuse.mm_points[-1][1]
+        # inside the band the time still falls with current
+        assert fuse_time(fuse, "mm", 10.0) > fuse.mm_points[-1][1]
 
     def test_inverse_round_trip(self):
         fuse = self._fuse()

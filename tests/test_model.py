@@ -10,7 +10,7 @@ from feederprot.model import (AsynchronousParams, DGKind, DGUnit,
                               FeederSection, InverterParams, Lateral, Network,
                               RecloserPlacement, SubstationSource,
                               SynchronousParams, UnknownElementError,
-                              dg_between, downstream_dg, section_dg, validate)
+                              dg_between, validate)
 
 VI = TCIConstants(a=19.61, b=0.491, c=1.0, m=2.0, K=0.0)
 
@@ -168,17 +168,6 @@ class TestDerivedStates:
 
 
 class TestTopologyQueries:
-    def test_downstream_and_section_sets(self):
-        net = base_network()
-        assert downstream_dg(net, 0) == {1, 2}
-        assert downstream_dg(net, 2) == {2}
-        assert section_dg(net, 1) == {1}
-        assert section_dg(net, 0) == frozenset()
-        with pytest.raises(UnknownElementError):
-            downstream_dg(net, 9)
-        with pytest.raises(UnknownElementError):
-            section_dg(net, 2)
-
     def test_dg_between_half_open(self):
         net = base_network()
         assert dg_between(net, 0, 2) == {1}

@@ -1,19 +1,23 @@
 """Settings and dispatch optimization against exhaustive grid search."""
 
+import csv
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from feederprot import coordination as coord
 from feederprot import fault as flt
 from feederprot import optimizer as opt
-from feederprot.curves import (RecloserCurve, RecloserSettings,
+from feederprot.curves import (FuseCurve, RecloserCurve, RecloserSettings,
                                ReclosingSequence, TCIConstants, fuse_time,
                                load_fuse_curves, tci_time)
 from feederprot.model import (FeederSection, Lateral, Network,
                               RecloserPlacement, SubstationSource)
 from feederprot.power_flow import solve_distflow
+
+from conftest import scenario_config
 
 VI = TCIConstants(a=19.61, b=0.491, c=1.0, m=2.0, K=0.0)
 D_GRID = np.round(np.arange(0.1, 1.0 + 1e-9, 1e-3), 6)
@@ -265,19 +269,15 @@ class TestDispatch:
         scn = five_node_scenario
         config = self.config(scn)
         available = {u.id: u.p_out for u in scn.network.dg_units}
-        settings = opt.baseline_settings(scn.network, scn.fuse_curves, config)
-        outputs = opt.dispatch_to_fixed_point(
-            scn.network, scn.fuse_curves, settings, available, config)
+        outputs = opt.solve_dispatch(scn.network, available, scn.fuse_curves,
+                                     config)
         assert outputs == available
 
     def test_empty_available_is_a_no_op(self, five_node_scenario):
         scn = five_node_scenario
         config = self.config(scn)
-        sol = solve_distflow(scn.network)
-        settings = opt.baseline_settings(scn.network, scn.fuse_curves, config)
-        sub = opt.build_dispatch_subproblem(scn.network, sol, scn.fuse_curves,
-                                            settings, {}, config)
-        assert opt.solve_dispatch(scn.network, sub, config) == {}
+        assert opt.solve_dispatch(scn.network, {}, scn.fuse_curves,
+                                  config) == {}
 
     def test_settings_feasible_at_matches_solver(self, five_node_scenario):
         scn = five_node_scenario
@@ -291,13 +291,152 @@ class TestDispatch:
     def test_dispatch_deterministic(self, five_node_scenario):
         scn = five_node_scenario
         config = self.config(scn)
-        settings = opt.baseline_settings(scn.network, scn.fuse_curves, config)
         available = {u.id: u.p_out for u in scn.network.dg_units}
-        first = opt.dispatch_to_fixed_point(scn.network, scn.fuse_curves,
-                                            settings, available, config)
-        second = opt.dispatch_to_fixed_point(scn.network, scn.fuse_curves,
-                                             settings, available, config)
+        first = opt.solve_dispatch(scn.network, available, scn.fuse_curves,
+                                   config)
+        second = opt.solve_dispatch(scn.network, available, scn.fuse_curves,
+                                    config)
         assert first == second
+
+    def test_redispatch_from_own_output_is_a_no_op(self, case_a_scenario):
+        scn = case_a_scenario
+        config = self.config(scn)
+        available = {u.id: u.p_out for u in scn.network.dg_units
+                     if u.curtailable}
+        first = opt.solve_dispatch(scn.network, available, scn.fuse_curves,
+                                   config)
+        assert any(first[i] < available[i] for i in available)
+        again = opt.solve_dispatch(scn.network.with_dg_outputs(first),
+                                   available, scn.fuse_curves, config)
+        assert again == first
+
+    def test_infeasibility_names_a_scenario_pair(self, five_node_scenario,
+                                                 five_node_solution):
+        scn = five_node_scenario
+        config = replace(self.config(scn), fr_margin=5.0)
+        pair_ids = {pair.id for pair, _ in coord.build_pairs(
+            scn.network, five_node_solution, scn.fuse_curves,
+            fr_margin=config.fr_margin, rr_margin=config.rr_margin,
+            fault_impedance_floor=config.fault_impedance_floor)}
+        available = {u.id: u.p_out for u in scn.network.dg_units}
+        with pytest.raises(opt.InfeasibleError) as exc:
+            opt.solve_dispatch(scn.network, available, scn.fuse_curves,
+                               config)
+        assert exc.value.pair in pair_ids
+        # pickups no fault current exceeds: the curve slope itself fails
+        sub = opt.build_settings_subproblem(scn.network, five_node_solution,
+                                            config)
+        high = replace(sub, pickup_lo={r: 1e3 for r in sub.pickup_lo})
+        with pytest.raises(opt.InfeasibleError) as exc:
+            opt.pair_slacks(scn.network, high, scn.fuse_curves, config)
+        assert exc.value.pair in pair_ids
+
+
+def bisected_pair_slacks(network, fuse_curves, config):
+    """Reference slacks: each fuse-recloser pair's disparity bound found
+    by doubling then 60 bisection steps on the dial cap, minus the pair
+    disparity from a fresh bolted-fault solve at the lateral."""
+    sol = solve_distflow(network)
+    sub = opt.build_settings_subproblem(network, sol, config)
+    pickups = dict(sub.pickup_lo)
+    dials = opt._solve_settings_at_pickups(network, sub, fuse_curves, pickups,
+                                           config, enforce_ub=False)
+    slacks = {}
+    for pd in sub.fr:
+        curve = network.recloser(pd.rec_id).sequence.coordinating_curve
+        need = dials[pd.rec_id].time_dial
+        grid = coord.current_grid(pd.i_recloser_min, pd.i_recloser)
+        slopes = [opt._affine_slope(curve, pickups[pd.rec_id], float(i),
+                                    pd.id) for i in grid]
+
+        def dial_cap(delta):
+            best = math.inf
+            for i, slope in zip(grid, slopes):
+                t_fuse = fuse_time(fuse_curves[pd.fuse], "mm",
+                                   float(i) + delta)
+                if math.isinf(t_fuse):
+                    continue
+                best = min(best, (t_fuse - config.fr_margin
+                                  - curve.constants.K) / slope)
+            return best
+
+        if dial_cap(0.0) < need:
+            bound = 0.0
+        else:
+            lo, hi = 0.0, 1.0
+            while dial_cap(hi) >= need and hi < 1024.0:
+                lo, hi = hi, hi * 2.0
+            if hi >= 1024.0:
+                bound = hi
+            else:
+                for _ in range(60):
+                    mid = 0.5 * (lo + hi)
+                    if dial_cap(mid) >= need:
+                        lo = mid
+                    else:
+                        hi = mid
+                bound = lo
+        study = flt.solve_fault(network, sol, flt.at_lateral(pd.lateral_id),
+                                0.0)
+        slacks[pd.id] = bound - study.delta_fr[pd.rec_id]
+    return slacks
+
+
+class TestPairSlacks:
+    def check(self, network, fuse_curves, config):
+        sub = opt.build_settings_subproblem(network, solve_distflow(network),
+                                            config)
+        closed = opt.pair_slacks(network, sub, fuse_curves, config)
+        reference = bisected_pair_slacks(network, fuse_curves, config)
+        assert closed.keys() == reference.keys()
+        assert closed
+        for pid, slack in reference.items():
+            assert abs(closed[pid] - slack) <= 1e-12, pid
+        return closed
+
+    def test_five_node(self, five_node_scenario):
+        scn = five_node_scenario
+        self.check(scn.network, scn.fuse_curves, scenario_config(scn))
+
+    def test_case_a_final_state(self, case_a_scenario, case_a_result):
+        slacks = self.check(case_a_result["network"],
+                            case_a_scenario.fuse_curves,
+                            case_a_result["config"])
+        # the final dispatch sits on the binding pair's bound
+        assert min(slacks.values()) == pytest.approx(0.0, abs=1e-9)
+
+    @pytest.mark.parametrize("i_scale, t_scale, fr_margin", [
+        (1.0, 1000.0, 0.1),  # every needed time at or below the table tail
+        (1.0, 10.0, 0.1),  # needed times on the table's last segment
+        (1.0, 0.01, 0.1),  # needed times above the table: bounds clamp to 0
+        (10.0, 0.01, 0.1),  # the same, but study currents below the table
+        (1.0, 1.0, 0.5),  # interior bounds next to zero-clamped ones
+    ])
+    def test_fuse_table_edges(self, five_node_scenario, i_scale, t_scale,
+                              fr_margin):
+        scn = five_node_scenario
+
+        def rescaled(points):
+            return tuple((i * i_scale, t * t_scale) for i, t in points)
+
+        fuses = {name: FuseCurve(name, rescaled(f.mm_points),
+                                 rescaled(f.tc_points))
+                 for name, f in scn.fuse_curves.items()}
+        config = replace(scenario_config(scn), fr_margin=fr_margin)
+        self.check(scn.network, fuses, config)
+
+    def test_curtailing_case_b_state(self, case_b_scenario, case_b_run):
+        scn = case_b_scenario
+        with open(case_b_run["out_dir"] / "timeseries.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        curtailable = [u.id for u in scn.network.dg_units if u.curtailable]
+        row = min(rows, key=lambda r: sum(float(r[f"dg_{u}_p_pu"])
+                                          for u in curtailable))
+        outputs = {u.id: float(row[f"dg_{u.id}_p_pu"])
+                   for u in scn.network.dg_units}
+        assert any(outputs[u] < scn.network.dg(u).p_out for u in curtailable)
+        self.check(scn.network.with_dg_outputs(outputs), scn.fuse_curves,
+                   scenario_config(scn))
 
 
 class TestAlternate:
@@ -306,8 +445,7 @@ class TestAlternate:
         config = opt.OptimizerConfig(
             fr_margin=scn.fr_margin, rr_margin=scn.rr_margin,
             fault_impedance_floor=scn.fault_impedance_floor,
-            obj_tol=scn.objective_tol, dispatch_tol=scn.dispatch_tol,
-            max_iters=scn.max_iters)
+            obj_tol=scn.objective_tol, max_iters=scn.max_iters)
         available = {u.id: u.p_out for u in scn.network.dg_units
                      if u.curtailable}
         trace, net, settings = opt.alternate(scn.network, scn.fuse_curves,
