@@ -11,15 +11,15 @@ pair's disparity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
 
 from . import fault as flt
 from .curves import FuseCurve, NO_OPERATION, RecloserCurve, fuse_time
-from .model import Network, dg_between
-from .power_flow import PowerFlowSolution
+from .model import Network
+from .power_flow import PowerFlowSolution, solve_distflow
 
 DEFAULT_FR_MARGIN = 0.1  # s, artifact default
 DEFAULT_RR_MARGIN = 0.3  # s, artifact default
@@ -70,6 +70,17 @@ class PairSweep:
     i_primary_max: float
     i_primary_min: float
     delta: float  # disparity between the pair's currents
+
+
+@dataclass(frozen=True)
+class PairStudy:
+    """One protection pair and the currents it sees at one state."""
+
+    id: str
+    kind: PairKind
+    primary: str  # recloser id; the downstream one of a recloser pair
+    backup: str | int  # upstream recloser id, or the fused lateral's id
+    sweep: PairSweep  # max from bolted faults, min through the floor
 
 
 @dataclass(frozen=True)
@@ -182,6 +193,43 @@ def backup_delay(pair: CoordinationPair, delta_rr: float,
     return t_hi - t_lo
 
 
+def study_pairs(network: Network, sol: PowerFlowSolution,
+                fault_impedance_floor: float = 0.0,
+                kernel: flt.FaultKernel | None = None) -> list[PairStudy]:
+    """Every fuse-recloser pair, then every recloser-recloser pair.
+
+    All faults come from one kernel of the state, over every node unless
+    the caller passes one.  A fuse pair sees faults at its lateral; a
+    recloser pair sees the downstream recloser's zone, with the
+    disparity of the DG between the two for a fault at the downstream one.
+    """
+    if kernel is None:
+        kernel = flt.fault_kernel(network, sol, range(network.n_nodes))
+    out: list[PairStudy] = []
+    for rec in network.reclosers:
+        zone = flt._recloser_zone(network, rec.id)
+        for lat in network.laterals:
+            if lat.fuse is None or lat.tap_node not in zone:
+                continue
+            loc = flt.at_lateral(lat.id)
+            bolted = kernel.study(loc, 0.0)
+            floored = kernel.study(loc, fault_impedance_floor)
+            out.append(PairStudy(
+                f"{rec.id}-L{lat.id}", PairKind.FUSE_RECLOSER, rec.id,
+                lat.id, PairSweep(bolted.i_recloser[rec.id],
+                                  floored.i_recloser[rec.id],
+                                  bolted.delta_fr[rec.id])))
+
+    for up, down in zip(network.reclosers, network.reclosers[1:]):
+        i_max, i_min = flt.max_min_fault_currents(
+            network, sol, down.id, fault_impedance_floor, kernel)
+        bolted = kernel.study(flt.at_node(down.node), 0.0)
+        out.append(PairStudy(
+            f"{up.id}-{down.id}", PairKind.RECLOSER_RECLOSER, down.id, up.id,
+            PairSweep(i_max, i_min, bolted.delta_rr[down.id])))
+    return out
+
+
 def build_pairs(network: Network, sol: PowerFlowSolution,
                 fuse_curves: dict[str, FuseCurve],
                 fr_margin: float = DEFAULT_FR_MARGIN,
@@ -194,60 +242,26 @@ def build_pairs(network: Network, sol: PowerFlowSolution,
     come from the network as given, so DG disparities show up in the
     sweep and not in the design range.
     """
-    from dataclasses import replace
-
-    from .power_flow import solve_distflow
-
     design_net = replace(network, dg_units=())
-    design_sol = solve_distflow(design_net)
-    models = flt.build_all_fault_models(network, sol)
-
+    design = study_pairs(design_net, solve_distflow(design_net),
+                         fault_impedance_floor)
     out: list[tuple[CoordinationPair, PairSweep]] = []
-    for rec in network.reclosers:
-        zone = flt._recloser_zone(network, rec.id)
-        for lat in network.laterals:
-            if lat.fuse is None or lat.tap_node not in zone:
-                continue
-            loc = flt.at_lateral(lat.id)
-            d_max = flt.solve_fault(design_net, design_sol, loc).i_fault_total
-            d_min = flt.solve_fault(design_net, design_sol, loc,
-                                    fault_impedance_floor).i_fault_total
-            study_max = flt.solve_fault(network, sol, loc, 0.0, models)
-            study_min = flt.solve_fault(network, sol, loc,
-                                        fault_impedance_floor, models)
-            pair = CoordinationPair(
-                id=f"{rec.id}-L{lat.id}",
-                kind=PairKind.FUSE_RECLOSER,
-                primary=rec.sequence.coordinating_curve,
-                backup=FuseDevice(fuse_curves[lat.fuse], "mm"),
-                margin_required=fr_margin,
-                range=(min(d_min, d_max * (1 - 1e-9)), d_max),
-            )
-            sweep = PairSweep(
-                i_primary_max=study_max.i_recloser[rec.id],
-                i_primary_min=study_min.i_recloser[rec.id],
-                delta=study_max.delta_fr[rec.id],
-            )
-            out.append((pair, sweep))
-
-    for up, down in zip(network.reclosers, network.reclosers[1:]):
-        d_max, d_min = flt.max_min_fault_currents(
-            design_net, design_sol, down.id, fault_impedance_floor)
-        a_max, a_min = flt.max_min_fault_currents(
-            network, sol, down.id, fault_impedance_floor, models)
-        study = flt.solve_fault(network, sol, flt.at_node(down.node),
-                                0.0, models)
-        delta = sum(study.i_dg[i]
-                    for i in dg_between(network, up.node, down.node))
+    for d, a in zip(design, study_pairs(network, sol, fault_impedance_floor)):
+        if a.kind is PairKind.FUSE_RECLOSER:
+            fuse = network.lateral(a.backup).fuse
+            backup = FuseDevice(fuse_curves[fuse], "mm")
+            margin = fr_margin
+        else:
+            backup = network.recloser(a.backup).sequence.coordinating_curve
+            margin = rr_margin
+        lo, hi = d.sweep.i_primary_min, d.sweep.i_primary_max
         pair = CoordinationPair(
-            id=f"{up.id}-{down.id}",
-            kind=PairKind.RECLOSER_RECLOSER,
-            primary=down.sequence.coordinating_curve,
-            backup=up.sequence.coordinating_curve,
-            margin_required=rr_margin,
-            range=(min(d_min, d_max * (1 - 1e-9)), d_max),
+            id=a.id,
+            kind=a.kind,
+            primary=network.recloser(a.primary).sequence.coordinating_curve,
+            backup=backup,
+            margin_required=margin,
+            range=(min(lo, hi * (1 - 1e-9)), hi),
         )
-        sweep = PairSweep(i_primary_max=a_max, i_primary_min=a_min,
-                          delta=delta)
-        out.append((pair, sweep))
+        out.append((pair, a.sweep))
     return out

@@ -1,12 +1,17 @@
-"""Fault studies: DG source models, network solve, current disparities.
+"""Fault studies: DG source models, the per-state fault kernel, disparities.
 
-A bolted (or floored-impedance) three-phase fault is solved on the
-single equivalent-phase per-unit circuit.  Rotating DG become voltage
-sources behind a reactance; inverter DG become constant current
-injections or switch off; the substation is its configured voltage
-behind the source impedance.  The linear network is solved node-wise
-and each source's complex contribution to the fault-point current is
-extracted by superposition.
+Three-phase faults are solved on the single equivalent-phase per-unit
+circuit.  Rotating DG become voltage sources behind a reactance;
+inverter DG become constant current injections or switch off; the
+substation is its configured voltage behind the source impedance.
+
+Each operating state is factored once by the Z-bus (Thevenin) method
+(Grainger & Stevenson, *Power System Analysis*, ch. 10): one solve of
+the nodal admittance matrix against every source injection I_s and a
+unit current at each requested fault node gives each source's
+open-circuit voltage V_oc[k, s] = Z[k, j_s] * I_s and the driving-point
+impedance Z[k, k].  By superposition a fault at node k through z_f
+(zero when bolted) draws V_oc[k, s] / (Z[k, k] + z_f) from source s.
 
 Device currents follow the directional accounting of radial feeders: a
 fuse sees every source, a directional recloser only the substation and
@@ -17,7 +22,7 @@ recloser-recloser disparities exact sums of the per-DG contributions.
 
 from __future__ import annotations
 
-import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -25,8 +30,6 @@ import numpy as np
 
 from .model import (DGKind, DGUnit, Network, UnknownElementError)
 from .power_flow import PowerFlowSolution, dg_terminal_voltages
-
-SUBSTATION = "substation"
 
 
 @dataclass(frozen=True)
@@ -139,10 +142,108 @@ def _fault_node(network: Network, location: FaultLocation) -> int:
     return network.lateral(location.ref).tap_node
 
 
-def _source_contributions(network: Network, models: dict[int, DGFaultModel],
-                          fault_node: int,
-                          fault_impedance: float) -> dict[object, complex]:
-    """Complex fault-point current contribution per source, by superposition."""
+def _dg_current(network: Network, i_dg: dict, lo: int, hi: int):
+    """Summed contribution of the DG tapped at lo <= node < hi, in feeder
+    order; the values may be floats or per-node arrays."""
+    return sum(i_dg[u.id] for u in network.dg_units if lo <= u.tap_node < hi)
+
+
+def _recloser_current(network: Network, recloser_node: int, i_sub, i_dg):
+    """Current a directional recloser sees of a fault downstream of it:
+    the substation's and that of the DG tapped upstream of it."""
+    return i_sub + _dg_current(network, i_dg, 0, recloser_node)
+
+
+@dataclass(frozen=True)
+class FaultKernel:
+    """Every three-phase fault of one operating state, from one solve.
+
+    ``v_oc[r, s]`` is source s's open-circuit voltage at the fault node
+    of row r and ``z_kk[r]`` that node's driving-point impedance; the
+    sources are the substation, then every DG unit in feeder order (a
+    unit that is off injects nothing, so its column is zero).
+    """
+
+    network: Network
+    row: dict[int, int]  # fault node -> row of v_oc and z_kk
+    v_oc: np.ndarray
+    z_kk: np.ndarray
+
+    def contributions(self, nodes: Sequence[int],
+                      fault_impedance: float) -> np.ndarray:
+        """Complex current each source feeds a fault at each of the nodes,
+        one row per node, one column per source."""
+        rows = [self.row[k] for k in nodes]
+        return (self.v_oc[rows]
+                / (self.z_kk[rows] + fault_impedance)[:, np.newaxis])
+
+    def source_currents(self, nodes: Sequence[int], fault_impedance: float,
+                        ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+        """Contribution magnitudes per node: the substation's, and each DG
+        unit's by id."""
+        mag = np.abs(self.contributions(nodes, fault_impedance))
+        return mag[:, 0], {u.id: mag[:, col] for col, u
+                           in enumerate(self.network.dg_units, start=1)}
+
+    def study(self, location: FaultLocation,
+              fault_impedance: float = 0.0) -> FaultStudy:
+        """Per-device currents of one fault.
+
+        Reclosers strictly downstream of the fault are directionally
+        blocked and reported at zero current.  The fuse entry is
+        populated for the faulted lateral when the location is a lateral.
+        """
+        network = self.network
+        f_node = _fault_node(network, location)
+        sub, dg = self.source_currents([f_node], fault_impedance)
+        i_sub = float(sub[0])
+        i_dg = {uid: float(i[0]) for uid, i in dg.items()}
+        total = i_sub + sum(i_dg.values())
+
+        i_recloser: dict[str, float] = {}
+        delta_fr: dict[str, float] = {}
+        delta_rr: dict[str, float] = {}
+        prev_node = 0
+        for rec in network.reclosers:
+            i_recloser[rec.id] = (
+                _recloser_current(network, rec.node, i_sub, i_dg)
+                if rec.node <= f_node else 0.0)
+            delta_fr[rec.id] = _dg_current(network, i_dg, rec.node,
+                                           network.n_nodes)
+            delta_rr[rec.id] = _dg_current(network, i_dg, prev_node, rec.node)
+            prev_node = rec.node
+
+        i_fuse: dict[int, float] = {}
+        if location.kind == "lateral":
+            lat = network.lateral(location.ref)
+            if lat.fuse is not None:
+                i_fuse[lat.id] = total
+
+        return FaultStudy(
+            location=location,
+            i_recloser=i_recloser,
+            i_fuse=i_fuse,
+            i_dg=i_dg,
+            i_substation=i_sub,
+            i_fault_total=total,
+            i_fault_complex=complex(
+                self.contributions([f_node], fault_impedance).sum()),
+            delta_fr=delta_fr,
+            delta_rr=delta_rr,
+        )
+
+
+def fault_kernel(network: Network, sol: PowerFlowSolution,
+                 nodes: Sequence[int]) -> FaultKernel:
+    """Factor one operating state for faults at the given nodes.
+
+    Y holds the feeder sections and the shunts of the substation and of
+    every voltage-behind-impedance DG; the right-hand sides are each
+    source's injection and a unit current at each requested node.
+    """
+    if not sol.converged:
+        raise ValueError("power flow solution did not converge")
+    models = build_all_fault_models(network, sol)
     n = network.n_nodes
     y = np.zeros((n, n), dtype=complex)
     for sec in network.sections:
@@ -153,97 +254,35 @@ def _source_contributions(network: Network, models: dict[int, DGFaultModel],
         y[i, j] -= adm
         y[j, i] -= adm
 
-    injections: list[tuple[object, int, complex]] = []
+    m = 1 + len(network.dg_units)  # source columns
+    unit_cols = m + np.arange(len(nodes))
+    rhs = np.zeros((n, m + len(nodes)), dtype=complex)
+    rhs[nodes, unit_cols] = 1.0
     z_src = network.source.impedance
     y[0, 0] += 1.0 / z_src
-    injections.append((SUBSTATION, 0, network.source.voltage / z_src))
-    for unit in network.dg_units:
+    rhs[0, 0] = network.source.voltage / z_src
+    for col, unit in enumerate(network.dg_units, start=1):
         fm = models[unit.id]
         if fm.kind is FaultModelKind.VOLTAGE_BEHIND_IMPEDANCE:
             y[unit.tap_node, unit.tap_node] += 1.0 / fm.thevenin.impedance
-            injections.append((unit.id, unit.tap_node,
-                               fm.thevenin.emf / fm.thevenin.impedance))
+            rhs[unit.tap_node, col] = fm.thevenin.emf / fm.thevenin.impedance
         elif fm.kind is FaultModelKind.CONSTANT_CURRENT:
             # injected in quadrature with the pre-fault voltage, matching
             # the phase of a current driven through the coupling reactance
-            injections.append((unit.id, unit.tap_node, -1j * fm.i_const))
+            rhs[unit.tap_node, col] = -1j * fm.i_const
         # OFF contributes nothing and adds no shunt
 
-    rhs = np.zeros((n, len(injections)), dtype=complex)
-    for col, (_, node, inj) in enumerate(injections):
-        rhs[node, col] = inj
-
-    out: dict[object, complex] = {}
-    if fault_impedance > 0:
-        y_f = y.copy()
-        y_f[fault_node, fault_node] += 1.0 / fault_impedance
-        volts = np.linalg.solve(y_f, rhs)
-        for col, (sid, _, _) in enumerate(injections):
-            out[sid] = volts[fault_node, col] / fault_impedance
-    else:
-        keep = [k for k in range(n) if k != fault_node]
-        volts = np.linalg.solve(y[np.ix_(keep, keep)], rhs[keep, :])
-        for col, (sid, node, inj) in enumerate(injections):
-            fed = inj if node == fault_node else 0.0
-            out[sid] = fed - y[fault_node, keep] @ volts[:, col]
-    return out
+    volts = np.linalg.solve(y, rhs)
+    return FaultKernel(network=network, row={k: r for r, k in enumerate(nodes)},
+                       v_oc=volts[nodes, :m], z_kk=volts[nodes, unit_cols])
 
 
 def solve_fault(network: Network, sol: PowerFlowSolution,
-                location: FaultLocation, fault_impedance: float = 0.0,
-                models: dict[int, DGFaultModel] | None = None) -> FaultStudy:
-    """Solve a three-phase fault and assemble per-device currents.
-
-    Reclosers strictly downstream of the fault are directionally blocked
-    and reported at zero current.  The fuse entry is populated for the
-    faulted lateral when the location is a lateral.
-    """
-    if not sol.converged:
-        raise ValueError("power flow solution did not converge")
-    if models is None:
-        models = build_all_fault_models(network, sol)
-    f_node = _fault_node(network, location)
-    contrib = _source_contributions(network, models, f_node, fault_impedance)
-
-    mag = {sid: float(abs(c)) for sid, c in contrib.items()}
-    i_sub = mag[SUBSTATION]
-    i_dg = {u.id: mag.get(u.id, 0.0) for u in network.dg_units}  # off = 0
-    total = i_sub + sum(i_dg.values())
-
-    i_recloser: dict[str, float] = {}
-    delta_fr: dict[str, float] = {}
-    delta_rr: dict[str, float] = {}
-    prev_node = 0
-    for rec in network.reclosers:
-        upstream = [u.id for u in network.dg_units if u.tap_node < rec.node]
-        if rec.node <= f_node:
-            i_recloser[rec.id] = i_sub + sum(i_dg[i] for i in upstream)
-        else:
-            i_recloser[rec.id] = 0.0
-        delta_fr[rec.id] = sum(
-            i_dg[u.id] for u in network.dg_units if u.tap_node >= rec.node)
-        delta_rr[rec.id] = sum(
-            i_dg[u.id] for u in network.dg_units
-            if prev_node <= u.tap_node < rec.node)
-        prev_node = rec.node
-
-    i_fuse: dict[int, float] = {}
-    if location.kind == "lateral":
-        lat = network.lateral(location.ref)
-        if lat.fuse is not None:
-            i_fuse[lat.id] = total
-
-    return FaultStudy(
-        location=location,
-        i_recloser=i_recloser,
-        i_fuse=i_fuse,
-        i_dg=i_dg,
-        i_substation=i_sub,
-        i_fault_total=total,
-        i_fault_complex=sum(contrib.values()),
-        delta_fr=delta_fr,
-        delta_rr=delta_rr,
-    )
+                location: FaultLocation,
+                fault_impedance: float = 0.0) -> FaultStudy:
+    """Solve one three-phase fault on its own kernel (see FaultKernel.study)."""
+    node = _fault_node(network, location)
+    return fault_kernel(network, sol, [node]).study(location, fault_impedance)
 
 
 def _recloser_zone(network: Network, recloser_id: str) -> range:
@@ -257,33 +296,23 @@ def _recloser_zone(network: Network, recloser_id: str) -> range:
 
 
 def max_min_fault_currents(network: Network, sol: PowerFlowSolution,
-                           device: str | int,
+                           recloser_id: str,
                            fault_impedance_floor: float = 0.0,
-                           models: dict[int, DGFaultModel] | None = None,
+                           kernel: FaultKernel | None = None,
                            ) -> tuple[float, float]:
-    """(I_max, I_min) over the device's protection zone.
+    """(I_max, I_min) the recloser sees over its protection zone.
 
-    A recloser id (str) sweeps bolted faults over its zone for the
-    maximum and applies the fault-impedance floor at the zone's far end
-    for the minimum.  A lateral id (int) does the same at the fused
-    lateral's tap.
+    The maximum sweeps bolted faults over the zone; the minimum applies
+    the fault-impedance floor at the zone's far end.  ``kernel`` must
+    cover the zone; without one the zone is factored on its own.
     """
-    if models is None:
-        models = build_all_fault_models(network, sol)
-    if isinstance(device, str):
-        rec = network.recloser(device)  # raises if unknown
-        zone = _recloser_zone(network, device)
-        i_max = max(
-            solve_fault(network, sol, at_node(node), 0.0, models)
-            .i_recloser[device]
-            for node in zone)
-        far = zone[-1]
-        i_min = solve_fault(network, sol, at_node(far),
-                            fault_impedance_floor, models).i_recloser[device]
-        return i_max, i_min
-    lat = network.lateral(device)
-    loc = at_lateral(lat.id)
-    i_max = solve_fault(network, sol, loc, 0.0, models).i_fault_total
-    i_min = solve_fault(network, sol, loc, fault_impedance_floor,
-                        models).i_fault_total
-    return i_max, i_min
+    rec = network.recloser(recloser_id)  # raises if unknown
+    zone = _recloser_zone(network, recloser_id)
+    if kernel is None:
+        kernel = fault_kernel(network, sol, zone)
+    bolted = _recloser_current(network, rec.node,
+                               *kernel.source_currents(zone, 0.0))
+    floored = _recloser_current(
+        network, rec.node,
+        *kernel.source_currents([zone[-1]], fault_impedance_floor))
+    return float(bolted.max()), float(floored[0])

@@ -24,10 +24,10 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from . import fault as flt
-from .coordination import current_grid
+from .coordination import PairKind, PairStudy, current_grid, study_pairs
 from .curves import (FuseCurve, RecloserCurve, RecloserSettings,
                      fuse_inverse_current, fuse_time)
-from .model import Network, dg_between
+from .model import Network
 from .power_flow import PowerFlowSolution, solve_distflow
 
 LL_FACTOR = math.sqrt(3) / 2  # line-line fault proxy from the 3-phase value
@@ -61,37 +61,9 @@ class OptimizerConfig:
 
 
 @dataclass(frozen=True)
-class FusePairData:
-    rec_id: str
-    lateral_id: int
-    fuse: str
-    i_recloser: float  # recloser current, bolted fault on the lateral
-    i_recloser_min: float  # same fault through the impedance floor
-    delta_fr: float
-
-    @property
-    def id(self) -> str:
-        return f"{self.rec_id}-L{self.lateral_id}"
-
-
-@dataclass(frozen=True)
-class RecloserPairData:
-    up_id: str
-    down_id: str
-    i_primary: float  # downstream recloser current at its binding fault
-    i_primary_min: float
-    delta_rr: float
-
-    @property
-    def id(self) -> str:
-        return f"{self.up_id}-{self.down_id}"
-
-
-@dataclass(frozen=True)
 class SettingsSubproblem:
     i_max: dict[str, float]
-    fr: tuple[FusePairData, ...]
-    rr: tuple[RecloserPairData, ...]
+    pairs: tuple[PairStudy, ...]
     pickup_lo: dict[str, float]  # twice the maximum load current
     pickup_hi: dict[str, float]  # half the minimum line-line fault current
 
@@ -126,43 +98,23 @@ def _load_current(network: Network, sol: PowerFlowSolution, node: int) -> float:
 def build_settings_subproblem(network: Network, sol: PowerFlowSolution,
                               config: OptimizerConfig) -> SettingsSubproblem:
     """Freeze the fault-current data that linearizes the settings problem."""
-    models = flt.build_all_fault_models(network, sol)
+    kernel = flt.fault_kernel(network, sol, range(network.n_nodes))
+    floor = config.fault_impedance_floor
     i_max: dict[str, float] = {}
     pickup_lo: dict[str, float] = {}
     pickup_hi: dict[str, float] = {}
-    fr: list[FusePairData] = []
-    rr: list[RecloserPairData] = []
-
     for rec in network.reclosers:
-        mx, mn = flt.max_min_fault_currents(
-            network, sol, rec.id, config.fault_impedance_floor, models)
+        mx, mn = flt.max_min_fault_currents(network, sol, rec.id, floor,
+                                            kernel)
         i_max[rec.id] = mx
         pickup_lo[rec.id] = 2.0 * _load_current(network, sol, rec.node)
         pickup_hi[rec.id] = 0.5 * LL_FACTOR * mn
-        zone = flt._recloser_zone(network, rec.id)
-        for lat in network.laterals:
-            if lat.fuse is None or lat.tap_node not in zone:
-                continue
-            loc = flt.at_lateral(lat.id)
-            study = flt.solve_fault(network, sol, loc, 0.0, models)
-            floored = flt.solve_fault(network, sol, loc,
-                                      config.fault_impedance_floor, models)
-            fr.append(FusePairData(rec.id, lat.id, lat.fuse,
-                                   study.i_recloser[rec.id],
-                                   floored.i_recloser[rec.id],
-                                   study.delta_fr[rec.id]))
+    pairs = study_pairs(network, sol, floor, kernel)
+    return SettingsSubproblem(i_max, tuple(pairs), pickup_lo, pickup_hi)
 
-    for up, down in zip(network.reclosers, network.reclosers[1:]):
-        a_max, a_min = flt.max_min_fault_currents(
-            network, sol, down.id, config.fault_impedance_floor, models)
-        study = flt.solve_fault(network, sol, flt.at_node(down.node),
-                                0.0, models)
-        delta = sum(study.i_dg[i]
-                    for i in dg_between(network, up.node, down.node))
-        rr.append(RecloserPairData(up.id, down.id, a_max, a_min, delta))
 
-    return SettingsSubproblem(i_max, tuple(fr), tuple(rr),
-                              pickup_lo, pickup_hi)
+def _fuse_pairs(sub: SettingsSubproblem) -> list[PairStudy]:
+    return [pd for pd in sub.pairs if pd.kind is PairKind.FUSE_RECLOSER]
 
 
 def _affine_slope(curve: RecloserCurve, pickup: float, current: float,
@@ -194,21 +146,23 @@ def _solve_settings_at_pickups(network: Network, sub: SettingsSubproblem,
     ub: dict[str, float] = {rec.id: config.d_max for rec in order}
     ub_pair: dict[str, str] = {}
     if enforce_ub:
-        for pd in sub.fr:
-            for i in current_grid(pd.i_recloser_min, pd.i_recloser):
-                t_fuse = fuse_time(fuse_curves[pd.fuse], "mm",
-                                   float(i) + pd.delta_fr)
+        for pd in _fuse_pairs(sub):
+            fuse = fuse_curves[network.lateral(pd.backup).fuse]
+            sw = pd.sweep
+            for i in current_grid(sw.i_primary_min, sw.i_primary_max):
+                t_fuse = fuse_time(fuse, "mm", float(i) + sw.delta)
                 if math.isinf(t_fuse):
                     continue  # fuse never melts here; no constraint at i
-                slope = _affine_slope(curve[pd.rec_id], pickups[pd.rec_id],
+                slope = _affine_slope(curve[pd.primary], pickups[pd.primary],
                                       float(i), pd.id)
-                limit = ((t_fuse - config.fr_margin - kconst[pd.rec_id])
+                limit = ((t_fuse - config.fr_margin - kconst[pd.primary])
                          / slope)
-                if limit < ub[pd.rec_id]:
-                    ub[pd.rec_id] = limit
-                    ub_pair[pd.rec_id] = pd.id
+                if limit < ub[pd.primary]:
+                    ub[pd.primary] = limit
+                    ub_pair[pd.primary] = pd.id
 
-    rr_up = {pd.down_id: pd for pd in sub.rr}
+    rr_up = {pd.primary: pd for pd in sub.pairs
+             if pd.kind is PairKind.RECLOSER_RECLOSER}
     lb: dict[str, float] = {rec.id: config.d_min for rec in order}
     dial: dict[str, float] = {}
     for rec in reversed(order):
@@ -224,21 +178,22 @@ def _solve_settings_at_pickups(network: Network, sub: SettingsSubproblem,
             # the backup must clear at least rr_margin later at every
             # current of the downstream device's range, its own current
             # lowered by the in-between DG disparity
-            for i in current_grid(pd.i_primary_min, pd.i_primary):
+            sw = pd.sweep
+            for i in current_grid(sw.i_primary_min, sw.i_primary_max):
                 slope_down = _affine_slope(curve[rec.id], pickups[rec.id],
                                            float(i), pd.id)
-                i_up = float(i) - pd.delta_rr
+                i_up = float(i) - sw.delta
                 if i_up <= 0:
                     raise InfeasibleError(
                         pd.id,
-                        f"disparity {pd.delta_rr:.4g} pu swamps the backup "
+                        f"disparity {sw.delta:.4g} pu swamps the backup "
                         f"current at {i:.4g} pu")
-                slope_up = _affine_slope(curve[pd.up_id], pickups[pd.up_id],
+                slope_up = _affine_slope(curve[pd.backup], pickups[pd.backup],
                                          i_up, pd.id)
                 need = (config.rr_margin + slope_down * d + kconst[rec.id]
-                        - kconst[pd.up_id]) / slope_up
-                if need > lb[pd.up_id]:
-                    lb[pd.up_id] = need
+                        - kconst[pd.backup]) / slope_up
+                if need > lb[pd.backup]:
+                    lb[pd.backup] = need
                     if need > config.d_max + 1e-12:
                         raise InfeasibleError(
                             pd.id,
@@ -321,14 +276,15 @@ def pair_slacks(network: Network, sub: SettingsSubproblem,
     floor = _solve_settings_at_pickups(network, sub, fuse_curves, pickups,
                                        config, enforce_ub=False)
     slacks: dict[str, float] = {}
-    for pd in sub.fr:
-        curve = network.recloser(pd.rec_id).sequence.coordinating_curve
-        fuse = fuse_curves[pd.fuse]
+    for pd in _fuse_pairs(sub):
+        curve = network.recloser(pd.primary).sequence.coordinating_curve
+        fuse = fuse_curves[network.lateral(pd.backup).fuse]
         base = config.fr_margin + curve.constants.K
-        dial = floor[pd.rec_id].time_dial
+        dial = floor[pd.primary].time_dial
         bound = MAX_DISPARITY_BOUND
-        for i in current_grid(pd.i_recloser_min, pd.i_recloser):
-            t_need = dial * _affine_slope(curve, pickups[pd.rec_id], float(i),
+        sw = pd.sweep
+        for i in current_grid(sw.i_primary_min, sw.i_primary_max):
+            t_need = dial * _affine_slope(curve, pickups[pd.primary], float(i),
                                           pd.id) + base
             if t_need <= fuse.mm_points[-1][1]:
                 continue
@@ -337,7 +293,7 @@ def pair_slacks(network: Network, sub: SettingsSubproblem,
             else:
                 reach = fuse_inverse_current(fuse, "mm", t_need)
             bound = min(bound, reach - float(i))
-        slacks[pd.id] = max(bound, 0.0) - pd.delta_fr
+        slacks[pd.id] = max(bound, 0.0) - sw.delta
     return slacks
 
 

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from feederprot import optimizer as opt
 from feederprot.netfile import fixtures_dir, load_scenario
 from feederprot.power_flow import solve_distflow
+
+# property tests run the same examples on every run, untimed per example
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 def scenario_config(scn) -> opt.OptimizerConfig:

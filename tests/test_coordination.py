@@ -1,14 +1,21 @@
 """Pair coordination checks against brute-force curve evaluation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from feederprot import coordination as coord
+from feederprot import fault as flt
+from feederprot import optimizer as opt
 from feederprot.curves import (FuseCurve, NO_OPERATION, RecloserCurve,
                                RecloserSettings, TCIConstants, fuse_time,
                                tci_time)
+from feederprot.model import dg_between
+from feederprot.power_flow import solve_distflow
+
+from conftest import scenario_config
 
 VI = TCIConstants(a=19.61, b=0.491, c=1.0, m=2.0, K=0.0)
 
@@ -200,3 +207,100 @@ class TestBuildPairs:
         pair, sweep = pairs["R1-L1"]
         # DG raises the fault-point current above the no-DG design max
         assert sweep.i_primary_max + sweep.delta > pair.range[1]
+
+
+SCENARIOS = ("five_node_scenario", "case_a_scenario", "case_b_scenario")
+
+
+def reference_pairs(network, sol, floor):
+    """Pair id -> (sweep, design range) from one-shot fault solves: fuse
+    pairs from faults at the lateral, design range from the no-DG total
+    fault current; recloser pairs from an explicit zone sweep and the
+    DG between the two reclosers."""
+    design_net = replace(network, dg_units=())
+    design_sol = solve_distflow(design_net)
+    out = {}
+    for rec in network.reclosers:
+        zone = flt._recloser_zone(network, rec.id)
+        for lat in network.laterals:
+            if lat.fuse is None or lat.tap_node not in zone:
+                continue
+            loc = flt.at_lateral(lat.id)
+            bolted = flt.solve_fault(network, sol, loc)
+            floored = flt.solve_fault(network, sol, loc, floor)
+            d_max = flt.solve_fault(design_net, design_sol, loc).i_fault_total
+            d_min = flt.solve_fault(design_net, design_sol, loc,
+                                    floor).i_fault_total
+            out[f"{rec.id}-L{lat.id}"] = (
+                (bolted.i_recloser[rec.id], floored.i_recloser[rec.id],
+                 bolted.delta_fr[rec.id]), (d_min, d_max))
+
+    for up, down in zip(network.reclosers, network.reclosers[1:]):
+        zone = flt._recloser_zone(network, down.id)
+
+        def sweep(net, net_sol):
+            return (max(flt.solve_fault(net, net_sol, flt.at_node(k))
+                        .i_recloser[down.id] for k in zone),
+                    flt.solve_fault(net, net_sol, flt.at_node(zone[-1]),
+                                    floor).i_recloser[down.id])
+
+        study = flt.solve_fault(network, sol, flt.at_node(down.node))
+        delta = sum(study.i_dg[i]
+                    for i in dg_between(network, up.node, down.node))
+        d_max, d_min = sweep(design_net, design_sol)
+        out[f"{up.id}-{down.id}"] = (sweep(network, sol) + (delta,),
+                                     (d_min, d_max))
+    return out
+
+
+class TestPairEnumeration:
+    @pytest.mark.parametrize("fixture", SCENARIOS)
+    def test_pairs_and_settings_read_one_enumeration(self, fixture, request):
+        scn = request.getfixturevalue(fixture)
+        sol = solve_distflow(scn.network)
+        pairs = coord.build_pairs(scn.network, sol, scn.fuse_curves,
+                                  scn.fr_margin, scn.rr_margin,
+                                  scn.fault_impedance_floor)
+        sub = opt.build_settings_subproblem(scn.network, sol,
+                                            scenario_config(scn))
+        assert [p.id for p, _ in pairs] == [pd.id for pd in sub.pairs]
+        for (pair, sweep), pd in zip(pairs, sub.pairs):
+            assert pair.kind is pd.kind
+            assert sweep == pd.sweep
+
+    @pytest.mark.parametrize("fixture", SCENARIOS)
+    def test_pairs_match_one_shot_fault_solves(self, fixture, request):
+        scn = request.getfixturevalue(fixture)
+        sol = solve_distflow(scn.network)
+        floor = scn.fault_impedance_floor
+        pairs = coord.build_pairs(scn.network, sol, scn.fuse_curves,
+                                  scn.fr_margin, scn.rr_margin, floor)
+        expect = reference_pairs(scn.network, sol, floor)
+        assert [p.id for p, _ in pairs] == list(expect)
+        for pair, sweep in pairs:
+            (i_max, i_min, delta), (d_min, d_max) = expect[pair.id]
+            got = (sweep.i_primary_max, sweep.i_primary_min, sweep.delta,
+                   pair.range[0], pair.range[1])
+            want = (i_max, i_min, delta, min(d_min, d_max * (1 - 1e-9)),
+                    d_max)
+            for g, w in zip(got, want):
+                assert g == pytest.approx(w, rel=1e-9, abs=1e-12), pair.id
+
+    @pytest.mark.parametrize("fixture", SCENARIOS)
+    def test_no_dg_fuse_fault_total_is_recloser_current(self, fixture,
+                                                         request):
+        scn = request.getfixturevalue(fixture)
+        net = replace(scn.network, dg_units=())
+        sol = solve_distflow(net)
+        studied = 0
+        for rec in net.reclosers:
+            zone = flt._recloser_zone(net, rec.id)
+            for lat in net.laterals:
+                if lat.fuse is None or lat.tap_node not in zone:
+                    continue
+                for zf in (0.0, scn.fault_impedance_floor):
+                    study = flt.solve_fault(net, sol, flt.at_lateral(lat.id),
+                                            zf)
+                    assert study.i_fault_total == study.i_recloser[rec.id]
+                studied += 1
+        assert studied > 0

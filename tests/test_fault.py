@@ -4,10 +4,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from feederprot import fault as flt
-from feederprot.model import (DGKind, DGUnit, InverterParams,
-                              SynchronousParams, UnknownElementError)
+from feederprot.curves import (RecloserCurve, RecloserSettings,
+                               ReclosingSequence, TCIConstants)
+from feederprot.model import (AsynchronousParams, DGKind, DGUnit,
+                              FeederSection, InverterParams, Lateral, Network,
+                              RecloserPlacement, SubstationSource,
+                              SynchronousParams, UnknownElementError,
+                              validate)
 from feederprot.power_flow import solve_distflow
 
 
@@ -48,6 +54,117 @@ def independent_fault_current(network, models, fault_node,
     return inj[fault_node] - y[fault_node, keep] @ volts
 
 
+def only_source(network, models, keep):
+    """Network and fault models with every source but ``keep`` dead:
+    voltage sources shorted (emf zero, impedance kept) and current
+    sources opened, so the circuit carries ``keep``'s contribution."""
+    if keep != "substation":
+        network = replace(network,
+                          source=replace(network.source, voltage=0.0))
+    dead = {}
+    for uid, fm in models.items():
+        if uid == keep or fm.kind is flt.FaultModelKind.OFF:
+            dead[uid] = fm
+        elif fm.kind is flt.FaultModelKind.VOLTAGE_BEHIND_IMPEDANCE:
+            dead[uid] = replace(fm, thevenin=replace(fm.thevenin, emf=0j))
+        else:
+            dead[uid] = replace(fm, i_const=0.0)
+    return network, dead
+
+
+VI = TCIConstants(a=19.61, b=0.491, c=1.0, m=2.0, K=0.0)
+DG_PARAMS = {
+    "synchronous": (DGKind.SYNCHRONOUS, SynchronousParams(xd2=0.25)),
+    "asynchronous": (DGKind.ASYNCHRONOUS, AsynchronousParams(x_lr=0.3)),
+    # prospective current 1/0.5 = 2 x rated stays under k_off = 3
+    "inverter_clamped": (DGKind.INVERTER,
+                         InverterParams(k_off=3.0, k_clamp=1.5,
+                                        coupling_x=0.5)),
+    # prospective current 1/0.3 = 3.3 x rated exceeds k_off = 2
+    "inverter_off": (DGKind.INVERTER,
+                     InverterParams(k_off=2.0, k_clamp=1.5, coupling_x=0.3)),
+}
+
+
+def sequence():
+    return ReclosingSequence(
+        curves=tuple(RecloserCurve(tag=tag, constants=VI,
+                                   settings=RecloserSettings(1.0, dial))
+                     for tag, dial in (("fast", 0.1), ("slow", 0.8))),
+        pattern="F-S")
+
+
+@st.composite
+def radial_chains(draw):
+    """A valid radial chain of 5-30 nodes with 2-4 reclosers, fused
+    laterals and 1-5 DG units, each of any of the four fault models."""
+    n = draw(st.integers(5, 30))
+    node = st.integers(0, n - 1)
+    sections = tuple(
+        FeederSection(k, k + 1, draw(st.floats(0.001, 0.01)),
+                      draw(st.floats(0.002, 0.02)))
+        for k in range(n - 1))
+    taps = draw(st.lists(node, min_size=1, max_size=n))
+    laterals = []
+    for i, tap in enumerate(taps):
+        p = draw(st.floats(0.002, 0.03))
+        laterals.append(Lateral(i + 1, tap, p, p * draw(st.floats(0.0, 0.5)),
+                                draw(st.sampled_from((None, "fa", "fb")))))
+    kinds = draw(st.lists(st.sampled_from(sorted(DG_PARAMS)), min_size=1,
+                          max_size=5))
+    units = []
+    for i, name in enumerate(kinds):
+        kind, params = DG_PARAMS[name]
+        rating = draw(st.floats(0.05, 0.3))
+        units.append(DGUnit(i + 1, draw(node), kind, rating,
+                            rating * draw(st.floats(0.2, 0.8)),
+                            rating * draw(st.floats(0.0, 0.3)), params))
+    rec_nodes = sorted(draw(st.sets(st.integers(0, n - 2), min_size=2,
+                                    max_size=4)))
+    network = Network(
+        sections=sections, laterals=tuple(laterals), dg_units=tuple(units),
+        source=SubstationSource(1.0, draw(st.floats(0.001, 0.02)),
+                                draw(st.floats(0.01, 0.1))),
+        reclosers=tuple(RecloserPlacement(f"R{k}", at, sequence())
+                        for k, at in enumerate(rec_nodes)),
+        base_mva=10.0, base_kv=12.47)
+    assert validate(network) == []
+    return network, draw(st.floats(0.01, 0.5))
+
+
+class TestKernelProperties:
+    @given(radial_chains())
+    def test_contributions_match_independent_solve(self, chain):
+        net, floor = chain
+        sol = solve_distflow(net)
+        models = flt.build_all_fault_models(net, sol)
+        nodes = range(net.n_nodes)
+        kernel = flt.fault_kernel(net, sol, nodes)
+        sources = ["substation"] + [u.id for u in net.dg_units]
+        for zf in (0.0, floor):
+            got = kernel.contributions(nodes, zf)
+            for col, sid in enumerate(sources):
+                alone, dead = only_source(net, models, sid)
+                for node in nodes:
+                    expect = independent_fault_current(alone, dead, node, zf)
+                    assert abs(got[node, col] - expect) <= 1e-9 * abs(expect)
+
+    @given(radial_chains())
+    def test_zone_sweep_matches_one_shot_solves(self, chain):
+        net, floor = chain
+        sol = solve_distflow(net)
+        kernel = flt.fault_kernel(net, sol, range(net.n_nodes))
+        for rec in net.reclosers:
+            zone = flt._recloser_zone(net, rec.id)
+            mx, mn = flt.max_min_fault_currents(net, sol, rec.id, floor,
+                                                kernel)
+            swept = max(flt.solve_fault(net, sol, flt.at_node(k))
+                        .i_recloser[rec.id] for k in zone)
+            far = flt.solve_fault(net, sol, flt.at_node(zone[-1]), floor)
+            assert abs(mx - swept) <= 1e-9 * swept
+            assert abs(mn - far.i_recloser[rec.id]) <= 1e-9 * mn
+
+
 class TestNetworkSolve:
     def test_no_dg_chain_matches_series_impedance(self, five_node_scenario):
         net = replace(five_node_scenario.network, dg_units=())
@@ -65,10 +182,10 @@ class TestNetworkSolve:
         net = five_node_scenario.network
         sol = solve_distflow(net)
         models = flt.build_all_fault_models(net, sol)
+        kernel = flt.fault_kernel(net, sol, range(net.n_nodes))
         for node in range(1, net.n_nodes):
             for zf in (0.0, 0.2):
-                study = flt.solve_fault(net, sol, flt.at_node(node), zf,
-                                        models)
+                study = kernel.study(flt.at_node(node), zf)
                 expect = independent_fault_current(net, models, node, zf)
                 assert abs(study.i_fault_complex - expect) < 1e-6
 
@@ -191,15 +308,6 @@ class TestZoneSweep:
         mx, mn = flt.max_min_fault_currents(net, sol, "R1", floor)
         assert abs(mx - max(currents)) < 1e-12
         assert abs(mn - far.i_recloser["R1"]) < 1e-12
-
-    def test_lateral_device_sweeps_its_tap(self, five_node_scenario,
-                                           five_node_solution):
-        net = five_node_scenario.network
-        sol = five_node_solution
-        mx, mn = flt.max_min_fault_currents(net, sol, 2, 0.15)
-        assert abs(mx - flt.solve_fault(net, sol,
-                                        flt.at_lateral(2)).i_fault_total) < 1e-12
-        assert mn < mx
 
 
 class TestInputChecks:

@@ -76,7 +76,7 @@ def grid_search_settings(network, fuse_curves, config):
     """
     sol = solve_distflow(network)
     pickups = load_rule_pickups(network, sol)
-    models = flt.build_all_fault_models(network, sol)
+    kernel = flt.fault_kernel(network, sol, range(network.n_nodes))
 
     def slope(rec_id, currents):
         st = RecloserSettings(pickup=pickups[rec_id], time_dial=1.0)
@@ -92,11 +92,9 @@ def grid_search_settings(network, fuse_curves, config):
             if lat.fuse is None or lat.tap_node not in zone:
                 continue
             loc = flt.at_lateral(lat.id)
-            hi = flt.solve_fault(network, sol, loc, 0.0,
-                                 models).i_recloser[rec.id]
-            lo = flt.solve_fault(network, sol, loc,
-                                 config.fault_impedance_floor,
-                                 models).i_recloser[rec.id]
+            hi = kernel.study(loc, 0.0).i_recloser[rec.id]
+            lo = kernel.study(loc, config.fault_impedance_floor
+                              ).i_recloser[rec.id]
             grid = np.geomspace(lo, hi, 400)
             s = slope(rec.id, grid)
             t_fuse = np.array([fuse_time(fuse_curves[lat.fuse], "mm",
@@ -111,7 +109,7 @@ def grid_search_settings(network, fuse_curves, config):
     for up, down in zip(network.reclosers, network.reclosers[1:]):
         hi, lo = flt.max_min_fault_currents(network, sol, down.id,
                                             config.fault_impedance_floor,
-                                            models)
+                                            kernel)
         grid = np.geomspace(lo, hi, 400)
         s_down = slope(down.id, grid)
         s_up = slope(up.id, grid)
@@ -120,7 +118,7 @@ def grid_search_settings(network, fuse_curves, config):
                       config.rr_margin / s_up))
 
     i_max = {rec.id: flt.max_min_fault_currents(
-        network, sol, rec.id, config.fault_impedance_floor, models)[0]
+        network, sol, rec.id, config.fault_impedance_floor, kernel)[0]
         for rec in network.reclosers}
     t_at_max = {rec.id: slope(rec.id, [i_max[rec.id]])[0]
                 for rec in network.reclosers}
@@ -342,17 +340,21 @@ def bisected_pair_slacks(network, fuse_curves, config):
     dials = opt._solve_settings_at_pickups(network, sub, fuse_curves, pickups,
                                            config, enforce_ub=False)
     slacks = {}
-    for pd in sub.fr:
-        curve = network.recloser(pd.rec_id).sequence.coordinating_curve
-        need = dials[pd.rec_id].time_dial
-        grid = coord.current_grid(pd.i_recloser_min, pd.i_recloser)
-        slopes = [opt._affine_slope(curve, pickups[pd.rec_id], float(i),
+    for pd in sub.pairs:
+        if pd.kind is not coord.PairKind.FUSE_RECLOSER:
+            continue
+        fuse = network.lateral(pd.backup).fuse
+        curve = network.recloser(pd.primary).sequence.coordinating_curve
+        need = dials[pd.primary].time_dial
+        grid = coord.current_grid(pd.sweep.i_primary_min,
+                                  pd.sweep.i_primary_max)
+        slopes = [opt._affine_slope(curve, pickups[pd.primary], float(i),
                                     pd.id) for i in grid]
 
         def dial_cap(delta):
             best = math.inf
             for i, slope in zip(grid, slopes):
-                t_fuse = fuse_time(fuse_curves[pd.fuse], "mm",
+                t_fuse = fuse_time(fuse_curves[fuse], "mm",
                                    float(i) + delta)
                 if math.isinf(t_fuse):
                     continue
@@ -376,9 +378,9 @@ def bisected_pair_slacks(network, fuse_curves, config):
                     else:
                         hi = mid
                 bound = lo
-        study = flt.solve_fault(network, sol, flt.at_lateral(pd.lateral_id),
+        study = flt.solve_fault(network, sol, flt.at_lateral(pd.backup),
                                 0.0)
-        slacks[pd.id] = bound - study.delta_fr[pd.rec_id]
+        slacks[pd.id] = bound - study.delta_fr[pd.primary]
     return slacks
 
 
