@@ -5,8 +5,8 @@ is a thin shell over the library: results printed as text tables plus
 CSV artifacts in the output directory, all reproducible by calling the
 library operations directly.
 
-Exit codes: 0 success, 1 infeasible/diverged (including degraded
-time-series completion), 2 input error.
+Exit codes: 0 success, 1 infeasible, diverged or unconverged load flow
+(including degraded time-series completion), 2 input error.
 """
 
 from __future__ import annotations
@@ -24,7 +24,8 @@ from .curves import load_curve_families
 from .model import UnknownElementError
 from .netfile import (NetworkFileError, Scenario, dump_settings,
                       load_scenario, load_network, load_fuse_curves)
-from .power_flow import PowerFlowDivergence, solve_distflow
+from .power_flow import (PowerFlowDivergence, PowerFlowNotConverged,
+                         solve_distflow)
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -67,8 +68,6 @@ def _config(scn: Scenario) -> opt.OptimizerConfig:
         fr_margin=scn.fr_margin,
         rr_margin=scn.rr_margin,
         fault_impedance_floor=scn.fault_impedance_floor,
-        obj_tol=scn.objective_tol,
-        max_iters=scn.max_iters,
     )
 
 
@@ -292,9 +291,7 @@ def _scenario_from_args(args) -> Scenario:
             raise NetworkFileError("--margins expects FR,RR seconds")
         scn = replace(scn, fr_margin=fr, rr_margin=rr)
     if args.tol is not None:
-        scn = replace(scn, powerflow_tol=args.tol, objective_tol=args.tol)
-    if args.max_iters is not None:
-        scn = replace(scn, max_iters=args.max_iters)
+        scn = replace(scn, powerflow_tol=args.tol)
     if args.curve_family:
         families = load_curve_families()
         if args.curve_family not in families:
@@ -321,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--scenario", help="scenario file (JSON)")
         p.add_argument("--network", help="network file (JSON)")
         p.add_argument("--out-dir", default="out", help="CSV output directory")
-        p.add_argument("--tol", type=float, help="override tolerances")
-        p.add_argument("--max-iters", type=int)
+        p.add_argument("--tol", type=float,
+                       help="load-flow mismatch tolerance (pu)")
         p.add_argument("--curve-family",
                        help="use this curve family for every recloser curve")
         p.add_argument("--margins", help="FR,RR coordination margins (s)")
@@ -354,7 +351,8 @@ def main(argv=None) -> int:
             OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (PowerFlowDivergence, opt.InfeasibleError) as exc:
+    except (PowerFlowDivergence, PowerFlowNotConverged,
+            opt.InfeasibleError) as exc:
         print(f"run failed: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     print(report.render())

@@ -193,18 +193,33 @@ def backup_delay(pair: CoordinationPair, delta_rr: float,
     return t_hi - t_lo
 
 
+def zone_currents(network: Network, sol: PowerFlowSolution,
+                  fault_impedance_floor: float,
+                  kernel: flt.FaultKernel) -> dict[str, tuple[float, float]]:
+    """(I_max, I_min) of every recloser over its zone, from one kernel."""
+    return {rec.id: flt.max_min_fault_currents(network, sol, rec.id,
+                                               fault_impedance_floor, kernel)
+            for rec in network.reclosers}
+
+
 def study_pairs(network: Network, sol: PowerFlowSolution,
                 fault_impedance_floor: float = 0.0,
-                kernel: flt.FaultKernel | None = None) -> list[PairStudy]:
+                kernel: flt.FaultKernel | None = None,
+                zones: dict[str, tuple[float, float]] | None = None,
+                ) -> list[PairStudy]:
     """Every fuse-recloser pair, then every recloser-recloser pair.
 
     All faults come from one kernel of the state, over every node unless
-    the caller passes one.  A fuse pair sees faults at its lateral; a
-    recloser pair sees the downstream recloser's zone, with the
-    disparity of the DG between the two for a fault at the downstream one.
+    the caller passes one, and each recloser's zone is swept once, unless
+    the caller passes the sweeps (see zone_currents).  A fuse pair sees
+    faults at its lateral; a recloser pair sees the downstream recloser's
+    zone, with the disparity of the DG between the two for a fault at the
+    downstream one.
     """
     if kernel is None:
         kernel = flt.fault_kernel(network, sol, range(network.n_nodes))
+    if zones is None:
+        zones = zone_currents(network, sol, fault_impedance_floor, kernel)
     out: list[PairStudy] = []
     for rec in network.reclosers:
         zone = flt._recloser_zone(network, rec.id)
@@ -221,8 +236,7 @@ def study_pairs(network: Network, sol: PowerFlowSolution,
                                   bolted.delta_fr[rec.id])))
 
     for up, down in zip(network.reclosers, network.reclosers[1:]):
-        i_max, i_min = flt.max_min_fault_currents(
-            network, sol, down.id, fault_impedance_floor, kernel)
+        i_max, i_min = zones[down.id]
         bolted = kernel.study(flt.at_node(down.node), 0.0)
         out.append(PairStudy(
             f"{up.id}-{down.id}", PairKind.RECLOSER_RECLOSER, down.id, up.id,

@@ -240,9 +240,9 @@ def fault_kernel(network: Network, sol: PowerFlowSolution,
     Y holds the feeder sections and the shunts of the substation and of
     every voltage-behind-impedance DG; the right-hand sides are each
     source's injection and a unit current at each requested node.
+    Raises PowerFlowNotConverged, through the DG terminal voltages, when
+    ``sol`` did not converge.
     """
-    if not sol.converged:
-        raise ValueError("power flow solution did not converge")
     models = build_all_fault_models(network, sol)
     n = network.n_nodes
     y = np.zeros((n, n), dtype=complex)

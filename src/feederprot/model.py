@@ -251,11 +251,3 @@ def validate(network: Network) -> list[Violation]:
 
     return out
 
-
-def dg_between(network: Network, upstream_node: int,
-               downstream_node: int) -> frozenset[int]:
-    """DG ids with upstream_node <= tap < downstream_node (pair disparity set)."""
-    return frozenset(
-        u.id for u in network.dg_units
-        if upstream_node <= u.tap_node < downstream_node
-    )

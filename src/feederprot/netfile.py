@@ -170,8 +170,8 @@ class Scenario:
     fault_impedance_floor: float = 0.0
     powerflow_tol: float = 1e-8
     dispatch_tol: float = 1e-6  # tolerances.dispatch; no effect
-    objective_tol: float = 1e-4
-    max_iters: int = 20
+    objective_tol: float = 1e-4  # tolerances.objective; no effect
+    max_iters: int = 20  # no effect
     dispatch_every: int = 1
     settings_every: int = 1
     profile: dict[int, tuple[float, ...]] = field(default_factory=dict)

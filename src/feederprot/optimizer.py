@@ -1,6 +1,7 @@
-"""Alternating settings/dispatch optimization.
+"""Settings/dispatch optimization in one pass of the decomposition.
 
-Two coupled sub-problems are solved in turn until nothing moves:
+The problem splits into two sub-problems coupled through the
+fuse-recloser constraint:
 
 * settings: with fault currents and pickups frozen, every recloser trip
   time is affine in its time-dial D, so minimizing total clearing time
@@ -13,6 +14,13 @@ Two coupled sub-problems are solved in turn until nothing moves:
   bisection on a global curtailment factor followed by tail-first
   per-unit restoration reaches a component-wise maximal feasible point.
 
+One dispatch followed by one settings solve is already the fixed point
+of alternating the two.  The dispatch feasibility test solves the whole
+settings ladder at each candidate state, and neither it nor the dispatch
+reads the dials in service or the outputs the dispatch is about to set.
+So dispatching again after the settings step returns the same outputs,
+and the settings solved again at that state are the same.
+
 The ladder at the candidate state is the only feasibility model; the
 per-pair disparity slack it reports is derived from the same ladder.
 """
@@ -24,7 +32,8 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from . import fault as flt
-from .coordination import PairKind, PairStudy, current_grid, study_pairs
+from .coordination import (PairKind, PairStudy, current_grid, study_pairs,
+                           zone_currents)
 from .curves import (FuseCurve, RecloserCurve, RecloserSettings,
                      fuse_inverse_current, fuse_time)
 from .model import Network
@@ -36,7 +45,6 @@ MAX_DISPARITY_BOUND = 1024.0  # pu; reported when no fuse cap binds
 
 class StopReason(Enum):
     SLACK_FIXED_POINT = "slack_fixed_point"
-    MAX_ITERS = "max_iters"
     INFEASIBLE = "infeasible"
 
 
@@ -53,9 +61,9 @@ class OptimizerConfig:
     fr_margin: float = 0.1
     rr_margin: float = 0.3
     fault_impedance_floor: float = 0.0
-    obj_tol: float = 1e-4
+    obj_tol: float = 1e-4  # no effect; kept so existing callers work
     dispatch_tol: float = 1e-6  # no effect; kept so existing callers work
-    max_iters: int = 20
+    max_iters: int = 20  # no effect; kept so existing callers work
     d_min: float = 0.1
     d_max: float = 1.0
 
@@ -80,7 +88,6 @@ class Iterate:
 @dataclass(frozen=True)
 class OptimizationTrace:
     iterations: tuple[Iterate, ...]
-    converged: bool
     stop_reason: StopReason
 
 
@@ -100,17 +107,15 @@ def build_settings_subproblem(network: Network, sol: PowerFlowSolution,
     """Freeze the fault-current data that linearizes the settings problem."""
     kernel = flt.fault_kernel(network, sol, range(network.n_nodes))
     floor = config.fault_impedance_floor
-    i_max: dict[str, float] = {}
-    pickup_lo: dict[str, float] = {}
-    pickup_hi: dict[str, float] = {}
-    for rec in network.reclosers:
-        mx, mn = flt.max_min_fault_currents(network, sol, rec.id, floor,
-                                            kernel)
-        i_max[rec.id] = mx
-        pickup_lo[rec.id] = 2.0 * _load_current(network, sol, rec.node)
-        pickup_hi[rec.id] = 0.5 * LL_FACTOR * mn
-    pairs = study_pairs(network, sol, floor, kernel)
-    return SettingsSubproblem(i_max, tuple(pairs), pickup_lo, pickup_hi)
+    zones = zone_currents(network, sol, floor, kernel)
+    pairs = study_pairs(network, sol, floor, kernel, zones)
+    return SettingsSubproblem(
+        i_max={rid: mx for rid, (mx, _) in zones.items()},
+        pairs=tuple(pairs),
+        pickup_lo={rec.id: 2.0 * _load_current(network, sol, rec.node)
+                   for rec in network.reclosers},
+        pickup_hi={rid: 0.5 * LL_FACTOR * mn
+                   for rid, (_, mn) in zones.items()})
 
 
 def _fuse_pairs(sub: SettingsSubproblem) -> list[PairStudy]:
@@ -393,72 +398,30 @@ def alternate(network: Network, fuse_curves: dict[str, FuseCurve],
               initial_settings: dict[str, RecloserSettings] | None = None,
               ) -> tuple[OptimizationTrace, Network,
                          dict[str, RecloserSettings]]:
-    """Alternate dispatch and settings until both objectives settle.
+    """Dispatch DG once, then solve settings once at the dispatched state.
 
-    Each iteration dispatches DG to the largest outputs the settings
-    ladder admits, re-solves the load flow and fault data once, then
-    re-optimizes settings on that state.
-    Convergence is declared when both objectives and every constraint
-    slack move by less than the configured tolerance; a two-cycle
-    oscillation is reported as MAX_ITERS with the cycling values.
+    Returns the single iterate, the dispatched and re-dialed network and
+    its settings.  When either step is infeasible the trace is empty,
+    stops at INFEASIBLE, and the start settings are returned.
     """
     settings = initial_settings or baseline_settings(network, fuse_curves,
                                                      config)
     net = apply_settings(network, settings)
-
-    def snapshot(net_now, settings_now, sub) -> Iterate:
-        return Iterate(
-            dg_outputs={u.id: u.p_out for u in net_now.dg_units},
-            settings=dict(settings_now),
-            obj_clearing_time=total_clearing_time(net_now, sub, settings_now),
-            obj_dg_output=sum(u.p_out for u in net_now.dg_units),
-            slacks=pair_slacks(net_now, sub, fuse_curves, config),
-        )
-
-    prev = snapshot(net, settings, build_settings_subproblem(
-        net, solve_distflow(net), config))
-    iterates: list[Iterate] = []
-    stop = StopReason.MAX_ITERS
-    converged = False
-
-    for _ in range(config.max_iters):
-        try:
-            outputs = solve_dispatch(net, available, fuse_curves, config)
-        except InfeasibleError:
-            stop = StopReason.INFEASIBLE
-            break
-        net = apply_settings(network.with_dg_outputs(outputs), settings)
-        sol = solve_distflow(net)
-        ssub = build_settings_subproblem(net, sol, config)
-        try:
-            settings = solve_settings(net, ssub, fuse_curves, config)
-        except InfeasibleError:
-            stop = StopReason.INFEASIBLE
-            break
-        # re-dialing changes no electrical state, so ssub still holds
-        net = apply_settings(net, settings)
-
-        cur = snapshot(net, settings, ssub)
-        iterates.append(cur)
-        d_time = abs(cur.obj_clearing_time - prev.obj_clearing_time)
-        d_out = abs(cur.obj_dg_output - prev.obj_dg_output)
-        d_slack = max(
-            (abs(cur.slacks[k] - prev.slacks.get(k, math.inf))
-             for k in cur.slacks), default=0.0)
-        if (d_time < config.obj_tol and d_out < config.obj_tol
-                and d_slack < config.obj_tol):
-            converged = True
-            stop = StopReason.SLACK_FIXED_POINT
-            break
-        if len(iterates) >= 3:
-            two_back = iterates[-3]
-            if (abs(cur.obj_clearing_time - two_back.obj_clearing_time)
-                    < config.obj_tol
-                    and abs(cur.obj_dg_output - two_back.obj_dg_output)
-                    < config.obj_tol):
-                stop = StopReason.MAX_ITERS  # oscillation between two states
-                break
-        prev = cur
-
-    return (OptimizationTrace(tuple(iterates), converged, stop), net,
+    try:
+        net = net.with_dg_outputs(
+            solve_dispatch(net, available, fuse_curves, config))
+        sub = build_settings_subproblem(net, solve_distflow(net), config)
+        settings = solve_settings(net, sub, fuse_curves, config)
+    except InfeasibleError:
+        return OptimizationTrace((), StopReason.INFEASIBLE), net, settings
+    # re-dialing changes no electrical state, so sub still holds
+    net = apply_settings(net, settings)
+    iterate = Iterate(
+        dg_outputs={u.id: u.p_out for u in net.dg_units},
+        settings=dict(settings),
+        obj_clearing_time=total_clearing_time(net, sub, settings),
+        obj_dg_output=sum(u.p_out for u in net.dg_units),
+        slacks=pair_slacks(net, sub, fuse_curves, config),
+    )
+    return (OptimizationTrace((iterate,), StopReason.SLACK_FIXED_POINT), net,
             settings)

@@ -37,6 +37,11 @@ class PowerFlowDivergence(RuntimeError):
         self.voltage = voltage
 
 
+class PowerFlowNotConverged(RuntimeError):
+    """A solution that did not converge was given where a converged one
+    is required."""
+
+
 @dataclass(frozen=True)
 class PowerFlowSolution:
     p_flow: tuple[float, ...]  # per section, sending end
@@ -135,5 +140,5 @@ def dg_terminal_voltages(network: Network,
                          sol: PowerFlowSolution) -> dict[int, float]:
     """Map each DG unit to the solved voltage magnitude at its tap node."""
     if not sol.converged:
-        raise ValueError("power flow solution did not converge")
+        raise PowerFlowNotConverged("power flow solution did not converge")
     return {u.id: sol.v_mag[u.tap_node] for u in network.dg_units}

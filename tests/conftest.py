@@ -19,8 +19,6 @@ def scenario_config(scn) -> opt.OptimizerConfig:
         fr_margin=scn.fr_margin,
         rr_margin=scn.rr_margin,
         fault_impedance_floor=scn.fault_impedance_floor,
-        obj_tol=scn.objective_tol,
-        max_iters=scn.max_iters,
     )
 
 

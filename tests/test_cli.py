@@ -50,6 +50,13 @@ class TestExitCodes:
         assert main(["powerflow", "--scenario", FIVE_NODE,
                      "--margins", "wide"] + out) == EXIT_INPUT
 
+    def test_unconverged_load_flow_is_a_run_failure(self, tmp_path):
+        for cmd in (["powerflow"], ["fault", "--at", "node:1"],
+                    ["coordinate"]):
+            assert main(cmd + ["--scenario", FIVE_NODE, "--tol", "1e-300",
+                               "--out-dir", str(tmp_path)]) \
+                == EXIT_INFEASIBLE, cmd[0]
+
     def test_bare_scenario_name_resolves_from_any_directory(
             self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

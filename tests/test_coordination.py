@@ -12,7 +12,6 @@ from feederprot import optimizer as opt
 from feederprot.curves import (FuseCurve, NO_OPERATION, RecloserCurve,
                                RecloserSettings, TCIConstants, fuse_time,
                                tci_time)
-from feederprot.model import dg_between
 from feederprot.power_flow import solve_distflow
 
 from conftest import scenario_config
@@ -245,8 +244,8 @@ def reference_pairs(network, sol, floor):
                                     floor).i_recloser[down.id])
 
         study = flt.solve_fault(network, sol, flt.at_node(down.node))
-        delta = sum(study.i_dg[i]
-                    for i in dg_between(network, up.node, down.node))
+        delta = sum(study.i_dg[u.id] for u in network.dg_units
+                    if up.node <= u.tap_node < down.node)
         d_max, d_min = sweep(design_net, design_sol)
         out[f"{up.id}-{down.id}"] = (sweep(network, sol) + (delta,),
                                      (d_min, d_max))

@@ -14,7 +14,7 @@ from feederprot.model import (AsynchronousParams, DGKind, DGUnit,
                               RecloserPlacement, SubstationSource,
                               SynchronousParams, UnknownElementError,
                               validate)
-from feederprot.power_flow import solve_distflow
+from feederprot.power_flow import PowerFlowNotConverged, solve_distflow
 
 
 def independent_fault_current(network, models, fault_node,
@@ -325,5 +325,5 @@ class TestInputChecks:
     def test_requires_converged_power_flow(self, five_node_scenario):
         net = five_node_scenario.network
         sol = solve_distflow(net, tol=1e-16, max_iter=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(PowerFlowNotConverged):
             flt.solve_fault(net, sol, flt.at_node(1))

@@ -10,7 +10,7 @@ from feederprot.model import (AsynchronousParams, DGKind, DGUnit,
                               FeederSection, InverterParams, Lateral, Network,
                               RecloserPlacement, SubstationSource,
                               SynchronousParams, UnknownElementError,
-                              dg_between, validate)
+                              validate)
 
 VI = TCIConstants(a=19.61, b=0.491, c=1.0, m=2.0, K=0.0)
 
@@ -165,12 +165,3 @@ class TestDerivedStates:
         assert out.dg(2).p_out == net.dg(2).p_out
         # the original is untouched
         assert net.dg(1).p_out == 0.3
-
-
-class TestTopologyQueries:
-    def test_dg_between_half_open(self):
-        net = base_network()
-        assert dg_between(net, 0, 2) == {1}
-        assert dg_between(net, 1, 2) == {1}
-        assert dg_between(net, 2, 3) == {2}
-        assert dg_between(net, 0, 1) == frozenset()

@@ -296,17 +296,32 @@ class TestDispatch:
                                     config)
         assert first == second
 
-    def test_redispatch_from_own_output_is_a_no_op(self, case_a_scenario):
-        scn = case_a_scenario
+    @pytest.mark.parametrize("fixture, curtails", [
+        ("five_node_scenario", False), ("case_a_scenario", True)])
+    def test_redispatch_from_own_output_is_a_no_op(self, fixture, curtails,
+                                                   request):
+        scn = request.getfixturevalue(fixture)
         config = self.config(scn)
         available = {u.id: u.p_out for u in scn.network.dg_units
                      if u.curtailable}
         first = opt.solve_dispatch(scn.network, available, scn.fuse_curves,
                                    config)
-        assert any(first[i] < available[i] for i in available)
+        assert any(first[i] < available[i] for i in available) == curtails
         again = opt.solve_dispatch(scn.network.with_dg_outputs(first),
                                    available, scn.fuse_curves, config)
         assert again == first
+        # so one pass of alternate is its own fixed point
+        trace, net, settings = opt.alternate(scn.network, scn.fuse_curves,
+                                             available, config)
+        assert len(trace.iterations) == 1
+        assert trace.iterations[0].dg_outputs == {
+            u.id: u.p_out for u in scn.network.with_dg_outputs(first).dg_units}
+        trace2, net2, settings2 = opt.alternate(net, scn.fuse_curves,
+                                                available, config,
+                                                initial_settings=settings)
+        assert net2 == net
+        assert settings2 == settings
+        assert trace2 == trace
 
     def test_infeasibility_names_a_scenario_pair(self, five_node_scenario,
                                                  five_node_solution):
@@ -444,15 +459,10 @@ class TestPairSlacks:
 class TestAlternate:
     def test_five_node_converges_to_full_output(self, five_node_scenario):
         scn = five_node_scenario
-        config = opt.OptimizerConfig(
-            fr_margin=scn.fr_margin, rr_margin=scn.rr_margin,
-            fault_impedance_floor=scn.fault_impedance_floor,
-            obj_tol=scn.objective_tol, max_iters=scn.max_iters)
         available = {u.id: u.p_out for u in scn.network.dg_units
                      if u.curtailable}
         trace, net, settings = opt.alternate(scn.network, scn.fuse_curves,
-                                             available, config)
-        assert trace.converged
+                                             available, scenario_config(scn))
         assert trace.stop_reason is opt.StopReason.SLACK_FIXED_POINT
         for uid, ceiling in available.items():
             assert net.dg(uid).p_out == pytest.approx(ceiling)
@@ -465,8 +475,25 @@ class TestAlternate:
         config = opt.OptimizerConfig(fault_impedance_floor=0.15)
         trace, net, settings = opt.alternate(scn.network, scn.fuse_curves,
                                              {}, config)
-        assert trace.converged
-        assert len(trace.iterations) <= 2
+        assert trace.stop_reason is opt.StopReason.SLACK_FIXED_POINT
+        assert len(trace.iterations) == 1
+
+    def test_dispatches_once(self, case_a_scenario, monkeypatch):
+        scn = case_a_scenario
+        calls = []
+        solve_dispatch = opt.solve_dispatch
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve_dispatch(*args, **kwargs)
+
+        monkeypatch.setattr(opt, "solve_dispatch", counted)
+        available = {u.id: u.p_out for u in scn.network.dg_units
+                     if u.curtailable}
+        trace, _, _ = opt.alternate(scn.network, scn.fuse_curves, available,
+                                    scenario_config(scn))
+        assert trace.stop_reason is opt.StopReason.SLACK_FIXED_POINT
+        assert len(calls) == 1
 
     def test_baseline_settings_ignore_dg(self, five_node_scenario):
         scn = five_node_scenario

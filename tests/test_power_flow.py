@@ -8,8 +8,8 @@ from feederprot.curves import (RecloserCurve, RecloserSettings,
                                ReclosingSequence, TCIConstants)
 from feederprot.model import (FeederSection, Lateral, Network,
                               RecloserPlacement, SubstationSource)
-from feederprot.power_flow import (PowerFlowDivergence, dg_terminal_voltages,
-                                   solve_distflow)
+from feederprot.power_flow import (PowerFlowDivergence, PowerFlowNotConverged,
+                                   dg_terminal_voltages, solve_distflow)
 
 RELAY = RecloserPlacement(
     id="RLY", node=0,
@@ -124,5 +124,5 @@ class TestTerminalVoltages:
 
     def test_requires_converged_solution(self):
         sol = solve_distflow(two_bus(0.6, 0.3), tol=1e-14, max_iter=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(PowerFlowNotConverged):
             dg_terminal_voltages(two_bus(0.6, 0.3), sol)
