@@ -68,6 +68,7 @@ def _config(scn: Scenario) -> opt.OptimizerConfig:
         fr_margin=scn.fr_margin,
         rr_margin=scn.rr_margin,
         fault_impedance_floor=scn.fault_impedance_floor,
+        powerflow_tol=scn.powerflow_tol,
     )
 
 

@@ -82,7 +82,6 @@ class FaultStudy:
     i_dg: dict[int, float]
     i_substation: float
     i_fault_total: float  # arithmetic sum of contribution magnitudes
-    i_fault_complex: complex  # phasor fault-point current
     delta_fr: dict[str, float]
     delta_rr: dict[str, float]
 
@@ -226,8 +225,6 @@ class FaultKernel:
             i_dg=i_dg,
             i_substation=i_sub,
             i_fault_total=total,
-            i_fault_complex=complex(
-                self.contributions([f_node], fault_impedance).sum()),
             delta_fr=delta_fr,
             delta_rr=delta_rr,
         )

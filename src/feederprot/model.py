@@ -9,7 +9,7 @@ emission.  Networks are immutable; derived states are built with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .curves import ReclosingSequence
@@ -72,14 +72,26 @@ class DGUnit:
     q_out: float
     params: SynchronousParams | AsynchronousParams | InverterParams
     curtailable: bool = False
+    # q/p of the unit as built (0 when built at zero output); with_output
+    # carries it, so a unit dispatched through zero keeps its power factor
+    q_per_p: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "q_per_p",
+                           self.q_out / self.p_out if self.p_out > 0 else 0.0)
 
     def with_output(self, p: float) -> "DGUnit":
-        """Copy at real output p, reactive power scaled to keep power factor."""
+        """Copy at real output p, reactive power scaled to keep power factor.
+
+        From zero output, q follows the q/p ratio the unit was built with.
+        """
         if self.p_out > 0:
             q = self.q_out * (p / self.p_out)
         else:
-            q = 0.0
-        return replace(self, p_out=p, q_out=q)
+            q = self.q_per_p * p
+        unit = replace(self, p_out=p, q_out=q)
+        object.__setattr__(unit, "q_per_p", self.q_per_p)
+        return unit
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,16 @@ fuse-recloser constraint:
   bisection on a global curtailment factor followed by tail-first
   per-unit restoration reaches a component-wise maximal feasible point.
 
+The bisections define the dispatch, but are not run probe by probe.
+The ladder reports its headroom, the least room it leaves under any
+bound it checks, which is >= 0 exactly when it is solvable and close to
+linear in output except where units switch off at zero output.  An
+Illinois regula falsi on the headroom brackets the feasibility boundary
+to a thousandth of the bisection's resolution in a handful of probes;
+the bisection is then replayed against that bracket, probing only a
+midpoint that falls inside it.  Under the monotonicity above the replay
+returns the bisection's point bit for bit.
+
 One dispatch followed by one settings solve is already the fixed point
 of alternating the two.  The dispatch feasibility test solves the whole
 settings ladder at each candidate state, and neither it nor the dispatch
@@ -28,6 +38,7 @@ per-pair disparity slack it reports is derived from the same ladder.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from enum import Enum
 
@@ -37,10 +48,14 @@ from .coordination import (PairKind, PairStudy, current_grid, study_pairs,
 from .curves import (FuseCurve, RecloserCurve, RecloserSettings,
                      fuse_inverse_current, fuse_time)
 from .model import Network
-from .power_flow import PowerFlowSolution, solve_distflow
+from .power_flow import DEFAULT_TOL, PowerFlowSolution, solve_distflow
 
 LL_FACTOR = math.sqrt(3) / 2  # line-line fault proxy from the 3-phase value
 MAX_DISPARITY_BOUND = 1024.0  # pu; reported when no fuse cap binds
+DIAL_TOL = 1e-12  # dial overrun the ladder forgives against both its bounds
+# the regula falsi narrows its bracket to this fraction of the bisection's
+# resolution, so the replay probes only a midpoint or two
+BRACKET_FRACTION = 1e-3
 
 
 class StopReason(Enum):
@@ -49,11 +64,17 @@ class StopReason(Enum):
 
 
 class InfeasibleError(RuntimeError):
-    """No admissible settings or dispatch exists; names the binding pair."""
+    """No admissible settings or dispatch exists; names the binding pair.
 
-    def __init__(self, pair: str, detail: str):
+    ``headroom`` is the settings ladder's (negative) headroom when the
+    ladder failed on one of its bounds, and None otherwise.
+    """
+
+    def __init__(self, pair: str, detail: str,
+                 headroom: float | None = None):
         super().__init__(f"infeasible at pair {pair}: {detail}")
         self.pair = pair
+        self.headroom = headroom
 
 
 @dataclass(frozen=True)
@@ -66,6 +87,7 @@ class OptimizerConfig:
     max_iters: int = 20  # no effect; kept so existing callers work
     d_min: float = 0.1
     d_max: float = 1.0
+    powerflow_tol: float = DEFAULT_TOL
 
 
 @dataclass(frozen=True)
@@ -140,7 +162,18 @@ def _solve_settings_at_pickups(network: Network, sub: SettingsSubproblem,
                                pickups: dict[str, float],
                                config: OptimizerConfig,
                                enforce_ub: bool = True,
-                               ) -> dict[str, RecloserSettings]:
+                               ) -> tuple[dict[str, RecloserSettings], float]:
+    """Downstream-first dial ladder at frozen pickups, and its headroom.
+
+    The headroom is the least room the ladder leaves under a bound it
+    checks, each with DIAL_TOL: a recloser's fuse cap over the dial it
+    needs, and d_max over the need of each raised backup.  It is >= 0
+    exactly when the ladder is solvable.  Otherwise the ladder still runs
+    every check, then raises the first violation with the headroom.  A
+    current outside a curve's operating region, or a disparity that
+    swamps the backup current, has no such measure: it raises at once
+    (the first violation, if one came before), with no headroom.
+    """
     order = list(network.reclosers)
     curve = {rec.id: rec.sequence.coordinating_curve for rec in order}
     kconst = {rid: cv.constants.K for rid, cv in curve.items()}
@@ -170,16 +203,22 @@ def _solve_settings_at_pickups(network: Network, sub: SettingsSubproblem,
              if pd.kind is PairKind.RECLOSER_RECLOSER}
     lb: dict[str, float] = {rec.id: config.d_min for rec in order}
     dial: dict[str, float] = {}
-    for rec in reversed(order):
-        d = lb[rec.id]
-        if d > ub[rec.id] + 1e-12:
-            pair = ub_pair.get(rec.id, rec.id)
-            raise InfeasibleError(
-                pair, f"needs D >= {d:.4f} but fuse pair caps it at "
-                      f"{ub[rec.id]:.4f}")
-        dial[rec.id] = d
-        pd = rr_up.get(rec.id)
-        if pd is not None:
+    headroom = math.inf
+    first: InfeasibleError | None = None
+    try:
+        for rec in reversed(order):
+            d = lb[rec.id]
+            room = ub[rec.id] + DIAL_TOL - d
+            headroom = min(headroom, room)
+            if room < 0 and first is None:
+                first = InfeasibleError(
+                    ub_pair.get(rec.id, rec.id),
+                    f"needs D >= {d:.4f} but fuse pair caps it at "
+                    f"{ub[rec.id]:.4f}")
+            dial[rec.id] = d
+            pd = rr_up.get(rec.id)
+            if pd is None:
+                continue
             # the backup must clear at least rr_margin later at every
             # current of the downstream device's range, its own current
             # lowered by the in-between DG disparity
@@ -199,14 +238,23 @@ def _solve_settings_at_pickups(network: Network, sub: SettingsSubproblem,
                         - kconst[pd.backup]) / slope_up
                 if need > lb[pd.backup]:
                     lb[pd.backup] = need
-                    if need > config.d_max + 1e-12:
-                        raise InfeasibleError(
+                    room = config.d_max + DIAL_TOL - need
+                    headroom = min(headroom, room)
+                    if room < 0 and first is None:
+                        first = InfeasibleError(
                             pd.id,
                             f"backup needs D = {need:.4f} > {config.d_max}")
+    except InfeasibleError as exc:
+        if first is None:
+            raise
+        raise first from exc
+    if first is not None:
+        first.headroom = headroom
+        raise first
     return {rid: RecloserSettings(pickup=pickups[rid],
                                   time_dial=min(max(dial[rid], config.d_min),
                                                 config.d_max))
-            for rid in dial}
+            for rid in dial}, headroom
 
 
 def solve_settings(network: Network, sub: SettingsSubproblem,
@@ -218,14 +266,20 @@ def solve_settings(network: Network, sub: SettingsSubproblem,
     margin headroom of every fuse pair; pair_slacks assumes the same
     selection when it converts margins into disparity bounds.
     """
+    return _solve_settings_at_pickups(network, sub, fuse_curves,
+                                      _rule_pickups(sub), config)[0]
+
+
+def _rule_pickups(sub: SettingsSubproblem) -> dict[str, float]:
+    """The rule's pickups; raises InfeasibleError, with no headroom, when
+    a recloser's pickup window is empty."""
     pickups = dict(sub.pickup_lo)
     for rid, hi in sub.pickup_hi.items():
         if pickups[rid] > hi:
             raise InfeasibleError(
                 rid, f"pickup rule empty: 2x load {pickups[rid]:.4g} exceeds "
                      f"half line-line fault {hi:.4g}")
-    return _solve_settings_at_pickups(network, sub, fuse_curves, pickups,
-                                      config)
+    return pickups
 
 
 def apply_settings(network: Network,
@@ -278,8 +332,8 @@ def pair_slacks(network: Network, sub: SettingsSubproblem,
     [0, MAX_DISPARITY_BOUND], minus the pair's disparity is its slack.
     """
     pickups = dict(sub.pickup_lo)
-    floor = _solve_settings_at_pickups(network, sub, fuse_curves, pickups,
-                                       config, enforce_ub=False)
+    floor, _ = _solve_settings_at_pickups(network, sub, fuse_curves, pickups,
+                                          config, enforce_ub=False)
     slacks: dict[str, float] = {}
     for pd in _fuse_pairs(sub):
         curve = network.recloser(pd.primary).sequence.coordinating_curve
@@ -303,11 +357,24 @@ def pair_slacks(network: Network, sub: SettingsSubproblem,
 
 
 def _settings_at(network: Network, fuse_curves: dict[str, FuseCurve],
-                 config: OptimizerConfig) -> dict[str, RecloserSettings]:
-    """Settings for the network as dispatched; raises InfeasibleError."""
-    sol = solve_distflow(network)
+                 config: OptimizerConfig,
+                 ) -> tuple[dict[str, RecloserSettings], float]:
+    """Settings for the network as dispatched and the ladder's headroom;
+    raises InfeasibleError."""
+    sol = solve_distflow(network, tol=config.powerflow_tol)
     sub = build_settings_subproblem(network, sol, config)
-    return solve_settings(network, sub, fuse_curves, config)
+    return _solve_settings_at_pickups(network, sub, fuse_curves,
+                                      _rule_pickups(sub), config)
+
+
+def _probe(network: Network, fuse_curves: dict[str, FuseCurve],
+           config: OptimizerConfig) -> tuple[bool, float | None]:
+    """The ladder's verdict for the network as dispatched, and its
+    headroom (None when the failure has none)."""
+    try:
+        return True, _settings_at(network, fuse_curves, config)[1]
+    except InfeasibleError as exc:
+        return False, exc.headroom
 
 
 def settings_feasible_at(network: Network,
@@ -319,11 +386,59 @@ def settings_feasible_at(network: Network,
     disparity downstream that raises the dial an upstream device needs,
     and with it tightens that device's own fuse cap, is accounted for.
     """
-    try:
-        _settings_at(network, fuse_curves, config)
-    except InfeasibleError:
-        return False
-    return True
+    return _probe(network, fuse_curves, config)[0]
+
+
+def _replayed_bisection(probe: Callable[[float], tuple[bool, float | None]],
+                        lo: float, hi: float, tol: float,
+                        h_lo: float | None, h_hi: float | None) -> float:
+    """The point that bisecting [lo, hi] down to width tol returns, found
+    with fewer probes.
+
+    ``probe(x)`` is the ladder's verdict at x and its headroom; lo is
+    feasible, hi is not, and h_lo, h_hi are their headrooms (None when
+    not usable).  An Illinois regula falsi on the headroom first narrows
+    a bracket [a, b], a feasible and b not, to tol * BRACKET_FRACTION.
+    Each verdict comes from the ladder, never from the sign of the
+    headroom; a step outside the bracket, or an end without usable
+    headroom, takes the midpoint.  Then the plain bisection is replayed:
+    with feasibility monotone in x, a midpoint at or below a is feasible
+    and one at or above b is not, so only a midpoint strictly inside
+    (a, b) is probed, and the answer is the bisection's bit for bit.
+    """
+    a, b, h_a, h_b = lo, hi, h_lo, h_hi
+    width = tol * BRACKET_FRACTION
+    kept = None  # the end the last step kept, for the Illinois halving
+    while hi - lo > tol and b - a >= width:
+        x = 0.5 * (a + b)
+        if h_a is not None and h_b is not None:
+            secant = b - h_b * (b - a) / (h_b - h_a)
+            if a <= secant <= b:
+                # half the target width inside, so a step onto an end
+                # (zero headroom there) still closes the bracket
+                x = min(max(secant, a + 0.5 * width), b - 0.5 * width)
+        ok, h = probe(x)
+        if ok:
+            a, h_a = x, h
+            if kept == "b" and h_b is not None:
+                h_b *= 0.5
+            kept = "b"
+        else:
+            b, h_b = x, h
+            if kept == "a" and h_a is not None:
+                h_a *= 0.5
+            kept = "a"
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if mid <= a:
+            lo = mid
+        elif mid >= b:
+            hi = mid
+        elif probe(mid)[0]:
+            lo = a = mid
+        else:
+            hi = b = mid
+    return lo
 
 
 def solve_dispatch(network: Network, available: dict[int, float],
@@ -336,61 +451,66 @@ def solve_dispatch(network: Network, available: dict[int, float],
     Feasibility of a candidate point re-solves the ladder at that
     operating state.  Bisection on a single curtailment factor finds a
     feasible base point; tail-first per-unit restoration then pushes
-    every unit to its individual limit.  When even full curtailment is
-    infeasible the ladder's InfeasibleError, naming the binding pair,
-    propagates.
+    every unit to its individual limit.  Each bisection is the
+    definition of its answer, and _replayed_bisection reaches the same
+    point with a headroom-guided search and far fewer probes.  The
+    probe at factor 0, where every curtailable unit is off, gives no
+    usable headroom: switching units off is a jump, not a continuation.
+    When even full curtailment is infeasible the ladder's
+    InfeasibleError, naming the binding pair, propagates.
     """
     ids = sorted(available)
 
-    def feasible(outputs: dict[int, float]) -> bool:
-        return settings_feasible_at(network.with_dg_outputs(outputs),
-                                    fuse_curves, config)
+    def probe(outputs: dict[int, float]) -> tuple[bool, float | None]:
+        return _probe(network.with_dg_outputs(outputs), fuse_curves, config)
 
     def at_factor(t: float) -> dict[int, float]:
         return {i: t * available[i] for i in ids}
 
-    if ids and feasible(at_factor(1.0)):
-        return at_factor(1.0)
+    h_full = None
+    if ids:
+        ok, h_full = probe(at_factor(1.0))
+        if ok:
+            return at_factor(1.0)
     # raises the ladder's own error if even zero output is infeasible
     _settings_at(network.with_dg_outputs(at_factor(0.0)), fuse_curves, config)
     if not ids:
         return {}
 
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-9:
-        mid = 0.5 * (lo + hi)
-        if feasible(at_factor(mid)):
-            lo = mid
-        else:
-            hi = mid
+    lo = _replayed_bisection(lambda t: probe(at_factor(t)), 0.0, 1.0, 1e-9,
+                             None, h_full)
     outputs = at_factor(lo)
 
     # restoration pass, feeder tail first, deterministic order
     tail_first = sorted(ids, key=lambda i: (-network.dg(i).tap_node, i))
+    h_lo = None  # headroom at outputs, known once probed there
     for uid in tail_first:
         p_lo, p_hi = outputs[uid], available[uid]
         if p_hi - p_lo <= 1e-12:
             continue
-        trial = dict(outputs)
-        trial[uid] = p_hi
-        if feasible(trial):
-            outputs[uid] = p_hi
+
+        def at_output(p: float, uid: int = uid):
+            return probe({**outputs, uid: p})
+
+        ok, h_hi = at_output(p_hi)
+        if ok:
+            outputs[uid], h_lo = p_hi, h_hi
             continue
-        while p_hi - p_lo > 1e-9 * max(available[uid], 1.0):
-            mid = 0.5 * (p_lo + p_hi)
-            trial[uid] = mid
-            if feasible(trial):
-                p_lo = mid
-            else:
-                p_hi = mid
-        outputs[uid] = p_lo
+        if h_lo is None:
+            h_lo = at_output(p_lo)[1]
+        outputs[uid] = _replayed_bisection(
+            at_output, p_lo, p_hi, 1e-9 * max(available[uid], 1.0), h_lo,
+            h_hi)
+        if outputs[uid] != p_lo:
+            h_lo = None  # outputs moved; its headroom is not kept
     return outputs
 
 
 def baseline_settings(network: Network, fuse_curves: dict[str, FuseCurve],
                       config: OptimizerConfig) -> dict[str, RecloserSettings]:
     """Design-time settings from the no-DG configuration."""
-    return _settings_at(replace(network, dg_units=()), fuse_curves, config)
+    return _settings_at(replace(network, dg_units=()), fuse_curves,
+                        config)[0]
 
 
 def alternate(network: Network, fuse_curves: dict[str, FuseCurve],
@@ -410,7 +530,8 @@ def alternate(network: Network, fuse_curves: dict[str, FuseCurve],
     try:
         net = net.with_dg_outputs(
             solve_dispatch(net, available, fuse_curves, config))
-        sub = build_settings_subproblem(net, solve_distflow(net), config)
+        sol = solve_distflow(net, tol=config.powerflow_tol)
+        sub = build_settings_subproblem(net, sol, config)
         settings = solve_settings(net, sub, fuse_curves, config)
     except InfeasibleError:
         return OptimizationTrace((), StopReason.INFEASIBLE), net, settings

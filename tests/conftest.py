@@ -70,12 +70,23 @@ def case_a_result(case_a_scenario):
 
 @pytest.fixture(scope="session")
 def case_b_run(tmp_path_factory):
-    """One full 24-step time-series run of the cadence scenario."""
+    """One full 24-step time-series run of the cadence scenario, with the
+    arguments and the answer of every dispatch it made."""
     from feederprot.cli import main
     from feederprot.netfile import fixtures_dir as fxd
 
+    dispatches = []
+    solve_dispatch = opt.solve_dispatch
+
+    def recorded(*args):
+        answer = solve_dispatch(*args)
+        dispatches.append((args, answer))
+        return answer
+
     out_dir = tmp_path_factory.mktemp("case_b")
-    code = main(["timeseries", "--scenario",
-                 str(fxd() / "ieee37_case_b.json"),
-                 "--out-dir", str(out_dir)])
-    return {"out_dir": out_dir, "exit_code": code}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(opt, "solve_dispatch", recorded)
+        code = main(["timeseries", "--scenario",
+                     str(fxd() / "ieee37_case_b.json"),
+                     "--out-dir", str(out_dir)])
+    return {"out_dir": out_dir, "exit_code": code, "dispatches": dispatches}

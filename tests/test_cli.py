@@ -52,7 +52,7 @@ class TestExitCodes:
 
     def test_unconverged_load_flow_is_a_run_failure(self, tmp_path):
         for cmd in (["powerflow"], ["fault", "--at", "node:1"],
-                    ["coordinate"]):
+                    ["coordinate"], ["optimize"]):
             assert main(cmd + ["--scenario", FIVE_NODE, "--tol", "1e-300",
                                "--out-dir", str(tmp_path)]) \
                 == EXIT_INFEASIBLE, cmd[0]

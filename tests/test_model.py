@@ -158,6 +158,15 @@ class TestDerivedStates:
         unit = replace(base_network().dg(1), p_out=0.0, q_out=0.0)
         assert unit.with_output(0.2).q_out == 0.0
 
+    def test_with_output_through_zero_keeps_power_factor(self):
+        unit = base_network().dg(1)
+        off = unit.with_output(0.0)
+        assert off.q_out == 0.0
+        back = off.with_output(0.15)
+        assert back.p_out == 0.15
+        assert back.q_out == pytest.approx(0.15 * unit.q_out / unit.p_out,
+                                           rel=1e-12)
+
     def test_with_dg_outputs_replaces_listed_units(self):
         net = base_network()
         out = net.with_dg_outputs({1: 0.1})

@@ -229,6 +229,20 @@ class TestSettingsOptimality:
         with pytest.raises(opt.InfeasibleError, match="pickup rule empty"):
             opt.solve_settings(net, sub, fuse_curves, config)
 
+    def test_dial_overrun_up_to_dial_tol_is_forgiven(self, fuse_curves):
+        # one recloser and no fuses: the ladder's only check is d_min
+        # against the cap d_max
+        toy = two_recloser_toy()
+        net = replace(toy, reclosers=(relay("RLY", 0),),
+                      laterals=tuple(replace(lat, fuse=None)
+                                     for lat in toy.laterals))
+        for overrun, feasible in ((0.5, True), (2.0, False)):
+            config = opt.OptimizerConfig(d_min=1.0 + overrun * opt.DIAL_TOL)
+            ok, headroom = opt._probe(net, fuse_curves, config)
+            assert ok is feasible
+            assert headroom == pytest.approx((1.0 - overrun) * opt.DIAL_TOL,
+                                             abs=1e-15)
+
     def test_infeasibility_names_the_binding_pair(self, case_a_scenario):
         scn = case_a_scenario
         config = opt.OptimizerConfig(
@@ -352,8 +366,9 @@ def bisected_pair_slacks(network, fuse_curves, config):
     sol = solve_distflow(network)
     sub = opt.build_settings_subproblem(network, sol, config)
     pickups = dict(sub.pickup_lo)
-    dials = opt._solve_settings_at_pickups(network, sub, fuse_curves, pickups,
-                                           config, enforce_ub=False)
+    dials, _ = opt._solve_settings_at_pickups(network, sub, fuse_curves,
+                                              pickups, config,
+                                              enforce_ub=False)
     slacks = {}
     for pd in sub.pairs:
         if pd.kind is not coord.PairKind.FUSE_RECLOSER:
@@ -397,6 +412,172 @@ def bisected_pair_slacks(network, fuse_curves, config):
                                 0.0)
         slacks[pd.id] = bound - study.delta_fr[pd.primary]
     return slacks
+
+
+def bisected_dispatch(network, available, fuse_curves, config):
+    """Reference dispatch: plain bisection on the curtailment factor, then
+    on each unit's output, tail first, probing the ladder at every
+    midpoint."""
+    ids = sorted(available)
+
+    def feasible(outputs):
+        return opt.settings_feasible_at(network.with_dg_outputs(outputs),
+                                        fuse_curves, config)
+
+    def at_factor(t):
+        return {i: t * available[i] for i in ids}
+
+    if ids and feasible(at_factor(1.0)):
+        return at_factor(1.0)
+    opt._settings_at(network.with_dg_outputs(at_factor(0.0)), fuse_curves,
+                     config)
+    if not ids:
+        return {}
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        if feasible(at_factor(mid)):
+            lo = mid
+        else:
+            hi = mid
+    outputs = at_factor(lo)
+    for uid in sorted(ids, key=lambda i: (-network.dg(i).tap_node, i)):
+        p_lo, p_hi = outputs[uid], available[uid]
+        if p_hi - p_lo <= 1e-12:
+            continue
+        trial = dict(outputs)
+        trial[uid] = p_hi
+        if feasible(trial):
+            outputs[uid] = p_hi
+            continue
+        while p_hi - p_lo > 1e-9 * max(available[uid], 1.0):
+            mid = 0.5 * (p_lo + p_hi)
+            trial[uid] = mid
+            if feasible(trial):
+                p_lo = mid
+            else:
+                p_hi = mid
+        outputs[uid] = p_lo
+    return outputs
+
+
+def plain_bisection(feasible, lo, hi, tol):
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def bisection_midpoints(target, tol=1e-9):
+    """Every midpoint plain bisection of [0, 1] visits on its way to
+    target."""
+    mids, lo, hi = [], 0.0, 1.0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        mids.append(mid)
+        lo, hi = (mid, hi) if mid <= target else (lo, mid)
+    return mids
+
+
+class TestReplayedBisection:
+    """On a synthetic monotone probe, the search returns the plain
+    bisection's point and never probes a point whose verdict it knows.
+    Boundaries sit on, and a fraction of the search bracket beside, the
+    midpoints the bisection visits, where a misplaced replay bracket
+    changes a verdict."""
+
+    HEADROOMS = {
+        "linear": lambda x, edge: edge - x,
+        "curved": lambda x, edge: (edge - x) * (1.0 + 3.0 * x * x),
+        "kinked": lambda x, edge: min(edge - x, 4.0 * (edge - x)),
+        "unusable below 0.6": lambda x, edge: None if x < 0.6 else edge - x,
+    }
+
+    @pytest.mark.parametrize("shape", sorted(HEADROOMS))
+    @pytest.mark.parametrize("offset", [-8e-13, -5e-13, -2e-13, 0.0, 2e-13,
+                                        5e-13, 8e-13])
+    def test_matches_plain_bisection(self, shape, offset):
+        headroom = self.HEADROOMS[shape]
+        mids = bisection_midpoints(0.8159539336990658)
+        for edge in (mids[8] + offset, mids[20] + offset, mids[-1] + offset):
+            probed = []
+
+            def probe(x):
+                probed.append(x)
+                return x <= edge, headroom(x, edge)
+
+            got = opt._replayed_bisection(probe, 0.0, 1.0, 1e-9, None,
+                                          headroom(1.0, edge))
+            assert got == plain_bisection(lambda x: x <= edge, 0.0, 1.0,
+                                          1e-9)
+            assert len(set(probed)) == len(probed)
+            assert not {0.0, 1.0} & set(probed)
+            assert len(probed) <= 15  # plain bisection: 30
+
+
+class TestDispatchSearch:
+    """The headroom-guided search returns the plain bisection's answer."""
+
+    def test_five_node(self, five_node_scenario):
+        scn = five_node_scenario
+        config = scenario_config(scn)
+        available = {u.id: u.p_out for u in scn.network.dg_units
+                     if u.curtailable}
+        assert opt.solve_dispatch(scn.network, available, scn.fuse_curves,
+                                  config) == bisected_dispatch(
+            scn.network, available, scn.fuse_curves, config)
+
+    @pytest.mark.parametrize("scale", [1.0, 0.9, 0.93, 0.96, 0.99])
+    def test_case_a_curtailable_block_scaled(self, case_a_scenario, scale):
+        scn = case_a_scenario
+        config = scenario_config(scn)
+        available = {u.id: scale * u.p_out for u in scn.network.dg_units
+                     if u.curtailable}
+        got = opt.solve_dispatch(scn.network, available, scn.fuse_curves,
+                                 config)
+        assert any(got[i] < available[i] for i in available)
+        assert got == bisected_dispatch(scn.network, available,
+                                        scn.fuse_curves, config)
+
+    def test_every_curtailing_case_b_step(self, case_b_run):
+        curtailing = [(args, answer)
+                      for args, answer in case_b_run["dispatches"]
+                      if answer != args[1]]
+        assert curtailing
+        for args, answer in curtailing:
+            assert answer == bisected_dispatch(*args)
+
+    def test_case_a_probe_count(self, case_a_scenario, monkeypatch):
+        scn = case_a_scenario
+        flows = []
+        solve_distflow = opt.solve_distflow
+
+        def counted(*args, **kwargs):
+            flows.append(args)
+            return solve_distflow(*args, **kwargs)
+
+        monkeypatch.setattr(opt, "solve_distflow", counted)
+        available = {u.id: u.p_out for u in scn.network.dg_units
+                     if u.curtailable}
+        opt.solve_dispatch(scn.network, available, scn.fuse_curves,
+                           scenario_config(scn))
+        assert len(flows) <= 30  # plain bisection: 84
+
+    def test_headroom_sign_is_the_ladder_verdict(self, case_a_scenario):
+        scn = case_a_scenario
+        config = scenario_config(scn)
+        seen = set()
+        for t in np.linspace(0.05, 1.0, 20):
+            net = scn.network.with_dg_outputs(
+                {u.id: t * u.p_out for u in scn.network.dg_units
+                 if u.curtailable})
+            ok, headroom = opt._probe(net, scn.fuse_curves, config)
+            assert headroom is not None and (headroom >= 0) == ok
+            seen.add(ok)
+        assert seen == {True, False}
 
 
 class TestPairSlacks:
