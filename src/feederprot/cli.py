@@ -234,28 +234,23 @@ def cmd_timeseries(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
                  for u in scn.network.dg_units
                  if not u.curtailable and u.id in scn.profile}
         net = net.with_dg_outputs(fixed)
-        feasible = True
-        if step % scn.settings_every == 0:
+        # a settings step adopts the study's settings if apply accepts them
+        feasible, study = True, None
+        if step % scn.dispatch_every == 0 or step % scn.settings_every == 0:
             try:
-                trace, net, settings = opt.alternate(
-                    net, scn.fuse_curves, _available(scn, step), config,
-                    initial_settings=settings)
-                feasible = trace.stop_reason is not opt.StopReason.INFEASIBLE
-            except opt.InfeasibleError:
-                feasible = False
-        elif step % scn.dispatch_every == 0:
-            try:
-                outputs = opt.solve_dispatch(
-                    net, _available(scn, step), scn.fuse_curves, config)
-                net = net.with_dg_outputs(outputs)
+                study = opt.solve_dispatch(net, _available(scn, step),
+                                           scn.fuse_curves, config)[1]
+                net = study.network
+                if step % scn.settings_every == 0:
+                    net = opt.apply_settings(net, study.settings())
+                    settings = study.settings()
             except opt.InfeasibleError:
                 feasible = False
         degraded = degraded or not feasible
 
-        sol = solve_distflow(net, tol=scn.powerflow_tol)
-        ssub = opt.build_settings_subproblem(net, sol, config)
-        slacks = opt.pair_slacks(net, ssub, scn.fuse_curves, config)
-        clearing = opt.total_clearing_time(net, ssub, settings)
+        study = study or opt.study_state(net, scn.fuse_curves, config)
+        clearing = opt.total_clearing_time(study, settings)
+        slacks = opt.pair_slacks(study, scn.fuse_curves, config)
         row: list = [step]
         by_id = {u.id: u for u in net.dg_units}
         row += [float(by_id[i].p_out) for i in dg_ids]

@@ -101,6 +101,19 @@ class ReclosingSequence:
     def has_fast(self) -> bool:
         return any(c.tag == "fast" for c in self.curves)
 
+    def fast_above_slow(self) -> float | None:
+        """First test current (1.5-20x the top pickup) at which a fast
+        curve trips after a slow one, or None."""
+        top = max(c.settings.pickup for c in self.curves)
+        for i in (top * m for m in (1.5, 2.0, 5.0, 10.0, 20.0)):
+            t_fast = max((c.time_at(i) for c in self.curves
+                          if c.tag == "fast"), default=math.inf)
+            if math.isfinite(t_fast) and any(
+                    c.time_at(i) < t_fast for c in self.curves
+                    if c.tag == "slow"):
+                return i
+        return None
+
 
 def tci_time(constants: TCIConstants, settings: RecloserSettings,
              i_fault: float) -> float:

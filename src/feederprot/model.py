@@ -245,18 +245,9 @@ def validate(network: Network) -> list[Violation]:
         # only the head relay may run a slow-only sequence
         if rec.node > 0 and not rec.sequence.has_fast():
             out.append(Violation(name, "recloser off the head needs a fast curve"))
-        fast = [c for c in rec.sequence.curves if c.tag == "fast"]
-        slow = [c for c in rec.sequence.curves if c.tag == "slow"]
-        if fast and slow:
-            top = max(c.settings.pickup for c in rec.sequence.curves)
-            for mult in (1.5, 2.0, 5.0, 10.0, 20.0):
-                i = top * mult
-                t_fast = max(c.time_at(i) for c in fast)
-                t_slow = min(c.time_at(i) for c in slow)
-                if math.isfinite(t_fast) and t_slow < t_fast:
-                    out.append(Violation(
-                        name, f"fast curve above slow curve at {i:g} pu"))
-                    break
+        if (crossing := rec.sequence.fast_above_slow()) is not None:
+            out.append(Violation(
+                name, f"fast curve above slow curve at {crossing:g} pu"))
 
     if network.base_mva <= 0 or network.base_kv <= 0:
         out.append(Violation("bases", "base_mva and base_kv must be positive"))

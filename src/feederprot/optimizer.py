@@ -14,25 +14,27 @@ fuse-recloser constraint:
   bisection on a global curtailment factor followed by tail-first
   per-unit restoration reaches a component-wise maximal feasible point.
 
+Both need the settings ladder solved at one operating state.
+study_state solves a state once into a StateStudy: its load flow, its
+settings subproblem and one ladder pass with dials, headroom and
+verdict.  The dispatch probe reads the verdict and headroom, the
+settings step the dials, total_clearing_time the zone currents and
+pair_slacks the floor dials.  solve_dispatch returns its answer's
+study, so no consumer solves that state again.
+
 The bisections define the dispatch, but are not run probe by probe.
-The ladder reports its headroom, the least room it leaves under any
-bound it checks, which is >= 0 exactly when it is solvable and close to
-linear in output except where units switch off at zero output.  An
-Illinois regula falsi on the headroom brackets the feasibility boundary
-to a thousandth of the bisection's resolution in a handful of probes;
-the bisection is then replayed against that bracket, probing only a
-midpoint that falls inside it.  Under the monotonicity above the replay
-returns the bisection's point bit for bit.
+The ladder's headroom, the least room it leaves under any bound it
+checks, is >= 0 exactly when it is solvable and close to linear in
+output except where units switch off at zero output.  An Illinois
+regula falsi on the headroom brackets the feasibility boundary to a
+thousandth of the bisection's resolution in a handful of probes; the
+bisection is then replayed against that bracket, probing only a
+midpoint inside it, and under the monotonicity above returns the
+bisection's point bit for bit.
 
 One dispatch followed by one settings solve is already the fixed point
-of alternating the two.  The dispatch feasibility test solves the whole
-settings ladder at each candidate state, and neither it nor the dispatch
+of alternating the two: neither the feasibility test nor the dispatch
 reads the dials in service or the outputs the dispatch is about to set.
-So dispatching again after the settings step returns the same outputs,
-and the settings solved again at that state are the same.
-
-The ladder at the candidate state is the only feasibility model; the
-per-pair disparity slack it reports is derived from the same ladder.
 """
 
 from __future__ import annotations
@@ -64,17 +66,11 @@ class StopReason(Enum):
 
 
 class InfeasibleError(RuntimeError):
-    """No admissible settings or dispatch exists; names the binding pair.
+    """No admissible settings or dispatch exists; names the binding pair."""
 
-    ``headroom`` is the settings ladder's (negative) headroom when the
-    ladder failed on one of its bounds, and None otherwise.
-    """
-
-    def __init__(self, pair: str, detail: str,
-                 headroom: float | None = None):
+    def __init__(self, pair: str, detail: str):
         super().__init__(f"infeasible at pair {pair}: {detail}")
         self.pair = pair
-        self.headroom = headroom
 
 
 @dataclass(frozen=True)
@@ -159,22 +155,22 @@ def _affine_slope(curve: RecloserCurve, pickup: float, current: float,
 
 def _solve_settings_at_pickups(network: Network, sub: SettingsSubproblem,
                                fuse_curves: dict[str, FuseCurve],
-                               pickups: dict[str, float],
                                config: OptimizerConfig,
-                               enforce_ub: bool = True,
-                               ) -> tuple[dict[str, RecloserSettings], float]:
-    """Downstream-first dial ladder at frozen pickups, and its headroom.
+                               ) -> tuple[dict[str, RecloserSettings], float,
+                                          InfeasibleError | None]:
+    """Downstream-first dial ladder at the rule's pickups: its dials, its
+    headroom and its first violation (None when it is solvable).
 
-    The headroom is the least room the ladder leaves under a bound it
-    checks, each with DIAL_TOL: a recloser's fuse cap over the dial it
-    needs, and d_max over the need of each raised backup.  It is >= 0
-    exactly when the ladder is solvable.  Otherwise the ladder still runs
-    every check, then raises the first violation with the headroom.  A
-    current outside a curve's operating region, or a disparity that
-    swamps the backup current, has no such measure: it raises at once
-    (the first violation, if one came before), with no headroom.
+    The headroom is the least room left under a bound, each with
+    DIAL_TOL: a recloser's fuse cap over the dial it needs, and d_max
+    over the need of each raised backup; it is >= 0 exactly when the
+    ladder is solvable.  No bound feeds a dial, so the ladder runs on
+    past a violation.  A current outside a curve's operating region, or
+    a disparity that swamps the backup current, raises at once (the
+    first violation, if one came before).
     """
     order = list(network.reclosers)
+    pickups = sub.pickup_lo
     curve = {rec.id: rec.sequence.coordinating_curve for rec in order}
     kconst = {rid: cv.constants.K for rid, cv in curve.items()}
 
@@ -183,21 +179,19 @@ def _solve_settings_at_pickups(network: Network, sub: SettingsSubproblem,
     # constraint per grid sample, all with D as the only free variable
     ub: dict[str, float] = {rec.id: config.d_max for rec in order}
     ub_pair: dict[str, str] = {}
-    if enforce_ub:
-        for pd in _fuse_pairs(sub):
-            fuse = fuse_curves[network.lateral(pd.backup).fuse]
-            sw = pd.sweep
-            for i in current_grid(sw.i_primary_min, sw.i_primary_max):
-                t_fuse = fuse_time(fuse, "mm", float(i) + sw.delta)
-                if math.isinf(t_fuse):
-                    continue  # fuse never melts here; no constraint at i
-                slope = _affine_slope(curve[pd.primary], pickups[pd.primary],
-                                      float(i), pd.id)
-                limit = ((t_fuse - config.fr_margin - kconst[pd.primary])
-                         / slope)
-                if limit < ub[pd.primary]:
-                    ub[pd.primary] = limit
-                    ub_pair[pd.primary] = pd.id
+    for pd in _fuse_pairs(sub):
+        fuse = fuse_curves[network.lateral(pd.backup).fuse]
+        sw = pd.sweep
+        for i in current_grid(sw.i_primary_min, sw.i_primary_max):
+            t_fuse = fuse_time(fuse, "mm", float(i) + sw.delta)
+            if math.isinf(t_fuse):
+                continue  # fuse never melts here; no constraint at i
+            slope = _affine_slope(curve[pd.primary], pickups[pd.primary],
+                                  float(i), pd.id)
+            limit = (t_fuse - config.fr_margin - kconst[pd.primary]) / slope
+            if limit < ub[pd.primary]:
+                ub[pd.primary] = limit
+                ub_pair[pd.primary] = pd.id
 
     rr_up = {pd.primary: pd for pd in sub.pairs
              if pd.kind is PairKind.RECLOSER_RECLOSER}
@@ -248,38 +242,62 @@ def _solve_settings_at_pickups(network: Network, sub: SettingsSubproblem,
         if first is None:
             raise
         raise first from exc
-    if first is not None:
-        first.headroom = headroom
-        raise first
     return {rid: RecloserSettings(pickup=pickups[rid],
-                                  time_dial=min(max(dial[rid], config.d_min),
-                                                config.d_max))
-            for rid in dial}, headroom
+                                  time_dial=min(d, config.d_max))
+            for rid, d in dial.items()}, headroom, first
 
 
-def solve_settings(network: Network, sub: SettingsSubproblem,
-                   fuse_curves: dict[str, FuseCurve],
-                   config: OptimizerConfig) -> dict[str, RecloserSettings]:
-    """Minimum-total-clearing-time settings at rule-selected pickups.
+@dataclass(frozen=True, eq=False)
+class StateStudy:
+    """One operating state, solved once and read by every consumer.
+
+    ``dials`` are the ladder's floor dials, kept through a violated bound
+    and None when the ladder raised.  ``error`` is the verdict: None, or
+    the first InfeasibleError, an empty pickup rule first.  ``headroom``
+    is the ladder's, None when the failure has no such measure.
+    """
+
+    network: Network
+    flow: PowerFlowSolution
+    sub: SettingsSubproblem
+    dials: dict[str, RecloserSettings] | None
+    headroom: float | None
+    error: InfeasibleError | None
+
+    def settings(self) -> dict[str, RecloserSettings]:
+        """Minimum-total-clearing-time settings here; raises the verdict."""
+        if self.error is not None:
+            raise self.error
+        return self.dials
+
+
+def study_state(network: Network, fuse_curves: dict[str, FuseCurve],
+                config: OptimizerConfig) -> StateStudy:
+    """Solve the network as dispatched into its StateStudy.
 
     Pickups sit at twice the maximum load current, which maximizes the
-    margin headroom of every fuse pair; pair_slacks assumes the same
-    selection when it converts margins into disparity bounds.
+    margin headroom of every fuse pair.  The rule is empty when that is
+    zero, which leaves the ladder unrun, or exceeds half the minimum
+    line-line fault current.
     """
-    return _solve_settings_at_pickups(network, sub, fuse_curves,
-                                      _rule_pickups(sub), config)[0]
-
-
-def _rule_pickups(sub: SettingsSubproblem) -> dict[str, float]:
-    """The rule's pickups; raises InfeasibleError, with no headroom, when
-    a recloser's pickup window is empty."""
-    pickups = dict(sub.pickup_lo)
+    flow = solve_distflow(network, tol=config.powerflow_tol)
+    sub = build_settings_subproblem(network, flow, config)
+    dials = headroom = error = None
+    try:
+        if all(lo > 0 for lo in sub.pickup_lo.values()):
+            dials, headroom, error = _solve_settings_at_pickups(
+                network, sub, fuse_curves, config)
+    except InfeasibleError as exc:
+        error = exc
     for rid, hi in sub.pickup_hi.items():
-        if pickups[rid] > hi:
-            raise InfeasibleError(
-                rid, f"pickup rule empty: 2x load {pickups[rid]:.4g} exceeds "
-                     f"half line-line fault {hi:.4g}")
-    return pickups
+        lo = sub.pickup_lo[rid]
+        if not 0 < lo <= hi:
+            headroom, error = None, InfeasibleError(
+                rid, f"pickup rule empty: 2x load {lo:.4g} exceeds half "
+                     f"line-line fault {hi:.4g}" if lo else
+                     "pickup rule empty: no load past the recloser")
+            break
+    return StateStudy(network, flow, sub, dials, headroom, error)
 
 
 def apply_settings(network: Network,
@@ -287,7 +305,8 @@ def apply_settings(network: Network,
     """Copy of the network with each recloser's curves re-dialed.
 
     The coordinating curve takes the solved dial; the other curves keep
-    their dial and adopt the solved pickup.
+    their dial and adopt the solved pickup.  Solved dials that put a fast
+    curve above a slow one raise InfeasibleError naming the recloser.
     """
     new_recs = []
     for rec in network.reclosers:
@@ -296,55 +315,58 @@ def apply_settings(network: Network,
             continue
         st = settings[rec.id]
         coord = rec.sequence.coordinating_curve
-        curves = tuple(
+        seq = replace(rec.sequence, curves=tuple(
             replace(cv, settings=st if cv is coord
                     else replace(cv.settings, pickup=st.pickup))
-            for cv in rec.sequence.curves)
-        new_recs.append(replace(rec, sequence=replace(rec.sequence,
-                                                      curves=curves)))
+            for cv in rec.sequence.curves))
+        crossing = seq.fast_above_slow()
+        if crossing is not None:
+            raise InfeasibleError(
+                rec.id, f"solved dial {st.time_dial:.4f} puts the fast curve "
+                        f"above the slow curve at {crossing:g} pu")
+        new_recs.append(replace(rec, sequence=seq))
     return replace(network, reclosers=tuple(new_recs))
 
 
-def total_clearing_time(network: Network, sub: SettingsSubproblem,
+def total_clearing_time(study: StateStudy,
                         settings: dict[str, RecloserSettings]) -> float:
     """Sum of coordinating-curve trip times at each recloser's zone maximum."""
     total = 0.0
-    for rec in network.reclosers:
-        st = settings[rec.id]
-        cv = replace(rec.sequence.coordinating_curve, settings=st)
-        t = cv.time_at(sub.i_max[rec.id])
+    for rec in study.network.reclosers:
+        cv = replace(rec.sequence.coordinating_curve, settings=settings[rec.id])
+        t = cv.time_at(study.sub.i_max[rec.id])
         total += t if not math.isinf(t) else 0.0
     return total
 
 
-def pair_slacks(network: Network, sub: SettingsSubproblem,
-                fuse_curves: dict[str, FuseCurve],
+def pair_slacks(study: StateStudy, fuse_curves: dict[str, FuseCurve],
                 config: OptimizerConfig) -> dict[str, float]:
     """Disparity headroom of every fuse-recloser pair, keyed by pair id.
 
-    A pair's bound is the largest disparity its recloser's floor dial D
-    (the ladder solved without fuse caps) still coordinates with.  At
-    each grid current i the fuse must not melt before
-    T_i = D*slope_i + fr_margin + K, which holds while the fuse current
-    stays at or below the MM table's current at T_i: the first tabulated
-    current when T_i lies above the table, and no limit when T_i is at
-    or below its clamped tail.  The bound, clamped to
-    [0, MAX_DISPARITY_BOUND], minus the pair's disparity is its slack.
+    A pair's bound is the largest disparity whose fuse cap stays at or
+    above D, the study's floor dial less the DIAL_TOL the ladder
+    forgives, so the slack's sign agrees with the ladder's cap check.
+    At each grid current i the fuse must not melt before T_i =
+    D*slope_i + fr_margin + K: its current must stay at or below the MM
+    table's current at T_i, the first tabulated one when T_i lies above
+    the table, and unbounded at or below its clamped tail.  The bound,
+    clamped to [0, MAX_DISPARITY_BOUND], minus the pair's disparity is
+    its slack.  Raises the study's verdict when it has no dials.
     """
-    pickups = dict(sub.pickup_lo)
-    floor, _ = _solve_settings_at_pickups(network, sub, fuse_curves, pickups,
-                                          config, enforce_ub=False)
+    if study.dials is None:
+        raise study.error
+    network, sub = study.network, study.sub
     slacks: dict[str, float] = {}
     for pd in _fuse_pairs(sub):
         curve = network.recloser(pd.primary).sequence.coordinating_curve
         fuse = fuse_curves[network.lateral(pd.backup).fuse]
         base = config.fr_margin + curve.constants.K
-        dial = floor[pd.primary].time_dial
+        dial = study.dials[pd.primary].time_dial - DIAL_TOL
         bound = MAX_DISPARITY_BOUND
         sw = pd.sweep
         for i in current_grid(sw.i_primary_min, sw.i_primary_max):
-            t_need = dial * _affine_slope(curve, pickups[pd.primary], float(i),
-                                          pd.id) + base
+            t_need = dial * _affine_slope(curve, sub.pickup_lo[pd.primary],
+                                          float(i), pd.id) + base
             if t_need <= fuse.mm_points[-1][1]:
                 continue
             if t_need > fuse.mm_points[0][1]:
@@ -356,27 +378,6 @@ def pair_slacks(network: Network, sub: SettingsSubproblem,
     return slacks
 
 
-def _settings_at(network: Network, fuse_curves: dict[str, FuseCurve],
-                 config: OptimizerConfig,
-                 ) -> tuple[dict[str, RecloserSettings], float]:
-    """Settings for the network as dispatched and the ladder's headroom;
-    raises InfeasibleError."""
-    sol = solve_distflow(network, tol=config.powerflow_tol)
-    sub = build_settings_subproblem(network, sol, config)
-    return _solve_settings_at_pickups(network, sub, fuse_curves,
-                                      _rule_pickups(sub), config)
-
-
-def _probe(network: Network, fuse_curves: dict[str, FuseCurve],
-           config: OptimizerConfig) -> tuple[bool, float | None]:
-    """The ladder's verdict for the network as dispatched, and its
-    headroom (None when the failure has none)."""
-    try:
-        return True, _settings_at(network, fuse_curves, config)[1]
-    except InfeasibleError as exc:
-        return False, exc.headroom
-
-
 def settings_feasible_at(network: Network,
                          fuse_curves: dict[str, FuseCurve],
                          config: OptimizerConfig) -> bool:
@@ -386,7 +387,7 @@ def settings_feasible_at(network: Network,
     disparity downstream that raises the dial an upstream device needs,
     and with it tightens that device's own fuse cap, is accounted for.
     """
-    return _probe(network, fuse_curves, config)[0]
+    return study_state(network, fuse_curves, config).error is None
 
 
 def _replayed_bisection(probe: Callable[[float], tuple[bool, float | None]],
@@ -443,16 +444,17 @@ def _replayed_bisection(probe: Callable[[float], tuple[bool, float | None]],
 
 def solve_dispatch(network: Network, available: dict[int, float],
                    fuse_curves: dict[str, FuseCurve],
-                   config: OptimizerConfig) -> dict[int, float]:
+                   config: OptimizerConfig,
+                   ) -> tuple[dict[int, float], StateStudy]:
     """Component-wise maximal curtailable outputs that leave the settings
-    ladder solvable.
+    ladder solvable, and the study of the state they set.
 
     ``available`` maps each curtailable unit to its output ceiling.
-    Feasibility of a candidate point re-solves the ladder at that
-    operating state.  Bisection on a single curtailment factor finds a
-    feasible base point; tail-first per-unit restoration then pushes
-    every unit to its individual limit.  Each bisection is the
-    definition of its answer, and _replayed_bisection reaches the same
+    A candidate's feasibility is its study's verdict; studies are kept
+    by outputs, so no state is solved twice.  Bisection on a single
+    curtailment factor finds a feasible base point; tail-first per-unit
+    restoration then pushes every unit to its individual limit.  Each
+    bisection defines its answer; _replayed_bisection reaches the same
     point with a headroom-guided search and far fewer probes.  The
     probe at factor 0, where every curtailable unit is off, gives no
     usable headroom: switching units off is a jump, not a continuation.
@@ -460,31 +462,36 @@ def solve_dispatch(network: Network, available: dict[int, float],
     InfeasibleError, naming the binding pair, propagates.
     """
     ids = sorted(available)
+    studies: dict[tuple[float, ...], StateStudy] = {}
+
+    def study_at(outputs: dict[int, float]) -> StateStudy:
+        key = tuple(outputs[i] for i in ids)
+        if key not in studies:
+            studies[key] = study_state(network.with_dg_outputs(outputs),
+                                       fuse_curves, config)
+        return studies[key]
 
     def probe(outputs: dict[int, float]) -> tuple[bool, float | None]:
-        return _probe(network.with_dg_outputs(outputs), fuse_curves, config)
+        study = study_at(outputs)
+        return study.error is None, study.headroom
 
     def at_factor(t: float) -> dict[int, float]:
         return {i: t * available[i] for i in ids}
 
-    h_full = None
-    if ids:
-        ok, h_full = probe(at_factor(1.0))
-        if ok:
-            return at_factor(1.0)
+    full = study_at(at_factor(1.0))
+    if ids and full.error is None:
+        return at_factor(1.0), full
     # raises the ladder's own error if even zero output is infeasible
-    _settings_at(network.with_dg_outputs(at_factor(0.0)), fuse_curves, config)
+    study_at(at_factor(0.0)).settings()
     if not ids:
-        return {}
+        return {}, full
 
     lo = _replayed_bisection(lambda t: probe(at_factor(t)), 0.0, 1.0, 1e-9,
-                             None, h_full)
+                             None, full.headroom)
     outputs = at_factor(lo)
 
     # restoration pass, feeder tail first, deterministic order
-    tail_first = sorted(ids, key=lambda i: (-network.dg(i).tap_node, i))
-    h_lo = None  # headroom at outputs, known once probed there
-    for uid in tail_first:
+    for uid in sorted(ids, key=lambda i: (-network.dg(i).tap_node, i)):
         p_lo, p_hi = outputs[uid], available[uid]
         if p_hi - p_lo <= 1e-12:
             continue
@@ -494,23 +501,19 @@ def solve_dispatch(network: Network, available: dict[int, float],
 
         ok, h_hi = at_output(p_hi)
         if ok:
-            outputs[uid], h_lo = p_hi, h_hi
+            outputs[uid] = p_hi
             continue
-        if h_lo is None:
-            h_lo = at_output(p_lo)[1]
         outputs[uid] = _replayed_bisection(
-            at_output, p_lo, p_hi, 1e-9 * max(available[uid], 1.0), h_lo,
-            h_hi)
-        if outputs[uid] != p_lo:
-            h_lo = None  # outputs moved; its headroom is not kept
-    return outputs
+            at_output, p_lo, p_hi, 1e-9 * max(available[uid], 1.0),
+            at_output(p_lo)[1], h_hi)
+    return outputs, study_at(outputs)
 
 
 def baseline_settings(network: Network, fuse_curves: dict[str, FuseCurve],
                       config: OptimizerConfig) -> dict[str, RecloserSettings]:
     """Design-time settings from the no-DG configuration."""
-    return _settings_at(replace(network, dg_units=()), fuse_curves,
-                        config)[0]
+    return study_state(replace(network, dg_units=()), fuse_curves,
+                       config).settings()
 
 
 def alternate(network: Network, fuse_curves: dict[str, FuseCurve],
@@ -518,7 +521,8 @@ def alternate(network: Network, fuse_curves: dict[str, FuseCurve],
               initial_settings: dict[str, RecloserSettings] | None = None,
               ) -> tuple[OptimizationTrace, Network,
                          dict[str, RecloserSettings]]:
-    """Dispatch DG once, then solve settings once at the dispatched state.
+    """Dispatch DG once, then read the settings, clearing time and slacks
+    off the study of the dispatched state.
 
     Returns the single iterate, the dispatched and re-dialed network and
     its settings.  When either step is infeasible the trace is empty,
@@ -528,21 +532,17 @@ def alternate(network: Network, fuse_curves: dict[str, FuseCurve],
                                                      config)
     net = apply_settings(network, settings)
     try:
-        net = net.with_dg_outputs(
-            solve_dispatch(net, available, fuse_curves, config))
-        sol = solve_distflow(net, tol=config.powerflow_tol)
-        sub = build_settings_subproblem(net, sol, config)
-        settings = solve_settings(net, sub, fuse_curves, config)
+        study = solve_dispatch(net, available, fuse_curves, config)[1]
+        net, solved = study.network, study.settings()
+        final = apply_settings(net, solved)
     except InfeasibleError:
         return OptimizationTrace((), StopReason.INFEASIBLE), net, settings
-    # re-dialing changes no electrical state, so sub still holds
-    net = apply_settings(net, settings)
     iterate = Iterate(
-        dg_outputs={u.id: u.p_out for u in net.dg_units},
-        settings=dict(settings),
-        obj_clearing_time=total_clearing_time(net, sub, settings),
-        obj_dg_output=sum(u.p_out for u in net.dg_units),
-        slacks=pair_slacks(net, sub, fuse_curves, config),
+        dg_outputs={u.id: u.p_out for u in final.dg_units},
+        settings=dict(solved),
+        obj_clearing_time=total_clearing_time(study, solved),
+        obj_dg_output=sum(u.p_out for u in final.dg_units),
+        slacks=pair_slacks(study, fuse_curves, config),
     )
-    return (OptimizationTrace((iterate,), StopReason.SLACK_FIXED_POINT), net,
-            settings)
+    return (OptimizationTrace((iterate,), StopReason.SLACK_FIXED_POINT),
+            final, solved)

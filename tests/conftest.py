@@ -1,17 +1,84 @@
-"""Shared fixtures: shipped scenarios, solved states, and small helpers."""
+"""Shared fixtures: shipped scenarios, solved states, random radial
+chains, and small helpers."""
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from feederprot import optimizer as opt
+from feederprot.curves import (RecloserCurve, RecloserSettings,
+                               ReclosingSequence, TCIConstants)
+from feederprot.model import (AsynchronousParams, DGKind, DGUnit,
+                              FeederSection, InverterParams, Lateral, Network,
+                              RecloserPlacement, SubstationSource,
+                              SynchronousParams, validate)
 from feederprot.netfile import fixtures_dir, load_scenario
 from feederprot.power_flow import solve_distflow
 
 # property tests run the same examples on every run, untimed per example
 settings.register_profile("tier1", derandomize=True, deadline=None)
 settings.load_profile("tier1")
+
+
+VI = TCIConstants(a=19.61, b=0.491, c=1.0, m=2.0, K=0.0)
+DG_PARAMS = {
+    "synchronous": (DGKind.SYNCHRONOUS, SynchronousParams(xd2=0.25)),
+    "asynchronous": (DGKind.ASYNCHRONOUS, AsynchronousParams(x_lr=0.3)),
+    # prospective current 1/0.5 = 2 x rated stays under k_off = 3
+    "inverter_clamped": (DGKind.INVERTER,
+                         InverterParams(k_off=3.0, k_clamp=1.5,
+                                        coupling_x=0.5)),
+    # prospective current 1/0.3 = 3.3 x rated exceeds k_off = 2
+    "inverter_off": (DGKind.INVERTER,
+                     InverterParams(k_off=2.0, k_clamp=1.5, coupling_x=0.3)),
+}
+
+
+def sequence():
+    return ReclosingSequence(
+        curves=tuple(RecloserCurve(tag=tag, constants=VI,
+                                   settings=RecloserSettings(1.0, dial))
+                     for tag, dial in (("fast", 0.1), ("slow", 0.8))),
+        pattern="F-S")
+
+
+@st.composite
+def radial_chains(draw):
+    """A valid radial chain of 5-30 nodes with 2-4 reclosers, fused
+    laterals and 1-5 DG units, each of any of the four fault models."""
+    n = draw(st.integers(5, 30))
+    node = st.integers(0, n - 1)
+    sections = tuple(
+        FeederSection(k, k + 1, draw(st.floats(0.001, 0.01)),
+                      draw(st.floats(0.002, 0.02)))
+        for k in range(n - 1))
+    taps = draw(st.lists(node, min_size=1, max_size=n))
+    laterals = []
+    for i, tap in enumerate(taps):
+        p = draw(st.floats(0.002, 0.03))
+        laterals.append(Lateral(i + 1, tap, p, p * draw(st.floats(0.0, 0.5)),
+                                draw(st.sampled_from((None, "fa", "fb")))))
+    kinds = draw(st.lists(st.sampled_from(sorted(DG_PARAMS)), min_size=1,
+                          max_size=5))
+    units = []
+    for i, name in enumerate(kinds):
+        kind, params = DG_PARAMS[name]
+        rating = draw(st.floats(0.05, 0.3))
+        units.append(DGUnit(i + 1, draw(node), kind, rating,
+                            rating * draw(st.floats(0.2, 0.8)),
+                            rating * draw(st.floats(0.0, 0.3)), params))
+    rec_nodes = sorted(draw(st.sets(st.integers(0, n - 2), min_size=2,
+                                    max_size=4)))
+    network = Network(
+        sections=sections, laterals=tuple(laterals), dg_units=tuple(units),
+        source=SubstationSource(1.0, draw(st.floats(0.001, 0.02)),
+                                draw(st.floats(0.01, 0.1))),
+        reclosers=tuple(RecloserPlacement(f"R{k}", at, sequence())
+                        for k, at in enumerate(rec_nodes)),
+        base_mva=10.0, base_kv=12.47)
+    assert validate(network) == []
+    return network, draw(st.floats(0.01, 0.5))
 
 
 def scenario_config(scn) -> opt.OptimizerConfig:
@@ -71,22 +138,38 @@ def case_a_result(case_a_scenario):
 @pytest.fixture(scope="session")
 def case_b_run(tmp_path_factory):
     """One full 24-step time-series run of the cadence scenario, with the
-    arguments and the answer of every dispatch it made."""
-    from feederprot.cli import main
-    from feederprot.netfile import fixtures_dir as fxd
+    arguments and the answer of every dispatch it made, and the time step
+    (-1 before the first) and DG outputs of every load flow it ran."""
+    from feederprot import cli
 
     dispatches = []
+    flows = []
+    step = [-1]
     solve_dispatch = opt.solve_dispatch
+    available = cli._available
 
     def recorded(*args):
-        answer = solve_dispatch(*args)
-        dispatches.append((args, answer))
-        return answer
+        result = solve_dispatch(*args)
+        dispatches.append((args, result[0]))
+        return result
+
+    def at_step(scn, k=0):
+        step[0] = k
+        return available(scn, k)
+
+    def flow(network, *args, **kwargs):
+        flows.append((step[0], tuple((u.id, u.p_out)
+                                     for u in network.dg_units)))
+        return solve_distflow(network, *args, **kwargs)
 
     out_dir = tmp_path_factory.mktemp("case_b")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(opt, "solve_dispatch", recorded)
-        code = main(["timeseries", "--scenario",
-                     str(fxd() / "ieee37_case_b.json"),
-                     "--out-dir", str(out_dir)])
-    return {"out_dir": out_dir, "exit_code": code, "dispatches": dispatches}
+        mp.setattr(cli, "_available", at_step)
+        mp.setattr(opt, "solve_distflow", flow)
+        mp.setattr(cli, "solve_distflow", flow)
+        code = cli.main(["timeseries", "--scenario",
+                         str(fixtures_dir() / "ieee37_case_b.json"),
+                         "--out-dir", str(out_dir)])
+    return {"out_dir": out_dir, "exit_code": code, "dispatches": dispatches,
+            "flows": flows}

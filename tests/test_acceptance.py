@@ -229,7 +229,7 @@ def test_06_failure_modes_and_backup_delay():
 
 
 def test_07_settings_match_grid_search(five_node_scenario):
-    """solve_settings equals exhaustive 1e-3 dial-grid search on the
+    """The settings ladder equals exhaustive 1e-3 dial-grid search on the
     two- and three-recloser cases; terminal dial sits at the floor."""
     fuse_curves = load_fuse_curves()
     config = opt.OptimizerConfig(fault_impedance_floor=0.15)
@@ -237,10 +237,9 @@ def test_07_settings_match_grid_search(five_node_scenario):
     for name, net in (("2-recloser", two_recloser_toy()),
                       ("3-recloser",
                        replace(five_node_scenario.network, dg_units=()))):
-        sol = solve_distflow(net)
-        sub = opt.build_settings_subproblem(net, sol, config)
-        settings = opt.solve_settings(net, sub, fuse_curves, config)
-        objective = opt.total_clearing_time(net, sub, settings)
+        study = opt.study_state(net, fuse_curves, config)
+        settings = study.settings()
+        objective = opt.total_clearing_time(study, settings)
         best, dials = grid_search_settings(net, fuse_curves, config)
         assert dials is not None
         assert abs(objective - best) < 1e-3, (name, objective, best)
@@ -256,10 +255,8 @@ def test_08_constrained_case_dispatch(case_a_scenario, case_a_result):
     scn = case_a_scenario
     config = case_a_result["config"]
 
-    sol = solve_distflow(scn.network)
-    sub = opt.build_settings_subproblem(scn.network, sol, config)
     with pytest.raises(opt.InfeasibleError):
-        opt.solve_settings(scn.network, sub, scn.fuse_curves, config)
+        opt.study_state(scn.network, scn.fuse_curves, config).settings()
 
     trace = case_a_result["trace"]
     assert trace.stop_reason is opt.StopReason.SLACK_FIXED_POINT

@@ -9,6 +9,7 @@ from feederprot.netfile import fixtures_dir
 
 FIVE_NODE = str(fixtures_dir() / "five_node_scenario.json")
 CASE_A = str(fixtures_dir() / "ieee37_case_a.json")
+CASE_B = fixtures_dir() / "ieee37_case_b.json"
 
 
 class TestExitCodes:
@@ -56,6 +57,24 @@ class TestExitCodes:
             assert main(cmd + ["--scenario", FIVE_NODE, "--tol", "1e-300",
                                "--out-dir", str(tmp_path)]) \
                 == EXIT_INFEASIBLE, cmd[0]
+
+    def test_solved_dials_the_model_rejects_are_infeasible(self, tmp_path):
+        # at these margins the ladder raises R2's coordinating dial above
+        # its slow curve: a verdict on the solved settings, not bad input
+        assert main(["optimize", "--scenario", str(CASE_B),
+                     "--margins", "0.1,0.48",
+                     "--out-dir", str(tmp_path)]) == EXIT_INFEASIBLE
+        # step 0 of the profile is enough to reach them in a time series
+        doc = json.loads(CASE_B.read_text())
+        doc["network"] = str(CASE_B.parent / doc["network"])
+        doc["profile"] = {k: v[:1] for k, v in doc["profile"].items()}
+        scenario = tmp_path / "step0.json"
+        scenario.write_text(json.dumps(doc))
+        assert main(["timeseries", "--scenario", str(scenario),
+                     "--margins", "0.05,0.45",
+                     "--out-dir", str(tmp_path)]) == EXIT_INFEASIBLE
+        row = (tmp_path / "timeseries.csv").read_text().splitlines()[1]
+        assert row.endswith(",0")
 
     def test_bare_scenario_name_resolves_from_any_directory(
             self, tmp_path, monkeypatch):

@@ -4,17 +4,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given
 
 from feederprot import fault as flt
-from feederprot.curves import (RecloserCurve, RecloserSettings,
-                               ReclosingSequence, TCIConstants)
-from feederprot.model import (AsynchronousParams, DGKind, DGUnit,
-                              FeederSection, InverterParams, Lateral, Network,
-                              RecloserPlacement, SubstationSource,
-                              SynchronousParams, UnknownElementError,
-                              validate)
+from feederprot.model import (DGKind, DGUnit, InverterParams,
+                              SynchronousParams, UnknownElementError)
 from feederprot.power_flow import PowerFlowNotConverged, solve_distflow
+
+from conftest import radial_chains
 
 
 def independent_fault_current(network, models, fault_node,
@@ -70,66 +67,6 @@ def only_source(network, models, keep):
         else:
             dead[uid] = replace(fm, i_const=0.0)
     return network, dead
-
-
-VI = TCIConstants(a=19.61, b=0.491, c=1.0, m=2.0, K=0.0)
-DG_PARAMS = {
-    "synchronous": (DGKind.SYNCHRONOUS, SynchronousParams(xd2=0.25)),
-    "asynchronous": (DGKind.ASYNCHRONOUS, AsynchronousParams(x_lr=0.3)),
-    # prospective current 1/0.5 = 2 x rated stays under k_off = 3
-    "inverter_clamped": (DGKind.INVERTER,
-                         InverterParams(k_off=3.0, k_clamp=1.5,
-                                        coupling_x=0.5)),
-    # prospective current 1/0.3 = 3.3 x rated exceeds k_off = 2
-    "inverter_off": (DGKind.INVERTER,
-                     InverterParams(k_off=2.0, k_clamp=1.5, coupling_x=0.3)),
-}
-
-
-def sequence():
-    return ReclosingSequence(
-        curves=tuple(RecloserCurve(tag=tag, constants=VI,
-                                   settings=RecloserSettings(1.0, dial))
-                     for tag, dial in (("fast", 0.1), ("slow", 0.8))),
-        pattern="F-S")
-
-
-@st.composite
-def radial_chains(draw):
-    """A valid radial chain of 5-30 nodes with 2-4 reclosers, fused
-    laterals and 1-5 DG units, each of any of the four fault models."""
-    n = draw(st.integers(5, 30))
-    node = st.integers(0, n - 1)
-    sections = tuple(
-        FeederSection(k, k + 1, draw(st.floats(0.001, 0.01)),
-                      draw(st.floats(0.002, 0.02)))
-        for k in range(n - 1))
-    taps = draw(st.lists(node, min_size=1, max_size=n))
-    laterals = []
-    for i, tap in enumerate(taps):
-        p = draw(st.floats(0.002, 0.03))
-        laterals.append(Lateral(i + 1, tap, p, p * draw(st.floats(0.0, 0.5)),
-                                draw(st.sampled_from((None, "fa", "fb")))))
-    kinds = draw(st.lists(st.sampled_from(sorted(DG_PARAMS)), min_size=1,
-                          max_size=5))
-    units = []
-    for i, name in enumerate(kinds):
-        kind, params = DG_PARAMS[name]
-        rating = draw(st.floats(0.05, 0.3))
-        units.append(DGUnit(i + 1, draw(node), kind, rating,
-                            rating * draw(st.floats(0.2, 0.8)),
-                            rating * draw(st.floats(0.0, 0.3)), params))
-    rec_nodes = sorted(draw(st.sets(st.integers(0, n - 2), min_size=2,
-                                    max_size=4)))
-    network = Network(
-        sections=sections, laterals=tuple(laterals), dg_units=tuple(units),
-        source=SubstationSource(1.0, draw(st.floats(0.001, 0.02)),
-                                draw(st.floats(0.01, 0.1))),
-        reclosers=tuple(RecloserPlacement(f"R{k}", at, sequence())
-                        for k, at in enumerate(rec_nodes)),
-        base_mva=10.0, base_kv=12.47)
-    assert validate(network) == []
-    return network, draw(st.floats(0.01, 0.5))
 
 
 class TestKernelProperties:

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from feederprot import coordination as coord
 from feederprot import fault as flt
@@ -17,7 +18,7 @@ from feederprot.model import (FeederSection, Lateral, Network,
                               RecloserPlacement, SubstationSource)
 from feederprot.power_flow import solve_distflow
 
-from conftest import scenario_config
+from conftest import radial_chains, scenario_config
 
 VI = TCIConstants(a=19.61, b=0.491, c=1.0, m=2.0, K=0.0)
 D_GRID = np.round(np.arange(0.1, 1.0 + 1e-9, 1e-3), 6)
@@ -178,10 +179,9 @@ def fuse_curves():
 
 class TestSettingsOptimality:
     def solve(self, network, fuse_curves, config):
-        sol = solve_distflow(network)
-        sub = opt.build_settings_subproblem(network, sol, config)
-        settings = opt.solve_settings(network, sub, fuse_curves, config)
-        return settings, opt.total_clearing_time(network, sub, settings)
+        study = opt.study_state(network, fuse_curves, config)
+        settings = study.settings()
+        return settings, opt.total_clearing_time(study, settings)
 
     def test_two_recloser_toy_matches_grid_search(self, fuse_curves):
         config = opt.OptimizerConfig(fault_impedance_floor=0.15)
@@ -224,10 +224,10 @@ class TestSettingsOptimality:
         # twice the load current
         config = opt.OptimizerConfig(fault_impedance_floor=3.0)
         net = five_node_scenario.network
-        sol = solve_distflow(net)
-        sub = opt.build_settings_subproblem(net, sol, config)
+        study = opt.study_state(net, fuse_curves, config)
+        assert study.headroom is None
         with pytest.raises(opt.InfeasibleError, match="pickup rule empty"):
-            opt.solve_settings(net, sub, fuse_curves, config)
+            study.settings()
 
     def test_dial_overrun_up_to_dial_tol_is_forgiven(self, fuse_curves):
         # one recloser and no fuses: the ladder's only check is d_min
@@ -238,20 +238,18 @@ class TestSettingsOptimality:
                                      for lat in toy.laterals))
         for overrun, feasible in ((0.5, True), (2.0, False)):
             config = opt.OptimizerConfig(d_min=1.0 + overrun * opt.DIAL_TOL)
-            ok, headroom = opt._probe(net, fuse_curves, config)
-            assert ok is feasible
-            assert headroom == pytest.approx((1.0 - overrun) * opt.DIAL_TOL,
-                                             abs=1e-15)
+            study = opt.study_state(net, fuse_curves, config)
+            assert (study.error is None) is feasible
+            assert study.headroom == pytest.approx(
+                (1.0 - overrun) * opt.DIAL_TOL, abs=1e-15)
 
     def test_infeasibility_names_the_binding_pair(self, case_a_scenario):
         scn = case_a_scenario
         config = opt.OptimizerConfig(
             fr_margin=scn.fr_margin, rr_margin=scn.rr_margin,
             fault_impedance_floor=scn.fault_impedance_floor)
-        sol = solve_distflow(scn.network)
-        sub = opt.build_settings_subproblem(scn.network, sol, config)
         with pytest.raises(opt.InfeasibleError) as exc:
-            opt.solve_settings(scn.network, sub, scn.fuse_curves, config)
+            opt.study_state(scn.network, scn.fuse_curves, config).settings()
         assert exc.value.pair
         assert "infeasible at pair" in str(exc.value)
 
@@ -271,6 +269,14 @@ class TestApplySettings:
         assert out.recloser("R2") is net.recloser("R2")
 
 
+    def test_dial_above_the_slow_curve_is_infeasible(self, five_node_scenario):
+        net = five_node_scenario.network
+        st = {"R2": RecloserSettings(pickup=0.22, time_dial=0.5)}
+        with pytest.raises(opt.InfeasibleError, match="slow curve") as exc:
+            opt.apply_settings(net, st)
+        assert exc.value.pair == "R2"
+
+
 class TestDispatch:
     def config(self, scn):
         return opt.OptimizerConfig(
@@ -281,15 +287,16 @@ class TestDispatch:
         scn = five_node_scenario
         config = self.config(scn)
         available = {u.id: u.p_out for u in scn.network.dg_units}
-        outputs = opt.solve_dispatch(scn.network, available, scn.fuse_curves,
-                                     config)
+        outputs, study = opt.solve_dispatch(scn.network, available,
+                                            scn.fuse_curves, config)
         assert outputs == available
+        assert study.network == scn.network.with_dg_outputs(outputs)
 
     def test_empty_available_is_a_no_op(self, five_node_scenario):
         scn = five_node_scenario
         config = self.config(scn)
         assert opt.solve_dispatch(scn.network, {}, scn.fuse_curves,
-                                  config) == {}
+                                  config)[0] == {}
 
     def test_settings_feasible_at_matches_solver(self, five_node_scenario):
         scn = five_node_scenario
@@ -305,9 +312,9 @@ class TestDispatch:
         config = self.config(scn)
         available = {u.id: u.p_out for u in scn.network.dg_units}
         first = opt.solve_dispatch(scn.network, available, scn.fuse_curves,
-                                   config)
+                                   config)[0]
         second = opt.solve_dispatch(scn.network, available, scn.fuse_curves,
-                                    config)
+                                    config)[0]
         assert first == second
 
     @pytest.mark.parametrize("fixture, curtails", [
@@ -319,10 +326,10 @@ class TestDispatch:
         available = {u.id: u.p_out for u in scn.network.dg_units
                      if u.curtailable}
         first = opt.solve_dispatch(scn.network, available, scn.fuse_curves,
-                                   config)
+                                   config)[0]
         assert any(first[i] < available[i] for i in available) == curtails
         again = opt.solve_dispatch(scn.network.with_dg_outputs(first),
-                                   available, scn.fuse_curves, config)
+                                   available, scn.fuse_curves, config)[0]
         assert again == first
         # so one pass of alternate is its own fixed point
         trace, net, settings = opt.alternate(scn.network, scn.fuse_curves,
@@ -351,31 +358,29 @@ class TestDispatch:
                                config)
         assert exc.value.pair in pair_ids
         # pickups no fault current exceeds: the curve slope itself fails
-        sub = opt.build_settings_subproblem(scn.network, five_node_solution,
-                                            config)
-        high = replace(sub, pickup_lo={r: 1e3 for r in sub.pickup_lo})
+        study = opt.study_state(scn.network, scn.fuse_curves, config)
+        high = replace(study, sub=replace(
+            study.sub, pickup_lo={r: 1e3 for r in study.sub.pickup_lo}))
         with pytest.raises(opt.InfeasibleError) as exc:
-            opt.pair_slacks(scn.network, high, scn.fuse_curves, config)
+            opt.pair_slacks(high, scn.fuse_curves, config)
         assert exc.value.pair in pair_ids
 
 
 def bisected_pair_slacks(network, fuse_curves, config):
     """Reference slacks: each fuse-recloser pair's disparity bound found
-    by doubling then 60 bisection steps on the dial cap, minus the pair
-    disparity from a fresh bolted-fault solve at the lateral."""
-    sol = solve_distflow(network)
-    sub = opt.build_settings_subproblem(network, sol, config)
-    pickups = dict(sub.pickup_lo)
-    dials, _ = opt._solve_settings_at_pickups(network, sub, fuse_curves,
-                                              pickups, config,
-                                              enforce_ub=False)
+    by doubling then 60 bisection steps on the dial cap against the floor
+    dial less DIAL_TOL, minus the pair disparity from a fresh
+    bolted-fault solve at the lateral."""
+    study = opt.study_state(network, fuse_curves, config)
+    sol, sub, dials = study.flow, study.sub, study.dials
+    pickups = sub.pickup_lo
     slacks = {}
     for pd in sub.pairs:
         if pd.kind is not coord.PairKind.FUSE_RECLOSER:
             continue
         fuse = network.lateral(pd.backup).fuse
         curve = network.recloser(pd.primary).sequence.coordinating_curve
-        need = dials[pd.primary].time_dial
+        need = dials[pd.primary].time_dial - opt.DIAL_TOL
         grid = coord.current_grid(pd.sweep.i_primary_min,
                                   pd.sweep.i_primary_max)
         slopes = [opt._affine_slope(curve, pickups[pd.primary], float(i),
@@ -429,8 +434,8 @@ def bisected_dispatch(network, available, fuse_curves, config):
 
     if ids and feasible(at_factor(1.0)):
         return at_factor(1.0)
-    opt._settings_at(network.with_dg_outputs(at_factor(0.0)), fuse_curves,
-                     config)
+    opt.study_state(network.with_dg_outputs(at_factor(0.0)), fuse_curves,
+                    config).settings()
     if not ids:
         return {}
     lo, hi = 0.0, 1.0
@@ -527,7 +532,7 @@ class TestDispatchSearch:
         available = {u.id: u.p_out for u in scn.network.dg_units
                      if u.curtailable}
         assert opt.solve_dispatch(scn.network, available, scn.fuse_curves,
-                                  config) == bisected_dispatch(
+                                  config)[0] == bisected_dispatch(
             scn.network, available, scn.fuse_curves, config)
 
     @pytest.mark.parametrize("scale", [1.0, 0.9, 0.93, 0.96, 0.99])
@@ -537,7 +542,7 @@ class TestDispatchSearch:
         available = {u.id: scale * u.p_out for u in scn.network.dg_units
                      if u.curtailable}
         got = opt.solve_dispatch(scn.network, available, scn.fuse_curves,
-                                 config)
+                                 config)[0]
         assert any(got[i] < available[i] for i in available)
         assert got == bisected_dispatch(scn.network, available,
                                         scn.fuse_curves, config)
@@ -574,17 +579,45 @@ class TestDispatchSearch:
             net = scn.network.with_dg_outputs(
                 {u.id: t * u.p_out for u in scn.network.dg_units
                  if u.curtailable})
-            ok, headroom = opt._probe(net, scn.fuse_curves, config)
-            assert headroom is not None and (headroom >= 0) == ok
+            study = opt.study_state(net, scn.fuse_curves, config)
+            ok = study.error is None
+            assert study.headroom is not None and (study.headroom >= 0) == ok
             seen.add(ok)
         assert seen == {True, False}
 
 
+class TestRandomChains:
+    """The dispatch search and the reported slack on random radial chains
+    with every DG unit curtailable."""
+
+    @settings(max_examples=25)  # six of them curtail; tier-1 stays short
+    @given(radial_chains(), st.sampled_from((0.0, 0.01, 0.03)))
+    def test_dispatch_is_the_bisection_and_its_slack_is_not_negative(
+            self, fuse_curves, chain, fr_margin):
+        net, floor = chain
+        config = opt.OptimizerConfig(fr_margin=fr_margin, rr_margin=0.02,
+                                     fault_impedance_floor=floor)
+        available = {u.id: u.p_out for u in net.dg_units}
+        try:
+            expect = bisected_dispatch(net, available, fuse_curves, config)
+        except opt.InfeasibleError as exc:
+            with pytest.raises(opt.InfeasibleError) as got:
+                opt.solve_dispatch(net, available, fuse_curves, config)
+            assert got.value.pair == exc.pair
+            return
+        outputs, study = opt.solve_dispatch(net, available, fuse_curves,
+                                            config)
+        assert outputs == expect
+        assert study.network == net.with_dg_outputs(outputs)
+        # the answer is the feasible state nearest the boundary
+        slacks = opt.pair_slacks(study, fuse_curves, config)
+        assert min(slacks.values(), default=0.0) >= 0.0
+
+
 class TestPairSlacks:
     def check(self, network, fuse_curves, config):
-        sub = opt.build_settings_subproblem(network, solve_distflow(network),
-                                            config)
-        closed = opt.pair_slacks(network, sub, fuse_curves, config)
+        closed = opt.pair_slacks(opt.study_state(network, fuse_curves, config),
+                                 fuse_curves, config)
         reference = bisected_pair_slacks(network, fuse_curves, config)
         assert closed.keys() == reference.keys()
         assert closed
@@ -622,6 +655,14 @@ class TestPairSlacks:
                  for name, f in scn.fuse_curves.items()}
         config = replace(scenario_config(scn), fr_margin=fr_margin)
         self.check(scn.network, fuses, config)
+
+    def test_feasible_case_b_steps_report_no_negative_slack(self,
+                                                            case_b_run):
+        with open(case_b_run["out_dir"] / "timeseries.csv") as fh:
+            rows = list(csv.DictReader(fh))
+        feasible = [r for r in rows if r["feasible"] == "1"]
+        assert len(feasible) == len(rows) == 24
+        assert all(float(r["worst_slack_pu"]) >= 0.0 for r in feasible)
 
     def test_curtailing_case_b_state(self, case_b_scenario, case_b_run):
         scn = case_b_scenario
@@ -683,3 +724,32 @@ class TestAlternate:
         without = opt.baseline_settings(
             replace(scn.network, dg_units=()), scn.fuse_curves, config)
         assert with_dg == without
+
+
+class TestOneStudyPerState:
+    """Each operating state is solved once: no load flow repeats the DG
+    outputs of an earlier one in the same run or, in a time series, the
+    same step."""
+
+    def test_alternate_on_case_a(self, case_a_scenario, monkeypatch):
+        scn = case_a_scenario
+        flows = []
+        solve_distflow = opt.solve_distflow
+
+        def recorded(network, *args, **kwargs):
+            flows.append(tuple((u.id, u.p_out) for u in network.dg_units))
+            return solve_distflow(network, *args, **kwargs)
+
+        monkeypatch.setattr(opt, "solve_distflow", recorded)
+        available = {u.id: u.p_out for u in scn.network.dg_units
+                     if u.curtailable}
+        opt.alternate(scn.network, scn.fuse_curves, available,
+                      scenario_config(scn))
+        assert len(flows) == 18  # the no-DG baseline, then 17 probes
+        assert len(set(flows)) == len(flows)
+
+    def test_timeseries_on_case_b(self, case_b_run):
+        # steps 0 and 1, 3 and 23, 4 and 22, ... share their profile, so
+        # a state may come back in a later step
+        flows = case_b_run["flows"]
+        assert len(set(flows)) == len(flows)
