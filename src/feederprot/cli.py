@@ -34,7 +34,6 @@ EXIT_INPUT = 2
 
 @dataclass
 class RunReport:
-    command: str
     lines: list[str]
     manifest: list[tuple[str, int]]
 
@@ -92,7 +91,7 @@ def cmd_powerflow(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
                 for i, (p, q) in enumerate(zip(sol.p_flow, sol.q_flow))],
                manifest)
     code = EXIT_OK if sol.converged else EXIT_INFEASIBLE
-    return RunReport("powerflow", lines, manifest), code
+    return RunReport(lines, manifest), code
 
 
 def _parse_location(text: str) -> flt.FaultLocation:
@@ -134,7 +133,7 @@ def cmd_fault(scn: Scenario, location: flt.FaultLocation,
     _write_csv(out_dir, "fault.csv",
                ["kind", "id", "current_pu", "current_amps",
                 "delta_fr_pu", "delta_rr_pu"], rows, manifest)
-    return RunReport("fault", lines, manifest), EXIT_OK
+    return RunReport(lines, manifest), EXIT_OK
 
 
 def cmd_coordinate(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
@@ -169,8 +168,7 @@ def cmd_coordinate(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
                ["pair_id", "kind", "range_ok", "margin_ok", "worst_margin_s",
                 "worst_margin_current_pu", "failure_mode", "backup_delay_s"],
                rows, manifest)
-    return (RunReport("coordinate", lines, manifest),
-            EXIT_OK if all_ok else EXIT_INFEASIBLE)
+    return RunReport(lines, manifest), EXIT_OK if all_ok else EXIT_INFEASIBLE
 
 
 def _available(scn: Scenario, step: int = 0) -> dict[int, float]:
@@ -210,7 +208,7 @@ def cmd_optimize(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
                [[u.id, float(u.p_out)] for u in final_net.dg_units], manifest)
     code = (EXIT_OK if trace.stop_reason is not opt.StopReason.INFEASIBLE
             else EXIT_INFEASIBLE)
-    return RunReport("optimize", lines, manifest), code
+    return RunReport(lines, manifest), code
 
 
 def cmd_timeseries(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
@@ -267,8 +265,7 @@ def cmd_timeseries(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
               + [f"tds_{r}" for r in rec_ids]
               + ["total_clearing_time_s", "worst_slack_pu", "feasible"])
     _write_csv(out_dir, "timeseries.csv", header, rows, manifest)
-    return (RunReport("timeseries", lines, manifest),
-            EXIT_OK if not degraded else EXIT_INFEASIBLE)
+    return RunReport(lines, manifest), EXIT_INFEASIBLE if degraded else EXIT_OK
 
 
 def _scenario_from_args(args) -> Scenario:

@@ -3,15 +3,15 @@
 A pair couples a primary device (the one meant to operate first) with
 its backup.  Under fuse saving, the recloser's first fast curve is the
 primary and the fuse MM curve is the backup; between reclosers the
-downstream unit is primary.  The design coordination range is fixed at
-study time; DG shifts the currents actually seen, captured as the
-pair's disparity.
+downstream unit is primary.  Every pair is studied on one fault kernel
+of the network as given; DG makes the pair's two devices see different
+currents, captured as the pair's disparity.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -19,12 +19,11 @@ import numpy as np
 from . import fault as flt
 from .curves import FuseCurve, NO_OPERATION, RecloserCurve, fuse_time
 from .model import Network
-from .power_flow import PowerFlowSolution, solve_distflow
+from .power_flow import PowerFlowSolution
 
 DEFAULT_FR_MARGIN = 0.1  # s, artifact default
 DEFAULT_RR_MARGIN = 0.3  # s, artifact default
 DEFAULT_POINTS_PER_DECADE = 200
-MIN_POINTS_PER_DECADE = 50
 
 
 class PairKind(Enum):
@@ -54,13 +53,10 @@ class CoordinationPair:
     primary: RecloserCurve
     backup: RecloserCurve | FuseDevice
     margin_required: float
-    range: tuple[float, float]  # design coordination range, primary current
 
     def __post_init__(self):
         if self.margin_required <= 0:
             raise ValueError("margin_required must be positive")
-        if not self.range[0] < self.range[1]:
-            raise ValueError("coordination range needs min < max")
 
 
 @dataclass(frozen=True)
@@ -85,7 +81,6 @@ class PairStudy:
 
 @dataclass(frozen=True)
 class CoordinationReport:
-    pair_id: str
     range_ok: bool
     margin_ok: bool
     worst_margin: float
@@ -95,14 +90,12 @@ class CoordinationReport:
     samples: tuple[tuple[float, float, float], ...]  # (i, T_primary, T_backup)
 
 
-def current_grid(lo: float, hi: float,
-                 points_per_decade: int = DEFAULT_POINTS_PER_DECADE,
-                 ) -> np.ndarray:
+def current_grid(lo: float, hi: float) -> np.ndarray:
     """Log-spaced current samples covering [lo, hi], endpoints included."""
     if not 0 < lo <= hi:
         raise ValueError("current grid needs 0 < lo <= hi")
     decades = max(math.log10(hi / lo), 1e-9)
-    npts = max(2, int(math.ceil(points_per_decade * decades)) + 1)
+    npts = max(2, int(math.ceil(DEFAULT_POINTS_PER_DECADE * decades)) + 1)
     return np.logspace(math.log10(lo), math.log10(hi), npts)
 
 
@@ -113,21 +106,14 @@ def _backup_current(pair: CoordinationPair, sweep: PairSweep,
     return i_primary - sweep.delta  # the upstream recloser misses in-between DG
 
 
-def check_pair(pair: CoordinationPair, sweep: PairSweep,
-               points_per_decade: int = DEFAULT_POINTS_PER_DECADE,
-               ) -> CoordinationReport:
+def check_pair(pair: CoordinationPair, sweep: PairSweep) -> CoordinationReport:
     """Evaluate the range and margin conditions over a dense current grid.
 
     The margin condition is checked with the pair's currents linked by
-    the disparity.  Range exceedance is the fuse-side current at the
-    binding fault overrunning the design range maximum.
+    the disparity.  The range condition is the operating order (primary
+    no slower than backup) at both ends of the sweep.
     """
-    if points_per_decade < MIN_POINTS_PER_DECADE:
-        raise ValueError(
-            f"sweep grid of {points_per_decade} points/decade is coarser than "
-            f"the required {MIN_POINTS_PER_DECADE}")
-    grid = current_grid(sweep.i_primary_min, sweep.i_primary_max,
-                        points_per_decade)
+    grid = current_grid(sweep.i_primary_min, sweep.i_primary_max)
 
     samples = []
     worst = math.inf
@@ -164,7 +150,6 @@ def check_pair(pair: CoordinationPair, sweep: PairSweep,
         delay = abs(raw) if not math.isinf(raw) else math.inf
 
     return CoordinationReport(
-        pair_id=pair.id,
         range_ok=range_ok,
         margin_ok=margin_ok,
         worst_margin=worst,
@@ -193,33 +178,26 @@ def backup_delay(pair: CoordinationPair, delta_rr: float,
     return t_hi - t_lo
 
 
-def zone_currents(network: Network, sol: PowerFlowSolution,
-                  fault_impedance_floor: float,
-                  kernel: flt.FaultKernel) -> dict[str, tuple[float, float]]:
+def zone_currents(kernel: flt.FaultKernel, fault_impedance_floor: float,
+                  ) -> dict[str, tuple[float, float]]:
     """(I_max, I_min) of every recloser over its zone, from one kernel."""
-    return {rec.id: flt.max_min_fault_currents(network, sol, rec.id,
-                                               fault_impedance_floor, kernel)
-            for rec in network.reclosers}
+    return {rec.id: flt.max_min_fault_currents(kernel, rec.id,
+                                               fault_impedance_floor)
+            for rec in kernel.network.reclosers}
 
 
-def study_pairs(network: Network, sol: PowerFlowSolution,
-                fault_impedance_floor: float = 0.0,
-                kernel: flt.FaultKernel | None = None,
-                zones: dict[str, tuple[float, float]] | None = None,
-                ) -> list[PairStudy]:
+def study_pairs(kernel: flt.FaultKernel, fault_impedance_floor: float,
+                zones: dict[str, tuple[float, float]]) -> list[PairStudy]:
     """Every fuse-recloser pair, then every recloser-recloser pair.
 
-    All faults come from one kernel of the state, over every node unless
-    the caller passes one, and each recloser's zone is swept once, unless
-    the caller passes the sweeps (see zone_currents).  A fuse pair sees
-    faults at its lateral; a recloser pair sees the downstream recloser's
-    zone, with the disparity of the DG between the two for a fault at the
-    downstream one.
+    All faults come from the state's one kernel, which must cover every
+    node, and the recloser pairs read the zone sweeps of the same state
+    (see zone_currents).  A fuse pair sees faults at its lateral; a
+    recloser pair sees the downstream recloser's zone, with the
+    disparity of the DG between the two for a fault at the downstream
+    one.
     """
-    if kernel is None:
-        kernel = flt.fault_kernel(network, sol, range(network.n_nodes))
-    if zones is None:
-        zones = zone_currents(network, sol, fault_impedance_floor, kernel)
+    network = kernel.network
     out: list[PairStudy] = []
     for rec in network.reclosers:
         zone = flt._recloser_zone(network, rec.id)
@@ -250,17 +228,12 @@ def build_pairs(network: Network, sol: PowerFlowSolution,
                 rr_margin: float = DEFAULT_RR_MARGIN,
                 fault_impedance_floor: float = 0.0,
                 ) -> list[tuple[CoordinationPair, PairSweep]]:
-    """Enumerate all fuse-recloser and recloser-recloser pairs.
-
-    Design ranges come from a no-DG study of the same network; sweeps
-    come from the network as given, so DG disparities show up in the
-    sweep and not in the design range.
-    """
-    design_net = replace(network, dg_units=())
-    design = study_pairs(design_net, solve_distflow(design_net),
-                         fault_impedance_floor)
+    """Every fuse-recloser and recloser-recloser pair of the network as
+    given, with the currents it sees there."""
+    kernel = flt.fault_kernel(network, sol, range(network.n_nodes))
+    zones = zone_currents(kernel, fault_impedance_floor)
     out: list[tuple[CoordinationPair, PairSweep]] = []
-    for d, a in zip(design, study_pairs(network, sol, fault_impedance_floor)):
+    for a in study_pairs(kernel, fault_impedance_floor, zones):
         if a.kind is PairKind.FUSE_RECLOSER:
             fuse = network.lateral(a.backup).fuse
             backup = FuseDevice(fuse_curves[fuse], "mm")
@@ -268,14 +241,12 @@ def build_pairs(network: Network, sol: PowerFlowSolution,
         else:
             backup = network.recloser(a.backup).sequence.coordinating_curve
             margin = rr_margin
-        lo, hi = d.sweep.i_primary_min, d.sweep.i_primary_max
         pair = CoordinationPair(
             id=a.id,
             kind=a.kind,
             primary=network.recloser(a.primary).sequence.coordinating_curve,
             backup=backup,
             margin_required=margin,
-            range=(min(lo, hi * (1 - 1e-9)), hi),
         )
         out.append((pair, a.sweep))
     return out

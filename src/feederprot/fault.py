@@ -68,7 +68,6 @@ class FaultModelKind(Enum):
 
 @dataclass(frozen=True)
 class DGFaultModel:
-    dg_id: int
     kind: FaultModelKind
     thevenin: TheveninEquivalent | None = None
     i_const: float = 0.0
@@ -76,7 +75,6 @@ class DGFaultModel:
 
 @dataclass(frozen=True)
 class FaultStudy:
-    location: FaultLocation
     i_recloser: dict[str, float]
     i_fuse: dict[int, float]
     i_dg: dict[int, float]
@@ -100,14 +98,14 @@ def build_dg_fault_model(dg: DGUnit, v_terminal: float) -> DGFaultModel:
         raise ValueError("terminal voltage must be positive")
     if dg.p_out == 0.0 and dg.q_out == 0.0:
         # a unit dispatched (or profiled) to zero is disconnected
-        return DGFaultModel(dg.id, FaultModelKind.OFF)
+        return DGFaultModel(FaultModelKind.OFF)
     v = complex(v_terminal, 0.0)
     # generator convention: unit delivers (p + jq), I = conj(S/V)
     i_pre = complex(dg.p_out, -dg.q_out) / v_terminal
 
     if dg.kind is DGKind.SYNCHRONOUS:
         z = complex(0.0, dg.params.xd2)
-        return DGFaultModel(dg.id, FaultModelKind.VOLTAGE_BEHIND_IMPEDANCE,
+        return DGFaultModel(FaultModelKind.VOLTAGE_BEHIND_IMPEDANCE,
                             thevenin=TheveninEquivalent(v + z * i_pre, z))
     if dg.kind is DGKind.ASYNCHRONOUS:
         # pre-fault slip mapped affinely from loading; it nudges the
@@ -115,14 +113,14 @@ def build_dg_fault_model(dg: DGUnit, v_terminal: float) -> DGFaultModel:
         slip = dg.params.rated_slip * (dg.p_out / dg.rating_s)
         z = complex(0.0, dg.params.x_lr)
         emf = (1.0 + slip) * (v + z * i_pre)
-        return DGFaultModel(dg.id, FaultModelKind.VOLTAGE_BEHIND_IMPEDANCE,
+        return DGFaultModel(FaultModelKind.VOLTAGE_BEHIND_IMPEDANCE,
                             thevenin=TheveninEquivalent(emf, z))
     # inverter-based
     rated_i = dg.rating_s
     prospective = v_terminal / dg.params.coupling_x * rated_i
     if prospective > dg.params.k_off * rated_i:
-        return DGFaultModel(dg.id, FaultModelKind.OFF)
-    return DGFaultModel(dg.id, FaultModelKind.CONSTANT_CURRENT,
+        return DGFaultModel(FaultModelKind.OFF)
+    return DGFaultModel(FaultModelKind.CONSTANT_CURRENT,
                         i_const=dg.params.k_clamp * rated_i)
 
 
@@ -219,7 +217,6 @@ class FaultKernel:
                 i_fuse[lat.id] = total
 
         return FaultStudy(
-            location=location,
             i_recloser=i_recloser,
             i_fuse=i_fuse,
             i_dg=i_dg,
@@ -292,21 +289,18 @@ def _recloser_zone(network: Network, recloser_id: str) -> range:
     return range(rec.node, nxt + 1)
 
 
-def max_min_fault_currents(network: Network, sol: PowerFlowSolution,
-                           recloser_id: str,
-                           fault_impedance_floor: float = 0.0,
-                           kernel: FaultKernel | None = None,
+def max_min_fault_currents(kernel: FaultKernel, recloser_id: str,
+                           fault_impedance_floor: float,
                            ) -> tuple[float, float]:
     """(I_max, I_min) the recloser sees over its protection zone.
 
     The maximum sweeps bolted faults over the zone; the minimum applies
-    the fault-impedance floor at the zone's far end.  ``kernel`` must
-    cover the zone; without one the zone is factored on its own.
+    the fault-impedance floor at the zone's far end.  The kernel must
+    cover the zone.
     """
+    network = kernel.network
     rec = network.recloser(recloser_id)  # raises if unknown
     zone = _recloser_zone(network, recloser_id)
-    if kernel is None:
-        kernel = fault_kernel(network, sol, zone)
     bolted = _recloser_current(network, rec.node,
                                *kernel.source_currents(zone, 0.0))
     floored = _recloser_current(

@@ -125,8 +125,8 @@ def build_settings_subproblem(network: Network, sol: PowerFlowSolution,
     """Freeze the fault-current data that linearizes the settings problem."""
     kernel = flt.fault_kernel(network, sol, range(network.n_nodes))
     floor = config.fault_impedance_floor
-    zones = zone_currents(network, sol, floor, kernel)
-    pairs = study_pairs(network, sol, floor, kernel, zones)
+    zones = zone_currents(kernel, floor)
+    pairs = study_pairs(kernel, floor, zones)
     return SettingsSubproblem(
         i_max={rid: mx for rid, (mx, _) in zones.items()},
         pairs=tuple(pairs),

@@ -31,20 +31,20 @@ def power_law_fuse(c0=26.0, currents=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0)):
     return FuseCurve(name="toy", mm_points=mm, tc_points=tc)
 
 
-def fr_pair(margin=0.1, rng=(2.0, 10.0), dial=0.1, fuse=None):
+def fr_pair(margin=0.1, dial=0.1, fuse=None):
     return coord.CoordinationPair(
         id="R-L", kind=coord.PairKind.FUSE_RECLOSER,
         primary=recloser_curve(dial=dial),
         backup=coord.FuseDevice(fuse or power_law_fuse(), "mm"),
-        margin_required=margin, range=rng)
+        margin_required=margin)
 
 
-def rr_pair(margin=0.3, rng=(2.0, 10.0), dial_down=0.1, dial_up=0.6):
+def rr_pair(margin=0.3, dial_down=0.1, dial_up=0.6):
     return coord.CoordinationPair(
         id="UP-DOWN", kind=coord.PairKind.RECLOSER_RECLOSER,
         primary=recloser_curve(dial=dial_down),
         backup=recloser_curve(dial=dial_up),
-        margin_required=margin, range=rng)
+        margin_required=margin)
 
 
 class TestCurrentGrid:
@@ -133,12 +133,6 @@ class TestCheckPair:
                    - pair.primary.time_at(float(i)) for i in grid]
         assert report.worst_margin == pytest.approx(min(margins))
 
-    def test_coarse_grid_rejected(self):
-        pair = fr_pair()
-        sweep = coord.PairSweep(4.0, 3.0, 0.0)
-        with pytest.raises(ValueError, match="coarser"):
-            coord.check_pair(pair, sweep, points_per_decade=10)
-
     def test_shipped_pairs_match_brute_force(self, five_node_scenario,
                                              five_node_solution):
         scn = five_node_scenario
@@ -193,31 +187,18 @@ class TestBuildPairs:
         for pid, (pair, sweep) in by_id.items():
             assert sweep.delta >= 0.0
             assert sweep.i_primary_min <= sweep.i_primary_max
-            assert pair.range[0] < pair.range[1]
         # DG 1 taps node 2, between R1 (node 1) and R2 (node 3)
         assert by_id["R1-R2"][1].delta > 0.0
         assert by_id["RLY-R1"][1].delta == 0.0
-
-    def test_design_range_ignores_dg(self, five_node_scenario,
-                                     five_node_solution):
-        scn = five_node_scenario
-        pairs = dict((p.id, (p, s)) for p, s in coord.build_pairs(
-            scn.network, five_node_solution, scn.fuse_curves))
-        pair, sweep = pairs["R1-L1"]
-        # DG raises the fault-point current above the no-DG design max
-        assert sweep.i_primary_max + sweep.delta > pair.range[1]
 
 
 SCENARIOS = ("five_node_scenario", "case_a_scenario", "case_b_scenario")
 
 
 def reference_pairs(network, sol, floor):
-    """Pair id -> (sweep, design range) from one-shot fault solves: fuse
-    pairs from faults at the lateral, design range from the no-DG total
-    fault current; recloser pairs from an explicit zone sweep and the
-    DG between the two reclosers."""
-    design_net = replace(network, dg_units=())
-    design_sol = solve_distflow(design_net)
+    """Pair id -> sweep from one-shot fault solves: fuse pairs from faults
+    at the lateral; recloser pairs from an explicit zone sweep and the DG
+    between the two reclosers."""
     out = {}
     for rec in network.reclosers:
         zone = flt._recloser_zone(network, rec.id)
@@ -227,28 +208,20 @@ def reference_pairs(network, sol, floor):
             loc = flt.at_lateral(lat.id)
             bolted = flt.solve_fault(network, sol, loc)
             floored = flt.solve_fault(network, sol, loc, floor)
-            d_max = flt.solve_fault(design_net, design_sol, loc).i_fault_total
-            d_min = flt.solve_fault(design_net, design_sol, loc,
-                                    floor).i_fault_total
-            out[f"{rec.id}-L{lat.id}"] = (
-                (bolted.i_recloser[rec.id], floored.i_recloser[rec.id],
-                 bolted.delta_fr[rec.id]), (d_min, d_max))
+            out[f"{rec.id}-L{lat.id}"] = (bolted.i_recloser[rec.id],
+                                          floored.i_recloser[rec.id],
+                                          bolted.delta_fr[rec.id])
 
     for up, down in zip(network.reclosers, network.reclosers[1:]):
         zone = flt._recloser_zone(network, down.id)
-
-        def sweep(net, net_sol):
-            return (max(flt.solve_fault(net, net_sol, flt.at_node(k))
-                        .i_recloser[down.id] for k in zone),
-                    flt.solve_fault(net, net_sol, flt.at_node(zone[-1]),
-                                    floor).i_recloser[down.id])
-
+        i_max = max(flt.solve_fault(network, sol, flt.at_node(k))
+                    .i_recloser[down.id] for k in zone)
+        i_min = flt.solve_fault(network, sol, flt.at_node(zone[-1]),
+                                floor).i_recloser[down.id]
         study = flt.solve_fault(network, sol, flt.at_node(down.node))
         delta = sum(study.i_dg[u.id] for u in network.dg_units
                     if up.node <= u.tap_node < down.node)
-        d_max, d_min = sweep(design_net, design_sol)
-        out[f"{up.id}-{down.id}"] = (sweep(network, sol) + (delta,),
-                                     (d_min, d_max))
+        out[f"{up.id}-{down.id}"] = (i_max, i_min, delta)
     return out
 
 
@@ -277,12 +250,8 @@ class TestPairEnumeration:
         expect = reference_pairs(scn.network, sol, floor)
         assert [p.id for p, _ in pairs] == list(expect)
         for pair, sweep in pairs:
-            (i_max, i_min, delta), (d_min, d_max) = expect[pair.id]
-            got = (sweep.i_primary_max, sweep.i_primary_min, sweep.delta,
-                   pair.range[0], pair.range[1])
-            want = (i_max, i_min, delta, min(d_min, d_max * (1 - 1e-9)),
-                    d_max)
-            for g, w in zip(got, want):
+            got = (sweep.i_primary_max, sweep.i_primary_min, sweep.delta)
+            for g, w in zip(got, expect[pair.id]):
                 assert g == pytest.approx(w, rel=1e-9, abs=1e-12), pair.id
 
     @pytest.mark.parametrize("fixture", SCENARIOS)

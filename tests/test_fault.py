@@ -93,8 +93,7 @@ class TestKernelProperties:
         kernel = flt.fault_kernel(net, sol, range(net.n_nodes))
         for rec in net.reclosers:
             zone = flt._recloser_zone(net, rec.id)
-            mx, mn = flt.max_min_fault_currents(net, sol, rec.id, floor,
-                                                kernel)
+            mx, mn = flt.max_min_fault_currents(kernel, rec.id, floor)
             swept = max(flt.solve_fault(net, sol, flt.at_node(k))
                         .i_recloser[rec.id] for k in zone)
             far = flt.solve_fault(net, sol, flt.at_node(zone[-1]), floor)
@@ -243,7 +242,8 @@ class TestZoneSweep:
         currents = [flt.solve_fault(net, sol, flt.at_node(k)).i_recloser["R1"]
                     for k in (1, 2)]
         far = flt.solve_fault(net, sol, flt.at_node(2), floor)
-        mx, mn = flt.max_min_fault_currents(net, sol, "R1", floor)
+        kernel = flt.fault_kernel(net, sol, range(net.n_nodes))
+        mx, mn = flt.max_min_fault_currents(kernel, "R1", floor)
         assert abs(mx - max(currents)) < 1e-12
         assert abs(mn - far.i_recloser["R1"]) < 1e-12
 

@@ -3,6 +3,7 @@
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from feederprot.curves import (RecloserCurve, RecloserSettings,
                                ReclosingSequence, TCIConstants)
@@ -166,6 +167,14 @@ class TestDerivedStates:
         assert back.p_out == 0.15
         assert back.q_out == pytest.approx(0.15 * unit.q_out / unit.p_out,
                                            rel=1e-12)
+
+    @given(st.floats(1e-4, 1.0), st.floats(-0.5, 0.5), st.floats(0.0, 1.0))
+    def test_q_round_trip_through_zero(self, p, q, p2):
+        unit = DGUnit(1, 1, DGKind.SYNCHRONOUS, 1.0, p, q,
+                      SynchronousParams(xd2=0.25), curtailable=True)
+        direct = unit.with_output(p2).q_out
+        through_zero = unit.with_output(0.0).with_output(p2).q_out
+        assert abs(through_zero - direct) <= 1e-12 * abs(direct)
 
     def test_with_dg_outputs_replaces_listed_units(self):
         net = base_network()

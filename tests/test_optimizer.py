@@ -108,9 +108,8 @@ def grid_search_settings(network, fuse_curves, config):
     # backup lower bound: D_up >= alpha + beta * D_down over the grid
     chain = []
     for up, down in zip(network.reclosers, network.reclosers[1:]):
-        hi, lo = flt.max_min_fault_currents(network, sol, down.id,
-                                            config.fault_impedance_floor,
-                                            kernel)
+        hi, lo = flt.max_min_fault_currents(kernel, down.id,
+                                            config.fault_impedance_floor)
         grid = np.geomspace(lo, hi, 400)
         s_down = slope(down.id, grid)
         s_up = slope(up.id, grid)
@@ -119,7 +118,7 @@ def grid_search_settings(network, fuse_curves, config):
                       config.rr_margin / s_up))
 
     i_max = {rec.id: flt.max_min_fault_currents(
-        network, sol, rec.id, config.fault_impedance_floor, kernel)[0]
+        kernel, rec.id, config.fault_impedance_floor)[0]
         for rec in network.reclosers}
     t_at_max = {rec.id: slope(rec.id, [i_max[rec.id]])[0]
                 for rec in network.reclosers}
@@ -587,8 +586,9 @@ class TestDispatchSearch:
 
 
 class TestRandomChains:
-    """The dispatch search and the reported slack on random radial chains
-    with every DG unit curtailable."""
+    """The dispatch search, the reported slack and the coordination
+    verdicts after alternation on random radial chains with every DG unit
+    curtailable."""
 
     @settings(max_examples=25)  # six of them curtail; tier-1 stays short
     @given(radial_chains(), st.sampled_from((0.0, 0.01, 0.03)))
@@ -612,6 +612,27 @@ class TestRandomChains:
         # the answer is the feasible state nearest the boundary
         slacks = opt.pair_slacks(study, fuse_curves, config)
         assert min(slacks.values(), default=0.0) >= 0.0
+
+    @settings(max_examples=30)  # 9 feasible, 5 curtail; tier-1 stays short
+    @given(radial_chains(), st.sampled_from((0.01, 0.03, 0.1)))
+    def test_verdicts_are_clean_after_alternation(self, fuse_curves, chain,
+                                                  fr_margin):
+        net, floor = chain
+        config = opt.OptimizerConfig(fr_margin=fr_margin, rr_margin=0.02,
+                                     fault_impedance_floor=floor)
+        available = {u.id: u.p_out for u in net.dg_units}
+        try:  # the start settings of alternate may be infeasible already
+            trace, final, _ = opt.alternate(net, fuse_curves, available,
+                                            config)
+        except opt.InfeasibleError:
+            return
+        if trace.stop_reason is opt.StopReason.INFEASIBLE:
+            return
+        pairs = coord.build_pairs(final, solve_distflow(final), fuse_curves,
+                                  fr_margin, 0.02, floor)
+        for pair, sweep in pairs:
+            verdict = coord.check_pair(pair, sweep).failure_mode
+            assert verdict is coord.FailureMode.NONE, pair.id
 
 
 class TestPairSlacks:
