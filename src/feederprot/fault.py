@@ -227,6 +227,28 @@ class FaultKernel:
         )
 
 
+def _section_admittance(network: Network) -> np.ndarray:
+    """Nodal admittance matrix of the feeder sections alone.
+
+    The sections form a chain, so no index repeats within one scatter.
+    The receiving ends go first, so each node adds its two section
+    admittances in feeder order, and the off-diagonals are subtracted
+    from zero: the bits of stamping one section at a time, signed zeros
+    included.
+    """
+    adm = np.array([1.0 / complex(s.r, s.x) for s in network.sections],
+                   dtype=complex)
+    frm = np.array([s.from_node for s in network.sections], dtype=int)
+    to = np.array([s.to_node for s in network.sections], dtype=int)
+    n = network.n_nodes
+    y = np.zeros((n, n), dtype=complex)
+    y[to, to] += adm
+    y[frm, frm] += adm
+    y[frm, to] -= adm
+    y[to, frm] -= adm
+    return y
+
+
 def fault_kernel(network: Network, sol: PowerFlowSolution,
                  nodes: Sequence[int]) -> FaultKernel:
     """Factor one operating state for faults at the given nodes.
@@ -239,14 +261,7 @@ def fault_kernel(network: Network, sol: PowerFlowSolution,
     """
     models = build_all_fault_models(network, sol)
     n = network.n_nodes
-    y = np.zeros((n, n), dtype=complex)
-    for sec in network.sections:
-        adm = 1.0 / complex(sec.r, sec.x)
-        i, j = sec.from_node, sec.to_node
-        y[i, i] += adm
-        y[j, j] += adm
-        y[i, j] -= adm
-        y[j, i] -= adm
+    y = _section_admittance(network)
 
     m = 1 + len(network.dg_units)  # source columns
     unit_cols = m + np.arange(len(nodes))

@@ -526,7 +526,10 @@ def alternate(network: Network, fuse_curves: dict[str, FuseCurve],
 
     Returns the single iterate, the dispatched and re-dialed network and
     its settings.  When either step is infeasible the trace is empty,
-    stops at INFEASIBLE, and the start settings are returned.
+    stops at INFEASIBLE, and the start settings are returned.  Start
+    settings that fail raise InfeasibleError instead: the no-DG design
+    settings from ``baseline_settings`` when no ``initial_settings`` are
+    given, or start dials that ``apply_settings`` rejects.
     """
     settings = initial_settings or baseline_settings(network, fuse_curves,
                                                      config)

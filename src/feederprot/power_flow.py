@@ -17,9 +17,8 @@ source.  Loads and DG are constant-PQ regardless of voltage.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .model import Network, validate
 
@@ -29,10 +28,12 @@ COLLAPSE_FLOOR = 0.5  # pu; below this the sweep is declared diverged
 
 
 class PowerFlowDivergence(RuntimeError):
-    """Voltage collapsed during the sweep; carries the offending node."""
+    """Voltage collapsed, or the flows ran away to overflow, during the
+    sweep; carries the offending node."""
 
     def __init__(self, node: int, voltage: float):
-        super().__init__(f"voltage collapse at node {node}: {voltage:.4f} pu")
+        what = "collapse" if voltage < COLLAPSE_FLOOR else "runaway"
+        super().__init__(f"voltage {what} at node {node}: {voltage:.4f} pu")
         self.node = node
         self.voltage = voltage
 
@@ -52,11 +53,11 @@ class PowerFlowSolution:
     max_mismatch: float
 
 
-def _net_injections(network: Network) -> tuple[np.ndarray, np.ndarray]:
+def _net_injections(network: Network) -> tuple[list[float], list[float]]:
     """Per-node net demand (load minus DG), real and reactive."""
     n = network.n_nodes
-    d_p = np.zeros(n)
-    d_q = np.zeros(n)
+    d_p = [0.0] * n
+    d_q = [0.0] * n
     for lat in network.laterals:
         d_p[lat.tap_node] += lat.load_p
         d_q[lat.tap_node] += lat.load_q
@@ -71,8 +72,13 @@ def solve_distflow(network: Network, tol: float = DEFAULT_TOL,
     """Forward-backward sweep to the requested power-mismatch tolerance.
 
     Returns the best iterate with converged=False when max_iter is
-    exhausted; raises PowerFlowDivergence on voltage collapse and
-    ValueError on an invalid network or bad arguments.
+    exhausted; raises PowerFlowDivergence on voltage collapse or runaway
+    flows and ValueError on an invalid network or bad arguments.
+
+    The sweeps run on lists of floats.  A scalar ``x ** 2`` is libm
+    ``pow``, which can differ in the last bit from ``x * x`` (what a
+    numpy array ``** 2`` computes), so each square keeps the form it is
+    written in, and the backward sum keeps its order.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -83,56 +89,69 @@ def solve_distflow(network: Network, tol: float = DEFAULT_TOL,
         raise ValueError(f"invalid network: {violations[0].element}: "
                          f"{violations[0].rule}")
 
-    n = network.n_nodes
-    ns = n - 1
-    r = np.array([s.r for s in network.sections])
-    x = np.array([s.x for s in network.sections])
+    r = [s.r for s in network.sections]
+    x = [s.x for s in network.sections]
     d_p, d_q = _net_injections(network)
+    d_p, d_q = d_p[1:], d_q[1:]  # per section, at its receiving end
+    upstream = r[::-1], x[::-1], d_p[::-1], d_q[::-1]
+    floor2 = COLLAPSE_FLOOR ** 2
 
-    v = np.full(n, network.source.voltage)
-    p = np.zeros(ns)
-    q = np.zeros(ns)
+    v = [float(network.source.voltage)] * network.n_nodes
+    p = [0.0] * len(r)
+    q = [0.0] * len(r)
 
-    mismatch = np.inf
+    mismatch = math.inf
     for it in range(1, max_iter + 1):
-        # losses from the previous iterate
-        loss_scale = (p ** 2 + q ** 2) / v[:-1] ** 2 if ns else np.zeros(0)
-        p_new = np.zeros(ns)
-        q_new = np.zeros(ns)
-        # backward: accumulate downstream demand plus section losses
-        for i in range(ns - 1, -1, -1):
-            down_p = p_new[i + 1] if i + 1 < ns else 0.0
-            down_q = q_new[i + 1] if i + 1 < ns else 0.0
-            p_new[i] = down_p + d_p[i + 1] + r[i] * loss_scale[i]
-            q_new[i] = down_q + d_q[i + 1] + x[i] * loss_scale[i]
-        p, q = p_new, q_new
+        # backward, from the feeder end: downstream demand plus the
+        # section losses of the previous iterate
+        p_up = []
+        q_up = []
+        down_p = down_q = 0.0
+        for ri, xi, dpi, dqi, pi, qi, vi in zip(*upstream, p[::-1], q[::-1],
+                                                v[-2::-1]):
+            loss_scale = (pi * pi + qi * qi) / (vi * vi)
+            down_p = down_p + dpi + ri * loss_scale
+            down_q = down_q + dqi + xi * loss_scale
+            p_up.append(down_p)
+            q_up.append(down_q)
+        p = p_up[::-1]
+        q = q_up[::-1]
         # forward: propagate voltage from the source
-        for i in range(ns):
-            s2 = p[i] ** 2 + q[i] ** 2
-            v2 = (v[i] ** 2 - 2 * (r[i] * p[i] + x[i] * q[i])
-                  + (r[i] ** 2 + x[i] ** 2) * s2 / v[i] ** 2)
-            if v2 <= COLLAPSE_FLOOR ** 2:
-                raise PowerFlowDivergence(i + 1, np.sqrt(max(v2, 0.0)))
-            v[i + 1] = np.sqrt(v2)
+        vi = v[0]
+        v = [vi]
+        for node, (ri, xi, pi, qi) in enumerate(zip(r, x, p, q), start=1):
+            try:
+                s2 = pi ** 2 + qi ** 2
+                v2 = (vi ** 2 - 2 * (ri * pi + xi * qi)
+                      + (ri ** 2 + xi ** 2) * s2 / vi ** 2)
+            except OverflowError:  # the flows ran away past a double
+                raise PowerFlowDivergence(node, math.inf) from None
+            if not v2 > floor2:  # also a nan, from infinite flows
+                raise PowerFlowDivergence(node, math.sqrt(max(v2, 0.0)))
+            vi = math.sqrt(v2)
+            v.append(vi)
         mismatch = _residual(p, q, v, r, x, d_p, d_q)
         if mismatch <= tol:
             return PowerFlowSolution(tuple(p), tuple(q), tuple(v), True, it,
-                                     float(mismatch))
+                                     mismatch)
     return PowerFlowSolution(tuple(p), tuple(q), tuple(v), False, max_iter,
-                             float(mismatch))
+                             mismatch)
 
 
 def _residual(p, q, v, r, x, d_p, d_q) -> float:
-    """Worst re-evaluated recursion mismatch over interior nodes."""
-    ns = len(p)
+    """Worst re-evaluated recursion mismatch over interior nodes; every
+    argument but the node voltages ``v`` is per section."""
     worst = 0.0
-    for i in range(ns):
-        loss = (p[i] ** 2 + q[i] ** 2) / v[i] ** 2
-        p_next = p[i] - r[i] * loss - d_p[i + 1]
-        q_next = q[i] - x[i] * loss - d_q[i + 1]
-        down_p = p[i + 1] if i + 1 < ns else 0.0
-        down_q = q[i + 1] if i + 1 < ns else 0.0
-        worst = max(worst, abs(p_next - down_p), abs(q_next - down_q))
+    for pi, qi, vi, ri, xi, dpi, dqi, down_p, down_q in zip(
+            p, q, v, r, x, d_p, d_q, p[1:] + [0.0], q[1:] + [0.0]):
+        loss = (pi ** 2 + qi ** 2) / vi ** 2
+        err_p = abs(pi - ri * loss - dpi - down_p)
+        err_q = abs(qi - xi * loss - dqi - down_q)
+        # max(worst, err_p, err_q) without the call: the same comparisons
+        if err_p > worst:
+            worst = err_p
+        if err_q > worst:
+            worst = err_q
     return worst
 
 

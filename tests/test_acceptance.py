@@ -24,7 +24,6 @@ from feederprot.model import (AsynchronousParams, DGKind, DGUnit,
 from feederprot.netfile import fixtures_dir
 from feederprot.power_flow import solve_distflow
 
-from conftest import scenario_config
 from test_optimizer import grid_search_settings, two_recloser_toy
 
 

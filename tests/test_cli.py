@@ -2,8 +2,6 @@
 
 import json
 
-import pytest
-
 from feederprot.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, main
 from feederprot.netfile import fixtures_dir
 

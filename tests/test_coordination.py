@@ -10,8 +10,7 @@ from feederprot import coordination as coord
 from feederprot import fault as flt
 from feederprot import optimizer as opt
 from feederprot.curves import (FuseCurve, NO_OPERATION, RecloserCurve,
-                               RecloserSettings, TCIConstants, fuse_time,
-                               tci_time)
+                               RecloserSettings, TCIConstants, fuse_time)
 from feederprot.power_flow import solve_distflow
 
 from conftest import scenario_config

@@ -14,6 +14,21 @@ from feederprot.power_flow import PowerFlowNotConverged, solve_distflow
 from conftest import radial_chains
 
 
+def loop_admittance(network):
+    """Nodal admittance matrix of the feeder sections, stamped one
+    section at a time."""
+    n = network.n_nodes
+    y = np.zeros((n, n), dtype=complex)
+    for sec in network.sections:
+        adm = 1.0 / complex(sec.r, sec.x)
+        i, j = sec.from_node, sec.to_node
+        y[i, i] += adm
+        y[j, j] += adm
+        y[i, j] -= adm
+        y[j, i] -= adm
+    return y
+
+
 def independent_fault_current(network, models, fault_node,
                               fault_impedance=0.0):
     """One-shot complex nodal solve with the faulted node grounded.
@@ -24,15 +39,8 @@ def independent_fault_current(network, models, fault_node,
     current read back from the nodal balance.
     """
     n = network.n_nodes
-    y = np.zeros((n, n), dtype=complex)
+    y = loop_admittance(network)
     inj = np.zeros(n, dtype=complex)
-    for sec in network.sections:
-        adm = 1.0 / complex(sec.r, sec.x)
-        i, j = sec.from_node, sec.to_node
-        y[i, i] += adm
-        y[j, j] += adm
-        y[i, j] -= adm
-        y[j, i] -= adm
     y[0, 0] += 1.0 / network.source.impedance
     inj[0] += network.source.voltage / network.source.impedance
     for unit in network.dg_units:
@@ -69,7 +77,29 @@ def only_source(network, models, keep):
     return network, dead
 
 
+def assert_same_bits(got, want):
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 class TestKernelProperties:
+    @given(radial_chains())
+    def test_section_admittance_matches_loop(self, chain):
+        net, _ = chain
+        assert_same_bits(flt._section_admittance(net), loop_admittance(net))
+
+    @pytest.mark.parametrize("fixture", ["five_node_scenario",
+                                         "case_a_scenario", "case_b_scenario"])
+    def test_section_admittance_matches_loop_on_fixtures(self, request,
+                                                          fixture):
+        net = request.getfixturevalue(fixture).network
+        assert_same_bits(flt._section_admittance(net), loop_admittance(net))
+        # a purely resistive and a purely reactive section give the
+        # admittance a zero part, whose sign the stamping must keep
+        first, second, *rest = net.sections
+        net = replace(net, sections=(replace(first, x=0.0),
+                                     replace(second, r=0.0), *rest))
+        assert_same_bits(flt._section_admittance(net), loop_admittance(net))
+
     @given(radial_chains())
     def test_contributions_match_independent_solve(self, chain):
         net, floor = chain
