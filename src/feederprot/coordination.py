@@ -178,48 +178,50 @@ def backup_delay(pair: CoordinationPair, delta_rr: float,
     return t_hi - t_lo
 
 
-def zone_currents(kernel: flt.FaultKernel, fault_impedance_floor: float,
-                  ) -> dict[str, tuple[float, float]]:
-    """(I_max, I_min) of every recloser over its zone, from one kernel."""
-    return {rec.id: flt.max_min_fault_currents(kernel, rec.id,
-                                               fault_impedance_floor)
-            for rec in kernel.network.reclosers}
-
-
 def study_pairs(kernel: flt.FaultKernel, fault_impedance_floor: float,
-                zones: dict[str, tuple[float, float]]) -> list[PairStudy]:
-    """Every fuse-recloser pair, then every recloser-recloser pair.
+                ) -> tuple[list[PairStudy], dict[str, tuple[float, float]]]:
+    """Every fuse-recloser pair, then every recloser-recloser pair, and
+    each recloser's (I_max, I_min), from one bolted and one floored fault
+    at every node of the state's one kernel, which must cover them all.
 
-    All faults come from the state's one kernel, which must cover every
-    node, and the recloser pairs read the zone sweeps of the same state
-    (see zone_currents).  A fuse pair sees faults at its lateral; a
-    recloser pair sees the downstream recloser's zone, with the
-    disparity of the DG between the two for a fault at the downstream
-    one.
+    A recloser's zone runs from its node to the next recloser's: I_max is
+    its bolted maximum there, I_min the floored current at the far end.
+    A fuse pair sees faults at its lateral; a recloser pair sees the
+    downstream recloser's zone, with the disparity of the DG between the
+    two for a bolted fault at the downstream one.
     """
     network = kernel.network
-    out: list[PairStudy] = []
-    for rec in network.reclosers:
-        zone = flt._recloser_zone(network, rec.id)
-        for lat in network.laterals:
-            if lat.fuse is None or lat.tap_node not in zone:
-                continue
-            loc = flt.at_lateral(lat.id)
-            bolted = kernel.study(loc, 0.0)
-            floored = kernel.study(loc, fault_impedance_floor)
-            out.append(PairStudy(
-                f"{rec.id}-L{lat.id}", PairKind.FUSE_RECLOSER, rec.id,
-                lat.id, PairSweep(bolted.i_recloser[rec.id],
-                                  floored.i_recloser[rec.id],
-                                  bolted.delta_fr[rec.id])))
+    n = network.n_nodes
+    bolted = kernel.source_currents(range(n), 0.0)
+    floored = kernel.source_currents(range(n), fault_impedance_floor)
 
+    def dg_at(k: int) -> dict[int, float]:
+        return {uid: float(i[k]) for uid, i in bolted[1].items()}
+
+    pairs: list[PairStudy] = []
+    zones: dict[str, tuple[float, float]] = {}
+    ends = [rec.node for rec in network.reclosers[1:]] + [n]
+    for rec, end in zip(network.reclosers, ends):
+        i_bolted = flt._recloser_current(network, rec.node, *bolted)
+        i_floored = flt._recloser_current(network, rec.node, *floored)
+        zones[rec.id] = (float(i_bolted[rec.node:end].max()),
+                         float(i_floored[end - 1]))
+        for lat in network.laterals:
+            k = lat.tap_node
+            if lat.fuse is None or not rec.node <= k < end:
+                continue
+            pairs.append(PairStudy(
+                f"{rec.id}-L{lat.id}", PairKind.FUSE_RECLOSER, rec.id,
+                lat.id, PairSweep(float(i_bolted[k]), float(i_floored[k]),
+                                  flt._dg_current(network, dg_at(k),
+                                                  rec.node, n))))
     for up, down in zip(network.reclosers, network.reclosers[1:]):
-        i_max, i_min = zones[down.id]
-        bolted = kernel.study(flt.at_node(down.node), 0.0)
-        out.append(PairStudy(
+        pairs.append(PairStudy(
             f"{up.id}-{down.id}", PairKind.RECLOSER_RECLOSER, down.id, up.id,
-            PairSweep(i_max, i_min, bolted.delta_rr[down.id])))
-    return out
+            PairSweep(*zones[down.id],
+                      flt._dg_current(network, dg_at(down.node), up.node,
+                                      down.node))))
+    return pairs, zones
 
 
 def build_pairs(network: Network, sol: PowerFlowSolution,
@@ -231,9 +233,9 @@ def build_pairs(network: Network, sol: PowerFlowSolution,
     """Every fuse-recloser and recloser-recloser pair of the network as
     given, with the currents it sees there."""
     kernel = flt.fault_kernel(network, sol, range(network.n_nodes))
-    zones = zone_currents(kernel, fault_impedance_floor)
+    pairs, _ = study_pairs(kernel, fault_impedance_floor)
     out: list[tuple[CoordinationPair, PairSweep]] = []
-    for a in study_pairs(kernel, fault_impedance_floor, zones):
+    for a in pairs:
         if a.kind is PairKind.FUSE_RECLOSER:
             fuse = network.lateral(a.backup).fuse
             backup = FuseDevice(fuse_curves[fuse], "mm")

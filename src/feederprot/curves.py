@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from importlib import resources
 
 NO_OPERATION = math.inf
+TIME_DIAL_MIN = 0.1  # the time-dial range of every recloser setting
+TIME_DIAL_MAX = 1.0
 
 CURVE_DATA_FILE = "curve_families.json"
 
@@ -54,8 +56,9 @@ class RecloserSettings:
     time_dial: float
 
     def __post_init__(self):
-        if not 0.1 <= self.time_dial <= 1.0:
-            raise ValueError(f"time_dial {self.time_dial} outside [0.1, 1.0]")
+        if not TIME_DIAL_MIN <= self.time_dial <= TIME_DIAL_MAX:
+            raise ValueError(f"time_dial {self.time_dial} outside "
+                             f"[{TIME_DIAL_MIN}, {TIME_DIAL_MAX}]")
         if self.pickup <= 0:
             raise ValueError("pickup must be positive")
 

@@ -293,32 +293,3 @@ def solve_fault(network: Network, sol: PowerFlowSolution,
     node = _fault_node(network, location)
     return fault_kernel(network, sol, [node]).study(location, fault_impedance)
 
-
-def _recloser_zone(network: Network, recloser_id: str) -> range:
-    rec = network.recloser(recloser_id)
-    nxt = network.n_nodes - 1
-    for other in network.reclosers:
-        if other.node > rec.node:
-            nxt = other.node - 1
-            break
-    return range(rec.node, nxt + 1)
-
-
-def max_min_fault_currents(kernel: FaultKernel, recloser_id: str,
-                           fault_impedance_floor: float,
-                           ) -> tuple[float, float]:
-    """(I_max, I_min) the recloser sees over its protection zone.
-
-    The maximum sweeps bolted faults over the zone; the minimum applies
-    the fault-impedance floor at the zone's far end.  The kernel must
-    cover the zone.
-    """
-    network = kernel.network
-    rec = network.recloser(recloser_id)  # raises if unknown
-    zone = _recloser_zone(network, recloser_id)
-    bolted = _recloser_current(network, rec.node,
-                               *kernel.source_currents(zone, 0.0))
-    floored = _recloser_current(
-        network, rec.node,
-        *kernel.source_currents([zone[-1]], fault_impedance_floor))
-    return float(bolted.max()), float(floored[0])

@@ -221,7 +221,8 @@ def load_scenario(path: str | Path) -> Scenario:
                   f"{ctx}:cadence")
     dispatch_every = int(cadence.get("dispatch_every", 1))
     settings_every = int(cadence.get("settings_every", dispatch_every))
-    if dispatch_every < 1 or settings_every % dispatch_every != 0:
+    if (dispatch_every < 1 or settings_every < 1
+            or settings_every % dispatch_every != 0):
         raise NetworkFileError(
             f"{ctx}: settings_every must be a positive multiple of "
             f"dispatch_every")

@@ -45,10 +45,9 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from . import fault as flt
-from .coordination import (PairKind, PairStudy, current_grid, study_pairs,
-                           zone_currents)
-from .curves import (FuseCurve, RecloserCurve, RecloserSettings,
-                     fuse_inverse_current, fuse_time)
+from .coordination import PairKind, PairStudy, current_grid, study_pairs
+from .curves import (TIME_DIAL_MAX, TIME_DIAL_MIN, FuseCurve, RecloserCurve,
+                     RecloserSettings, fuse_inverse_current, fuse_time)
 from .model import Network
 from .power_flow import DEFAULT_TOL, PowerFlowSolution, solve_distflow
 
@@ -81,8 +80,6 @@ class OptimizerConfig:
     obj_tol: float = 1e-4  # no effect; kept so existing callers work
     dispatch_tol: float = 1e-6  # no effect; kept so existing callers work
     max_iters: int = 20  # no effect; kept so existing callers work
-    d_min: float = 0.1
-    d_max: float = 1.0
     powerflow_tol: float = DEFAULT_TOL
 
 
@@ -125,8 +122,7 @@ def build_settings_subproblem(network: Network, sol: PowerFlowSolution,
     """Freeze the fault-current data that linearizes the settings problem."""
     kernel = flt.fault_kernel(network, sol, range(network.n_nodes))
     floor = config.fault_impedance_floor
-    zones = zone_currents(kernel, floor)
-    pairs = study_pairs(kernel, floor, zones)
+    pairs, zones = study_pairs(kernel, floor)
     return SettingsSubproblem(
         i_max={rid: mx for rid, (mx, _) in zones.items()},
         pairs=tuple(pairs),
@@ -162,12 +158,12 @@ def _solve_settings_at_pickups(network: Network, sub: SettingsSubproblem,
     headroom and its first violation (None when it is solvable).
 
     The headroom is the least room left under a bound, each with
-    DIAL_TOL: a recloser's fuse cap over the dial it needs, and d_max
-    over the need of each raised backup; it is >= 0 exactly when the
-    ladder is solvable.  No bound feeds a dial, so the ladder runs on
-    past a violation.  A current outside a curve's operating region, or
-    a disparity that swamps the backup current, raises at once (the
-    first violation, if one came before).
+    DIAL_TOL: a recloser's fuse cap over the dial it needs, and
+    TIME_DIAL_MAX over the need of each raised backup; it is >= 0 exactly
+    when the ladder is solvable.  No bound feeds a dial, so the ladder
+    runs on past a violation.  A current outside a curve's operating
+    region, or a disparity that swamps the backup current, raises at
+    once (the first violation, if one came before).
     """
     order = list(network.reclosers)
     pickups = sub.pickup_lo
@@ -177,7 +173,7 @@ def _solve_settings_at_pickups(network: Network, sub: SettingsSubproblem,
     # per-device upper bound from its fuse pairs: the margin constraint
     # is quantified over the pair's current range, so one affine
     # constraint per grid sample, all with D as the only free variable
-    ub: dict[str, float] = {rec.id: config.d_max for rec in order}
+    ub: dict[str, float] = {rec.id: TIME_DIAL_MAX for rec in order}
     ub_pair: dict[str, str] = {}
     for pd in _fuse_pairs(sub):
         fuse = fuse_curves[network.lateral(pd.backup).fuse]
@@ -195,7 +191,7 @@ def _solve_settings_at_pickups(network: Network, sub: SettingsSubproblem,
 
     rr_up = {pd.primary: pd for pd in sub.pairs
              if pd.kind is PairKind.RECLOSER_RECLOSER}
-    lb: dict[str, float] = {rec.id: config.d_min for rec in order}
+    lb: dict[str, float] = {rec.id: TIME_DIAL_MIN for rec in order}
     dial: dict[str, float] = {}
     headroom = math.inf
     first: InfeasibleError | None = None
@@ -232,18 +228,18 @@ def _solve_settings_at_pickups(network: Network, sub: SettingsSubproblem,
                         - kconst[pd.backup]) / slope_up
                 if need > lb[pd.backup]:
                     lb[pd.backup] = need
-                    room = config.d_max + DIAL_TOL - need
+                    room = TIME_DIAL_MAX + DIAL_TOL - need
                     headroom = min(headroom, room)
                     if room < 0 and first is None:
                         first = InfeasibleError(
                             pd.id,
-                            f"backup needs D = {need:.4f} > {config.d_max}")
+                            f"backup needs D = {need:.4f} > {TIME_DIAL_MAX}")
     except InfeasibleError as exc:
         if first is None:
             raise
         raise first from exc
     return {rid: RecloserSettings(pickup=pickups[rid],
-                                  time_dial=min(d, config.d_max))
+                                  time_dial=min(d, TIME_DIAL_MAX))
             for rid, d in dial.items()}, headroom, first
 
 

@@ -81,6 +81,17 @@ def radial_chains(draw):
     return network, draw(st.floats(0.01, 0.5))
 
 
+def recloser_zone(network, recloser_id: str) -> range:
+    """Nodes from the recloser to the node before the next recloser."""
+    rec = network.recloser(recloser_id)
+    nxt = network.n_nodes - 1
+    for other in network.reclosers:
+        if other.node > rec.node:
+            nxt = other.node - 1
+            break
+    return range(rec.node, nxt + 1)
+
+
 def scenario_config(scn) -> opt.OptimizerConfig:
     return opt.OptimizerConfig(
         fr_margin=scn.fr_margin,

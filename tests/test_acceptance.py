@@ -37,11 +37,12 @@ def test_01_recloser_fault_current_table(case_a_scenario):
     start = time.monotonic()
     net = replace(case_a_scenario.network, dg_units=())
     kernel = flt.fault_kernel(net, solve_distflow(net), range(net.n_nodes))
+    _, zones = coord.study_pairs(kernel,
+                                 case_a_scenario.fault_impedance_floor)
     targets = {"R1": 2975.0, "R2": 2445.0, "R3": 1823.0}
     got = {}
     for rid, target in targets.items():
-        i_max, _ = flt.max_min_fault_currents(
-            kernel, rid, case_a_scenario.fault_impedance_floor)
+        i_max, _ = zones[rid]
         amps = i_max * net.base_amps
         got[rid] = amps
         assert abs(amps - target) / target < 0.15, (rid, amps, target)
@@ -242,7 +243,7 @@ def test_07_settings_match_grid_search(five_node_scenario):
         best, dials = grid_search_settings(net, fuse_curves, config)
         assert dials is not None
         assert abs(objective - best) < 1e-3, (name, objective, best)
-        assert settings[net.reclosers[-1].id].time_dial == config.d_min
+        assert settings[net.reclosers[-1].id].time_dial == opt.TIME_DIAL_MIN
         results.append(f"{name} |{objective - best:.1e}|")
     report("settings optimality", ", ".join(results) + " vs grid search")
 

@@ -5,15 +5,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from feederprot import coordination as coord
 from feederprot import fault as flt
 from feederprot import optimizer as opt
 from feederprot.curves import (FuseCurve, NO_OPERATION, RecloserCurve,
                                RecloserSettings, TCIConstants, fuse_time)
+from feederprot.model import RecloserPlacement
 from feederprot.power_flow import solve_distflow
 
-from conftest import scenario_config
+from conftest import radial_chains, recloser_zone, scenario_config, sequence
+from test_power_flow import long_chain, scaled_dg
 
 VI = TCIConstants(a=19.61, b=0.491, c=1.0, m=2.0, K=0.0)
 
@@ -200,7 +203,7 @@ def reference_pairs(network, sol, floor):
     between the two reclosers."""
     out = {}
     for rec in network.reclosers:
-        zone = flt._recloser_zone(network, rec.id)
+        zone = recloser_zone(network, rec.id)
         for lat in network.laterals:
             if lat.fuse is None or lat.tap_node not in zone:
                 continue
@@ -212,7 +215,7 @@ def reference_pairs(network, sol, floor):
                                           bolted.delta_fr[rec.id])
 
     for up, down in zip(network.reclosers, network.reclosers[1:]):
-        zone = flt._recloser_zone(network, down.id)
+        zone = recloser_zone(network, down.id)
         i_max = max(flt.solve_fault(network, sol, flt.at_node(k))
                     .i_recloser[down.id] for k in zone)
         i_min = flt.solve_fault(network, sol, flt.at_node(zone[-1]),
@@ -222,6 +225,85 @@ def reference_pairs(network, sol, floor):
                     if up.node <= u.tap_node < down.node)
         out[f"{up.id}-{down.id}"] = (i_max, i_min, delta)
     return out
+
+
+def reference_zone(kernel, rec, floor):
+    """(I_max, I_min) of one recloser from a sweep of its own zone."""
+    network = kernel.network
+    zone = recloser_zone(network, rec.id)
+    bolted = flt._recloser_current(network, rec.node,
+                                   *kernel.source_currents(zone, 0.0))
+    floored = flt._recloser_current(
+        network, rec.node, *kernel.source_currents([zone[-1]], floor))
+    return float(bolted.max()), float(floored[0])
+
+
+def reference_study_pairs(kernel, floor):
+    """The pair enumeration study_pairs replaced, kept as its bit-for-bit
+    reference: two kernel.study calls per fused lateral, one more per
+    recloser pair, and one sweep of each recloser's zone."""
+    network = kernel.network
+    zones = {rec.id: reference_zone(kernel, rec, floor)
+             for rec in network.reclosers}
+    pairs = []
+    for rec in network.reclosers:
+        zone = recloser_zone(network, rec.id)
+        for lat in network.laterals:
+            if lat.fuse is None or lat.tap_node not in zone:
+                continue
+            loc = flt.at_lateral(lat.id)
+            bolted = kernel.study(loc, 0.0)
+            floored = kernel.study(loc, floor)
+            pairs.append(coord.PairStudy(
+                f"{rec.id}-L{lat.id}", coord.PairKind.FUSE_RECLOSER, rec.id,
+                lat.id, coord.PairSweep(bolted.i_recloser[rec.id],
+                                        floored.i_recloser[rec.id],
+                                        bolted.delta_fr[rec.id])))
+    for up, down in zip(network.reclosers, network.reclosers[1:]):
+        i_max, i_min = zones[down.id]
+        bolted = kernel.study(flt.at_node(down.node), 0.0)
+        pairs.append(coord.PairStudy(
+            f"{up.id}-{down.id}", coord.PairKind.RECLOSER_RECLOSER, down.id,
+            up.id, coord.PairSweep(i_max, i_min, bolted.delta_rr[down.id])))
+    return pairs, zones
+
+
+def assert_same_study(network, floors):
+    kernel = flt.fault_kernel(network, solve_distflow(network),
+                              range(network.n_nodes))
+    for floor in floors:
+        assert (coord.study_pairs(kernel, floor)
+                == reference_study_pairs(kernel, floor))
+
+
+def fused_long_chain(n, seed):
+    """long_chain with reclosers at its head and thirds, every lateral
+    fused."""
+    net = long_chain(n, seed)
+    return replace(
+        net, laterals=tuple(replace(lat, fuse="fa") for lat in net.laterals),
+        reclosers=(net.reclosers[0],) + tuple(
+            RecloserPlacement(f"R{k}", k * n // 3, sequence())
+            for k in (1, 2)))
+
+
+class TestStudyPairsMatchesReference:
+    @pytest.mark.parametrize("scale", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("fixture", SCENARIOS)
+    def test_fixtures(self, fixture, scale, request):
+        scn = request.getfixturevalue(fixture)
+        assert_same_study(scaled_dg(scn.network, scale),
+                          (0.0, scn.fault_impedance_floor, 0.2))
+
+    @given(radial_chains())
+    def test_radial_chains(self, chain):
+        net, floor = chain
+        assert_same_study(net, (0.0, floor))
+
+    @pytest.mark.parametrize("n", [50, 200])
+    def test_long_chains(self, n):
+        for net in (long_chain(n, n), fused_long_chain(n, n)):
+            assert_same_study(net, (0.0, 0.2))
 
 
 class TestPairEnumeration:
@@ -261,7 +343,7 @@ class TestPairEnumeration:
         sol = solve_distflow(net)
         studied = 0
         for rec in net.reclosers:
-            zone = flt._recloser_zone(net, rec.id)
+            zone = recloser_zone(net, rec.id)
             for lat in net.laterals:
                 if lat.fuse is None or lat.tap_node not in zone:
                     continue

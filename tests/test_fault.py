@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+from feederprot import coordination as coord
 from feederprot import fault as flt
 from feederprot.model import (DGKind, DGUnit, InverterParams,
                               SynchronousParams, UnknownElementError)
 from feederprot.power_flow import PowerFlowNotConverged, solve_distflow
 
-from conftest import radial_chains
+from conftest import radial_chains, recloser_zone
 
 
 def loop_admittance(network):
@@ -121,9 +122,10 @@ class TestKernelProperties:
         net, floor = chain
         sol = solve_distflow(net)
         kernel = flt.fault_kernel(net, sol, range(net.n_nodes))
+        _, zones = coord.study_pairs(kernel, floor)
         for rec in net.reclosers:
-            zone = flt._recloser_zone(net, rec.id)
-            mx, mn = flt.max_min_fault_currents(kernel, rec.id, floor)
+            zone = recloser_zone(net, rec.id)
+            mx, mn = zones[rec.id]
             swept = max(flt.solve_fault(net, sol, flt.at_node(k))
                         .i_recloser[rec.id] for k in zone)
             far = flt.solve_fault(net, sol, flt.at_node(zone[-1]), floor)
@@ -273,7 +275,7 @@ class TestZoneSweep:
                     for k in (1, 2)]
         far = flt.solve_fault(net, sol, flt.at_node(2), floor)
         kernel = flt.fault_kernel(net, sol, range(net.n_nodes))
-        mx, mn = flt.max_min_fault_currents(kernel, "R1", floor)
+        mx, mn = coord.study_pairs(kernel, floor)[1]["R1"]
         assert abs(mx - max(currents)) < 1e-12
         assert abs(mn - far.i_recloser["R1"]) < 1e-12
 

@@ -94,10 +94,13 @@ class TestLoadScenario:
             load_scenario(path)
 
     def test_cadence_must_nest(self, tmp_path):
-        doc = {"network": "five_node.json",
-               "cadence": {"dispatch_every": 2, "settings_every": 5}}
-        with pytest.raises(NetworkFileError, match="positive multiple"):
-            load_scenario(write_doc(tmp_path, doc))
+        # 0 and -2 are multiples of 1, but not positive ones
+        for settings_every, dispatch_every in ((5, 2), (0, 1), (-2, 1)):
+            doc = {"network": "five_node.json",
+                   "cadence": {"dispatch_every": dispatch_every,
+                               "settings_every": settings_every}}
+            with pytest.raises(NetworkFileError, match="positive multiple"):
+                load_scenario(write_doc(tmp_path, doc))
 
     def test_profile_lengths_must_agree(self, tmp_path):
         doc = {"network": "five_node.json",

@@ -18,7 +18,7 @@ from feederprot.model import (FeederSection, Lateral, Network,
                               RecloserPlacement, SubstationSource)
 from feederprot.power_flow import solve_distflow
 
-from conftest import radial_chains, scenario_config
+from conftest import radial_chains, recloser_zone, scenario_config
 
 VI = TCIConstants(a=19.61, b=0.491, c=1.0, m=2.0, K=0.0)
 D_GRID = np.round(np.arange(0.1, 1.0 + 1e-9, 1e-3), 6)
@@ -78,6 +78,7 @@ def grid_search_settings(network, fuse_curves, config):
     sol = solve_distflow(network)
     pickups = load_rule_pickups(network, sol)
     kernel = flt.fault_kernel(network, sol, range(network.n_nodes))
+    _, zones = coord.study_pairs(kernel, config.fault_impedance_floor)
 
     def slope(rec_id, currents):
         st = RecloserSettings(pickup=pickups[rec_id], time_dial=1.0)
@@ -86,9 +87,9 @@ def grid_search_settings(network, fuse_curves, config):
                          for i in currents])
 
     # dial cap per recloser from its fuse pairs
-    cap = {rec.id: config.d_max for rec in network.reclosers}
+    cap = {rec.id: opt.TIME_DIAL_MAX for rec in network.reclosers}
     for rec in network.reclosers:
-        zone = flt._recloser_zone(network, rec.id)
+        zone = recloser_zone(network, rec.id)
         for lat in network.laterals:
             if lat.fuse is None or lat.tap_node not in zone:
                 continue
@@ -108,8 +109,7 @@ def grid_search_settings(network, fuse_curves, config):
     # backup lower bound: D_up >= alpha + beta * D_down over the grid
     chain = []
     for up, down in zip(network.reclosers, network.reclosers[1:]):
-        hi, lo = flt.max_min_fault_currents(kernel, down.id,
-                                            config.fault_impedance_floor)
+        hi, lo = zones[down.id]
         grid = np.geomspace(lo, hi, 400)
         s_down = slope(down.id, grid)
         s_up = slope(up.id, grid)
@@ -117,9 +117,7 @@ def grid_search_settings(network, fuse_curves, config):
         chain.append((up.id, down.id, s_down / s_up,
                       config.rr_margin / s_up))
 
-    i_max = {rec.id: flt.max_min_fault_currents(
-        kernel, rec.id, config.fault_impedance_floor)[0]
-        for rec in network.reclosers}
+    i_max = {rid: mx for rid, (mx, _) in zones.items()}
     t_at_max = {rec.id: slope(rec.id, [i_max[rec.id]])[0]
                 for rec in network.reclosers}
 
@@ -206,7 +204,7 @@ class TestSettingsOptimality:
                     replace(five_node_scenario.network, dg_units=())):
             settings, _ = self.solve(net, fuse_curves, config)
             terminal = net.reclosers[-1].id
-            assert settings[terminal].time_dial == config.d_min
+            assert settings[terminal].time_dial == opt.TIME_DIAL_MIN
 
     def test_pickups_follow_load_rule(self, five_node_scenario, fuse_curves):
         config = opt.OptimizerConfig(fault_impedance_floor=0.15)
@@ -228,16 +226,18 @@ class TestSettingsOptimality:
         with pytest.raises(opt.InfeasibleError, match="pickup rule empty"):
             study.settings()
 
-    def test_dial_overrun_up_to_dial_tol_is_forgiven(self, fuse_curves):
-        # one recloser and no fuses: the ladder's only check is d_min
-        # against the cap d_max
+    def test_dial_overrun_up_to_dial_tol_is_forgiven(self, fuse_curves,
+                                                     monkeypatch):
+        # one recloser and no fuses: the ladder's only check is its
+        # floor dial against the cap TIME_DIAL_MAX
         toy = two_recloser_toy()
         net = replace(toy, reclosers=(relay("RLY", 0),),
                       laterals=tuple(replace(lat, fuse=None)
                                      for lat in toy.laterals))
         for overrun, feasible in ((0.5, True), (2.0, False)):
-            config = opt.OptimizerConfig(d_min=1.0 + overrun * opt.DIAL_TOL)
-            study = opt.study_state(net, fuse_curves, config)
+            monkeypatch.setattr(opt, "TIME_DIAL_MIN",
+                                1.0 + overrun * opt.DIAL_TOL)
+            study = opt.study_state(net, fuse_curves, opt.OptimizerConfig())
             assert (study.error is None) is feasible
             assert study.headroom == pytest.approx(
                 (1.0 - overrun) * opt.DIAL_TOL, abs=1e-15)
