@@ -182,21 +182,31 @@ def _available(scn: Scenario, step: int = 0) -> dict[int, float]:
 
 
 def cmd_optimize(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
+    # one dispatch and one settings solve are already the fixed point of
+    # alternating the two; the report line keeps the alternation's wording
+    # for existing parsers
     config = _config(scn)
-    available = _available(scn)
-    trace, final_net, settings = opt.alternate(
-        scn.network, scn.fuse_curves, available, config,
-        initial_settings=scn.initial_settings)
-    lines = [f"alternating optimization: {trace.stop_reason.value} "
-             f"after {len(trace.iterations)} iterations"]
+    settings = scn.initial_settings or opt.baseline_settings(
+        scn.network, scn.fuse_curves, config)
+    net = opt.apply_settings(scn.network, settings)
     rows: list[list] = []
-    for k, it in enumerate(trace.iterations, start=1):
-        worst = min(it.slacks.values(), default=0.0)
-        lines.append(f"  iter {k}: total clearing {_fmt(it.obj_clearing_time)} "
-                     f"s, DG output {_fmt(it.obj_dg_output)} pu, "
-                     f"worst slack {_fmt(worst)} pu")
-        rows.append([k, float(it.obj_clearing_time), float(it.obj_dg_output),
-                     float(worst)])
+    try:
+        study = opt.solve_dispatch(net, _available(scn), scn.fuse_curves,
+                                   config)[1]
+        net, solved = study.network, study.settings()
+        net, settings = opt.apply_settings(net, solved), solved
+    except opt.InfeasibleError:
+        pass  # report the start settings and the last network reached
+    else:
+        slacks = opt.pair_slacks(study, scn.fuse_curves, config)
+        rows.append([1, float(opt.total_clearing_time(study, settings)),
+                     float(sum(u.p_out for u in net.dg_units)),
+                     float(min(slacks.values(), default=0.0))])
+    stop = "slack_fixed_point" if rows else "infeasible"
+    lines = [f"alternating optimization: {stop} after {len(rows)} iterations"]
+    lines += [f"  iter {k}: total clearing {_fmt(clearing)} s, DG output "
+              f"{_fmt(output)} pu, worst slack {_fmt(worst)} pu"
+              for k, clearing, output, worst in rows]
     manifest: list[tuple[str, int]] = []
     _write_csv(out_dir, "trace.csv",
                ["iteration", "total_clearing_time_s", "total_dg_output_pu",
@@ -205,10 +215,8 @@ def cmd_optimize(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
     (out_dir / "settings_final.json").write_text(dump_settings(settings))
     manifest.append(("settings_final.json", len(settings)))
     _write_csv(out_dir, "dispatch_final.csv", ["dg_id", "p_out_pu"],
-               [[u.id, float(u.p_out)] for u in final_net.dg_units], manifest)
-    code = (EXIT_OK if trace.stop_reason is not opt.StopReason.INFEASIBLE
-            else EXIT_INFEASIBLE)
-    return RunReport(lines, manifest), code
+               [[u.id, float(u.p_out)] for u in net.dg_units], manifest)
+    return RunReport(lines, manifest), EXIT_OK if rows else EXIT_INFEASIBLE
 
 
 def cmd_timeseries(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from . import fault as flt
-from .curves import FuseCurve, NO_OPERATION, RecloserCurve, fuse_time
+from .curves import FuseCurve, NO_OPERATION, RecloserCurve
 from .model import Network
 from .power_flow import PowerFlowSolution
 
@@ -38,20 +38,11 @@ class FailureMode(Enum):
 
 
 @dataclass(frozen=True)
-class FuseDevice:
-    curve: FuseCurve
-    which: str = "mm"
-
-    def time_at(self, i_fault: float) -> float:
-        return fuse_time(self.curve, self.which, i_fault)
-
-
-@dataclass(frozen=True)
 class CoordinationPair:
     id: str
     kind: PairKind
     primary: RecloserCurve
-    backup: RecloserCurve | FuseDevice
+    backup: RecloserCurve | FuseCurve
     margin_required: float
 
     def __post_init__(self):
@@ -238,7 +229,7 @@ def build_pairs(network: Network, sol: PowerFlowSolution,
     for a in pairs:
         if a.kind is PairKind.FUSE_RECLOSER:
             fuse = network.lateral(a.backup).fuse
-            backup = FuseDevice(fuse_curves[fuse], "mm")
+            backup = fuse_curves[fuse]
             margin = fr_margin
         else:
             backup = network.recloser(a.backup).sequence.coordinating_curve

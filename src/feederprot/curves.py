@@ -159,7 +159,10 @@ def invert_tci_for_current(constants: TCIConstants, settings: RecloserSettings,
 
 @dataclass(frozen=True)
 class FuseCurve:
-    """Tabulated MM and TC points, (current, time), log-log interpolated."""
+    """Tabulated MM and TC points, (current, time), log-log interpolated.
+
+    Coordination reads the MM table; the TC table is checked against it.
+    """
 
     name: str
     mm_points: tuple[tuple[float, float], ...]
@@ -187,6 +190,9 @@ class FuseCurve:
                         f"fuse {self.name}: MM above TC at current {i}"
                     )
 
+    def time_at(self, i_fault: float) -> float:
+        return fuse_time(self, i_fault)
+
 
 def _interp_loglog(points, i_fault: float) -> float:
     """Piecewise-linear interpolation in (log I, log t); no range checks."""
@@ -199,16 +205,14 @@ def _interp_loglog(points, i_fault: float) -> float:
     raise AssertionError("unreachable")
 
 
-def fuse_time(curve: FuseCurve, which: str, i_fault: float) -> float:
-    """Melt/clear time in seconds.
+def fuse_time(curve: FuseCurve, i_fault: float) -> float:
+    """Minimum-melt time in seconds, from the MM table.
 
     Below the first tabulated current the fuse does not melt and
     NO_OPERATION is returned.  Above the last point the time is clamped
     to the final tabulated value.
     """
-    if which not in ("mm", "tc"):
-        raise ValueError(f"fuse curve selector must be mm or tc, got {which!r}")
-    points = curve.mm_points if which == "mm" else curve.tc_points
+    points = curve.mm_points
     if i_fault < points[0][0]:
         return NO_OPERATION
     if i_fault > points[-1][0]:
@@ -216,15 +220,13 @@ def fuse_time(curve: FuseCurve, which: str, i_fault: float) -> float:
     return _interp_loglog(points, i_fault)
 
 
-def fuse_inverse_current(curve: FuseCurve, which: str, t_target: float) -> float:
-    """Current at which the fuse's tabulated time equals t_target.
+def fuse_inverse_current(curve: FuseCurve, t_target: float) -> float:
+    """Current at which the fuse's minimum-melt time equals t_target.
 
     Times are strictly decreasing in current, so the inverse is unique
     over the tabulated band.  Out-of-band targets raise CurveRangeError.
     """
-    points = curve.mm_points if which == "mm" else curve.tc_points
-    if which not in ("mm", "tc"):
-        raise ValueError(f"fuse curve selector must be mm or tc, got {which!r}")
+    points = curve.mm_points
     if t_target > points[0][1] or t_target < points[-1][1]:
         raise CurveRangeError(
             f"fuse {curve.name}: time {t_target} s outside tabulated band "

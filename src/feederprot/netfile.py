@@ -45,6 +45,15 @@ def _require_keys(doc: dict, allowed: set[str], required: set[str],
         raise NetworkFileError(f"{context}: missing keys {sorted(missing)}")
 
 
+def _integer(doc: dict, key: str, default: int, context: str) -> int:
+    """A JSON integer; a float, string or boolean is an input error."""
+    value = doc.get(key, default)
+    if type(value) is not int:
+        raise NetworkFileError(
+            f"{context}: {key} must be an integer, got {value!r}")
+    return value
+
+
 _DG_PARAM_KEYS = {
     "synchronous": ({"xd2"}, {"xd2"}),
     "asynchronous": ({"x_lr", "rated_slip"}, {"x_lr"}),
@@ -216,11 +225,13 @@ def load_scenario(path: str | Path) -> Scenario:
     tol = doc.get("tolerances", {})
     _require_keys(tol, {"powerflow", "dispatch", "objective"}, set(),
                   f"{ctx}:tolerances")
+    max_iters = _integer(doc, "max_iters", 20, ctx)
     cadence = doc.get("cadence", {})
     _require_keys(cadence, {"dispatch_every", "settings_every"}, set(),
                   f"{ctx}:cadence")
-    dispatch_every = int(cadence.get("dispatch_every", 1))
-    settings_every = int(cadence.get("settings_every", dispatch_every))
+    dispatch_every = _integer(cadence, "dispatch_every", 1, f"{ctx}:cadence")
+    settings_every = _integer(cadence, "settings_every", dispatch_every,
+                              f"{ctx}:cadence")
     if (dispatch_every < 1 or settings_every < 1
             or settings_every % dispatch_every != 0):
         raise NetworkFileError(
@@ -254,7 +265,7 @@ def load_scenario(path: str | Path) -> Scenario:
         powerflow_tol=float(tol.get("powerflow", 1e-8)),
         dispatch_tol=float(tol.get("dispatch", 1e-6)),
         objective_tol=float(tol.get("objective", 1e-4)),
-        max_iters=int(doc.get("max_iters", 20)),
+        max_iters=max_iters,
         dispatch_every=dispatch_every,
         settings_every=settings_every,
         profile=profile,

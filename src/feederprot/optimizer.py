@@ -42,7 +42,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
-from enum import Enum
 
 from . import fault as flt
 from .coordination import PairKind, PairStudy, current_grid, study_pairs
@@ -57,11 +56,6 @@ DIAL_TOL = 1e-12  # dial overrun the ladder forgives against both its bounds
 # the regula falsi narrows its bracket to this fraction of the bisection's
 # resolution, so the replay probes only a midpoint or two
 BRACKET_FRACTION = 1e-3
-
-
-class StopReason(Enum):
-    SLACK_FIXED_POINT = "slack_fixed_point"
-    INFEASIBLE = "infeasible"
 
 
 class InfeasibleError(RuntimeError):
@@ -89,21 +83,6 @@ class SettingsSubproblem:
     pairs: tuple[PairStudy, ...]
     pickup_lo: dict[str, float]  # twice the maximum load current
     pickup_hi: dict[str, float]  # half the minimum line-line fault current
-
-
-@dataclass(frozen=True)
-class Iterate:
-    dg_outputs: dict[int, float]
-    settings: dict[str, RecloserSettings]
-    obj_clearing_time: float
-    obj_dg_output: float
-    slacks: dict[str, float]
-
-
-@dataclass(frozen=True)
-class OptimizationTrace:
-    iterations: tuple[Iterate, ...]
-    stop_reason: StopReason
 
 
 def _load_current(network: Network, sol: PowerFlowSolution, node: int) -> float:
@@ -179,7 +158,7 @@ def _solve_settings_at_pickups(network: Network, sub: SettingsSubproblem,
         fuse = fuse_curves[network.lateral(pd.backup).fuse]
         sw = pd.sweep
         for i in current_grid(sw.i_primary_min, sw.i_primary_max):
-            t_fuse = fuse_time(fuse, "mm", float(i) + sw.delta)
+            t_fuse = fuse_time(fuse, float(i) + sw.delta)
             if math.isinf(t_fuse):
                 continue  # fuse never melts here; no constraint at i
             slope = _affine_slope(curve[pd.primary], pickups[pd.primary],
@@ -368,7 +347,7 @@ def pair_slacks(study: StateStudy, fuse_curves: dict[str, FuseCurve],
             if t_need > fuse.mm_points[0][1]:
                 reach = fuse.mm_points[0][0]
             else:
-                reach = fuse_inverse_current(fuse, "mm", t_need)
+                reach = fuse_inverse_current(fuse, t_need)
             bound = min(bound, reach - float(i))
         slacks[pd.id] = max(bound, 0.0) - sw.delta
     return slacks
@@ -510,38 +489,3 @@ def baseline_settings(network: Network, fuse_curves: dict[str, FuseCurve],
     """Design-time settings from the no-DG configuration."""
     return study_state(replace(network, dg_units=()), fuse_curves,
                        config).settings()
-
-
-def alternate(network: Network, fuse_curves: dict[str, FuseCurve],
-              available: dict[int, float], config: OptimizerConfig,
-              initial_settings: dict[str, RecloserSettings] | None = None,
-              ) -> tuple[OptimizationTrace, Network,
-                         dict[str, RecloserSettings]]:
-    """Dispatch DG once, then read the settings, clearing time and slacks
-    off the study of the dispatched state.
-
-    Returns the single iterate, the dispatched and re-dialed network and
-    its settings.  When either step is infeasible the trace is empty,
-    stops at INFEASIBLE, and the start settings are returned.  Start
-    settings that fail raise InfeasibleError instead: the no-DG design
-    settings from ``baseline_settings`` when no ``initial_settings`` are
-    given, or start dials that ``apply_settings`` rejects.
-    """
-    settings = initial_settings or baseline_settings(network, fuse_curves,
-                                                     config)
-    net = apply_settings(network, settings)
-    try:
-        study = solve_dispatch(net, available, fuse_curves, config)[1]
-        net, solved = study.network, study.settings()
-        final = apply_settings(net, solved)
-    except InfeasibleError:
-        return OptimizationTrace((), StopReason.INFEASIBLE), net, settings
-    iterate = Iterate(
-        dg_outputs={u.id: u.p_out for u in final.dg_units},
-        settings=dict(solved),
-        obj_clearing_time=total_clearing_time(study, solved),
-        obj_dg_output=sum(u.p_out for u in final.dg_units),
-        slacks=pair_slacks(study, fuse_curves, config),
-    )
-    return (OptimizationTrace((iterate,), StopReason.SLACK_FIXED_POINT),
-            final, solved)

@@ -258,8 +258,7 @@ def test_08_constrained_case_dispatch(case_a_scenario, case_a_result):
     with pytest.raises(opt.InfeasibleError):
         opt.study_state(scn.network, scn.fuse_curves, config).settings()
 
-    trace = case_a_result["trace"]
-    assert trace.stop_reason is opt.StopReason.SLACK_FIXED_POINT
+    assert case_a_result["study"].error is None
     assert case_a_result["elapsed"] < 30.0
 
     final = case_a_result["network"]

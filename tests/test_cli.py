@@ -1,9 +1,12 @@
 """Command-line interface: exit codes, artifacts, and reproducibility."""
 
 import json
+from dataclasses import replace
 
+from feederprot import cli
+from feederprot import optimizer as opt
 from feederprot.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, main
-from feederprot.netfile import fixtures_dir
+from feederprot.netfile import dump_settings, fixtures_dir, load_scenario
 
 FIVE_NODE = str(fixtures_dir() / "five_node_scenario.json")
 CASE_A = str(fixtures_dir() / "ieee37_case_a.json")
@@ -73,6 +76,44 @@ class TestExitCodes:
                      "--out-dir", str(tmp_path)]) == EXIT_INFEASIBLE
         row = (tmp_path / "timeseries.csv").read_text().splitlines()[1]
         assert row.endswith(",0")
+
+    def test_infeasible_optimize_keeps_the_start_settings(self, tmp_path,
+                                                          capsys):
+        assert main(["optimize", "--scenario", CASE_A,
+                     "--margins", "0.2,0.3",
+                     "--out-dir", str(tmp_path)]) == EXIT_INFEASIBLE
+        assert capsys.readouterr().out.splitlines()[0] == \
+            "alternating optimization: infeasible after 0 iterations"
+        assert (tmp_path / "trace.csv").read_text().splitlines() == [
+            "iteration,total_clearing_time_s,total_dg_output_pu,"
+            "worst_slack_pu"]
+        scn = replace(load_scenario(CASE_A), fr_margin=0.2, rr_margin=0.3)
+        baseline = opt.baseline_settings(scn.network, scn.fuse_curves,
+                                         cli._config(scn))
+        assert (tmp_path / "settings_final.json").read_text() == \
+            dump_settings(baseline)
+
+    def test_rejected_solved_dials_keep_the_dispatch(self, tmp_path,
+                                                     monkeypatch):
+        # when only the re-dial of the dispatched network fails, the
+        # dispatch stands and the start settings are reported
+        apply_settings, calls = opt.apply_settings, []
+
+        def second_call_fails(network, settings):
+            calls.append(settings)
+            if len(calls) == 2:
+                raise opt.InfeasibleError("R2", "rejected")
+            return apply_settings(network, settings)
+
+        monkeypatch.setattr(opt, "apply_settings", second_call_fails)
+        assert main(["optimize", "--scenario", CASE_A,
+                     "--out-dir", str(tmp_path)]) == EXIT_INFEASIBLE
+        assert len(calls) == 2
+        assert (tmp_path / "settings_final.json").read_text() == \
+            dump_settings(calls[0])
+        rows = (tmp_path / "dispatch_final.csv").read_text().splitlines()
+        assert rows[1:] == ["1,0.0979144720361", "2,0.0979144720361",
+                            "3,0.05", "4,0.1"]
 
     def test_bare_scenario_name_resolves_from_any_directory(
             self, tmp_path, monkeypatch):

@@ -37,7 +37,7 @@ def fr_pair(margin=0.1, dial=0.1, fuse=None):
     return coord.CoordinationPair(
         id="R-L", kind=coord.PairKind.FUSE_RECLOSER,
         primary=recloser_curve(dial=dial),
-        backup=coord.FuseDevice(fuse or power_law_fuse(), "mm"),
+        backup=fuse or power_law_fuse(),
         margin_required=margin)
 
 
@@ -131,7 +131,7 @@ class TestCheckPair:
                                 delta=1.0)
         report = coord.check_pair(pair, sweep)
         grid = coord.current_grid(2.5, 9.0)
-        margins = [fuse_time(pair.backup.curve, "mm", float(i) + 1.0)
+        margins = [fuse_time(pair.backup, float(i) + 1.0)
                    - pair.primary.time_at(float(i)) for i in grid]
         assert report.worst_margin == pytest.approx(min(margins))
 

@@ -131,45 +131,39 @@ class TestFuseCurves:
     def test_tabulated_points_exact(self):
         fuse = self._fuse()
         for i, t in fuse.mm_points:
-            assert abs(fuse_time(fuse, "mm", i) - t) < 1e-12
-        for i, t in fuse.tc_points:
-            assert abs(fuse_time(fuse, "tc", i) - t) < 1e-12
+            assert abs(fuse_time(fuse, i) - t) < 1e-12
+            assert fuse.time_at(i) == fuse_time(fuse, i)
 
     def test_loglog_midpoint_is_geometric_mean(self):
         fuse = self._fuse()
         i_mid = math.sqrt(4.0 * 8.0)
         t_expect = math.sqrt((32.0 / 16.0) * (32.0 / 64.0))
-        assert abs(fuse_time(fuse, "mm", i_mid) - t_expect) < 1e-12
+        assert abs(fuse_time(fuse, i_mid) - t_expect) < 1e-12
 
     def test_below_band_no_operation(self):
         fuse = self._fuse()
-        assert fuse_time(fuse, "mm", 1.9) == NO_OPERATION
+        assert fuse_time(fuse, 1.9) == NO_OPERATION
 
     def test_above_band_clamps_with_flag(self):
         fuse = self._fuse()
         # above the last tabulated current the final time holds
-        assert abs(fuse_time(fuse, "mm", 100.0) - 32.0 / 256.0) < 1e-12
-        assert fuse_time(fuse, "mm", 100.0) == fuse.mm_points[-1][1]
+        assert abs(fuse_time(fuse, 100.0) - 32.0 / 256.0) < 1e-12
+        assert fuse_time(fuse, 100.0) == fuse.mm_points[-1][1]
         # inside the band the time still falls with current
-        assert fuse_time(fuse, "mm", 10.0) > fuse.mm_points[-1][1]
+        assert fuse_time(fuse, 10.0) > fuse.mm_points[-1][1]
 
     def test_inverse_round_trip(self):
         fuse = self._fuse()
         for t_target in (0.2, 1.0, 6.0):
-            i = fuse_inverse_current(fuse, "mm", t_target)
-            assert abs(fuse_time(fuse, "mm", i) - t_target) < 1e-9 * t_target
+            i = fuse_inverse_current(fuse, t_target)
+            assert abs(fuse_time(fuse, i) - t_target) < 1e-9 * t_target
 
     def test_inverse_out_of_band(self):
         fuse = self._fuse()
         with pytest.raises(CurveRangeError):
-            fuse_inverse_current(fuse, "mm", 100.0)
+            fuse_inverse_current(fuse, 100.0)
         with pytest.raises(CurveRangeError):
-            fuse_inverse_current(fuse, "mm", 0.01)
-
-    def test_selector_validation(self):
-        fuse = self._fuse()
-        with pytest.raises(ValueError):
-            fuse_time(fuse, "melt", 5.0)
+            fuse_inverse_current(fuse, 0.01)
 
     def test_curve_validation(self):
         mm = ((2.0, 8.0), (4.0, 2.0))
@@ -199,9 +193,11 @@ class TestDataFiles:
         fuses = load_fuse_curves()
         assert len(fuses) >= 2
         for fuse in fuses.values():
+            # a curve whose MM table is this fuse's TC table reads TC
+            tc = FuseCurve(fuse.name, fuse.tc_points, fuse.tc_points)
             for i, _ in fuse.mm_points:
-                t_mm = fuse_time(fuse, "mm", i)
-                t_tc = fuse_time(fuse, "tc", i)
+                t_mm = fuse_time(fuse, i)
+                t_tc = fuse_time(tc, i)
                 assert t_mm <= t_tc + 1e-12
 
     def test_unknown_keys_rejected(self, tmp_path):

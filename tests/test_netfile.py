@@ -102,6 +102,21 @@ class TestLoadScenario:
             with pytest.raises(NetworkFileError, match="positive multiple"):
                 load_scenario(write_doc(tmp_path, doc))
 
+    def test_cadence_and_max_iters_must_be_integers(self, tmp_path):
+        # int() would turn 2.5 into 2 and accept "5" and true
+        for bad in (2.5, 2.0, "5", True):
+            for doc in ({"cadence": {"dispatch_every": bad}},
+                        {"cadence": {"settings_every": bad}},
+                        {"max_iters": bad}):
+                doc["network"] = "five_node.json"
+                with pytest.raises(NetworkFileError, match="integer"):
+                    load_scenario(write_doc(tmp_path, doc))
+        doc = {"network": "five_node.json", "max_iters": 3,
+               "cadence": {"dispatch_every": 2, "settings_every": 4}}
+        scn = load_scenario(write_doc(tmp_path, doc))
+        assert (scn.max_iters, scn.dispatch_every, scn.settings_every) == \
+            (3, 2, 4)
+
     def test_profile_lengths_must_agree(self, tmp_path):
         doc = {"network": "five_node.json",
                "profile": {"1": [0.1, 0.2], "2": [0.1]}}

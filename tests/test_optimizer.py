@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from feederprot import cli
 from feederprot import coordination as coord
 from feederprot import fault as flt
 from feederprot import optimizer as opt
@@ -99,8 +100,8 @@ def grid_search_settings(network, fuse_curves, config):
                               ).i_recloser[rec.id]
             grid = np.geomspace(lo, hi, 400)
             s = slope(rec.id, grid)
-            t_fuse = np.array([fuse_time(fuse_curves[lat.fuse], "mm",
-                                         float(i)) for i in grid])
+            t_fuse = np.array([fuse_time(fuse_curves[lat.fuse], float(i))
+                               for i in grid])
             finite = np.isfinite(t_fuse)
             limits = (t_fuse[finite] - config.fr_margin) / s[finite]
             if limits.size:
@@ -330,18 +331,21 @@ class TestDispatch:
         again = opt.solve_dispatch(scn.network.with_dg_outputs(first),
                                    available, scn.fuse_curves, config)[0]
         assert again == first
-        # so one pass of alternate is its own fixed point
-        trace, net, settings = opt.alternate(scn.network, scn.fuse_curves,
-                                             available, config)
-        assert len(trace.iterations) == 1
-        assert trace.iterations[0].dg_outputs == {
-            u.id: u.p_out for u in scn.network.with_dg_outputs(first).dg_units}
-        trace2, net2, settings2 = opt.alternate(net, scn.fuse_curves,
-                                                available, config,
-                                                initial_settings=settings)
-        assert net2 == net
-        assert settings2 == settings
-        assert trace2 == trace
+        # so one dispatch and settings pass is its own fixed point: a
+        # second pass from the re-dialed network it reached changes nothing
+        passes = []
+        net = scn.network
+        for _ in range(2):
+            study = opt.solve_dispatch(net, available, scn.fuse_curves,
+                                       config)[1]
+            settings = study.settings()
+            net = opt.apply_settings(study.network, settings)
+            passes.append((net, settings,
+                           opt.total_clearing_time(study, settings),
+                           opt.pair_slacks(study, scn.fuse_curves, config)))
+        assert passes[0][0].dg_units == \
+            scn.network.with_dg_outputs(first).dg_units
+        assert passes[1] == passes[0]
 
     def test_infeasibility_names_a_scenario_pair(self, five_node_scenario,
                                                  five_node_solution):
@@ -388,8 +392,7 @@ def bisected_pair_slacks(network, fuse_curves, config):
         def dial_cap(delta):
             best = math.inf
             for i, slope in zip(grid, slopes):
-                t_fuse = fuse_time(fuse_curves[fuse], "mm",
-                                   float(i) + delta)
+                t_fuse = fuse_time(fuse_curves[fuse], float(i) + delta)
                 if math.isinf(t_fuse):
                     continue
                 best = min(best, (t_fuse - config.fr_margin
@@ -586,9 +589,9 @@ class TestDispatchSearch:
 
 
 class TestRandomChains:
-    """The dispatch search, the reported slack and the coordination
-    verdicts after alternation on random radial chains with every DG unit
-    curtailable."""
+    """The dispatch search, the reported slack, and the coordination
+    verdicts and maximality of the dispatch and settings pass, on random
+    radial chains with every DG unit curtailable."""
 
     @settings(max_examples=25)  # six of them curtail; tier-1 stays short
     @given(radial_chains(), st.sampled_from((0.0, 0.01, 0.03)))
@@ -613,7 +616,7 @@ class TestRandomChains:
         slacks = opt.pair_slacks(study, fuse_curves, config)
         assert min(slacks.values(), default=0.0) >= 0.0
 
-    @settings(max_examples=30)  # 9 feasible, 5 curtail; tier-1 stays short
+    @settings(max_examples=30)  # 18 feasible, 6 curtail; tier-1 stays short
     @given(radial_chains(), st.sampled_from((0.01, 0.03, 0.1)))
     def test_verdicts_are_clean_after_alternation(self, fuse_curves, chain,
                                                   fr_margin):
@@ -621,18 +624,25 @@ class TestRandomChains:
         config = opt.OptimizerConfig(fr_margin=fr_margin, rr_margin=0.02,
                                      fault_impedance_floor=floor)
         available = {u.id: u.p_out for u in net.dg_units}
-        try:  # the start settings of alternate may be infeasible already
-            trace, final, _ = opt.alternate(net, fuse_curves, available,
-                                            config)
+        try:
+            study = opt.solve_dispatch(net, available, fuse_curves,
+                                       config)[1]
+            final = opt.apply_settings(study.network, study.settings())
         except opt.InfeasibleError:
-            return
-        if trace.stop_reason is opt.StopReason.INFEASIBLE:
             return
         pairs = coord.build_pairs(final, solve_distflow(final), fuse_curves,
                                   fr_margin, 0.02, floor)
         for pair, sweep in pairs:
             verdict = coord.check_pair(pair, sweep).failure_mode
             assert verdict is coord.FailureMode.NONE, pair.id
+        # and the dispatch is maximal: no curtailed unit can go any higher
+        for uid, ceiling in available.items():
+            output = final.dg(uid).p_out
+            if output < ceiling:
+                raised = final.with_dg_outputs(
+                    {uid: min(output + 1e-4, ceiling)})
+                assert not opt.settings_feasible_at(raised, fuse_curves,
+                                                    config), uid
 
 
 class TestPairSlacks:
@@ -700,28 +710,33 @@ class TestPairSlacks:
 
 
 class TestAlternate:
+    """The two sub-problems in turn: one dispatch, then the settings of
+    the state it set."""
+
     def test_five_node_converges_to_full_output(self, five_node_scenario):
         scn = five_node_scenario
+        config = scenario_config(scn)
         available = {u.id: u.p_out for u in scn.network.dg_units
                      if u.curtailable}
-        trace, net, settings = opt.alternate(scn.network, scn.fuse_curves,
-                                             available, scenario_config(scn))
-        assert trace.stop_reason is opt.StopReason.SLACK_FIXED_POINT
+        study = opt.solve_dispatch(scn.network, available,
+                                   scn.fuse_curves, config)[1]
+        study.settings()
         for uid, ceiling in available.items():
-            assert net.dg(uid).p_out == pytest.approx(ceiling)
-        assert all(s >= -1e-9 for it in trace.iterations
-                   for s in it.slacks.values())
+            assert study.network.dg(uid).p_out == pytest.approx(ceiling)
+        slacks = opt.pair_slacks(study, scn.fuse_curves, config)
+        assert all(s >= -1e-9 for s in slacks.values())
 
     def test_no_curtailable_units_converges_immediately(self,
                                                         five_node_scenario):
         scn = five_node_scenario
         config = opt.OptimizerConfig(fault_impedance_floor=0.15)
-        trace, net, settings = opt.alternate(scn.network, scn.fuse_curves,
-                                             {}, config)
-        assert trace.stop_reason is opt.StopReason.SLACK_FIXED_POINT
-        assert len(trace.iterations) == 1
+        outputs, study = opt.solve_dispatch(scn.network, {}, scn.fuse_curves,
+                                            config)
+        assert outputs == {}
+        assert study.network == scn.network
+        study.settings()
 
-    def test_dispatches_once(self, case_a_scenario, monkeypatch):
+    def test_dispatches_once(self, case_a_scenario, monkeypatch, tmp_path):
         scn = case_a_scenario
         calls = []
         solve_dispatch = opt.solve_dispatch
@@ -731,11 +746,10 @@ class TestAlternate:
             return solve_dispatch(*args, **kwargs)
 
         monkeypatch.setattr(opt, "solve_dispatch", counted)
-        available = {u.id: u.p_out for u in scn.network.dg_units
-                     if u.curtailable}
-        trace, _, _ = opt.alternate(scn.network, scn.fuse_curves, available,
-                                    scenario_config(scn))
-        assert trace.stop_reason is opt.StopReason.SLACK_FIXED_POINT
+        report, code = cli.cmd_optimize(scn, tmp_path)
+        assert code == cli.EXIT_OK
+        assert report.lines[0] == ("alternating optimization: "
+                                   "slack_fixed_point after 1 iterations")
         assert len(calls) == 1
 
     def test_baseline_settings_ignore_dg(self, five_node_scenario):
@@ -752,8 +766,8 @@ class TestOneStudyPerState:
     outputs of an earlier one in the same run or, in a time series, the
     same step."""
 
-    def test_alternate_on_case_a(self, case_a_scenario, monkeypatch):
-        scn = case_a_scenario
+    def test_optimize_on_case_a(self, case_a_scenario, monkeypatch,
+                                tmp_path):
         flows = []
         solve_distflow = opt.solve_distflow
 
@@ -762,10 +776,8 @@ class TestOneStudyPerState:
             return solve_distflow(network, *args, **kwargs)
 
         monkeypatch.setattr(opt, "solve_distflow", recorded)
-        available = {u.id: u.p_out for u in scn.network.dg_units
-                     if u.curtailable}
-        opt.alternate(scn.network, scn.fuse_curves, available,
-                      scenario_config(scn))
+        monkeypatch.setattr(cli, "solve_distflow", recorded)
+        assert cli.cmd_optimize(case_a_scenario, tmp_path)[1] == cli.EXIT_OK
         assert len(flows) == 18  # the no-DG baseline, then 17 probes
         assert len(set(flows)) == len(flows)
 
