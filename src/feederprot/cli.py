@@ -21,7 +21,7 @@ from . import coordination as coord
 from . import fault as flt
 from . import optimizer as opt
 from .curves import load_curve_families
-from .model import UnknownElementError
+from .model import UnknownElementError, validate
 from .netfile import (NetworkFileError, Scenario, dump_settings,
                       load_scenario, load_network, load_fuse_curves)
 from .power_flow import (PowerFlowDivergence, PowerFlowNotConverged,
@@ -186,9 +186,13 @@ def cmd_optimize(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
     # alternating the two; the report line keeps the alternation's wording
     # for existing parsers
     config = _config(scn)
-    settings = scn.initial_settings or opt.baseline_settings(
-        scn.network, scn.fuse_curves, config)
-    net = opt.apply_settings(scn.network, settings)
+    try:
+        settings = scn.initial_settings or opt.baseline_settings(
+            scn.network, scn.fuse_curves, config)
+        net = opt.apply_settings(scn.network, settings)
+    except opt.InfeasibleError:  # no start settings: no artifacts either
+        print("alternating optimization: infeasible after 0 iterations")
+        raise  # main names the pair on stderr
     rows: list[list] = []
     try:
         study = opt.solve_dispatch(net, _available(scn), scn.fuse_curves,
@@ -306,6 +310,9 @@ def _scenario_from_args(args) -> Scenario:
                              for c in r.sequence.curves)))
             for r in scn.network.reclosers)
         scn = replace(scn, network=replace(scn.network, reclosers=recs))
+        if problems := validate(scn.network):  # load flows check no device
+            raise NetworkFileError(f"invalid network: {problems[0].element}: "
+                                   f"{problems[0].rule}")
     return scn
 
 

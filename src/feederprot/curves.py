@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from importlib import resources
 
 NO_OPERATION = math.inf
@@ -167,25 +168,34 @@ class FuseCurve:
     name: str
     mm_points: tuple[tuple[float, float], ...]
     tc_points: tuple[tuple[float, float], ...]
+    # MM currents, negated times and the logs of both, for bisect lookups
+    mm_logs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        logs = {}
         for label, pts in (("mm", self.mm_points), ("tc", self.tc_points)):
             if len(pts) < 2:
                 raise ValueError(f"fuse {self.name}: {label} needs >= 2 points")
-            cur = [p[0] for p in pts]
-            tim = [p[1] for p in pts]
+            cur = tuple(p[0] for p in pts)
+            tim = tuple(p[1] for p in pts)
             if any(c <= 0 for c in cur) or any(t <= 0 for t in tim):
                 raise ValueError(f"fuse {self.name}: {label} points must be positive")
             if any(b <= a for a, b in zip(cur, cur[1:])):
                 raise ValueError(f"fuse {self.name}: {label} currents must increase")
             if any(b >= a for a, b in zip(tim, tim[1:])):
                 raise ValueError(f"fuse {self.name}: {label} times must decrease")
+            logs[label] = (cur, tuple(-t for t in tim),
+                           tuple(map(math.log, cur)), tuple(map(math.log, tim)))
+        object.__setattr__(self, "mm_logs", logs["mm"])
         # MM melts no later than TC clears wherever both are defined
         lo = max(self.mm_points[0][0], self.tc_points[0][0])
         hi = min(self.mm_points[-1][0], self.tc_points[-1][0])
+        mm, tc = logs["mm"], logs["tc"]
         for i, _ in self.mm_points:
             if lo <= i <= hi:
-                if _interp_loglog(self.mm_points, i) > _interp_loglog(self.tc_points, i):
+                logi = math.log(i)
+                if (_interp(mm[0], mm[2], mm[3], i, logi)
+                        > _interp(tc[0], tc[2], tc[3], i, logi)):
                     raise ValueError(
                         f"fuse {self.name}: MM above TC at current {i}"
                     )
@@ -194,15 +204,13 @@ class FuseCurve:
         return fuse_time(self, i_fault)
 
 
-def _interp_loglog(points, i_fault: float) -> float:
-    """Piecewise-linear interpolation in (log I, log t); no range checks."""
-    logi = math.log(i_fault)
-    for (i0, t0), (i1, t1) in zip(points, points[1:]):
-        if i_fault <= i1 or (i1, t1) == points[-1]:
-            l0, l1 = math.log(i0), math.log(i1)
-            frac = (logi - l0) / (l1 - l0)
-            return math.exp(math.log(t0) + frac * (math.log(t1) - math.log(t0)))
-    raise AssertionError("unreachable")
+def _interp(keys, log_x, log_y, key, logx: float) -> float:
+    """Log-log interpolation on the first segment whose right knot's key
+    (ascending) is at or above ``key``, the last one past the table."""
+    k = bisect_left(keys, key, 1, len(keys) - 1) - 1
+    l0, l1 = log_x[k], log_x[k + 1]
+    frac = (logx - l0) / (l1 - l0)
+    return math.exp(log_y[k] + frac * (log_y[k + 1] - log_y[k]))
 
 
 def fuse_time(curve: FuseCurve, i_fault: float) -> float:
@@ -212,12 +220,12 @@ def fuse_time(curve: FuseCurve, i_fault: float) -> float:
     NO_OPERATION is returned.  Above the last point the time is clamped
     to the final tabulated value.
     """
-    points = curve.mm_points
-    if i_fault < points[0][0]:
+    cur, _, log_i, log_t = curve.mm_logs
+    if i_fault < cur[0]:
         return NO_OPERATION
-    if i_fault > points[-1][0]:
-        return points[-1][1]
-    return _interp_loglog(points, i_fault)
+    if i_fault > cur[-1]:
+        return curve.mm_points[-1][1]
+    return _interp(cur, log_i, log_t, i_fault, math.log(i_fault))
 
 
 def fuse_inverse_current(curve: FuseCurve, t_target: float) -> float:
@@ -227,18 +235,13 @@ def fuse_inverse_current(curve: FuseCurve, t_target: float) -> float:
     over the tabulated band.  Out-of-band targets raise CurveRangeError.
     """
     points = curve.mm_points
-    if t_target > points[0][1] or t_target < points[-1][1]:
+    if not points[-1][1] <= t_target <= points[0][1]:
         raise CurveRangeError(
             f"fuse {curve.name}: time {t_target} s outside tabulated band "
             f"[{points[-1][1]}, {points[0][1]}]"
         )
-    logt = math.log(t_target)
-    for (i0, t0), (i1, t1) in zip(points, points[1:]):
-        if t_target >= t1:
-            l0, l1 = math.log(t0), math.log(t1)
-            frac = (logt - l0) / (l1 - l0)
-            return math.exp(math.log(i0) + frac * (math.log(i1) - math.log(i0)))
-    raise AssertionError("unreachable")
+    _, neg_t, log_i, log_t = curve.mm_logs
+    return _interp(neg_t, log_t, log_i, -t_target, math.log(t_target))
 
 
 def load_curve_families(path=None) -> dict[str, TCIConstants]:

@@ -164,8 +164,9 @@ class Network:
         return replace(self, dg_units=units)
 
 
-def validate(network: Network) -> list[Violation]:
-    """Check every structural invariant; violations are data, not errors."""
+def validate_flow(network: Network) -> list[Violation]:
+    """The invariants of what a load flow reads: chain, loads, DG units
+    and source.  A dispatch changes only DG outputs; validate adds devices."""
     out: list[Violation] = []
     n = network.n_nodes
 
@@ -229,7 +230,13 @@ def validate(network: Network) -> list[Violation]:
         out.append(Violation("source", "voltage outside [0.9, 1.1] pu"))
     if abs(src.impedance) <= 0:
         out.append(Violation("source", "source impedance magnitude must be > 0"))
+    return out
 
+
+def validate(network: Network) -> list[Violation]:
+    """Check every structural invariant; violations are data, not errors.
+    The load-flow checks first, then the reclosers, curves and bases."""
+    out = validate_flow(network)
     prev = -1
     seen_rec = set()
     for rec in network.reclosers:
@@ -237,7 +244,7 @@ def validate(network: Network) -> list[Violation]:
         if rec.id in seen_rec:
             out.append(Violation(name, "duplicate recloser id"))
         seen_rec.add(rec.id)
-        if not 0 <= rec.node < n:
+        if not 0 <= rec.node < network.n_nodes:
             out.append(Violation(name, f"node {rec.node} not on feeder"))
         if rec.node <= prev:
             out.append(Violation(name, "recloser nodes must strictly increase"))
@@ -253,4 +260,3 @@ def validate(network: Network) -> list[Violation]:
         out.append(Violation("bases", "base_mva and base_kv must be positive"))
 
     return out
-

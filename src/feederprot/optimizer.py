@@ -115,17 +115,22 @@ def _fuse_pairs(sub: SettingsSubproblem) -> list[PairStudy]:
     return [pd for pd in sub.pairs if pd.kind is PairKind.FUSE_RECLOSER]
 
 
-def _affine_slope(curve: RecloserCurve, pickup: float, current: float,
-                  pair: str) -> float:
-    """dT/dD at the given current with pickup frozen; T = slope*D + K."""
+def _dial_slope(curve: RecloserCurve, pickup: float,
+                pair: str) -> Callable[[float], float]:
+    """dT/dD at a current with pickup frozen, T = slope*D + K; the
+    curve's constants are read once, for every current of the pair."""
     c = curve.constants
-    mult = current / pickup
-    denom = mult ** c.m - c.c
-    if mult <= 1.0 or denom <= 0.0:
-        raise InfeasibleError(
-            pair, f"current {current:.4g} pu below operating region of pickup "
-                 f"{pickup:.4g} pu")
-    return c.a / denom + c.b
+    a, b, cc, m = c.a, c.b, c.c, c.m
+
+    def slope(current: float) -> float:
+        mult = current / pickup
+        denom = mult ** m - cc
+        if mult <= 1.0 or denom <= 0.0:
+            raise InfeasibleError(
+                pair, f"current {current:.4g} pu below operating region of "
+                      f"pickup {pickup:.4g} pu")
+        return a / denom + b
+    return slope
 
 
 def _solve_settings_at_pickups(network: Network, sub: SettingsSubproblem,
@@ -148,6 +153,7 @@ def _solve_settings_at_pickups(network: Network, sub: SettingsSubproblem,
     pickups = sub.pickup_lo
     curve = {rec.id: rec.sequence.coordinating_curve for rec in order}
     kconst = {rid: cv.constants.K for rid, cv in curve.items()}
+    fr_margin, rr_margin = config.fr_margin, config.rr_margin
 
     # per-device upper bound from its fuse pairs: the margin constraint
     # is quantified over the pair's current range, so one affine
@@ -157,15 +163,15 @@ def _solve_settings_at_pickups(network: Network, sub: SettingsSubproblem,
     for pd in _fuse_pairs(sub):
         fuse = fuse_curves[network.lateral(pd.backup).fuse]
         sw = pd.sweep
-        for i in current_grid(sw.i_primary_min, sw.i_primary_max):
-            t_fuse = fuse_time(fuse, float(i) + sw.delta)
+        slope_at = _dial_slope(curve[pd.primary], pickups[pd.primary], pd.id)
+        k, cap, delta = kconst[pd.primary], ub[pd.primary], sw.delta
+        for i in current_grid(sw.i_primary_min, sw.i_primary_max).tolist():
+            t_fuse = fuse_time(fuse, i + delta)
             if math.isinf(t_fuse):
                 continue  # fuse never melts here; no constraint at i
-            slope = _affine_slope(curve[pd.primary], pickups[pd.primary],
-                                  float(i), pd.id)
-            limit = (t_fuse - config.fr_margin - kconst[pd.primary]) / slope
-            if limit < ub[pd.primary]:
-                ub[pd.primary] = limit
+            limit = (t_fuse - fr_margin - k) / slope_at(i)
+            if limit < cap:
+                cap = ub[pd.primary] = limit
                 ub_pair[pd.primary] = pd.id
 
     rr_up = {pd.primary: pd for pd in sub.pairs
@@ -192,21 +198,21 @@ def _solve_settings_at_pickups(network: Network, sub: SettingsSubproblem,
             # current of the downstream device's range, its own current
             # lowered by the in-between DG disparity
             sw = pd.sweep
-            for i in current_grid(sw.i_primary_min, sw.i_primary_max):
-                slope_down = _affine_slope(curve[rec.id], pickups[rec.id],
-                                           float(i), pd.id)
-                i_up = float(i) - sw.delta
+            down = _dial_slope(curve[rec.id], pickups[rec.id], pd.id)
+            up = _dial_slope(curve[pd.backup], pickups[pd.backup], pd.id)
+            k_down, k_up = kconst[rec.id], kconst[pd.backup]
+            floor, delta = lb[pd.backup], sw.delta
+            for i in current_grid(sw.i_primary_min, sw.i_primary_max).tolist():
+                slope_down = down(i)
+                i_up = i - delta
                 if i_up <= 0:
                     raise InfeasibleError(
                         pd.id,
-                        f"disparity {sw.delta:.4g} pu swamps the backup "
+                        f"disparity {delta:.4g} pu swamps the backup "
                         f"current at {i:.4g} pu")
-                slope_up = _affine_slope(curve[pd.backup], pickups[pd.backup],
-                                         i_up, pd.id)
-                need = (config.rr_margin + slope_down * d + kconst[rec.id]
-                        - kconst[pd.backup]) / slope_up
-                if need > lb[pd.backup]:
-                    lb[pd.backup] = need
+                need = (rr_margin + slope_down * d + k_down - k_up) / up(i_up)
+                if need > floor:
+                    floor = lb[pd.backup] = need
                     room = TIME_DIAL_MAX + DIAL_TOL - need
                     headroom = min(headroom, room)
                     if room < 0 and first is None:
@@ -337,18 +343,19 @@ def pair_slacks(study: StateStudy, fuse_curves: dict[str, FuseCurve],
         fuse = fuse_curves[network.lateral(pd.backup).fuse]
         base = config.fr_margin + curve.constants.K
         dial = study.dials[pd.primary].time_dial - DIAL_TOL
+        slope_at = _dial_slope(curve, sub.pickup_lo[pd.primary], pd.id)
+        t_tail, (i_head, t_head) = fuse.mm_points[-1][1], fuse.mm_points[0]
         bound = MAX_DISPARITY_BOUND
         sw = pd.sweep
-        for i in current_grid(sw.i_primary_min, sw.i_primary_max):
-            t_need = dial * _affine_slope(curve, sub.pickup_lo[pd.primary],
-                                          float(i), pd.id) + base
-            if t_need <= fuse.mm_points[-1][1]:
+        for i in current_grid(sw.i_primary_min, sw.i_primary_max).tolist():
+            t_need = dial * slope_at(i) + base
+            if t_need <= t_tail:
                 continue
-            if t_need > fuse.mm_points[0][1]:
-                reach = fuse.mm_points[0][0]
+            if t_need > t_head:
+                reach = i_head
             else:
                 reach = fuse_inverse_current(fuse, t_need)
-            bound = min(bound, reach - float(i))
+            bound = min(bound, reach - i)
         slacks[pd.id] = max(bound, 0.0) - sw.delta
     return slacks
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import Network, validate
+from .model import Network, validate_flow
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 50
@@ -73,7 +73,8 @@ def solve_distflow(network: Network, tol: float = DEFAULT_TOL,
 
     Returns the best iterate with converged=False when max_iter is
     exhausted; raises PowerFlowDivergence on voltage collapse or runaway
-    flows and ValueError on an invalid network or bad arguments.
+    flows and ValueError on bad arguments or on a network that fails
+    validate_flow (the devices, which no sweep reads, are not checked).
 
     The sweeps run on lists of floats.  A scalar ``x ** 2`` is libm
     ``pow``, which can differ in the last bit from ``x * x`` (what a
@@ -84,7 +85,7 @@ def solve_distflow(network: Network, tol: float = DEFAULT_TOL,
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    violations = validate(network)
+    violations = validate_flow(network)
     if violations:
         raise ValueError(f"invalid network: {violations[0].element}: "
                          f"{violations[0].rule}")

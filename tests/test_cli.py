@@ -93,6 +93,23 @@ class TestExitCodes:
         assert (tmp_path / "settings_final.json").read_text() == \
             dump_settings(baseline)
 
+    def test_infeasible_start_reports_the_stop_reason(self, tmp_path,
+                                                      capsys):
+        # five-node: the no-DG design settings are infeasible; case A:
+        # the model rejects them (fast curve above slow)
+        for scenario, margins, pair in ((FIVE_NODE, "0.2,0.3", "R1-L1"),
+                                        (CASE_A, "0.1,0.48", "R2")):
+            out = tmp_path / margins
+            assert main(["optimize", "--scenario", scenario,
+                         "--margins", margins,
+                         "--out-dir", str(out)]) == EXIT_INFEASIBLE
+            captured = capsys.readouterr()
+            assert captured.out == \
+                "alternating optimization: infeasible after 0 iterations\n"
+            assert captured.err.startswith(
+                f"run failed: infeasible at pair {pair}: ")
+            assert not out.exists()  # no start settings, no artifacts
+
     def test_rejected_solved_dials_keep_the_dispatch(self, tmp_path,
                                                      monkeypatch):
         # when only the re-dial of the dispatched network fails, the
@@ -147,6 +164,24 @@ class TestOverrides:
                      "--out-dir", str(tmp_path)])
         assert code in (EXIT_OK, EXIT_INFEASIBLE)
         assert (tmp_path / "coordination.csv").exists()
+
+    def test_curve_family_is_validated(self, tmp_path, capsys):
+        # R2's slow curve at a lower pickup stays above its fast curve
+        # on very-inverse curves but not on extremely-inverse ones
+        doc = json.loads((fixtures_dir() / "five_node.json").read_text())
+        slow = doc["reclosers"][2]["curves"][1]
+        slow["pickup"], slow["time_dial"] = 0.1487, 0.3
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(doc))
+        args = ["powerflow", "--network", str(net),
+                "--out-dir", str(tmp_path / "out")]
+        assert main(args) == EXIT_OK
+        capsys.readouterr()
+        assert main(args + ["--curve-family", "extremely_inverse"]) \
+            == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(
+            "input error: invalid network: recloser[R2]: fast curve above "
+            "slow curve at ")
 
 
 class TestReproducibility:

@@ -14,6 +14,46 @@ from feederprot.curves import (
 VERY_INVERSE = TCIConstants(a=19.61, b=0.491, c=1.0, m=2.0, K=0.0)
 
 
+def _reference_interp_loglog(points, i_fault: float) -> float:
+    """Piecewise-linear interpolation in (log I, log t); no range checks."""
+    logi = math.log(i_fault)
+    for (i0, t0), (i1, t1) in zip(points, points[1:]):
+        if i_fault <= i1 or (i1, t1) == points[-1]:
+            l0, l1 = math.log(i0), math.log(i1)
+            frac = (logi - l0) / (l1 - l0)
+            return math.exp(math.log(t0) + frac * (math.log(t1) - math.log(t0)))
+    raise AssertionError("unreachable")
+
+
+def reference_fuse_time(curve: FuseCurve, i_fault: float) -> float:
+    """Reference: the MM lookup as the package did it before the tables'
+    logs were stored, walking the table and taking four logs per call."""
+    points = curve.mm_points
+    if i_fault < points[0][0]:
+        return NO_OPERATION
+    if i_fault > points[-1][0]:
+        return points[-1][1]
+    return _reference_interp_loglog(points, i_fault)
+
+
+def reference_fuse_inverse_current(curve: FuseCurve, t_target: float) -> float:
+    """Reference: the MM inverse as the package did it before the tables'
+    logs were stored."""
+    points = curve.mm_points
+    if t_target > points[0][1] or t_target < points[-1][1]:
+        raise CurveRangeError(
+            f"fuse {curve.name}: time {t_target} s outside tabulated band "
+            f"[{points[-1][1]}, {points[0][1]}]"
+        )
+    logt = math.log(t_target)
+    for (i0, t0), (i1, t1) in zip(points, points[1:]):
+        if t_target >= t1:
+            l0, l1 = math.log(t0), math.log(t1)
+            frac = (logt - l0) / (l1 - l0)
+            return math.exp(math.log(i0) + frac * (math.log(i1) - math.log(i0)))
+    raise AssertionError("unreachable")
+
+
 class TestRecloserCurveMath:
     def test_formula_oracle(self):
         # worked by hand: M = 5, D = 0.1
@@ -179,6 +219,66 @@ class TestFuseCurves:
         with pytest.raises(ValueError):
             FuseCurve(name="bad", mm_points=((2.0, 9.0), (4.0, 3.0)),
                       tc_points=mm)
+
+
+def _knots_and_neighbours(values) -> list[float]:
+    out = []
+    for v in values:
+        out += [v, math.nextafter(v, 0.0), math.nextafter(v, math.inf)]
+    return out
+
+
+def _log_uniform(lo: float, hi: float, n: int, seed: int) -> list[float]:
+    rng = np.random.default_rng(seed)
+    return np.exp(rng.uniform(math.log(lo), math.log(hi), n)).tolist()
+
+
+def _inverse_or_error(fn, curve, t):
+    try:
+        return fn(curve, t)
+    except CurveRangeError as exc:
+        return str(exc)
+
+
+class TestFuseTablesMatchReference:
+    """The stored-log lookups return the reference's value bit for bit."""
+
+    SAMPLES = 100_000
+
+    @pytest.mark.parametrize("name", sorted(load_fuse_curves()))
+    def test_fuse_time(self, name):
+        fuse = load_fuse_curves()[name]
+        cur = [i for i, _ in fuse.mm_points]
+        xs = (_knots_and_neighbours(cur)
+              + [0.0, -1.0, math.inf, math.nan]
+              + _log_uniform(cur[0] / 2, cur[-1] * 2, self.SAMPLES, 1))
+        ref = [reference_fuse_time(fuse, i) for i in xs]
+        new = [fuse_time(fuse, i) for i in xs]
+        assert np.array_equal(ref, new, equal_nan=True)
+
+    @pytest.mark.parametrize("name", sorted(load_fuse_curves()))
+    def test_fuse_inverse_current(self, name):
+        fuse = load_fuse_curves()[name]
+        tim = [t for _, t in fuse.mm_points]
+        ts = (_knots_and_neighbours(tim) + [0.0, math.inf]
+              + _log_uniform(tim[-1] / 1.1, tim[0] * 1.1, self.SAMPLES, 2))
+        ref = [_inverse_or_error(reference_fuse_inverse_current, fuse, t)
+               for t in ts]
+        new = [_inverse_or_error(fuse_inverse_current, fuse, t) for t in ts]
+        assert ref == new
+        # a nan target is out of band now; the reference ran off its loop
+        with pytest.raises(AssertionError, match="unreachable"):
+            reference_fuse_inverse_current(fuse, math.nan)
+        with pytest.raises(CurveRangeError, match="time nan s outside"):
+            fuse_inverse_current(fuse, math.nan)
+
+    def test_mm_above_tc_still_rejected(self):
+        # the MM-vs-TC check interpolates through the same routine
+        mm = ((2.0, 8.0), (4.0, 3.0), (8.0, 1.0))
+        tc = ((2.0, 9.0), (3.0, 2.9), (8.0, 1.5))
+        assert reference_fuse_time(FuseCurve("tc", tc, tc), 4.0) < 3.0
+        with pytest.raises(ValueError, match="MM above TC at current 4.0"):
+            FuseCurve(name="bad", mm_points=mm, tc_points=tc)
 
 
 class TestDataFiles:

@@ -11,7 +11,7 @@ from feederprot.model import (AsynchronousParams, DGKind, DGUnit,
                               FeederSection, InverterParams, Lateral, Network,
                               RecloserPlacement, SubstationSource,
                               SynchronousParams, UnknownElementError,
-                              validate)
+                              validate, validate_flow)
 
 VI = TCIConstants(a=19.61, b=0.491, c=1.0, m=2.0, K=0.0)
 
@@ -125,6 +125,21 @@ class TestValidate:
     def test_bases_positive(self):
         net = base_network(base_mva=0.0)
         self.assert_violated(net, "must be positive")
+
+    def test_load_flow_checks_come_first_and_skip_the_devices(self):
+        seq = ReclosingSequence(curves=(curve("fast", dial=0.9),
+                                        curve("slow", dial=0.1)),
+                                pattern="F-S")
+        net = base_network(
+            laterals=(Lateral(1, 1, -0.2, 0.0, "fa"),),
+            reclosers=(relay(), RecloserPlacement("R1", 1, seq)),
+            base_kv=0.0)
+        flow = validate_flow(net)
+        assert {v.element for v in flow} == {"lateral[1]"}
+        full = validate(net)
+        assert full[:len(flow)] == flow
+        assert [v.element for v in full[len(flow):]] == ["recloser[R1]",
+                                                          "bases"]
 
 
 class TestAccessors:

@@ -147,27 +147,134 @@ def grid_search_settings(network, fuse_curves, config):
         (chain[1][0], chain[1][1], chain[1][2], chain[1][3]),
         (chain[0][0], chain[0][1], chain[0][2], chain[0][3]))
     # chain[1]: middle -> terminal, chain[0]: head -> middle
+    # the least head dial each middle dial needs, for every grid middle
+    # dial at once: the first grid dial at or above the need, if capped
+    need_head = (base2[None, :] + beta2[None, :] * D_GRID[:, None]).max(axis=1)
+    first = np.searchsorted(D_GRID, need_head - 1e-12, side="left")
+    head_ok = first < D_GRID.size
+    d_head = D_GRID[np.minimum(first, D_GRID.size - 1)]
+    head_ok &= d_head <= cap[u_id]
     best = math.inf
     best_dials = None
     for d_term in D_GRID:
         if d_term > cap[d1_id]:
             continue
         need_mid = float((base1 + beta1 * d_term).max())
-        for d_mid in D_GRID[(D_GRID >= need_mid - 1e-12)
-                            & (D_GRID <= cap[m_id])]:
-            need_head = float((base2 + beta2 * d_mid).max())
-            feas = D_GRID[(D_GRID >= need_head - 1e-12)
-                          & (D_GRID <= cap[u_id])]
-            if not feas.size:
-                continue
-            d_head = float(feas[0])
-            obj = (d_term * t_at_max[d1_id] + d_mid * t_at_max[m_id]
-                   + d_head * t_at_max[u_id])
-            if obj < best:
-                best = obj
-                best_dials = {d1_id: float(d_term), m_id: float(d_mid),
-                              u_id: d_head}
+        mids = np.flatnonzero((D_GRID >= need_mid - 1e-12)
+                              & (D_GRID <= cap[m_id]) & head_ok)
+        if not mids.size:
+            continue
+        obj = (d_term * t_at_max[d1_id] + D_GRID[mids] * t_at_max[m_id]
+               + d_head[mids] * t_at_max[u_id])
+        k = int(np.argmin(obj))  # the first of equal minima, as a scan
+        if obj[k] < best:
+            best = float(obj[k])
+            best_dials = {d1_id: float(d_term), m_id: float(D_GRID[mids[k]]),
+                          u_id: float(d_head[mids[k]])}
     return best, best_dials
+
+
+def _reference_affine_slope(curve: RecloserCurve, pickup: float,
+                            current: float, pair: str) -> float:
+    """dT/dD at the given current with pickup frozen; T = slope*D + K."""
+    c = curve.constants
+    mult = current / pickup
+    denom = mult ** c.m - c.c
+    if mult <= 1.0 or denom <= 0.0:
+        raise opt.InfeasibleError(
+            pair, f"current {current:.4g} pu below operating region of pickup "
+                 f"{pickup:.4g} pu")
+    return c.a / denom + c.b
+
+
+def reference_ladder(network, sub, fuse_curves, config):
+    """Reference: the dial ladder as the package ran it before each
+    pair's slope constants were read once, one slope call per sample."""
+    order = list(network.reclosers)
+    pickups = sub.pickup_lo
+    curve = {rec.id: rec.sequence.coordinating_curve for rec in order}
+    kconst = {rid: cv.constants.K for rid, cv in curve.items()}
+
+    ub = {rec.id: opt.TIME_DIAL_MAX for rec in order}
+    ub_pair = {}
+    for pd in opt._fuse_pairs(sub):
+        fuse = fuse_curves[network.lateral(pd.backup).fuse]
+        sw = pd.sweep
+        for i in coord.current_grid(sw.i_primary_min, sw.i_primary_max):
+            t_fuse = fuse_time(fuse, float(i) + sw.delta)
+            if math.isinf(t_fuse):
+                continue  # fuse never melts here; no constraint at i
+            slope = _reference_affine_slope(curve[pd.primary],
+                                            pickups[pd.primary], float(i),
+                                            pd.id)
+            limit = (t_fuse - config.fr_margin - kconst[pd.primary]) / slope
+            if limit < ub[pd.primary]:
+                ub[pd.primary] = limit
+                ub_pair[pd.primary] = pd.id
+
+    rr_up = {pd.primary: pd for pd in sub.pairs
+             if pd.kind is coord.PairKind.RECLOSER_RECLOSER}
+    lb = {rec.id: opt.TIME_DIAL_MIN for rec in order}
+    dial = {}
+    headroom = math.inf
+    first = None
+    try:
+        for rec in reversed(order):
+            d = lb[rec.id]
+            room = ub[rec.id] + opt.DIAL_TOL - d
+            headroom = min(headroom, room)
+            if room < 0 and first is None:
+                first = opt.InfeasibleError(
+                    ub_pair.get(rec.id, rec.id),
+                    f"needs D >= {d:.4f} but fuse pair caps it at "
+                    f"{ub[rec.id]:.4f}")
+            dial[rec.id] = d
+            pd = rr_up.get(rec.id)
+            if pd is None:
+                continue
+            sw = pd.sweep
+            for i in coord.current_grid(sw.i_primary_min, sw.i_primary_max):
+                slope_down = _reference_affine_slope(
+                    curve[rec.id], pickups[rec.id], float(i), pd.id)
+                i_up = float(i) - sw.delta
+                if i_up <= 0:
+                    raise opt.InfeasibleError(
+                        pd.id,
+                        f"disparity {sw.delta:.4g} pu swamps the backup "
+                        f"current at {i:.4g} pu")
+                slope_up = _reference_affine_slope(
+                    curve[pd.backup], pickups[pd.backup], i_up, pd.id)
+                need = (config.rr_margin + slope_down * d + kconst[rec.id]
+                        - kconst[pd.backup]) / slope_up
+                if need > lb[pd.backup]:
+                    lb[pd.backup] = need
+                    room = opt.TIME_DIAL_MAX + opt.DIAL_TOL - need
+                    headroom = min(headroom, room)
+                    if room < 0 and first is None:
+                        first = opt.InfeasibleError(
+                            pd.id,
+                            f"backup needs D = {need:.4f} > "
+                            f"{opt.TIME_DIAL_MAX}")
+    except opt.InfeasibleError as exc:
+        if first is None:
+            raise
+        raise first from exc
+    return {rid: RecloserSettings(pickup=pickups[rid],
+                                  time_dial=min(d, opt.TIME_DIAL_MAX))
+            for rid, d in dial.items()}, headroom, first
+
+
+def ladder_outcome(ladder, network, fuse_curves, config):
+    """What a ladder gives at the network as dispatched: its dials,
+    headroom and first violation (pair and message), or what it raised."""
+    sol = solve_distflow(network, tol=config.powerflow_tol)
+    sub = opt.build_settings_subproblem(network, sol, config)
+    try:
+        dials, headroom, first = ladder(network, sub, fuse_curves, config)
+    except Exception as exc:  # noqa: BLE001 -- compared as data
+        return "raised", type(exc), getattr(exc, "pair", None), str(exc)
+    return ("solved", dials, headroom,
+            None if first is None else (first.pair, str(first)))
 
 
 @pytest.fixture(scope="module")
@@ -252,6 +359,86 @@ class TestSettingsOptimality:
             opt.study_state(scn.network, scn.fuse_curves, config).settings()
         assert exc.value.pair
         assert "infeasible at pair" in str(exc.value)
+
+
+    @settings(max_examples=40)  # 21 reach the grid search, 15 solvable
+    @given(radial_chains(), st.sampled_from((0.0, 0.05, 0.1)),
+           st.sampled_from((0.02, 0.1, 0.3)))
+    def test_random_chains_match_grid_search(self, fuse_curves, chain,
+                                             fr_margin, rr_margin):
+        # the grid search assumes K = 0, as every chain's curves have, and
+        # no DG disparity, and enumerates two or three reclosers
+        net, floor = chain
+        net = replace(net, dg_units=(), reclosers=net.reclosers[:3])
+        config = opt.OptimizerConfig(fr_margin=fr_margin, rr_margin=rr_margin,
+                                     fault_impedance_floor=floor)
+        study = opt.study_state(net, fuse_curves, config)
+        if study.headroom is None:
+            return  # an empty pickup rule: the grid search has no pickups
+        best, dials = grid_search_settings(net, fuse_curves, config)
+        if study.error is not None:
+            assert dials is None
+            return
+        assert dials is not None
+        objective = opt.total_clearing_time(study, study.dials)
+        # no grid point beats the ladder, and the grid's best lies within
+        # one grid step of every dial's clearing time
+        per_dial = opt.total_clearing_time(
+            study, {rid: replace(st_, time_dial=1.0)
+                    for rid, st_ in study.dials.items()})
+        assert objective <= best + 1e-12
+        assert best - objective <= 1e-3 * per_dial
+
+
+class TestLadderMatchesReference:
+    """The ladder returns the reference ladder's dials, headroom and
+    verdict bit for bit, and raises what it raises."""
+
+    @staticmethod
+    def with_offsets(network):
+        """Every recloser's curves with its own K > 0, so the offsets
+        enter each bound (the shipped families all have K = 0)."""
+        return replace(network, reclosers=tuple(
+            replace(rec, sequence=replace(rec.sequence, curves=tuple(
+                replace(cv, constants=replace(cv.constants,
+                                              K=0.0137 * (k + 1)))
+                for cv in rec.sequence.curves)))
+            for k, rec in enumerate(network.reclosers)))
+
+    @pytest.mark.parametrize("offsets", (False, True))
+    @pytest.mark.parametrize("fixture", ("five_node_scenario",
+                                         "case_a_scenario",
+                                         "case_b_scenario"))
+    def test_fixtures(self, fixture, offsets, fuse_curves, request):
+        scn = request.getfixturevalue(fixture)
+        base = self.with_offsets(scn.network) if offsets else scn.network
+        outcomes = set()
+        for margins in ((scn.fr_margin, scn.rr_margin), (0.2, 0.3),
+                        (0.05, 0.45)):
+            config = replace(scenario_config(scn), fr_margin=margins[0],
+                             rr_margin=margins[1])
+            for scale in (0.0, 0.5, 1.0):
+                net = base.with_dg_outputs(
+                    {u.id: scale * u.p_out for u in base.dg_units})
+                expect = ladder_outcome(reference_ladder, net, fuse_curves,
+                                        config)
+                got = ladder_outcome(opt._solve_settings_at_pickups, net,
+                                     fuse_curves, config)
+                assert got == expect, (margins, scale)
+                outcomes.add((expect[0], expect[-1] is None))
+        assert ("solved", True) in outcomes  # some state is solvable
+
+    @settings(max_examples=30)
+    @given(radial_chains(), st.sampled_from((0.0, 0.05, 0.1)),
+           st.sampled_from((0.02, 0.1, 0.3)))
+    def test_random_chains(self, fuse_curves, chain, fr_margin, rr_margin):
+        net, floor = chain
+        net = self.with_offsets(net)
+        config = opt.OptimizerConfig(fr_margin=fr_margin, rr_margin=rr_margin,
+                                     fault_impedance_floor=floor)
+        assert ladder_outcome(opt._solve_settings_at_pickups, net,
+                              fuse_curves, config) == \
+            ladder_outcome(reference_ladder, net, fuse_curves, config)
 
 
 class TestApplySettings:
@@ -386,8 +573,8 @@ def bisected_pair_slacks(network, fuse_curves, config):
         need = dials[pd.primary].time_dial - opt.DIAL_TOL
         grid = coord.current_grid(pd.sweep.i_primary_min,
                                   pd.sweep.i_primary_max)
-        slopes = [opt._affine_slope(curve, pickups[pd.primary], float(i),
-                                    pd.id) for i in grid]
+        slope_at = opt._dial_slope(curve, pickups[pd.primary], pd.id)
+        slopes = [slope_at(float(i)) for i in grid]
 
         def dial_cap(delta):
             best = math.inf
