@@ -228,12 +228,16 @@ def cmd_timeseries(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
     if steps < 1:
         raise NetworkFileError("timeseries needs a profile of length >= 1")
     config = _config(scn)
-    settings = scn.initial_settings or opt.baseline_settings(
-        scn.network, scn.fuse_curves, config)
-    net = opt.apply_settings(scn.network, settings)
-    degraded = False
     lines = [f"time-series run: {steps} steps, dispatch every "
              f"{scn.dispatch_every}, settings every {scn.settings_every}"]
+    try:
+        settings = scn.initial_settings or opt.baseline_settings(
+            scn.network, scn.fuse_curves, config)
+        net = opt.apply_settings(scn.network, settings)
+    except opt.InfeasibleError:  # no start settings: no artifacts either
+        print(lines[0])
+        raise  # main names the pair on stderr
+    degraded = False
     rows: list[list] = []
     dg_ids = [u.id for u in scn.network.dg_units]
     rec_ids = [r.id for r in scn.network.reclosers]

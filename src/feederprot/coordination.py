@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -57,6 +58,11 @@ class PairSweep:
     i_primary_max: float
     i_primary_min: float
     delta: float  # disparity between the pair's currents
+
+    @cached_property
+    def grid(self) -> list[float]:
+        """The sweep's current samples (current_grid), built once."""
+        return current_grid(self.i_primary_min, self.i_primary_max).tolist()
 
 
 @dataclass(frozen=True)
@@ -104,20 +110,18 @@ def check_pair(pair: CoordinationPair, sweep: PairSweep) -> CoordinationReport:
     the disparity.  The range condition is the operating order (primary
     no slower than backup) at both ends of the sweep.
     """
-    grid = current_grid(sweep.i_primary_min, sweep.i_primary_max)
-
     samples = []
     worst = math.inf
-    worst_i = grid[0]
-    for i in grid:
-        tp = pair.primary.time_at(float(i))
-        ib = _backup_current(pair, sweep, float(i))
+    worst_i = sweep.grid[0]
+    for i in sweep.grid:
+        tp = pair.primary.time_at(i)
+        ib = _backup_current(pair, sweep, i)
         tb = pair.backup.time_at(ib) if ib > 0 else NO_OPERATION
-        samples.append((float(i), tp, tb))
+        samples.append((i, tp, tb))
         margin = math.inf if math.isinf(tp) or math.isinf(tb) else tb - tp
         if margin < worst:
             worst = margin
-            worst_i = float(i)
+            worst_i = i
 
     # the endpoint condition with linked currents is the range check: the
     # backup-side current at the top endpoint exceeding the curve-crossing
@@ -223,7 +227,7 @@ def build_pairs(network: Network, sol: PowerFlowSolution,
                 ) -> list[tuple[CoordinationPair, PairSweep]]:
     """Every fuse-recloser and recloser-recloser pair of the network as
     given, with the currents it sees there."""
-    kernel = flt.fault_kernel(network, sol, range(network.n_nodes))
+    kernel = flt.fault_kernel(network, sol)
     pairs, _ = study_pairs(kernel, fault_impedance_floor)
     out: list[tuple[CoordinationPair, PairSweep]] = []
     for a in pairs:

@@ -6,12 +6,12 @@ inverter DG become constant current injections or switch off; the
 substation is its configured voltage behind the source impedance.
 
 Each operating state is factored once by the Z-bus (Thevenin) method
-(Grainger & Stevenson, *Power System Analysis*, ch. 10): one solve of
-the nodal admittance matrix against every source injection I_s and a
-unit current at each requested fault node gives each source's
-open-circuit voltage V_oc[k, s] = Z[k, j_s] * I_s and the driving-point
-impedance Z[k, k].  By superposition a fault at node k through z_f
-(zero when bolted) draws V_oc[k, s] / (Z[k, k] + z_f) from source s.
+(Grainger & Stevenson, *Power System Analysis*, ch. 10), specialised to
+the chain: two scalar passes give every node's driving-point impedance
+Z[k, k] and each source's open-circuit voltage V_oc[k, s] = Z[k, j_s] * I_s
+from its injection I_s at node j_s, in O(n * m) for n nodes, m sources.
+By superposition a fault at node k through z_f (zero when bolted) draws
+V_oc[k, s] / (Z[k, k] + z_f) from source s.
 
 Device currents follow the directional accounting of radial feeders: a
 fuse sees every source, a directional recloser only the substation and
@@ -153,16 +153,15 @@ def _recloser_current(network: Network, recloser_node: int, i_sub, i_dg):
 
 @dataclass(frozen=True)
 class FaultKernel:
-    """Every three-phase fault of one operating state, from one solve.
+    """Every three-phase fault of one operating state, from one reduction.
 
-    ``v_oc[r, s]`` is source s's open-circuit voltage at the fault node
-    of row r and ``z_kk[r]`` that node's driving-point impedance; the
-    sources are the substation, then every DG unit in feeder order (a
-    unit that is off injects nothing, so its column is zero).
+    ``v_oc[k, s]`` is source s's open-circuit voltage at node k and
+    ``z_kk[k]`` that node's driving-point impedance; the sources are the
+    substation, then every DG unit in feeder order (a unit that is off
+    injects nothing, so its column is zero).
     """
 
     network: Network
-    row: dict[int, int]  # fault node -> row of v_oc and z_kk
     v_oc: np.ndarray
     z_kk: np.ndarray
 
@@ -170,9 +169,8 @@ class FaultKernel:
                       fault_impedance: float) -> np.ndarray:
         """Complex current each source feeds a fault at each of the nodes,
         one row per node, one column per source."""
-        rows = [self.row[k] for k in nodes]
-        return (self.v_oc[rows]
-                / (self.z_kk[rows] + fault_impedance)[:, np.newaxis])
+        return (self.v_oc[nodes]
+                / (self.z_kk[nodes] + fault_impedance)[:, np.newaxis])
 
     def source_currents(self, nodes: Sequence[int], fault_impedance: float,
                         ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
@@ -227,69 +225,63 @@ class FaultKernel:
         )
 
 
-def _section_admittance(network: Network) -> np.ndarray:
-    """Nodal admittance matrix of the feeder sections alone.
+def fault_kernel(network: Network, sol: PowerFlowSolution) -> FaultKernel:
+    """Factor one operating state for a fault at every node.
 
-    The sections form a chain, so no index repeats within one scatter.
-    The receiving ends go first, so each node adds its two section
-    admittances in feeder order, and the off-diagonals are subtracted
-    from zero: the bits of stamping one section at a time, signed zeros
-    included.
-    """
-    adm = np.array([1.0 / complex(s.r, s.x) for s in network.sections],
-                   dtype=complex)
-    frm = np.array([s.from_node for s in network.sections], dtype=int)
-    to = np.array([s.to_node for s in network.sections], dtype=int)
-    n = network.n_nodes
-    y = np.zeros((n, n), dtype=complex)
-    y[to, to] += adm
-    y[frm, frm] += adm
-    y[frm, to] -= adm
-    y[to, frm] -= adm
-    return y
-
-
-def fault_kernel(network: Network, sol: PowerFlowSolution,
-                 nodes: Sequence[int]) -> FaultKernel:
-    """Factor one operating state for faults at the given nodes.
-
-    Y holds the feeder sections and the shunts of the substation and of
-    every voltage-behind-impedance DG; the right-hand sides are each
-    source's injection and a unit current at each requested node.
+    ``up[k]`` is the admittance node k sees upstream, its shunt included,
+    ``down[k]`` the one it sees through section k: Z[k, k] = 1 / (up[k] +
+    down[k]).  Each section divides a source's open-circuit voltage by
+    the factor its reduction used, outward from I_s * Z[j, j] at the tap.
     Raises PowerFlowNotConverged, through the DG terminal voltages, when
     ``sol`` did not converge.
     """
     models = build_all_fault_models(network, sol)
     n = network.n_nodes
-    y = _section_admittance(network)
-
-    m = 1 + len(network.dg_units)  # source columns
-    unit_cols = m + np.arange(len(nodes))
-    rhs = np.zeros((n, m + len(nodes)), dtype=complex)
-    rhs[nodes, unit_cols] = 1.0
+    z = [complex(s.r, s.x) for s in network.sections]
     z_src = network.source.impedance
-    y[0, 0] += 1.0 / z_src
-    rhs[0, 0] = network.source.voltage / z_src
-    for col, unit in enumerate(network.dg_units, start=1):
-        fm = models[unit.id]
+    shunt = [1.0 / z_src] + [0j] * (n - 1)
+    sources = [(0, network.source.voltage / z_src)]
+    for unit in network.dg_units:
+        fm, tap = models[unit.id], unit.tap_node
         if fm.kind is FaultModelKind.VOLTAGE_BEHIND_IMPEDANCE:
-            y[unit.tap_node, unit.tap_node] += 1.0 / fm.thevenin.impedance
-            rhs[unit.tap_node, col] = fm.thevenin.emf / fm.thevenin.impedance
+            shunt[tap] += 1.0 / fm.thevenin.impedance
+            sources.append((tap, fm.thevenin.emf / fm.thevenin.impedance))
         elif fm.kind is FaultModelKind.CONSTANT_CURRENT:
             # injected in quadrature with the pre-fault voltage, matching
             # the phase of a current driven through the coupling reactance
-            rhs[unit.tap_node, col] = -1j * fm.i_const
-        # OFF contributes nothing and adds no shunt
+            sources.append((tap, -1j * fm.i_const))
+        else:  # OFF injects nothing and adds no shunt
+            sources.append((tap, 0j))
 
-    volts = np.linalg.solve(y, rhs)
-    return FaultKernel(network=network, row={k: r for r, k in enumerate(nodes)},
-                       v_oc=volts[nodes, :m], z_kk=volts[nodes, unit_cols])
+    # section k's divider seen from node k + 1 (up) and from node k
+    # (down); neither divides by the zero admittance past an open end
+    up, up_div = [shunt[0]] * n, [0j] * (n - 1)
+    for k in range(1, n):
+        up_div[k - 1] = 1.0 + z[k - 1] * up[k - 1]
+        up[k] = shunt[k] + up[k - 1] / up_div[k - 1]
+    down, down_div = [0j] * n, [0j] * (n - 1)
+    for k in reversed(range(n - 1)):
+        y = shunt[k + 1] + down[k + 1]
+        down_div[k] = 1.0 + z[k] * y
+        down[k] = y / down_div[k]
+    z_kk = [1.0 / (u + d) for u, d in zip(up, down)]
+
+    v_oc = np.zeros((n, len(sources)), dtype=complex)
+    for col, (j, current) in enumerate(sources):
+        v = [0j] * n
+        v[j] = current * z_kk[j]
+        for k in reversed(range(j)):
+            v[k] = v[k + 1] / up_div[k]
+        for k in range(j, n - 1):
+            v[k + 1] = v[k] / down_div[k]
+        v_oc[:, col] = v
+    return FaultKernel(network=network, v_oc=v_oc, z_kk=np.array(z_kk))
 
 
 def solve_fault(network: Network, sol: PowerFlowSolution,
                 location: FaultLocation,
                 fault_impedance: float = 0.0) -> FaultStudy:
     """Solve one three-phase fault on its own kernel (see FaultKernel.study)."""
-    node = _fault_node(network, location)
-    return fault_kernel(network, sol, [node]).study(location, fault_impedance)
+    _fault_node(network, location)  # an unknown location is an input error
+    return fault_kernel(network, sol).study(location, fault_impedance)
 

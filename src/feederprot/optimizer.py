@@ -44,7 +44,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from . import fault as flt
-from .coordination import PairKind, PairStudy, current_grid, study_pairs
+from .coordination import PairKind, PairStudy, study_pairs
 from .curves import (TIME_DIAL_MAX, TIME_DIAL_MIN, FuseCurve, RecloserCurve,
                      RecloserSettings, fuse_inverse_current, fuse_time)
 from .model import Network
@@ -99,7 +99,7 @@ def _load_current(network: Network, sol: PowerFlowSolution, node: int) -> float:
 def build_settings_subproblem(network: Network, sol: PowerFlowSolution,
                               config: OptimizerConfig) -> SettingsSubproblem:
     """Freeze the fault-current data that linearizes the settings problem."""
-    kernel = flt.fault_kernel(network, sol, range(network.n_nodes))
+    kernel = flt.fault_kernel(network, sol)
     floor = config.fault_impedance_floor
     pairs, zones = study_pairs(kernel, floor)
     return SettingsSubproblem(
@@ -162,10 +162,9 @@ def _solve_settings_at_pickups(network: Network, sub: SettingsSubproblem,
     ub_pair: dict[str, str] = {}
     for pd in _fuse_pairs(sub):
         fuse = fuse_curves[network.lateral(pd.backup).fuse]
-        sw = pd.sweep
         slope_at = _dial_slope(curve[pd.primary], pickups[pd.primary], pd.id)
-        k, cap, delta = kconst[pd.primary], ub[pd.primary], sw.delta
-        for i in current_grid(sw.i_primary_min, sw.i_primary_max).tolist():
+        k, cap, delta = kconst[pd.primary], ub[pd.primary], pd.sweep.delta
+        for i in pd.sweep.grid:
             t_fuse = fuse_time(fuse, i + delta)
             if math.isinf(t_fuse):
                 continue  # fuse never melts here; no constraint at i
@@ -197,12 +196,11 @@ def _solve_settings_at_pickups(network: Network, sub: SettingsSubproblem,
             # the backup must clear at least rr_margin later at every
             # current of the downstream device's range, its own current
             # lowered by the in-between DG disparity
-            sw = pd.sweep
             down = _dial_slope(curve[rec.id], pickups[rec.id], pd.id)
             up = _dial_slope(curve[pd.backup], pickups[pd.backup], pd.id)
             k_down, k_up = kconst[rec.id], kconst[pd.backup]
-            floor, delta = lb[pd.backup], sw.delta
-            for i in current_grid(sw.i_primary_min, sw.i_primary_max).tolist():
+            floor, delta = lb[pd.backup], pd.sweep.delta
+            for i in pd.sweep.grid:
                 slope_down = down(i)
                 i_up = i - delta
                 if i_up <= 0:
@@ -346,8 +344,7 @@ def pair_slacks(study: StateStudy, fuse_curves: dict[str, FuseCurve],
         slope_at = _dial_slope(curve, sub.pickup_lo[pd.primary], pd.id)
         t_tail, (i_head, t_head) = fuse.mm_points[-1][1], fuse.mm_points[0]
         bound = MAX_DISPARITY_BOUND
-        sw = pd.sweep
-        for i in current_grid(sw.i_primary_min, sw.i_primary_max).tolist():
+        for i in pd.sweep.grid:
             t_need = dial * slope_at(i) + base
             if t_need <= t_tail:
                 continue
@@ -356,7 +353,7 @@ def pair_slacks(study: StateStudy, fuse_curves: dict[str, FuseCurve],
             else:
                 reach = fuse_inverse_current(fuse, t_need)
             bound = min(bound, reach - i)
-        slacks[pd.id] = max(bound, 0.0) - sw.delta
+        slacks[pd.id] = max(bound, 0.0) - pd.sweep.delta
     return slacks
 
 

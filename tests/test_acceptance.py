@@ -36,7 +36,7 @@ def test_01_recloser_fault_current_table(case_a_scenario):
     maximum fault currents within 15 percent, without DG."""
     start = time.monotonic()
     net = replace(case_a_scenario.network, dg_units=())
-    kernel = flt.fault_kernel(net, solve_distflow(net), range(net.n_nodes))
+    kernel = flt.fault_kernel(net, solve_distflow(net))
     _, zones = coord.study_pairs(kernel,
                                  case_a_scenario.fault_impedance_floor)
     targets = {"R1": 2975.0, "R2": 2445.0, "R3": 1823.0}

@@ -95,17 +95,21 @@ class TestExitCodes:
 
     def test_infeasible_start_reports_the_stop_reason(self, tmp_path,
                                                       capsys):
-        # five-node: the no-DG design settings are infeasible; case A:
-        # the model rejects them (fast curve above slow)
-        for scenario, margins, pair in ((FIVE_NODE, "0.2,0.3", "R1-L1"),
-                                        (CASE_A, "0.1,0.48", "R2")):
-            out = tmp_path / margins
-            assert main(["optimize", "--scenario", scenario,
+        # five-node: the no-DG design settings are infeasible; case A
+        # and B: the model rejects them (fast curve above slow); a time
+        # series prints its header line before it stops
+        stopped = "alternating optimization: infeasible after 0 iterations"
+        header = "time-series run: 24 steps, dispatch every 1, settings every 5"
+        for command, scenario, margins, pair, line in (
+                ("optimize", FIVE_NODE, "0.2,0.3", "R1-L1", stopped),
+                ("optimize", CASE_A, "0.1,0.48", "R2", stopped),
+                ("timeseries", str(CASE_B), "0.1,0.48", "R2", header)):
+            out = tmp_path / command / margins
+            assert main([command, "--scenario", scenario,
                          "--margins", margins,
                          "--out-dir", str(out)]) == EXIT_INFEASIBLE
             captured = capsys.readouterr()
-            assert captured.out == \
-                "alternating optimization: infeasible after 0 iterations\n"
+            assert captured.out == line + "\n"
             assert captured.err.startswith(
                 f"run failed: infeasible at pair {pair}: ")
             assert not out.exists()  # no start settings, no artifacts

@@ -269,8 +269,7 @@ def reference_study_pairs(kernel, floor):
 
 
 def assert_same_study(network, floors):
-    kernel = flt.fault_kernel(network, solve_distflow(network),
-                              range(network.n_nodes))
+    kernel = flt.fault_kernel(network, solve_distflow(network))
     for floor in floors:
         assert (coord.study_pairs(kernel, floor)
                 == reference_study_pairs(kernel, floor))

@@ -1,4 +1,5 @@
-"""Fault studies against independent nodal solves and hand-built models."""
+"""Fault studies against dense and independent nodal solves and
+hand-built models."""
 
 from dataclasses import replace
 
@@ -13,6 +14,7 @@ from feederprot.model import (DGKind, DGUnit, InverterParams,
 from feederprot.power_flow import PowerFlowNotConverged, solve_distflow
 
 from conftest import radial_chains, recloser_zone
+from test_power_flow import long_chain, scaled_dg
 
 
 def loop_admittance(network):
@@ -28,6 +30,48 @@ def loop_admittance(network):
         y[i, j] -= adm
         y[j, i] -= adm
     return y
+
+
+def dense_fault_kernel(network, sol):
+    """The kernel as one dense nodal solve: Y holds the sections and the
+    source shunts; the right-hand sides are each source's injection and a
+    unit current at every node.  Returns (v_oc, z_kk) indexed by node."""
+    models = flt.build_all_fault_models(network, sol)
+    n = network.n_nodes
+    y = loop_admittance(network)
+    m = 1 + len(network.dg_units)
+    rhs = np.zeros((n, m + n), dtype=complex)
+    rhs[range(n), range(m, m + n)] = 1.0
+    z_src = network.source.impedance
+    y[0, 0] += 1.0 / z_src
+    rhs[0, 0] = network.source.voltage / z_src
+    for col, unit in enumerate(network.dg_units, start=1):
+        fm = models[unit.id]
+        if fm.kind is flt.FaultModelKind.VOLTAGE_BEHIND_IMPEDANCE:
+            y[unit.tap_node, unit.tap_node] += 1.0 / fm.thevenin.impedance
+            rhs[unit.tap_node, col] = fm.thevenin.emf / fm.thevenin.impedance
+        elif fm.kind is flt.FaultModelKind.CONSTANT_CURRENT:
+            rhs[unit.tap_node, col] = -1j * fm.i_const
+    volts = np.linalg.solve(y, rhs)
+    return volts[:, :m], np.diagonal(volts[:, m:])
+
+
+def assert_matches_dense(network):
+    """The chain reduction agrees with the dense solve element-wise to
+    1e-12 relative, and an OFF unit's column is exactly zero."""
+    sol = solve_distflow(network)
+    kernel = flt.fault_kernel(network, sol)
+    v_oc, z_kk = dense_fault_kernel(network, sol)
+    assert kernel.v_oc.shape == v_oc.shape and kernel.z_kk.shape == z_kk.shape
+    assert np.all(np.abs(kernel.z_kk - z_kk) <= 1e-12 * np.abs(z_kk))
+    models = flt.build_all_fault_models(network, sol)
+    for col, unit in enumerate((None, *network.dg_units)):
+        got, want = kernel.v_oc[:, col], v_oc[:, col]
+        if unit and models[unit.id].kind is flt.FaultModelKind.OFF:
+            assert np.all(got == 0)
+        else:
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    return kernel
 
 
 def independent_fault_current(network, models, fault_node,
@@ -78,36 +122,14 @@ def only_source(network, models, keep):
     return network, dead
 
 
-def assert_same_bits(got, want):
-    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
 class TestKernelProperties:
-    @given(radial_chains())
-    def test_section_admittance_matches_loop(self, chain):
-        net, _ = chain
-        assert_same_bits(flt._section_admittance(net), loop_admittance(net))
-
-    @pytest.mark.parametrize("fixture", ["five_node_scenario",
-                                         "case_a_scenario", "case_b_scenario"])
-    def test_section_admittance_matches_loop_on_fixtures(self, request,
-                                                          fixture):
-        net = request.getfixturevalue(fixture).network
-        assert_same_bits(flt._section_admittance(net), loop_admittance(net))
-        # a purely resistive and a purely reactive section give the
-        # admittance a zero part, whose sign the stamping must keep
-        first, second, *rest = net.sections
-        net = replace(net, sections=(replace(first, x=0.0),
-                                     replace(second, r=0.0), *rest))
-        assert_same_bits(flt._section_admittance(net), loop_admittance(net))
-
     @given(radial_chains())
     def test_contributions_match_independent_solve(self, chain):
         net, floor = chain
         sol = solve_distflow(net)
         models = flt.build_all_fault_models(net, sol)
         nodes = range(net.n_nodes)
-        kernel = flt.fault_kernel(net, sol, nodes)
+        kernel = flt.fault_kernel(net, sol)
         sources = ["substation"] + [u.id for u in net.dg_units]
         for zf in (0.0, floor):
             got = kernel.contributions(nodes, zf)
@@ -121,7 +143,7 @@ class TestKernelProperties:
     def test_zone_sweep_matches_one_shot_solves(self, chain):
         net, floor = chain
         sol = solve_distflow(net)
-        kernel = flt.fault_kernel(net, sol, range(net.n_nodes))
+        kernel = flt.fault_kernel(net, sol)
         _, zones = coord.study_pairs(kernel, floor)
         for rec in net.reclosers:
             zone = recloser_zone(net, rec.id)
@@ -133,11 +155,48 @@ class TestKernelProperties:
             assert abs(mn - far.i_recloser[rec.id]) <= 1e-9 * mn
 
 
+class TestMatchesDenseSolve:
+    @pytest.mark.parametrize("scale", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("fixture", ["five_node_scenario",
+                                         "case_a_scenario", "case_b_scenario"])
+    def test_fixtures(self, request, fixture, scale):
+        net = request.getfixturevalue(fixture).network
+        assert_matches_dense(scaled_dg(net, scale))
+
+    @given(radial_chains())
+    def test_radial_chains(self, chain):
+        assert_matches_dense(chain[0])
+
+    @pytest.mark.parametrize("n", [50, 200])
+    def test_long_chains(self, n):
+        assert_matches_dense(long_chain(n, n))
+
+    def test_dg_at_the_head_and_the_last_node(self, five_node_scenario):
+        net = five_node_scenario.network
+        first, second, *rest = net.dg_units
+        assert_matches_dense(replace(net, dg_units=(
+            replace(first, tap_node=0),
+            replace(second, tap_node=net.n_nodes - 1), *rest)))
+
+    def test_every_unit_off(self, case_a_scenario):
+        net = case_a_scenario.network
+        kernel = assert_matches_dense(
+            net.with_dg_outputs({u.id: 0.0 for u in net.dg_units}))
+        assert np.all(kernel.v_oc[:, 1:] == 0)
+        assert np.all(kernel.v_oc[:, 0] != 0)
+
+    def test_resistive_and_reactive_sections(self, case_a_scenario):
+        net = case_a_scenario.network
+        first, second, *rest = net.sections
+        assert_matches_dense(replace(net, sections=(
+            replace(first, x=0.0), replace(second, r=0.0), *rest)))
+
+
 class TestNetworkSolve:
     def test_no_dg_chain_matches_series_impedance(self, five_node_scenario):
         net = replace(five_node_scenario.network, dg_units=())
         sol = solve_distflow(net)
-        kernel = flt.fault_kernel(net, sol, range(net.n_nodes))
+        kernel = flt.fault_kernel(net, sol)
         z = net.source.impedance
         for node in range(1, net.n_nodes):
             sec = net.sections[node - 1]
@@ -151,7 +210,7 @@ class TestNetworkSolve:
         net = five_node_scenario.network
         sol = solve_distflow(net)
         models = flt.build_all_fault_models(net, sol)
-        kernel = flt.fault_kernel(net, sol, range(net.n_nodes))
+        kernel = flt.fault_kernel(net, sol)
         for node in range(1, net.n_nodes):
             for zf in (0.0, 0.2):
                 expect = independent_fault_current(net, models, node, zf)
@@ -274,7 +333,7 @@ class TestZoneSweep:
         currents = [flt.solve_fault(net, sol, flt.at_node(k)).i_recloser["R1"]
                     for k in (1, 2)]
         far = flt.solve_fault(net, sol, flt.at_node(2), floor)
-        kernel = flt.fault_kernel(net, sol, range(net.n_nodes))
+        kernel = flt.fault_kernel(net, sol)
         mx, mn = coord.study_pairs(kernel, floor)[1]["R1"]
         assert abs(mx - max(currents)) < 1e-12
         assert abs(mn - far.i_recloser["R1"]) < 1e-12

@@ -78,7 +78,7 @@ def grid_search_settings(network, fuse_curves, config):
     """
     sol = solve_distflow(network)
     pickups = load_rule_pickups(network, sol)
-    kernel = flt.fault_kernel(network, sol, range(network.n_nodes))
+    kernel = flt.fault_kernel(network, sol)
     _, zones = coord.study_pairs(kernel, config.fault_impedance_floor)
 
     def slope(rec_id, currents):
