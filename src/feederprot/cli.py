@@ -84,10 +84,10 @@ def cmd_powerflow(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
         lines.append(f"  {i:>2}->{i + 1:<2}   {p:+.6f}   {q:+.6f}")
     manifest: list[tuple[str, int]] = []
     _write_csv(out_dir, "powerflow_nodes.csv", ["node", "v_pu"],
-               [[n, float(v)] for n, v in enumerate(sol.v_mag)], manifest)
+               [[n, v] for n, v in enumerate(sol.v_mag)], manifest)
     _write_csv(out_dir, "powerflow_sections.csv",
                ["from_node", "to_node", "p_pu", "q_pu"],
-               [[i, i + 1, float(p), float(q)]
+               [[i, i + 1, p, q]
                 for i, (p, q) in enumerate(zip(sol.p_flow, sol.q_flow))],
                manifest)
     code = EXIT_OK if sol.converged else EXIT_INFEASIBLE
@@ -115,20 +115,20 @@ def cmd_fault(scn: Scenario, location: flt.FaultLocation,
              f"  fault-point current: {_fmt(study.i_fault_total)} pu "
              f"({study.i_fault_total * amps:.0f} A)",
              f"  substation: {_fmt(study.i_substation)} pu"]
-    rows: list[list] = [["substation", "", float(study.i_substation),
-                         float(study.i_substation * amps), "", ""]]
+    rows: list[list] = [["substation", "", study.i_substation,
+                         study.i_substation * amps, "", ""]]
     for rid, i in study.i_recloser.items():
         lines.append(f"  recloser {rid}: {_fmt(i)} pu ({i * amps:.0f} A)  "
                      f"dFR={_fmt(study.delta_fr[rid])}  "
                      f"dRR={_fmt(study.delta_rr[rid])}")
-        rows.append(["recloser", rid, float(i), float(i * amps),
-                     float(study.delta_fr[rid]), float(study.delta_rr[rid])])
+        rows.append(["recloser", rid, i, i * amps, study.delta_fr[rid],
+                     study.delta_rr[rid]])
     for lid, i in study.i_fuse.items():
         lines.append(f"  fuse L{lid}: {_fmt(i)} pu ({i * amps:.0f} A)")
-        rows.append(["fuse", f"L{lid}", float(i), float(i * amps), "", ""])
+        rows.append(["fuse", f"L{lid}", i, i * amps, "", ""])
     for did, i in study.i_dg.items():
         lines.append(f"  dg {did}: {_fmt(i)} pu")
-        rows.append(["dg", did, float(i), float(i * amps), "", ""])
+        rows.append(["dg", did, i, i * amps, "", ""])
     manifest: list[tuple[str, int]] = []
     _write_csv(out_dir, "fault.csv",
                ["kind", "id", "current_pu", "current_amps",
@@ -157,13 +157,12 @@ def cmd_coordinate(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
             f"worst margin {_fmt(report.worst_margin)} s at "
             f"{_fmt(report.worst_margin_current)} pu")
         rows.append([pair.id, pair.kind.value, report.range_ok,
-                     report.margin_ok, float(report.worst_margin),
-                     float(report.worst_margin_current),
-                     report.failure_mode.value, float(report.backup_delay)])
+                     report.margin_ok, report.worst_margin,
+                     report.worst_margin_current, report.failure_mode.value,
+                     report.backup_delay])
         _write_csv(out_dir, f"pair_{pair.id}_curves.csv",
                    ["current_pu", "t_primary_s", "t_backup_s"],
-                   [[float(i), float(tp), float(tb)]
-                    for i, tp, tb in report.samples], manifest)
+                   [list(s) for s in report.samples], manifest)
     _write_csv(out_dir, "coordination.csv",
                ["pair_id", "kind", "range_ok", "margin_ok", "worst_margin_s",
                 "worst_margin_current_pu", "failure_mode", "backup_delay_s"],
@@ -203,9 +202,9 @@ def cmd_optimize(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
         pass  # report the start settings and the last network reached
     else:
         slacks = opt.pair_slacks(study, scn.fuse_curves, config)
-        rows.append([1, float(opt.total_clearing_time(study, settings)),
-                     float(sum(u.p_out for u in net.dg_units)),
-                     float(min(slacks.values(), default=0.0))])
+        rows.append([1, opt.total_clearing_time(study, settings),
+                     sum(u.p_out for u in net.dg_units),
+                     min(slacks.values(), default=0.0)])
     stop = "slack_fixed_point" if rows else "infeasible"
     lines = [f"alternating optimization: {stop} after {len(rows)} iterations"]
     lines += [f"  iter {k}: total clearing {_fmt(clearing)} s, DG output "
@@ -219,7 +218,7 @@ def cmd_optimize(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
     (out_dir / "settings_final.json").write_text(dump_settings(settings))
     manifest.append(("settings_final.json", len(settings)))
     _write_csv(out_dir, "dispatch_final.csv", ["dg_id", "p_out_pu"],
-               [[u.id, float(u.p_out)] for u in net.dg_units], manifest)
+               [[u.id, u.p_out] for u in net.dg_units], manifest)
     return RunReport(lines, manifest), EXIT_OK if rows else EXIT_INFEASIBLE
 
 
@@ -267,10 +266,9 @@ def cmd_timeseries(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
         slacks = opt.pair_slacks(study, scn.fuse_curves, config)
         row: list = [step]
         by_id = {u.id: u for u in net.dg_units}
-        row += [float(by_id[i].p_out) for i in dg_ids]
-        row += [float(settings[r].time_dial) for r in rec_ids]
-        row += [float(clearing), float(min(slacks.values(), default=0.0)),
-                int(feasible)]
+        row += [by_id[i].p_out for i in dg_ids]
+        row += [settings[r].time_dial for r in rec_ids]
+        row += [clearing, min(slacks.values(), default=0.0), int(feasible)]
         rows.append(row)
         lines.append(f"  step {step}: DG total "
                      f"{_fmt(sum(u.p_out for u in net.dg_units))} pu, "

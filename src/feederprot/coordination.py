@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
-import numpy as np
-
 from . import fault as flt
 from .curves import FuseCurve, NO_OPERATION, RecloserCurve
 from .model import Network
@@ -62,7 +60,7 @@ class PairSweep:
     @cached_property
     def grid(self) -> list[float]:
         """The sweep's current samples (current_grid), built once."""
-        return current_grid(self.i_primary_min, self.i_primary_max).tolist()
+        return current_grid(self.i_primary_min, self.i_primary_max)
 
 
 @dataclass(frozen=True)
@@ -87,13 +85,18 @@ class CoordinationReport:
     samples: tuple[tuple[float, float, float], ...]  # (i, T_primary, T_backup)
 
 
-def current_grid(lo: float, hi: float) -> np.ndarray:
-    """Log-spaced current samples covering [lo, hi], endpoints included."""
+def current_grid(lo: float, hi: float) -> list[float]:
+    """Log-spaced current samples covering [lo, hi], endpoints included:
+    evenly spaced exponents k * step + log10(lo), the last one exactly
+    log10(hi)."""
     if not 0 < lo <= hi:
         raise ValueError("current grid needs 0 < lo <= hi")
     decades = max(math.log10(hi / lo), 1e-9)
     npts = max(2, int(math.ceil(DEFAULT_POINTS_PER_DECADE * decades)) + 1)
-    return np.logspace(math.log10(lo), math.log10(hi), npts)
+    start, stop = math.log10(lo), math.log10(hi)
+    step = (stop - start) / (npts - 1)
+    exponents = [k * step + start for k in range(npts - 1)] + [stop]
+    return [10.0 ** y for y in exponents]
 
 
 def _backup_current(pair: CoordinationPair, sweep: PairSweep,
@@ -187,34 +190,35 @@ def study_pairs(kernel: flt.FaultKernel, fault_impedance_floor: float,
     """
     network = kernel.network
     n = network.n_nodes
-    bolted = kernel.source_currents(range(n), 0.0)
-    floored = kernel.source_currents(range(n), fault_impedance_floor)
-
-    def dg_at(k: int) -> dict[int, float]:
-        return {uid: float(i[k]) for uid, i in bolted[1].items()}
+    bolted = [kernel.source_currents(k, 0.0) for k in range(n)]
+    floored = [kernel.source_currents(k, fault_impedance_floor)
+               for k in range(n)]
 
     pairs: list[PairStudy] = []
     zones: dict[str, tuple[float, float]] = {}
     ends = [rec.node for rec in network.reclosers[1:]] + [n]
     for rec, end in zip(network.reclosers, ends):
-        i_bolted = flt._recloser_current(network, rec.node, *bolted)
-        i_floored = flt._recloser_current(network, rec.node, *floored)
-        zones[rec.id] = (float(i_bolted[rec.node:end].max()),
-                         float(i_floored[end - 1]))
+        # the DG a directional recloser sees, summed as _recloser_current
+        upstream = [u.id for u in network.dg_units if u.tap_node < rec.node]
+        i_bolted, i_floored = ([i_sub + sum(i_dg[uid] for uid in upstream)
+                                for i_sub, i_dg in currents[rec.node:end]]
+                               for currents in (bolted, floored))
+        zones[rec.id] = (max(i_bolted), i_floored[-1])
         for lat in network.laterals:
             k = lat.tap_node
             if lat.fuse is None or not rec.node <= k < end:
                 continue
             pairs.append(PairStudy(
                 f"{rec.id}-L{lat.id}", PairKind.FUSE_RECLOSER, rec.id,
-                lat.id, PairSweep(float(i_bolted[k]), float(i_floored[k]),
-                                  flt._dg_current(network, dg_at(k),
+                lat.id, PairSweep(i_bolted[k - rec.node],
+                                  i_floored[k - rec.node],
+                                  flt._dg_current(network, bolted[k][1],
                                                   rec.node, n))))
     for up, down in zip(network.reclosers, network.reclosers[1:]):
         pairs.append(PairStudy(
             f"{up.id}-{down.id}", PairKind.RECLOSER_RECLOSER, down.id, up.id,
             PairSweep(*zones[down.id],
-                      flt._dg_current(network, dg_at(down.node), up.node,
+                      flt._dg_current(network, bolted[down.node][1], up.node,
                                       down.node))))
     return pairs, zones
 

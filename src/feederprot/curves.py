@@ -20,6 +20,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from importlib import resources
+from pathlib import Path
 
 NO_OPERATION = math.inf
 TIME_DIAL_MIN = 0.1  # the time-dial range of every recloser setting
@@ -244,17 +245,22 @@ def fuse_inverse_current(curve: FuseCurve, t_target: float) -> float:
     return _interp(neg_t, log_t, log_i, -t_target, math.log(t_target))
 
 
+def _read_data_file(path, packaged: str, top_keys: set[str],
+                    label: str) -> dict:
+    """Parse a data file, the packaged one when path is None, rejecting
+    unknown top-level keys."""
+    data = resources.files("feederprot.data")
+    source = data / packaged if path is None else Path(path)
+    doc = json.loads(source.read_text())
+    if unknown := set(doc) - top_keys:
+        raise ValueError(f"{label}: unknown keys {sorted(unknown)}")
+    return doc
+
+
 def load_curve_families(path=None) -> dict[str, TCIConstants]:
     """Read the named curve-family constants from the versioned data file."""
-    if path is None:
-        raw = resources.files("feederprot.data").joinpath(CURVE_DATA_FILE).read_text()
-    else:
-        with open(path) as fh:
-            raw = fh.read()
-    doc = json.loads(raw)
-    unknown = set(doc) - {"version", "families"}
-    if unknown:
-        raise ValueError(f"curve data file: unknown keys {sorted(unknown)}")
+    doc = _read_data_file(path, CURVE_DATA_FILE, {"version", "families"},
+                          "curve data file")
     families = {}
     for name, consts in doc["families"].items():
         extra = set(consts) - {"a", "b", "c", "m", "K"}
@@ -266,15 +272,8 @@ def load_curve_families(path=None) -> dict[str, TCIConstants]:
 
 def load_fuse_curves(path=None) -> dict[str, FuseCurve]:
     """Read the fuse table file (id -> MM/TC point lists)."""
-    if path is None:
-        raw = resources.files("feederprot.data").joinpath("fuse_curves.json").read_text()
-    else:
-        with open(path) as fh:
-            raw = fh.read()
-    doc = json.loads(raw)
-    unknown = set(doc) - {"version", "fuses"}
-    if unknown:
-        raise ValueError(f"fuse data file: unknown keys {sorted(unknown)}")
+    doc = _read_data_file(path, "fuse_curves.json", {"version", "fuses"},
+                          "fuse data file")
     fuses = {}
     for name, spec in doc["fuses"].items():
         extra = set(spec) - {"mm", "tc"}

@@ -22,11 +22,9 @@ recloser-recloser disparities exact sums of the per-DG contributions.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import math
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .model import (DGKind, DGUnit, Network, UnknownElementError)
 from .power_flow import PowerFlowSolution, dg_terminal_voltages
@@ -139,9 +137,9 @@ def _fault_node(network: Network, location: FaultLocation) -> int:
     return network.lateral(location.ref).tap_node
 
 
-def _dg_current(network: Network, i_dg: dict, lo: int, hi: int):
+def _dg_current(network: Network, i_dg: dict, lo: int, hi: int) -> float:
     """Summed contribution of the DG tapped at lo <= node < hi, in feeder
-    order; the values may be floats or per-node arrays."""
+    order."""
     return sum(i_dg[u.id] for u in network.dg_units if lo <= u.tap_node < hi)
 
 
@@ -155,30 +153,23 @@ def _recloser_current(network: Network, recloser_node: int, i_sub, i_dg):
 class FaultKernel:
     """Every three-phase fault of one operating state, from one reduction.
 
-    ``v_oc[k, s]`` is source s's open-circuit voltage at node k and
+    ``v_oc[k][s]`` is source s's open-circuit voltage at node k and
     ``z_kk[k]`` that node's driving-point impedance; the sources are the
     substation, then every DG unit in feeder order (a unit that is off
-    injects nothing, so its column is zero).
+    injects nothing, so its voltage is zero).
     """
 
     network: Network
-    v_oc: np.ndarray
-    z_kk: np.ndarray
+    v_oc: tuple[tuple[complex, ...], ...]
+    z_kk: tuple[complex, ...]
 
-    def contributions(self, nodes: Sequence[int],
-                      fault_impedance: float) -> np.ndarray:
-        """Complex current each source feeds a fault at each of the nodes,
-        one row per node, one column per source."""
-        return (self.v_oc[nodes]
-                / (self.z_kk[nodes] + fault_impedance)[:, np.newaxis])
-
-    def source_currents(self, nodes: Sequence[int], fault_impedance: float,
-                        ) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-        """Contribution magnitudes per node: the substation's, and each DG
-        unit's by id."""
-        mag = np.abs(self.contributions(nodes, fault_impedance))
-        return mag[:, 0], {u.id: mag[:, col] for col, u
-                           in enumerate(self.network.dg_units, start=1)}
+    def source_currents(self, node: int, fault_impedance: float,
+                        ) -> tuple[float, dict[int, float]]:
+        """Contribution magnitudes of a fault at the node: the
+        substation's, and each DG unit's by id."""
+        z = self.z_kk[node] + fault_impedance
+        i_sub, *i_dg = (abs(v / z) for v in self.v_oc[node])
+        return i_sub, {u.id: i for u, i in zip(self.network.dg_units, i_dg)}
 
     def study(self, location: FaultLocation,
               fault_impedance: float = 0.0) -> FaultStudy:
@@ -190,9 +181,7 @@ class FaultKernel:
         """
         network = self.network
         f_node = _fault_node(network, location)
-        sub, dg = self.source_currents([f_node], fault_impedance)
-        i_sub = float(sub[0])
-        i_dg = {uid: float(i[0]) for uid, i in dg.items()}
+        i_sub, i_dg = self.source_currents(f_node, fault_impedance)
         total = i_sub + sum(i_dg.values())
 
         i_recloser: dict[str, float] = {}
@@ -266,16 +255,17 @@ def fault_kernel(network: Network, sol: PowerFlowSolution) -> FaultKernel:
         down[k] = y / down_div[k]
     z_kk = [1.0 / (u + d) for u, d in zip(up, down)]
 
-    v_oc = np.zeros((n, len(sources)), dtype=complex)
-    for col, (j, current) in enumerate(sources):
+    columns = []
+    for j, current in sources:
         v = [0j] * n
         v[j] = current * z_kk[j]
         for k in reversed(range(j)):
             v[k] = v[k + 1] / up_div[k]
         for k in range(j, n - 1):
             v[k + 1] = v[k] / down_div[k]
-        v_oc[:, col] = v
-    return FaultKernel(network=network, v_oc=v_oc, z_kk=np.array(z_kk))
+        columns.append(v)
+    return FaultKernel(network=network, v_oc=tuple(zip(*columns)),
+                       z_kk=tuple(z_kk))
 
 
 def solve_fault(network: Network, sol: PowerFlowSolution,
@@ -283,5 +273,8 @@ def solve_fault(network: Network, sol: PowerFlowSolution,
                 fault_impedance: float = 0.0) -> FaultStudy:
     """Solve one three-phase fault on its own kernel (see FaultKernel.study)."""
     _fault_node(network, location)  # an unknown location is an input error
+    if not 0.0 <= fault_impedance < math.inf:
+        raise ValueError(f"fault impedance must be finite and >= 0, "
+                         f"got {fault_impedance!r}")
     return fault_kernel(network, sol).study(location, fault_impedance)
 

@@ -62,6 +62,13 @@ class InverterParams:
     coupling_x: float = 0.15  # prospective-current proxy reactance, unit base
 
 
+DG_PARAMS = {
+    DGKind.SYNCHRONOUS: SynchronousParams,
+    DGKind.ASYNCHRONOUS: AsynchronousParams,
+    DGKind.INVERTER: InverterParams,
+}
+
+
 @dataclass(frozen=True)
 class DGUnit:
     id: int
@@ -204,12 +211,7 @@ def validate_flow(network: Network) -> list[Violation]:
             out.append(Violation(name, "output exceeds apparent-power rating"))
         if unit.rating_s <= 0:
             out.append(Violation(name, "rating_s must be positive"))
-        kind_param = {
-            DGKind.SYNCHRONOUS: SynchronousParams,
-            DGKind.ASYNCHRONOUS: AsynchronousParams,
-            DGKind.INVERTER: InverterParams,
-        }[unit.kind]
-        if not isinstance(unit.params, kind_param):
+        if not isinstance(unit.params, DG_PARAMS[unit.kind]):
             out.append(Violation(name, f"params do not match kind {unit.kind.value}"))
         elif isinstance(unit.params, SynchronousParams):
             if unit.params.xd2 <= 0:

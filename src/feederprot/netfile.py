@@ -9,17 +9,19 @@ on the declared bases.
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from importlib import resources
 from pathlib import Path
 
+from .coordination import DEFAULT_FR_MARGIN, DEFAULT_RR_MARGIN
 from .curves import (FuseCurve, RecloserCurve, RecloserSettings,
                      ReclosingSequence, TCIConstants, load_curve_families,
                      load_fuse_curves)
-from .model import (AsynchronousParams, DGKind, DGUnit, FeederSection,
-                    InverterParams, Lateral, Network, RecloserPlacement,
-                    SubstationSource, SynchronousParams, validate)
+from .model import (DG_PARAMS, DGKind, DGUnit, FeederSection, Lateral,
+                    Network, RecloserPlacement, SubstationSource, validate)
+from .power_flow import DEFAULT_TOL
 
 FIXTURE_ENV = "FEEDERPROT_FIXTURES"
 
@@ -54,13 +56,6 @@ def _integer(doc: dict, key: str, default: int, context: str) -> int:
     return value
 
 
-_DG_PARAM_KEYS = {
-    "synchronous": ({"xd2"}, {"xd2"}),
-    "asynchronous": ({"x_lr", "rated_slip"}, {"x_lr"}),
-    "inverter": ({"k_off", "k_clamp", "coupling_x"}, {"k_off", "k_clamp"}),
-}
-
-
 def _parse_dg(entry: dict, context: str,) -> DGUnit:
     _require_keys(entry, {"id", "tap", "kind", "rating", "p", "q", "params",
                           "curtailable"},
@@ -70,13 +65,13 @@ def _parse_dg(entry: dict, context: str,) -> DGUnit:
         kind = DGKind(kind_name)
     except ValueError:
         raise NetworkFileError(f"{context}: unknown DG kind {kind_name!r}")
-    allowed, required = _DG_PARAM_KEYS[kind_name]
-    _require_keys(entry["params"], allowed, required, f"{context}.params")
-    params_cls = {
-        DGKind.SYNCHRONOUS: SynchronousParams,
-        DGKind.ASYNCHRONOUS: AsynchronousParams,
-        DGKind.INVERTER: InverterParams,
-    }[kind]
+    params_cls = DG_PARAMS[kind]
+    # the parameter class's fields are the keys, those without a default
+    # the required ones
+    keys = fields(params_cls)
+    _require_keys(entry["params"], {f.name for f in keys},
+                  {f.name for f in keys if f.default is MISSING},
+                  f"{context}.params")
     return DGUnit(
         id=int(entry["id"]),
         tap_node=int(entry["tap"]),
@@ -174,10 +169,10 @@ def load_network(path: str | Path,
 class Scenario:
     network_path: Path
     network: Network
-    fr_margin: float = 0.1
-    rr_margin: float = 0.3
+    fr_margin: float = DEFAULT_FR_MARGIN
+    rr_margin: float = DEFAULT_RR_MARGIN
     fault_impedance_floor: float = 0.0
-    powerflow_tol: float = 1e-8
+    powerflow_tol: float = DEFAULT_TOL
     dispatch_tol: float = 1e-6  # tolerances.dispatch; no effect
     objective_tol: float = 1e-4  # tolerances.objective; no effect
     max_iters: int = 20  # no effect
@@ -238,6 +233,11 @@ def load_scenario(path: str | Path) -> Scenario:
             f"{ctx}: settings_every must be a positive multiple of "
             f"dispatch_every")
 
+    floor = float(doc.get("fault_impedance_floor", 0.0))
+    if not 0.0 <= floor < math.inf:
+        raise NetworkFileError(f"{ctx}: fault_impedance_floor must be finite "
+                               f"and >= 0, got {floor!r}")
+
     net_path = _resolve(doc["network"], path.parent)
     network = load_network(net_path)
 
@@ -259,10 +259,10 @@ def load_scenario(path: str | Path) -> Scenario:
     return Scenario(
         network_path=net_path,
         network=network,
-        fr_margin=float(margins.get("fuse_recloser", 0.1)),
-        rr_margin=float(margins.get("recloser_recloser", 0.3)),
-        fault_impedance_floor=float(doc.get("fault_impedance_floor", 0.0)),
-        powerflow_tol=float(tol.get("powerflow", 1e-8)),
+        fr_margin=float(margins.get("fuse_recloser", DEFAULT_FR_MARGIN)),
+        rr_margin=float(margins.get("recloser_recloser", DEFAULT_RR_MARGIN)),
+        fault_impedance_floor=floor,
+        powerflow_tol=float(tol.get("powerflow", DEFAULT_TOL)),
         dispatch_tol=float(tol.get("dispatch", 1e-6)),
         objective_tol=float(tol.get("objective", 1e-4)),
         max_iters=max_iters,

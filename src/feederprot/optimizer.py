@@ -44,7 +44,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from . import fault as flt
-from .coordination import PairKind, PairStudy, study_pairs
+from .coordination import (DEFAULT_FR_MARGIN, DEFAULT_RR_MARGIN, PairKind,
+                           PairStudy, study_pairs)
 from .curves import (TIME_DIAL_MAX, TIME_DIAL_MIN, FuseCurve, RecloserCurve,
                      RecloserSettings, fuse_inverse_current, fuse_time)
 from .model import Network
@@ -68,8 +69,8 @@ class InfeasibleError(RuntimeError):
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    fr_margin: float = 0.1
-    rr_margin: float = 0.3
+    fr_margin: float = DEFAULT_FR_MARGIN
+    rr_margin: float = DEFAULT_RR_MARGIN
     fault_impedance_floor: float = 0.0
     obj_tol: float = 1e-4  # no effect; kept so existing callers work
     dispatch_tol: float = 1e-6  # no effect; kept so existing callers work

@@ -77,9 +77,9 @@ def solve_distflow(network: Network, tol: float = DEFAULT_TOL,
     validate_flow (the devices, which no sweep reads, are not checked).
 
     The sweeps run on lists of floats.  A scalar ``x ** 2`` is libm
-    ``pow``, which can differ in the last bit from ``x * x`` (what a
-    numpy array ``** 2`` computes), so each square keeps the form it is
-    written in, and the backward sum keeps its order.
+    ``pow``, which can differ in the last bit from ``x * x``, so each
+    square keeps the form it is written in, and the backward sum keeps
+    its order.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")

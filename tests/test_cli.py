@@ -1,7 +1,12 @@
 """Command-line interface: exit codes, artifacts, and reproducibility."""
 
 import json
+import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 from feederprot import cli
 from feederprot import optimizer as opt
@@ -41,7 +46,7 @@ class TestExitCodes:
         assert (tmp_path / "trace.csv").exists()
         assert (tmp_path / "dispatch_final.csv").exists()
 
-    def test_missing_inputs_are_input_errors(self, tmp_path):
+    def test_missing_inputs_are_input_errors(self, tmp_path, capsys):
         out = ["--out-dir", str(tmp_path)]
         assert main(["powerflow"] + out) == EXIT_INPUT
         assert main(["powerflow", "--scenario", "nope.json"] + out) == EXIT_INPUT
@@ -51,6 +56,28 @@ class TestExitCodes:
                      "--curve-family", "no_such"] + out) == EXIT_INPUT
         assert main(["powerflow", "--scenario", FIVE_NODE,
                      "--margins", "wide"] + out) == EXIT_INPUT
+        # a fault impedance, given or as the scenario's floor, must be
+        # finite and >= 0
+        capsys.readouterr()
+        out = ["--out-dir", str(tmp_path / "out")]
+        for value in ("nan", "-1", "inf"):
+            assert main(["fault", "--scenario", FIVE_NODE, "--at", "node:2",
+                         f"--impedance={value}"] + out) == EXIT_INPUT
+            assert capsys.readouterr().err == (
+                "input error: fault impedance must be finite and >= 0, "
+                f"got {float(value)!r}\n")
+        doc = json.loads(Path(CASE_A).read_text())
+        doc["network"] = str(Path(CASE_A).parent / doc["network"])
+        for floor in (-0.05, math.nan, math.inf):
+            doc["fault_impedance_floor"] = floor
+            scenario = tmp_path / "floor.json"
+            scenario.write_text(json.dumps(doc))
+            assert main(["optimize", "--scenario", str(scenario)] + out) \
+                == EXIT_INPUT
+            assert capsys.readouterr().err == (
+                f"input error: {scenario}: fault_impedance_floor must be "
+                f"finite and >= 0, got {floor!r}\n")
+        assert not (tmp_path / "out").exists()
 
     def test_unconverged_load_flow_is_a_run_failure(self, tmp_path):
         for cmd in (["powerflow"], ["fault", "--at", "node:1"],
@@ -148,6 +175,26 @@ class TestExitCodes:
     def test_timeseries_requires_profile(self, tmp_path):
         assert main(["timeseries", "--scenario", FIVE_NODE,
                      "--out-dir", str(tmp_path)]) == EXIT_INPUT
+
+    def test_runs_without_numpy(self, tmp_path):
+        # numpy set to None in sys.modules makes every import of it raise
+        script = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from feederprot.cli import main\n"
+            "out = ['--out-dir', sys.argv[2]]\n"
+            "sys.exit(main(['optimize', '--scenario', sys.argv[1]] + out)\n"
+            "         or main(['fault', '--scenario', sys.argv[1],\n"
+            "                  '--at', 'node:1'] + out))\n")
+        src = Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", script, FIVE_NODE, str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+            text=True, timeout=120)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert "numpy" not in done.stderr
+        assert (tmp_path / "dispatch_final.csv").exists()
+        assert (tmp_path / "fault.csv").exists()
 
 
 class TestOverrides:

@@ -231,11 +231,12 @@ def reference_zone(kernel, rec, floor):
     """(I_max, I_min) of one recloser from a sweep of its own zone."""
     network = kernel.network
     zone = recloser_zone(network, rec.id)
-    bolted = flt._recloser_current(network, rec.node,
-                                   *kernel.source_currents(zone, 0.0))
+    bolted = [flt._recloser_current(network, rec.node,
+                                    *kernel.source_currents(k, 0.0))
+              for k in zone]
     floored = flt._recloser_current(
-        network, rec.node, *kernel.source_currents([zone[-1]], floor))
-    return float(bolted.max()), float(floored[0])
+        network, rec.node, *kernel.source_currents(zone[-1], floor))
+    return max(bolted), floored
 
 
 def reference_study_pairs(kernel, floor):
