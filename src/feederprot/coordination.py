@@ -58,6 +58,11 @@ class PairSweep:
     delta: float  # disparity between the pair's currents
 
     @cached_property
+    def axis(self) -> CurrentAxis:
+        """The sweep's current samples by index, none built."""
+        return CurrentAxis.spanning(self.i_primary_min, self.i_primary_max)
+
+    @cached_property
     def grid(self) -> list[float]:
         """The sweep's current samples (current_grid), built once."""
         return current_grid(self.i_primary_min, self.i_primary_max)
@@ -85,18 +90,37 @@ class CoordinationReport:
     samples: tuple[tuple[float, float, float], ...]  # (i, T_primary, T_backup)
 
 
+@dataclass(frozen=True)
+class CurrentAxis:
+    """Log-spaced current samples covering [lo, hi], endpoints included,
+    by index: evenly spaced exponents k * step + log10(lo), the last one
+    exactly log10(hi)."""
+
+    size: int
+    start: float
+    step: float
+    stop: float
+
+    @classmethod
+    def spanning(cls, lo: float, hi: float) -> CurrentAxis:
+        if not 0 < lo <= hi:
+            raise ValueError("current grid needs 0 < lo <= hi")
+        decades = max(math.log10(hi / lo), 1e-9)
+        size = max(2, int(math.ceil(DEFAULT_POINTS_PER_DECADE * decades)) + 1)
+        start, stop = math.log10(lo), math.log10(hi)
+        return cls(size, start, (stop - start) / (size - 1), stop)
+
+    def at(self, k: int) -> float:
+        """Sample k, 0 <= k < size."""
+        if k == self.size - 1:
+            return 10.0 ** self.stop
+        return 10.0 ** (k * self.step + self.start)
+
+
 def current_grid(lo: float, hi: float) -> list[float]:
-    """Log-spaced current samples covering [lo, hi], endpoints included:
-    evenly spaced exponents k * step + log10(lo), the last one exactly
-    log10(hi)."""
-    if not 0 < lo <= hi:
-        raise ValueError("current grid needs 0 < lo <= hi")
-    decades = max(math.log10(hi / lo), 1e-9)
-    npts = max(2, int(math.ceil(DEFAULT_POINTS_PER_DECADE * decades)) + 1)
-    start, stop = math.log10(lo), math.log10(hi)
-    step = (stop - start) / (npts - 1)
-    exponents = [k * step + start for k in range(npts - 1)] + [stop]
-    return [10.0 ** y for y in exponents]
+    """Every sample of CurrentAxis.spanning(lo, hi), in order."""
+    axis = CurrentAxis.spanning(lo, hi)
+    return [axis.at(k) for k in range(axis.size)]
 
 
 def _backup_current(pair: CoordinationPair, sweep: PairSweep,

@@ -275,11 +275,21 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def load_settings_file(path: str | Path) -> dict[str, RecloserSettings]:
-    doc = json.loads(Path(path).read_text())
+    """Parse a settings file: each recloser id's pickup and time_dial."""
+    path = Path(path)
+    try:
+        doc = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise NetworkFileError(f"{path}:{exc.lineno}: {exc.msg}") from exc
     out = {}
     for rid, st in doc.items():
+        ctx = f"{path}:{rid}"
         _require_keys(st, {"pickup", "time_dial"}, {"pickup", "time_dial"},
-                      f"{path}:{rid}")
+                      ctx)
+        for key in ("pickup", "time_dial"):
+            if type(st[key]) not in (int, float):
+                raise NetworkFileError(
+                    f"{ctx}: {key} must be a number, got {st[key]!r}")
         out[rid] = RecloserSettings(pickup=float(st["pickup"]),
                                     time_dial=float(st["time_dial"]))
     return out

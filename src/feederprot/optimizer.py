@@ -26,11 +26,19 @@ The bisections define the dispatch, but are not run probe by probe.
 The ladder's headroom, the least room it leaves under any bound it
 checks, is >= 0 exactly when it is solvable and close to linear in
 output except where units switch off at zero output.  An Illinois
-regula falsi on the headroom brackets the feasibility boundary to a
-thousandth of the bisection's resolution in a handful of probes; the
-bisection is then replayed against that bracket, probing only a
-midpoint inside it, and under the monotonicity above returns the
-bisection's point bit for bit.
+regula falsi on the headroom brackets the feasibility boundary to the
+bisection's resolution in a handful of probes; the bisection is then
+replayed against that bracket, probing only the midpoints inside it,
+and under the monotonicity above returns the bisection's point bit for
+bit.
+
+The ladder's bounds are each the extreme of a quotient over a pair's
+current grid, whose numerator and denominator both fall along the
+grid.  So the two ends of a block of samples bound every quotient
+inside it, and a block whose bound stays more than PRUNE_GUARD beyond
+the running cap or floor is left unsampled; the others are halved.
+The pruned ladder returns the full sweep's dials, headroom and
+verdict bit for bit, and raises what it raises.
 
 One dispatch followed by one settings solve is already the fixed point
 of alternating the two: neither the feasibility test nor the dispatch
@@ -40,6 +48,7 @@ reads the dials in service or the outputs the dispatch is about to set.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -54,9 +63,21 @@ from .power_flow import DEFAULT_TOL, PowerFlowSolution, solve_distflow
 LL_FACTOR = math.sqrt(3) / 2  # line-line fault proxy from the 3-phase value
 MAX_DISPARITY_BOUND = 1024.0  # pu; reported when no fuse cap binds
 DIAL_TOL = 1e-12  # dial overrun the ladder forgives against both its bounds
-# the regula falsi narrows its bracket to this fraction of the bisection's
-# resolution, so the replay probes only a midpoint or two
-BRACKET_FRACTION = 1e-3
+PRUNE_GUARD = 1e-9
+"""How near a block's bound may come to the running cap or floor before
+the ladder samples inside the block.
+
+In exact arithmetic no quotient N/S inside a block passes its bound.
+Computed, one can pass it only where rounding puts two samples' melt
+times or slopes out of order, which needs their exact values within a
+few ulps of each other; it then passes by a few ulps of the terms
+that make up N, over S: about 1e-15 * (|N/S| + (margin + K)/S).  The
+caps that can still bind are at most TIME_DIAL_MAX = 1, the floors
+that matter are of the same order, and the shipped curve families keep
+S above their b >= 0.11 s per unit dial, so with margins and offsets
+under 1e3 s that error stays below 1e-11, under a hundredth of the
+guard.  A wider guard only samples more.
+"""
 
 
 class InfeasibleError(RuntimeError):
@@ -134,6 +155,30 @@ def _dial_slope(curve: RecloserCurve, pickup: float,
     return slope
 
 
+def _refine(s: int, e: int, visit: Callable[[int], object],
+            keep: Callable[[int, int], bool]) -> None:
+    """Visit the samples strictly between s and e, e > s + 1, that
+    pruning keeps: while keep(s, e) holds, the midpoint, then each half
+    in turn."""
+    if keep(s, e):
+        m = (s + e) // 2
+        visit(m)
+        if m - s > 1:
+            _refine(s, m, visit, keep)
+        if e - m > 1:
+            _refine(m, e, visit, keep)
+
+
+def _sweep(first: int, last: int, visit: Callable[[int], object],
+           keep: Callable[[int, int], bool]) -> None:
+    """Visit samples first..last as pruning keeps them, first first."""
+    visit(first)
+    if last > first:
+        visit(last)
+    if last > first + 1:
+        _refine(first, last, visit, keep)
+
+
 def _solve_settings_at_pickups(network: Network, sub: SettingsSubproblem,
                                fuse_curves: dict[str, FuseCurve],
                                config: OptimizerConfig,
@@ -149,6 +194,23 @@ def _solve_settings_at_pickups(network: Network, sub: SettingsSubproblem,
     runs on past a violation.  A current outside a curve's operating
     region, or a disparity that swamps the backup current, raises at
     once (the first violation, if one came before).
+
+    Each bound is the extreme of a quotient N/S over the pair's current
+    grid, found without sampling every point.  A fuse cap's numerator
+    t_fuse(i + delta) - fr_margin - K never rises along the grid and the
+    dial slope S is positive and falling, so no limit inside a block
+    (s, e) of samples lies below N(e)/S(s), or N(e)/S(e) when N(e) < 0.
+    A recloser floor's numerator rr_margin + slope_down*D + K_down -
+    K_up falls and the backup's slope falls with it, so no need inside
+    lies above N(s)/S(e), or N(s)/S(s) when N(s) < 0.  A sweep samples
+    its ends, then halves each block whose bound comes within
+    PRUNE_GUARD of the running cap or floor, sampling the midpoint; the
+    other blocks are left out, since no sample there moves the bound.
+    Every check that can raise passes at a current if it passes at a
+    smaller one, so sampling a fuse pair's first melting current and a
+    recloser pair's first current before any other raises what a full
+    sweep raises.  A floor past TIME_DIAL_MAX + DIAL_TOL is named by its
+    first need above that in grid order, as a full sweep names it.
     """
     order = list(network.reclosers)
     pickups = sub.pickup_lo
@@ -165,14 +227,32 @@ def _solve_settings_at_pickups(network: Network, sub: SettingsSubproblem,
         fuse = fuse_curves[network.lateral(pd.backup).fuse]
         slope_at = _dial_slope(curve[pd.primary], pickups[pd.primary], pd.id)
         k, cap, delta = kconst[pd.primary], ub[pd.primary], pd.sweep.delta
-        for i in pd.sweep.grid:
-            t_fuse = fuse_time(fuse, i + delta)
-            if math.isinf(t_fuse):
-                continue  # fuse never melts here; no constraint at i
-            limit = (t_fuse - fr_margin - k) / slope_at(i)
-            if limit < cap:
-                cap = ub[pd.primary] = limit
-                ub_pair[pd.primary] = pd.id
+        axis, melt = pd.sweep.axis, fuse.mm_points[0][0]
+        # the fuse never melts below its first tabulated current, so the
+        # samples before the first melting one constrain nothing
+        melting = bisect_left(range(axis.size), True,
+                              key=lambda j: axis.at(j) + delta >= melt)
+        if melting == axis.size:
+            continue
+        num: dict[int, float] = {}
+        slope: dict[int, float] = {}
+
+        def visit(j: int) -> None:
+            nonlocal cap
+            i = axis.at(j)
+            num[j] = fuse_time(fuse, i + delta) - fr_margin - k
+            slope[j] = slope_at(i)
+            cap = min(cap, num[j] / slope[j])
+
+        def keep(s: int, e: int) -> bool:
+            """Whether a limit inside (s, e) may come below the cap."""
+            return num[e] / slope[e if num[e] < 0 else s] \
+                <= cap + PRUNE_GUARD
+
+        _sweep(melting, axis.size - 1, visit, keep)
+        if cap < ub[pd.primary]:
+            ub[pd.primary] = cap
+            ub_pair[pd.primary] = pd.id
 
     rr_up = {pd.primary: pd for pd in sub.pairs
              if pd.kind is PairKind.RECLOSER_RECLOSER}
@@ -200,24 +280,51 @@ def _solve_settings_at_pickups(network: Network, sub: SettingsSubproblem,
             down = _dial_slope(curve[rec.id], pickups[rec.id], pd.id)
             up = _dial_slope(curve[pd.backup], pickups[pd.backup], pd.id)
             k_down, k_up = kconst[rec.id], kconst[pd.backup]
-            floor, delta = lb[pd.backup], pd.sweep.delta
-            for i in pd.sweep.grid:
-                slope_down = down(i)
-                i_up = i - delta
-                if i_up <= 0:
-                    raise InfeasibleError(
-                        pd.id,
-                        f"disparity {delta:.4g} pu swamps the backup "
-                        f"current at {i:.4g} pu")
-                need = (rr_margin + slope_down * d + k_down - k_up) / up(i_up)
-                if need > floor:
-                    floor = lb[pd.backup] = need
-                    room = TIME_DIAL_MAX + DIAL_TOL - need
-                    headroom = min(headroom, room)
-                    if room < 0 and first is None:
-                        first = InfeasibleError(
+            floor, delta, axis = lb[pd.backup], pd.sweep.delta, pd.sweep.axis
+            parts: dict[int, tuple[float, float]] = {}
+
+            def need_at(j: int) -> float:
+                if j not in parts:
+                    i = axis.at(j)
+                    slope_down = down(i)
+                    i_up = i - delta
+                    if i_up <= 0:
+                        raise InfeasibleError(
                             pd.id,
-                            f"backup needs D = {need:.4f} > {TIME_DIAL_MAX}")
+                            f"disparity {delta:.4g} pu swamps the backup "
+                            f"current at {i:.4g} pu")
+                    parts[j] = (rr_margin + slope_down * d + k_down - k_up,
+                                up(i_up))
+                num, slope = parts[j]
+                return num / slope
+
+            def visit(j: int) -> None:
+                nonlocal level
+                level = max(level, need_at(j))
+
+            def keep(s: int, e: int) -> bool:
+                """Whether a need inside (s, e) may come above level."""
+                num = parts[s][0]
+                return num / parts[s if num < 0 else e][1] \
+                    >= level - PRUNE_GUARD
+
+            level = floor  # keep() prunes against it: the running floor
+            _sweep(0, axis.size - 1, visit, keep)
+            if level > floor:
+                lb[pd.backup] = level
+                room = TIME_DIAL_MAX + DIAL_TOL - level
+                headroom = min(headroom, room)
+                if room < 0 and first is None:
+                    # name the first need in grid order past the cap,
+                    # as a full sweep does
+                    level = max(floor, TIME_DIAL_MAX + DIAL_TOL)
+                    if axis.size > 2:
+                        _refine(0, axis.size - 1, need_at, keep)
+                    need = next(need for j in sorted(parts)
+                                if (need := need_at(j)) > level)
+                    first = InfeasibleError(
+                        pd.id, f"backup needs D = {need:.4f} > "
+                               f"{TIME_DIAL_MAX}")
     except InfeasibleError as exc:
         if first is None:
             raise
@@ -379,25 +486,25 @@ def _replayed_bisection(probe: Callable[[float], tuple[bool, float | None]],
     ``probe(x)`` is the ladder's verdict at x and its headroom; lo is
     feasible, hi is not, and h_lo, h_hi are their headrooms (None when
     not usable).  An Illinois regula falsi on the headroom first narrows
-    a bracket [a, b], a feasible and b not, to tol * BRACKET_FRACTION.
-    Each verdict comes from the ladder, never from the sign of the
-    headroom; a step outside the bracket, or an end without usable
-    headroom, takes the midpoint.  Then the plain bisection is replayed:
-    with feasibility monotone in x, a midpoint at or below a is feasible
-    and one at or above b is not, so only a midpoint strictly inside
-    (a, b) is probed, and the answer is the bisection's bit for bit.
+    a bracket [a, b], a feasible and b not, to narrower than tol, the
+    bisection's own resolution.  Each verdict comes from the ladder,
+    never from the sign of the headroom; a step outside the bracket, or
+    an end without usable headroom, takes the midpoint.  Then the plain
+    bisection is replayed: with feasibility monotone in x, a midpoint at
+    or below a is feasible and one at or above b is not, so only a
+    midpoint strictly inside (a, b) is probed, and the answer is the
+    bisection's bit for bit, however wide the bracket.
     """
     a, b, h_a, h_b = lo, hi, h_lo, h_hi
-    width = tol * BRACKET_FRACTION
     kept = None  # the end the last step kept, for the Illinois halving
-    while hi - lo > tol and b - a >= width:
+    while hi - lo > tol and b - a >= tol:
         x = 0.5 * (a + b)
         if h_a is not None and h_b is not None:
             secant = b - h_b * (b - a) / (h_b - h_a)
             if a <= secant <= b:
-                # half the target width inside, so a step onto an end
-                # (zero headroom there) still closes the bracket
-                x = min(max(secant, a + 0.5 * width), b - 0.5 * width)
+                # half of tol inside, so a step onto an end (zero
+                # headroom there) still closes the bracket
+                x = min(max(secant, a + 0.5 * tol), b - 0.5 * tol)
         ok, h = probe(x)
         if ok:
             a, h_a = x, h

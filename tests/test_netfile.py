@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from feederprot.cli import EXIT_INPUT, main
 from feederprot.curves import RecloserSettings
 from feederprot.netfile import (NetworkFileError, dump_settings, fixtures_dir,
                                 load_network, load_scenario,
@@ -155,3 +156,27 @@ class TestSettingsFiles:
         path.write_text('{"R1": {"pickup": 1.0, "dial": 0.5}}')
         with pytest.raises(NetworkFileError, match="unknown keys"):
             load_settings_file(path)
+
+    @pytest.mark.parametrize("text, error", [
+        ('{"R1": {"pickup": 1.0,\n', "{path}:2: Expecting property name"),
+        ('{"R1": {"pickup": "x", "time_dial": 0.5}}',
+         "{path}:R1: pickup must be a number, got 'x'"),
+        ('{"R1": {"pickup": 1.0, "time_dial": true}}',
+         "{path}:R1: time_dial must be a number, got True"),
+    ])
+    def test_errors_name_the_file(self, tmp_path, capsys, text, error):
+        # the message starts with the file, and through a scenario's
+        # initial_settings the run is an input error
+        path = tmp_path / "settings.json"
+        path.write_text(text)
+        error = error.format(path=path)
+        with pytest.raises(NetworkFileError) as exc:
+            load_settings_file(path)
+        assert str(exc.value).startswith(error)
+        doc = read_fixture("five_node_scenario.json")
+        doc["network"] = str(fixtures_dir() / doc["network"])
+        doc["initial_settings"] = str(path)
+        scenario = write_doc(tmp_path, doc, "scenario.json")
+        assert main(["optimize", "--scenario", str(scenario),
+                     "--out-dir", str(tmp_path / "out")]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith(f"input error: {error}")

@@ -264,17 +264,22 @@ def reference_ladder(network, sub, fuse_curves, config):
             for rid, d in dial.items()}, headroom, first
 
 
-def ladder_outcome(ladder, network, fuse_curves, config):
-    """What a ladder gives at the network as dispatched: its dials,
-    headroom and first violation (pair and message), or what it raised."""
-    sol = solve_distflow(network, tol=config.powerflow_tol)
-    sub = opt.build_settings_subproblem(network, sol, config)
+def ladder_result(ladder, network, sub, fuse_curves, config):
+    """What a ladder gives on a settings subproblem: its dials, headroom
+    and first violation (pair and message), or what it raised."""
     try:
         dials, headroom, first = ladder(network, sub, fuse_curves, config)
     except Exception as exc:  # noqa: BLE001 -- compared as data
         return "raised", type(exc), getattr(exc, "pair", None), str(exc)
     return ("solved", dials, headroom,
             None if first is None else (first.pair, str(first)))
+
+
+def ladder_outcome(ladder, network, fuse_curves, config):
+    """What a ladder gives at the network as dispatched."""
+    sol = solve_distflow(network, tol=config.powerflow_tol)
+    sub = opt.build_settings_subproblem(network, sol, config)
+    return ladder_result(ladder, network, sub, fuse_curves, config)
 
 
 @pytest.fixture(scope="module")
@@ -390,6 +395,68 @@ class TestSettingsOptimality:
         assert best - objective <= 1e-3 * per_dial
 
 
+EI = TCIConstants(a=28.2, b=0.1217, c=1.0, m=2.0, K=0.0)
+MI = TCIConstants(a=0.0515, b=0.114, c=1.0, m=0.02, K=0.0)
+# melts steeply up to 4 pu and slowly above: a VI or EI recloser's fuse
+# cap then falls, bottoms out inside the sweep and rises again
+KINKED = ((2.0, 12.0), (4.0, 0.75), (40.0, 0.237))
+# a flat last segment, 6 ulps from end to end: near 1.6 pu its
+# interpolated melt times dip 2 ulps below the clamped tail value
+FLAT_TAIL = ((1.0, 7.86), (2.0, 7.859999999999995))
+
+
+def fuse_pair(lateral, i_max, i_min, delta=0.0):
+    return coord.PairStudy(f"R1-L{lateral}", coord.PairKind.FUSE_RECLOSER,
+                           "R1", lateral,
+                           coord.PairSweep(i_max, i_min, delta))
+
+
+def recloser_pair(i_max, i_min, delta=0.0):
+    return coord.PairStudy("RLY-R1", coord.PairKind.RECLOSER_RECLOSER, "R1",
+                           "RLY", coord.PairSweep(i_max, i_min, delta))
+
+
+# name: (RLY curve, R1 curve, {id: pickup}, pairs, {fuse: MM table},
+#        (fr_margin, rr_margin)); laterals 1 and 2 carry fuses fa and fb
+PRUNED_SWEEPS = {
+    "fuse cap dips inside the sweep": (
+        EI, EI, {"RLY": 1.0, "R1": 1.0}, (fuse_pair(1, 30.0, 2.5),),
+        {"fa": KINKED}, (0.1, 0.3)),
+    "fuse cap dips inside, with disparity": (
+        EI, VI, {"RLY": 1.0, "R1": 0.8}, (fuse_pair(1, 30.0, 2.5, 0.4),),
+        {"fa": KINKED}, (0.05, 0.3)),
+    "fuse cap numerator changes sign": (
+        EI, replace(EI, K=0.2), {"RLY": 1.0, "R1": 1.0},
+        (fuse_pair(1, 30.0, 2.5),), {"fa": KINKED}, (0.1, 0.3)),
+    "fuse melts inside the sweep": (
+        EI, EI, {"RLY": 1.0, "R1": 1.0}, (fuse_pair(1, 30.0, 1.2),),
+        {"fa": KINKED}, (0.1, 0.3)),
+    "first melting current below the pickup": (
+        EI, EI, {"RLY": 1.0, "R1": 2.1}, (fuse_pair(1, 30.0, 1.2),),
+        {"fa": KINKED}, (0.1, 0.3)),
+    "need peaks inside the sweep": (
+        EI, MI, {"RLY": 1.0, "R1": 0.05}, (recloser_pair(200.0, 2.0),),
+        {}, (0.1, 0.02)),
+    "need peaks inside the sweep past the dial range": (
+        EI, MI, {"RLY": 1.0, "R1": 0.05}, (recloser_pair(200.0, 2.0),),
+        {}, (0.1, 0.75)),
+    "need numerator changes sign": (
+        replace(EI, K=0.35), EI, {"RLY": 1.0, "R1": 1.5},
+        (recloser_pair(40.0, 2.0),), {}, (0.1, 0.3)),
+    "disparity swamps the backup current": (
+        EI, EI, {"RLY": 1.0, "R1": 1.0}, (recloser_pair(40.0, 2.0, 2.5),),
+        {}, (0.1, 0.3)),
+    # fb's clamped tail, one ulp above fa's dip, sets R1's cap; the fa
+    # sweep's bounds then sit an ulp or more above that cap, inside the
+    # guard (the dip's ulps come from the C library's exp and log)
+    "caps within the guard of a block bound": (
+        EI, replace(EI, a=1e-30, b=8.0), {"RLY": 1.0, "R1": 0.5},
+        (fuse_pair(2, 4.0, 3.0), fuse_pair(1, 2.5, 1.5)),
+        {"fa": FLAT_TAIL, "fb": ((1.0, 9.5), (2.0, 7.859999999999994))},
+        (0.0, 0.3)),
+}
+
+
 class TestLadderMatchesReference:
     """The ladder returns the reference ladder's dials, headroom and
     verdict bit for bit, and raises what it raises."""
@@ -439,6 +506,29 @@ class TestLadderMatchesReference:
         assert ladder_outcome(opt._solve_settings_at_pickups, net,
                               fuse_curves, config) == \
             ladder_outcome(reference_ladder, net, fuse_curves, config)
+
+    @pytest.mark.parametrize("name", sorted(PRUNED_SWEEPS))
+    def test_pruned_sweeps(self, name):
+        # extremes inside a sweep, or within PRUNE_GUARD of a block
+        # bound; the shipped scenarios' extremes all sit at a sweep's end
+        up, down, pickups, pairs, tables, margins = PRUNED_SWEEPS[name]
+        curves = {"RLY": up, "R1": down}
+        toy = two_recloser_toy()
+        network = replace(toy, reclosers=tuple(
+            replace(rec, sequence=replace(rec.sequence, curves=tuple(
+                replace(cv, constants=curves[rec.id])
+                for cv in rec.sequence.curves)))
+            for rec in toy.reclosers))
+        fuse_curves = {fid: FuseCurve(fid, mm, tuple((i, 2.0 * t)
+                                                     for i, t in mm))
+                       for fid, mm in tables.items()}
+        sub = opt.SettingsSubproblem(i_max={}, pairs=pairs,
+                                     pickup_lo=pickups, pickup_hi={})
+        config = opt.OptimizerConfig(fr_margin=margins[0],
+                                     rr_margin=margins[1])
+        assert ladder_result(opt._solve_settings_at_pickups, network, sub,
+                             fuse_curves, config) == \
+            ladder_result(reference_ladder, network, sub, fuse_curves, config)
 
 
 class TestApplySettings:
@@ -709,7 +799,7 @@ class TestReplayedBisection:
                                           1e-9)
             assert len(set(probed)) == len(probed)
             assert not {0.0, 1.0} & set(probed)
-            assert len(probed) <= 15  # plain bisection: 30
+            assert len(probed) <= 10  # plain bisection: 30
 
 
 class TestDispatchSearch:
@@ -758,7 +848,7 @@ class TestDispatchSearch:
                      if u.curtailable}
         opt.solve_dispatch(scn.network, available, scn.fuse_curves,
                            scenario_config(scn))
-        assert len(flows) <= 30  # plain bisection: 84
+        assert len(flows) <= 13  # plain bisection: 84
 
     def test_headroom_sign_is_the_ladder_verdict(self, case_a_scenario):
         scn = case_a_scenario
@@ -965,7 +1055,7 @@ class TestOneStudyPerState:
         monkeypatch.setattr(opt, "solve_distflow", recorded)
         monkeypatch.setattr(cli, "solve_distflow", recorded)
         assert cli.cmd_optimize(case_a_scenario, tmp_path)[1] == cli.EXIT_OK
-        assert len(flows) == 18  # the no-DG baseline, then 17 probes
+        assert len(flows) == 14  # the no-DG baseline, then 13 probes
         assert len(set(flows)) == len(flows)
 
     def test_timeseries_on_case_b(self, case_b_run):
