@@ -23,7 +23,7 @@ from . import optimizer as opt
 from .curves import load_curve_families
 from .model import UnknownElementError, validate
 from .netfile import (NetworkFileError, Scenario, dump_settings,
-                      load_scenario, load_network, load_fuse_curves)
+                      load_scenario, load_network)
 from .power_flow import (PowerFlowDivergence, PowerFlowNotConverged,
                          solve_distflow)
 
@@ -139,16 +139,18 @@ def cmd_fault(scn: Scenario, location: flt.FaultLocation,
 def cmd_coordinate(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
     net = scn.network
     sol = solve_distflow(net, tol=scn.powerflow_tol)
-    pairs = coord.build_pairs(net, sol, scn.fuse_curves,
-                              fr_margin=scn.fr_margin,
-                              rr_margin=scn.rr_margin,
-                              fault_impedance_floor=scn.fault_impedance_floor)
+    pairs, _ = coord.study_pairs(flt.fault_kernel(net, sol),
+                                 scn.fault_impedance_floor)
+    required = {coord.PairKind.FUSE_RECLOSER: scn.fr_margin,
+                coord.PairKind.RECLOSER_RECLOSER: scn.rr_margin}
     lines = ["coordination verdicts"]
     rows: list[list] = []
     manifest: list[tuple[str, int]] = []
     all_ok = True
-    for pair, sweep in pairs:
-        report = coord.check_pair(pair, sweep)
+    for pair in pairs:
+        report = coord.check_pair(
+            pair, *coord.pair_curves(net, pair, scn.fuse_curves),
+            required[pair.kind])
         ok = report.failure_mode is coord.FailureMode.NONE
         all_ok = all_ok and ok
         lines.append(
@@ -287,8 +289,7 @@ def _scenario_from_args(args) -> Scenario:
         scn = load_scenario(args.scenario)
     elif args.network:
         net = load_network(Path(args.network))
-        scn = Scenario(network_path=Path(args.network), network=net,
-                       fuse_curves=load_fuse_curves())
+        scn = Scenario(network_path=Path(args.network), network=net)
     else:
         raise NetworkFileError("provide --scenario or --network")
     if args.margins:

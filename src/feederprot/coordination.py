@@ -3,9 +3,11 @@
 A pair couples a primary device (the one meant to operate first) with
 its backup.  Under fuse saving, the recloser's first fast curve is the
 primary and the fuse MM curve is the backup; between reclosers the
-downstream unit is primary.  Every pair is studied on one fault kernel
-of the network as given; DG makes the pair's two devices see different
-currents, captured as the pair's disparity.
+downstream unit is primary.  study_pairs enumerates every pair of a
+state as a PairStudy, from one fault kernel of the network as given;
+DG makes the pair's two devices see different currents, captured as
+the pair's disparity.  pair_curves maps a PairStudy to its two curves,
+and check_pair checks it at a required margin.
 """
 
 from __future__ import annotations
@@ -18,11 +20,21 @@ from functools import cached_property
 from . import fault as flt
 from .curves import FuseCurve, NO_OPERATION, RecloserCurve
 from .model import Network
-from .power_flow import PowerFlowSolution
 
 DEFAULT_FR_MARGIN = 0.1  # s, artifact default
 DEFAULT_RR_MARGIN = 0.3  # s, artifact default
 DEFAULT_POINTS_PER_DECADE = 200
+MARGIN_TOL = 1e-9
+"""Shortfall in seconds a pair's worst margin may have and still pass.
+
+It covers settings that meet the margin with exact equality, such as
+the settings ladder's, whose dials may overrun a bound by the
+optimizer's DIAL_TOL (1e-12).  At the rule's pickups, at most half the
+minimum line-line fault current, the current multiple is at least
+2/(sqrt(3)/2), about 2.31.  There the largest dial slope of the shipped
+curve families is 6.63 s per unit dial (extremely inverse), so such an
+overrun moves a trip time by under 1e-11 s, well inside MARGIN_TOL.
+"""
 
 
 class PairKind(Enum):
@@ -34,19 +46,6 @@ class FailureMode(Enum):
     NONE = "none"
     RANGE_EXCEEDED = "range_exceeded"
     MARGIN_VIOLATED = "margin_violated"
-
-
-@dataclass(frozen=True)
-class CoordinationPair:
-    id: str
-    kind: PairKind
-    primary: RecloserCurve
-    backup: RecloserCurve | FuseCurve
-    margin_required: float
-
-    def __post_init__(self):
-        if self.margin_required <= 0:
-            raise ValueError("margin_required must be positive")
 
 
 @dataclass(frozen=True)
@@ -105,7 +104,7 @@ class CurrentAxis:
     def spanning(cls, lo: float, hi: float) -> CurrentAxis:
         if not 0 < lo <= hi:
             raise ValueError("current grid needs 0 < lo <= hi")
-        decades = max(math.log10(hi / lo), 1e-9)
+        decades = math.log10(hi / lo)
         size = max(2, int(math.ceil(DEFAULT_POINTS_PER_DECADE * decades)) + 1)
         start, stop = math.log10(lo), math.log10(hi)
         return cls(size, start, (stop - start) / (size - 1), stop)
@@ -123,27 +122,43 @@ def current_grid(lo: float, hi: float) -> list[float]:
     return [axis.at(k) for k in range(axis.size)]
 
 
-def _backup_current(pair: CoordinationPair, sweep: PairSweep,
-                    i_primary: float) -> float:
+def pair_curves(network: Network, pair: PairStudy,
+                fuse_curves: dict[str, FuseCurve],
+                ) -> tuple[RecloserCurve, RecloserCurve | FuseCurve]:
+    """The pair's primary and backup curves: the primary recloser's
+    coordinating curve, and the upstream recloser's coordinating curve
+    or the fused lateral's fuse table."""
+    primary = network.recloser(pair.primary).sequence.coordinating_curve
     if pair.kind is PairKind.FUSE_RECLOSER:
-        return i_primary + sweep.delta  # the fuse sees every source
-    return i_primary - sweep.delta  # the upstream recloser misses in-between DG
+        return primary, fuse_curves[network.lateral(pair.backup).fuse]
+    return primary, network.recloser(pair.backup).sequence.coordinating_curve
 
 
-def check_pair(pair: CoordinationPair, sweep: PairSweep) -> CoordinationReport:
-    """Evaluate the range and margin conditions over a dense current grid.
+def check_pair(pair: PairStudy, primary: RecloserCurve,
+               backup: RecloserCurve | FuseCurve,
+               required: float) -> CoordinationReport:
+    """Evaluate the range and margin conditions over the pair's current
+    grid, with its primary and backup curves (pair_curves) and the
+    margin it requires, in seconds.
 
     The margin condition is checked with the pair's currents linked by
-    the disparity.  The range condition is the operating order (primary
-    no slower than backup) at both ends of the sweep.
+    the disparity: the fuse sees every source, so its current is the
+    primary's plus the disparity; the upstream recloser misses the DG in
+    between, so its current is the primary's less the disparity.  The
+    margin holds when the worst backup-minus-primary gap is at least
+    ``required`` less MARGIN_TOL.  The range condition is the operating
+    order (primary no slower than backup) at both ends of the sweep.
     """
+    sweep = pair.sweep
+    shift = sweep.delta if pair.kind is PairKind.FUSE_RECLOSER \
+        else -sweep.delta
     samples = []
     worst = math.inf
     worst_i = sweep.grid[0]
     for i in sweep.grid:
-        tp = pair.primary.time_at(i)
-        ib = _backup_current(pair, sweep, i)
-        tb = pair.backup.time_at(ib) if ib > 0 else NO_OPERATION
+        tp = primary.time_at(i)
+        ib = i + shift
+        tb = backup.time_at(ib) if ib > 0 else NO_OPERATION
         samples.append((i, tp, tb))
         margin = math.inf if math.isinf(tp) or math.isinf(tb) else tb - tp
         if margin < worst:
@@ -153,13 +168,10 @@ def check_pair(pair: CoordinationPair, sweep: PairSweep) -> CoordinationReport:
     # the endpoint condition with linked currents is the range check: the
     # backup-side current at the top endpoint exceeding the curve-crossing
     # current shows up as T_P > T_B there
-    endpoints_ok = all(
-        s[1] <= s[2] for s in (samples[0], samples[-1]))
-    range_ok = endpoints_ok
-    # tolerance covers settings that meet the margin with exact equality
-    margin_ok = worst >= pair.margin_required - 1e-9
+    range_ok = all(s[1] <= s[2] for s in (samples[0], samples[-1]))
+    margin_ok = worst >= required - MARGIN_TOL
 
-    if not endpoints_ok:
+    if not range_ok:
         mode = FailureMode.RANGE_EXCEEDED
     elif not margin_ok:
         mode = FailureMode.MARGIN_VIOLATED
@@ -168,7 +180,7 @@ def check_pair(pair: CoordinationPair, sweep: PairSweep) -> CoordinationReport:
 
     delay = 0.0
     if pair.kind is PairKind.RECLOSER_RECLOSER and sweep.delta > 0:
-        raw = backup_delay(pair, sweep.delta, sweep.i_primary_max)
+        raw = backup_delay(backup, sweep.delta, sweep.i_primary_max)
         delay = abs(raw) if not math.isinf(raw) else math.inf
 
     return CoordinationReport(
@@ -182,7 +194,7 @@ def check_pair(pair: CoordinationPair, sweep: PairSweep) -> CoordinationReport:
     )
 
 
-def backup_delay(pair: CoordinationPair, delta_rr: float,
+def backup_delay(backup: RecloserCurve, delta_rr: float,
                  i_primary: float) -> float:
     """Backup-curve time shift T_B(I + dI) - T_B(I) with I + dI = i_primary.
 
@@ -193,8 +205,8 @@ def backup_delay(pair: CoordinationPair, delta_rr: float,
     i_base = i_primary - delta_rr
     if i_base <= 0:
         return NO_OPERATION
-    t_hi = pair.backup.time_at(i_primary)
-    t_lo = pair.backup.time_at(i_base)
+    t_hi = backup.time_at(i_primary)
+    t_lo = backup.time_at(i_base)
     if math.isinf(t_hi) or math.isinf(t_lo):
         return NO_OPERATION
     return t_hi - t_lo
@@ -245,33 +257,3 @@ def study_pairs(kernel: flt.FaultKernel, fault_impedance_floor: float,
                       flt._dg_current(network, bolted[down.node][1], up.node,
                                       down.node))))
     return pairs, zones
-
-
-def build_pairs(network: Network, sol: PowerFlowSolution,
-                fuse_curves: dict[str, FuseCurve],
-                fr_margin: float = DEFAULT_FR_MARGIN,
-                rr_margin: float = DEFAULT_RR_MARGIN,
-                fault_impedance_floor: float = 0.0,
-                ) -> list[tuple[CoordinationPair, PairSweep]]:
-    """Every fuse-recloser and recloser-recloser pair of the network as
-    given, with the currents it sees there."""
-    kernel = flt.fault_kernel(network, sol)
-    pairs, _ = study_pairs(kernel, fault_impedance_floor)
-    out: list[tuple[CoordinationPair, PairSweep]] = []
-    for a in pairs:
-        if a.kind is PairKind.FUSE_RECLOSER:
-            fuse = network.lateral(a.backup).fuse
-            backup = fuse_curves[fuse]
-            margin = fr_margin
-        else:
-            backup = network.recloser(a.backup).sequence.coordinating_curve
-            margin = rr_margin
-        pair = CoordinationPair(
-            id=a.id,
-            kind=a.kind,
-            primary=network.recloser(a.primary).sequence.coordinating_curve,
-            backup=backup,
-            margin_required=margin,
-        )
-        out.append((pair, a.sweep))
-    return out

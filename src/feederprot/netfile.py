@@ -180,7 +180,21 @@ class Scenario:
     settings_every: int = 1
     profile: dict[int, tuple[float, ...]] = field(default_factory=dict)
     initial_settings: dict[str, RecloserSettings] | None = None
-    fuse_curves: dict[str, FuseCurve] = field(default_factory=dict)
+    fuse_curves: dict[str, FuseCurve] = field(
+        default_factory=load_fuse_curves)
+
+    def __post_init__(self):
+        # one check for the scenario file, --network and every override
+        for key, margin in (("fuse_recloser", self.fr_margin),
+                            ("recloser_recloser", self.rr_margin)):
+            if not 0.0 < margin < math.inf:
+                raise NetworkFileError(f"{key} margin must be finite and "
+                                       f"> 0, got {margin!r}")
+        for lat in self.network.laterals:
+            if lat.fuse is not None and lat.fuse not in self.fuse_curves:
+                raise NetworkFileError(
+                    f"{self.network_path}: lateral {lat.id}: fuse "
+                    f"{lat.fuse!r} is not in the fuse table")
 
 
 def _resolve(ref: str, base_dir: Path) -> Path:
@@ -270,7 +284,6 @@ def load_scenario(path: str | Path) -> Scenario:
         settings_every=settings_every,
         profile=profile,
         initial_settings=initial,
-        fuse_curves=load_fuse_curves(),
     )
 
 

@@ -54,7 +54,7 @@ from dataclasses import dataclass, replace
 
 from . import fault as flt
 from .coordination import (DEFAULT_FR_MARGIN, DEFAULT_RR_MARGIN, PairKind,
-                           PairStudy, study_pairs)
+                           PairStudy, pair_curves, study_pairs)
 from .curves import (TIME_DIAL_MAX, TIME_DIAL_MIN, FuseCurve, RecloserCurve,
                      RecloserSettings, fuse_inverse_current, fuse_time)
 from .model import Network
@@ -214,8 +214,6 @@ def _solve_settings_at_pickups(network: Network, sub: SettingsSubproblem,
     """
     order = list(network.reclosers)
     pickups = sub.pickup_lo
-    curve = {rec.id: rec.sequence.coordinating_curve for rec in order}
-    kconst = {rid: cv.constants.K for rid, cv in curve.items()}
     fr_margin, rr_margin = config.fr_margin, config.rr_margin
 
     # per-device upper bound from its fuse pairs: the margin constraint
@@ -224,9 +222,9 @@ def _solve_settings_at_pickups(network: Network, sub: SettingsSubproblem,
     ub: dict[str, float] = {rec.id: TIME_DIAL_MAX for rec in order}
     ub_pair: dict[str, str] = {}
     for pd in _fuse_pairs(sub):
-        fuse = fuse_curves[network.lateral(pd.backup).fuse]
-        slope_at = _dial_slope(curve[pd.primary], pickups[pd.primary], pd.id)
-        k, cap, delta = kconst[pd.primary], ub[pd.primary], pd.sweep.delta
+        curve, fuse = pair_curves(network, pd, fuse_curves)
+        slope_at = _dial_slope(curve, pickups[pd.primary], pd.id)
+        k, cap, delta = curve.constants.K, ub[pd.primary], pd.sweep.delta
         axis, melt = pd.sweep.axis, fuse.mm_points[0][0]
         # the fuse never melts below its first tabulated current, so the
         # samples before the first melting one constrain nothing
@@ -277,9 +275,10 @@ def _solve_settings_at_pickups(network: Network, sub: SettingsSubproblem,
             # the backup must clear at least rr_margin later at every
             # current of the downstream device's range, its own current
             # lowered by the in-between DG disparity
-            down = _dial_slope(curve[rec.id], pickups[rec.id], pd.id)
-            up = _dial_slope(curve[pd.backup], pickups[pd.backup], pd.id)
-            k_down, k_up = kconst[rec.id], kconst[pd.backup]
+            curve_down, curve_up = pair_curves(network, pd, fuse_curves)
+            down = _dial_slope(curve_down, pickups[rec.id], pd.id)
+            up = _dial_slope(curve_up, pickups[pd.backup], pd.id)
+            k_down, k_up = curve_down.constants.K, curve_up.constants.K
             floor, delta, axis = lb[pd.backup], pd.sweep.delta, pd.sweep.axis
             parts: dict[int, tuple[float, float]] = {}
 
@@ -445,8 +444,7 @@ def pair_slacks(study: StateStudy, fuse_curves: dict[str, FuseCurve],
     network, sub = study.network, study.sub
     slacks: dict[str, float] = {}
     for pd in _fuse_pairs(sub):
-        curve = network.recloser(pd.primary).sequence.coordinating_curve
-        fuse = fuse_curves[network.lateral(pd.backup).fuse]
+        curve, fuse = pair_curves(network, pd, fuse_curves)
         base = config.fr_margin + curve.constants.K
         dial = study.dials[pd.primary].time_dial - DIAL_TOL
         slope_at = _dial_slope(curve, sub.pickup_lo[pd.primary], pd.id)

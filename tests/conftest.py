@@ -6,6 +6,8 @@ from __future__ import annotations
 import pytest
 from hypothesis import settings, strategies as st
 
+from feederprot import coordination as coord
+from feederprot import fault as flt
 from feederprot import optimizer as opt
 from feederprot.curves import (RecloserCurve, RecloserSettings,
                                ReclosingSequence, TCIConstants)
@@ -90,6 +92,17 @@ def recloser_zone(network, recloser_id: str) -> range:
             nxt = other.node - 1
             break
     return range(rec.node, nxt + 1)
+
+
+def pair_checks(network, fuse_curves, fr_margin, rr_margin, floor):
+    """check_pair's arguments for every pair of the network as given, as
+    ``coordinate`` checks them: (pair, primary, backup, required)."""
+    kernel = flt.fault_kernel(network, solve_distflow(network))
+    required = {coord.PairKind.FUSE_RECLOSER: fr_margin,
+                coord.PairKind.RECLOSER_RECLOSER: rr_margin}
+    return [(pd, *coord.pair_curves(network, pd, fuse_curves),
+             required[pd.kind])
+            for pd in coord.study_pairs(kernel, floor)[0]]
 
 
 def scenario_config(scn) -> opt.OptimizerConfig:

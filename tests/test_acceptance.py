@@ -24,6 +24,7 @@ from feederprot.model import (AsynchronousParams, DGKind, DGUnit,
 from feederprot.netfile import fixtures_dir
 from feederprot.power_flow import solve_distflow
 
+from conftest import pair_checks
 from test_optimizer import grid_search_settings, two_recloser_toy
 
 
@@ -148,26 +149,27 @@ def test_04_curve_math_properties():
            "< 1e-12, inversion round trip 1e-9")
 
 
-def exhaustive_verdict(pair, sweep, n=10_000):
+def exhaustive_verdict(pair, primary, backup, required, n=10_000):
     """Dense linear evaluation of the range and margin conditions."""
+    sweep = pair.sweep
     grid = np.linspace(sweep.i_primary_min, sweep.i_primary_max, n)
     sign = 1.0 if pair.kind is coord.PairKind.FUSE_RECLOSER else -1.0
     worst = math.inf
     for i in grid:
-        tp = pair.primary.time_at(float(i))
+        tp = primary.time_at(float(i))
         ib = float(i) + sign * sweep.delta
-        tb = pair.backup.time_at(ib) if ib > 0 else NO_OPERATION
+        tb = backup.time_at(ib) if ib > 0 else NO_OPERATION
         if not (math.isinf(tp) or math.isinf(tb)):
             worst = min(worst, tb - tp)
 
     def order_ok(i):
-        tp = pair.primary.time_at(float(i))
-        tb = pair.backup.time_at(float(i) + sign * sweep.delta)
+        tp = primary.time_at(float(i))
+        tb = backup.time_at(float(i) + sign * sweep.delta)
         return tp <= tb
 
     if not (order_ok(grid[0]) and order_ok(grid[-1])):
         return coord.FailureMode.RANGE_EXCEEDED
-    if worst < pair.margin_required - 1e-9:
+    if worst < required - coord.MARGIN_TOL:
         return coord.FailureMode.MARGIN_VIOLATED
     return coord.FailureMode.NONE
 
@@ -178,14 +180,11 @@ def test_05_check_pair_matches_exhaustive(five_node_scenario,
     every shipped pair fixture."""
     checked = 0
     for scn in (five_node_scenario, case_a_scenario):
-        sol = solve_distflow(scn.network)
-        pairs = coord.build_pairs(scn.network, sol, scn.fuse_curves,
-                                  scn.fr_margin, scn.rr_margin,
-                                  scn.fault_impedance_floor)
-        for pair, sweep in pairs:
-            want = exhaustive_verdict(pair, sweep)
-            got = coord.check_pair(pair, sweep).failure_mode
-            assert got == want, (pair.id, got, want)
+        for case in pair_checks(scn.network, scn.fuse_curves, scn.fr_margin,
+                                scn.rr_margin, scn.fault_impedance_floor):
+            want = exhaustive_verdict(*case)
+            got = coord.check_pair(*case).failure_mode
+            assert got == want, (case[0].id, got, want)
             checked += 1
     report("coordination equivalence",
            f"{checked} shipped pairs, zero verdict mismatches")
@@ -197,14 +196,14 @@ def test_06_failure_modes_and_backup_delay():
     increases the backup delay."""
     from test_coordination import fr_pair, rr_pair
 
-    overrun = coord.check_pair(
-        fr_pair(margin=0.1),
-        coord.PairSweep(i_primary_max=6.0, i_primary_min=3.0, delta=20.0))
+    overrun = coord.check_pair(*fr_pair(
+        coord.PairSweep(i_primary_max=6.0, i_primary_min=3.0, delta=20.0),
+        margin=0.1))
     assert overrun.failure_mode is coord.FailureMode.RANGE_EXCEEDED
 
-    squeezed = coord.check_pair(
-        fr_pair(margin=0.5),
-        coord.PairSweep(i_primary_max=8.0, i_primary_min=4.0, delta=0.0))
+    squeezed = coord.check_pair(*fr_pair(
+        coord.PairSweep(i_primary_max=8.0, i_primary_min=4.0, delta=0.0),
+        margin=0.5))
     assert squeezed.failure_mode is coord.FailureMode.MARGIN_VIOLATED
     assert squeezed.range_ok
 
@@ -213,12 +212,15 @@ def test_06_failure_modes_and_backup_delay():
     for _ in range(25):
         dial_down = float(rng.uniform(0.1, 0.3))
         dial_up = float(rng.uniform(dial_down + 0.3, 1.0))
-        pair = rr_pair(margin=0.3, dial_down=dial_down, dial_up=dial_up)
-        base = coord.check_pair(pair, coord.PairSweep(9.0, 3.0, 0.0))
+        base = coord.check_pair(*rr_pair(
+            coord.PairSweep(9.0, 3.0, 0.0), margin=0.3, dial_down=dial_down,
+            dial_up=dial_up))
         if base.failure_mode is not coord.FailureMode.NONE:
             continue
         delta = float(rng.uniform(0.1, 1.5))
-        shifted = coord.check_pair(pair, coord.PairSweep(9.0, 3.0, delta))
+        shifted = coord.check_pair(*rr_pair(
+            coord.PairSweep(9.0, 3.0, delta), margin=0.3, dial_down=dial_down,
+            dial_up=dial_up))
         assert shifted.margin_ok
         assert shifted.failure_mode is coord.FailureMode.NONE
         assert shifted.backup_delay > 0.0
@@ -262,13 +264,10 @@ def test_08_constrained_case_dispatch(case_a_scenario, case_a_result):
     assert case_a_result["elapsed"] < 30.0
 
     final = case_a_result["network"]
-    final_sol = solve_distflow(final)
-    pairs = coord.build_pairs(final, final_sol, scn.fuse_curves,
-                              scn.fr_margin, scn.rr_margin,
-                              scn.fault_impedance_floor)
-    for pair, sweep in pairs:
-        verdict = coord.check_pair(pair, sweep).failure_mode
-        assert verdict is coord.FailureMode.NONE, pair.id
+    for case in pair_checks(final, scn.fuse_curves, scn.fr_margin,
+                            scn.rr_margin, scn.fault_impedance_floor):
+        verdict = coord.check_pair(*case).failure_mode
+        assert verdict is coord.FailureMode.NONE, case[0].id
 
     available = case_a_result["available"]
     outputs = {u.id: u.p_out for u in final.dg_units if u.id in available}

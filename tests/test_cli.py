@@ -79,6 +79,41 @@ class TestExitCodes:
                 f"finite and >= 0, got {floor!r}\n")
         assert not (tmp_path / "out").exists()
 
+    def test_margins_are_input_errors_for_every_command(self, tmp_path,
+                                                        capsys):
+        # a margin must be finite and > 0, from --margins or the file
+        out = ["--out-dir", str(tmp_path / "out")]
+        for margins, name, value in (("0,0.3", "fuse_recloser", 0.0),
+                                     ("-0.1,0.3", "fuse_recloser", -0.1),
+                                     ("nan,0.3", "fuse_recloser", math.nan),
+                                     ("0.1,inf", "recloser_recloser",
+                                      math.inf)):
+            for command in ("coordinate", "optimize"):
+                assert main([command, "--scenario", CASE_A,
+                             f"--margins={margins}"] + out) == EXIT_INPUT
+                assert capsys.readouterr().err == (
+                    f"input error: {name} margin must be finite and > 0, "
+                    f"got {value!r}\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_unknown_fuse_is_an_input_error(self, tmp_path, capsys):
+        doc = json.loads((fixtures_dir() / "ieee37.json").read_text())
+        lateral = next(lat for lat in doc["laterals"] if lat.get("fuse"))
+        lateral["fuse"] = "nosuch"
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(doc))
+        scenario = tmp_path / "scn.json"
+        scenario.write_text(json.dumps({"network": str(net)}))
+        out = ["--out-dir", str(tmp_path / "out")]
+        for source in (["--network", str(net)],
+                       ["--scenario", str(scenario)]):
+            for command in ("coordinate", "optimize"):
+                assert main([command] + source + out) == EXIT_INPUT
+                assert capsys.readouterr().err == (
+                    f"input error: {net}: lateral {lateral['id']}: fuse "
+                    f"'nosuch' is not in the fuse table\n")
+        assert not (tmp_path / "out").exists()
+
     def test_unconverged_load_flow_is_a_run_failure(self, tmp_path):
         for cmd in (["powerflow"], ["fault", "--at", "node:1"],
                     ["coordinate"], ["optimize"]):

@@ -1,5 +1,6 @@
 """Pair coordination checks against brute-force curve evaluation."""
 
+import csv
 import math
 from dataclasses import replace
 
@@ -7,15 +8,18 @@ import numpy as np
 import pytest
 from hypothesis import given
 
+from feederprot import cli
 from feederprot import coordination as coord
 from feederprot import fault as flt
 from feederprot import optimizer as opt
 from feederprot.curves import (FuseCurve, NO_OPERATION, RecloserCurve,
-                               RecloserSettings, TCIConstants, fuse_time)
+                               RecloserSettings, TCIConstants, fuse_time,
+                               load_curve_families)
 from feederprot.model import RecloserPlacement
 from feederprot.power_flow import solve_distflow
 
-from conftest import radial_chains, recloser_zone, scenario_config, sequence
+from conftest import (pair_checks, radial_chains, recloser_zone,
+                      scenario_config, sequence)
 from test_power_flow import long_chain, scaled_dg
 
 VI = TCIConstants(a=19.61, b=0.491, c=1.0, m=2.0, K=0.0)
@@ -33,20 +37,19 @@ def power_law_fuse(c0=26.0, currents=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0)):
     return FuseCurve(name="toy", mm_points=mm, tc_points=tc)
 
 
-def fr_pair(margin=0.1, dial=0.1, fuse=None):
-    return coord.CoordinationPair(
-        id="R-L", kind=coord.PairKind.FUSE_RECLOSER,
-        primary=recloser_curve(dial=dial),
-        backup=fuse or power_law_fuse(),
-        margin_required=margin)
+def fr_pair(sweep, margin=0.1, dial=0.1, fuse=None):
+    """check_pair's arguments for a fuse-recloser pair at the sweep."""
+    return (coord.PairStudy("R-L", coord.PairKind.FUSE_RECLOSER, "R", 1,
+                            sweep),
+            recloser_curve(dial=dial), fuse or power_law_fuse(), margin)
 
 
-def rr_pair(margin=0.3, dial_down=0.1, dial_up=0.6):
-    return coord.CoordinationPair(
-        id="UP-DOWN", kind=coord.PairKind.RECLOSER_RECLOSER,
-        primary=recloser_curve(dial=dial_down),
-        backup=recloser_curve(dial=dial_up),
-        margin_required=margin)
+def rr_pair(sweep, margin=0.3, dial_down=0.1, dial_up=0.6):
+    """check_pair's arguments for a recloser-recloser pair at the sweep."""
+    return (coord.PairStudy("UP-DOWN", coord.PairKind.RECLOSER_RECLOSER,
+                            "DOWN", "UP", sweep),
+            recloser_curve(dial=dial_down), recloser_curve(dial=dial_up),
+            margin)
 
 
 class TestCurrentGrid:
@@ -71,24 +74,25 @@ class TestCurrentGrid:
 
 
 class TestCheckPair:
-    def brute_force(self, pair, sweep, n=2000):
+    def brute_force(self, pair, primary, backup, required, n=2000):
         """Linear exhaustive evaluation of the range and margin conditions."""
+        sweep = pair.sweep
         grid = np.linspace(sweep.i_primary_min, sweep.i_primary_max, n)
         sign = 1.0 if pair.kind is coord.PairKind.FUSE_RECLOSER else -1.0
         worst = math.inf
         for i in grid:
-            tp = pair.primary.time_at(float(i))
+            tp = primary.time_at(float(i))
             ib = float(i) + sign * sweep.delta
-            tb = pair.backup.time_at(ib) if ib > 0 else NO_OPERATION
+            tb = backup.time_at(ib) if ib > 0 else NO_OPERATION
             if not (math.isinf(tp) or math.isinf(tb)):
                 worst = min(worst, tb - tp)
 
         def ok_at(i):
-            tp = pair.primary.time_at(float(i))
-            tb = pair.backup.time_at(float(i) + sign * sweep.delta)
+            tp = primary.time_at(float(i))
+            tb = backup.time_at(float(i) + sign * sweep.delta)
             return tp <= tb
         range_ok = ok_at(grid[0]) and ok_at(grid[-1])
-        margin_ok = worst >= pair.margin_required - 1e-9
+        margin_ok = worst >= required - coord.MARGIN_TOL
         if not range_ok:
             return coord.FailureMode.RANGE_EXCEEDED
         if not margin_ok:
@@ -96,102 +100,93 @@ class TestCheckPair:
         return coord.FailureMode.NONE
 
     def test_clean_pair(self):
-        pair = fr_pair(margin=0.1)
-        sweep = coord.PairSweep(i_primary_max=8.0, i_primary_min=3.0,
-                                delta=0.5)
-        report = coord.check_pair(pair, sweep)
+        case = fr_pair(coord.PairSweep(i_primary_max=8.0, i_primary_min=3.0,
+                                       delta=0.5), margin=0.1)
+        report = coord.check_pair(*case)
         assert report.failure_mode is coord.FailureMode.NONE
         assert report.range_ok and report.margin_ok
-        assert report.failure_mode == self.brute_force(pair, sweep)
+        assert report.failure_mode == self.brute_force(*case)
 
     def test_range_exceeded_when_fuse_beats_recloser(self):
         # a large disparity drives the fuse far down its curve; the fuse
         # melts before the recloser trips at the sweep endpoints
-        pair = fr_pair(margin=0.1)
-        sweep = coord.PairSweep(i_primary_max=6.0, i_primary_min=3.0,
-                                delta=20.0)
-        report = coord.check_pair(pair, sweep)
+        case = fr_pair(coord.PairSweep(i_primary_max=6.0, i_primary_min=3.0,
+                                       delta=20.0), margin=0.1)
+        report = coord.check_pair(*case)
         assert report.failure_mode is coord.FailureMode.RANGE_EXCEEDED
         assert not report.range_ok
-        assert report.failure_mode == self.brute_force(pair, sweep)
+        assert report.failure_mode == self.brute_force(*case)
 
     def test_margin_violated_with_correct_ordering(self):
         # operating order correct everywhere, but the gap is too small
-        pair = fr_pair(margin=0.5)
-        sweep = coord.PairSweep(i_primary_max=8.0, i_primary_min=4.0,
-                                delta=0.0)
-        report = coord.check_pair(pair, sweep)
+        case = fr_pair(coord.PairSweep(i_primary_max=8.0, i_primary_min=4.0,
+                                       delta=0.0), margin=0.5)
+        report = coord.check_pair(*case)
         assert report.failure_mode is coord.FailureMode.MARGIN_VIOLATED
         assert report.range_ok and not report.margin_ok
-        assert report.failure_mode == self.brute_force(pair, sweep)
+        assert report.failure_mode == self.brute_force(*case)
 
     def test_worst_margin_matches_brute_force(self):
-        pair = fr_pair(margin=0.1)
-        sweep = coord.PairSweep(i_primary_max=9.0, i_primary_min=2.5,
-                                delta=1.0)
-        report = coord.check_pair(pair, sweep)
+        _, primary, fuse, _ = case = fr_pair(
+            coord.PairSweep(i_primary_max=9.0, i_primary_min=2.5, delta=1.0),
+            margin=0.1)
+        report = coord.check_pair(*case)
         grid = coord.current_grid(2.5, 9.0)
-        margins = [fuse_time(pair.backup, float(i) + 1.0)
-                   - pair.primary.time_at(float(i)) for i in grid]
+        margins = [fuse_time(fuse, float(i) + 1.0)
+                   - primary.time_at(float(i)) for i in grid]
         assert report.worst_margin == pytest.approx(min(margins))
 
     def test_shipped_pairs_match_brute_force(self, five_node_scenario,
                                              five_node_solution):
         scn = five_node_scenario
-        pairs = coord.build_pairs(scn.network, five_node_solution,
-                                  scn.fuse_curves, scn.fr_margin,
-                                  scn.rr_margin, scn.fault_impedance_floor)
-        assert pairs, "fixture produced no pairs"
-        for pair, sweep in pairs:
-            report = coord.check_pair(pair, sweep)
-            assert report.failure_mode == self.brute_force(pair, sweep), pair.id
+        cases = pair_checks(scn.network, scn.fuse_curves, scn.fr_margin,
+                            scn.rr_margin, scn.fault_impedance_floor)
+        assert cases, "fixture produced no pairs"
+        for case in cases:
+            report = coord.check_pair(*case)
+            assert report.failure_mode == self.brute_force(*case), case[0].id
+
+
+class TestMarginTolerance:
+    def test_dial_overrun_stays_inside_margin_tol(self):
+        # at the rule's pickups, at most half the minimum line-line fault
+        # current, the current multiple is at least 2/(sqrt(3)/2), and
+        # the dial slope falls as the multiple grows
+        multiple = 2.0 / opt.LL_FACTOR
+        for name, consts in load_curve_families().items():
+            curve = RecloserCurve("fast", consts, RecloserSettings(1.0, 1.0))
+            slope = opt._dial_slope(curve, 1.0, name)
+            assert slope(2.0 * multiple) < slope(multiple), name
+            assert opt.DIAL_TOL * slope(multiple) < coord.MARGIN_TOL, name
 
 
 class TestRecloserPairProperties:
     def test_positive_disparity_helps_the_margin(self):
         # the upstream device sees less current, so it responds later:
         # a pair coordinated at zero disparity stays coordinated
-        pair = rr_pair(margin=0.3)
-        base = coord.check_pair(pair, coord.PairSweep(9.0, 3.0, 0.0))
+        base = coord.check_pair(*rr_pair(coord.PairSweep(9.0, 3.0, 0.0),
+                                         margin=0.3))
         assert base.failure_mode is coord.FailureMode.NONE
         for delta in (0.2, 0.5, 1.0):
-            shifted = coord.check_pair(pair, coord.PairSweep(9.0, 3.0, delta))
+            shifted = coord.check_pair(
+                *rr_pair(coord.PairSweep(9.0, 3.0, delta), margin=0.3))
             assert shifted.failure_mode is coord.FailureMode.NONE
             assert shifted.worst_margin > base.worst_margin
             assert shifted.backup_delay > 0.0
 
     def test_backup_delay_signs_and_sentinels(self):
-        pair = rr_pair()
-        assert coord.backup_delay(pair, 0.0, 6.0) == 0.0
+        backup = recloser_curve(dial=0.6)
+        assert coord.backup_delay(backup, 0.0, 6.0) == 0.0
         # raw shift is negative: higher current means faster backup
-        assert coord.backup_delay(pair, 1.0, 6.0) < 0.0
-        assert coord.backup_delay(pair, 6.0, 6.0) == NO_OPERATION
-        assert coord.backup_delay(pair, 5.5, 6.0) == NO_OPERATION
+        assert coord.backup_delay(backup, 1.0, 6.0) < 0.0
+        assert coord.backup_delay(backup, 6.0, 6.0) == NO_OPERATION
+        assert coord.backup_delay(backup, 5.5, 6.0) == NO_OPERATION
 
     def test_report_carries_absolute_delay(self):
-        pair = rr_pair()
-        sweep = coord.PairSweep(9.0, 3.0, 1.0)
-        report = coord.check_pair(pair, sweep)
-        raw = coord.backup_delay(pair, 1.0, 9.0)
+        case = rr_pair(coord.PairSweep(9.0, 3.0, 1.0))
+        report = coord.check_pair(*case)
+        raw = coord.backup_delay(case[2], 1.0, 9.0)
         assert report.backup_delay == pytest.approx(abs(raw))
-
-
-class TestBuildPairs:
-    def test_enumeration_and_disparities(self, five_node_scenario,
-                                         five_node_solution):
-        scn = five_node_scenario
-        pairs = coord.build_pairs(scn.network, five_node_solution,
-                                  scn.fuse_curves)
-        ids = [p.id for p, _ in pairs]
-        assert ids == ["R1-L1", "R1-L2", "R2-L3", "R2-L4",
-                       "RLY-R1", "R1-R2"]
-        by_id = dict((p.id, (p, s)) for p, s in pairs)
-        for pid, (pair, sweep) in by_id.items():
-            assert sweep.delta >= 0.0
-            assert sweep.i_primary_min <= sweep.i_primary_max
-        # DG 1 taps node 2, between R1 (node 1) and R2 (node 3)
-        assert by_id["R1-R2"][1].delta > 0.0
-        assert by_id["RLY-R1"][1].delta == 0.0
 
 
 SCENARIOS = ("five_node_scenario", "case_a_scenario", "case_b_scenario")
@@ -307,30 +302,45 @@ class TestStudyPairsMatchesReference:
 
 
 class TestPairEnumeration:
+    def test_enumeration_and_disparities(self, five_node_scenario,
+                                         five_node_solution):
+        scn = five_node_scenario
+        kernel = flt.fault_kernel(scn.network, five_node_solution)
+        pairs, _ = coord.study_pairs(kernel, 0.0)
+        assert [pd.id for pd in pairs] == ["R1-L1", "R1-L2", "R2-L3",
+                                           "R2-L4", "RLY-R1", "R1-R2"]
+        by_id = {pd.id: pd.sweep for pd in pairs}
+        for sweep in by_id.values():
+            assert sweep.delta >= 0.0
+            assert sweep.i_primary_min <= sweep.i_primary_max
+        # DG 1 taps node 2, between R1 (node 1) and R2 (node 3)
+        assert by_id["R1-R2"].delta > 0.0
+        assert by_id["RLY-R1"].delta == 0.0
+
     @pytest.mark.parametrize("fixture", SCENARIOS)
-    def test_pairs_and_settings_read_one_enumeration(self, fixture, request):
+    def test_pairs_and_settings_read_one_enumeration(self, fixture, request,
+                                                     tmp_path):
+        # the pairs coordinate reports are the settings subproblem's
         scn = request.getfixturevalue(fixture)
-        sol = solve_distflow(scn.network)
-        pairs = coord.build_pairs(scn.network, sol, scn.fuse_curves,
-                                  scn.fr_margin, scn.rr_margin,
-                                  scn.fault_impedance_floor)
-        sub = opt.build_settings_subproblem(scn.network, sol,
-                                            scenario_config(scn))
-        assert [p.id for p, _ in pairs] == [pd.id for pd in sub.pairs]
-        for (pair, sweep), pd in zip(pairs, sub.pairs):
-            assert pair.kind is pd.kind
-            assert sweep == pd.sweep
+        cli.cmd_coordinate(scn, tmp_path)
+        with open(tmp_path / "coordination.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        sub = opt.build_settings_subproblem(
+            scn.network, solve_distflow(scn.network), scenario_config(scn))
+        assert [(row["pair_id"], row["kind"]) for row in rows] == \
+            [(pd.id, pd.kind.value) for pd in sub.pairs]
 
     @pytest.mark.parametrize("fixture", SCENARIOS)
     def test_pairs_match_one_shot_fault_solves(self, fixture, request):
         scn = request.getfixturevalue(fixture)
         sol = solve_distflow(scn.network)
         floor = scn.fault_impedance_floor
-        pairs = coord.build_pairs(scn.network, sol, scn.fuse_curves,
-                                  scn.fr_margin, scn.rr_margin, floor)
+        pairs, _ = coord.study_pairs(flt.fault_kernel(scn.network, sol),
+                                     floor)
         expect = reference_pairs(scn.network, sol, floor)
-        assert [p.id for p, _ in pairs] == list(expect)
-        for pair, sweep in pairs:
+        assert [pd.id for pd in pairs] == list(expect)
+        for pair in pairs:
+            sweep = pair.sweep
             got = (sweep.i_primary_max, sweep.i_primary_min, sweep.delta)
             for g, w in zip(got, expect[pair.id]):
                 assert g == pytest.approx(w, rel=1e-9, abs=1e-12), pair.id

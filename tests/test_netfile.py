@@ -1,6 +1,7 @@
 """Network and scenario file ingestion: validation and error context."""
 
 import json
+import math
 
 import pytest
 
@@ -128,6 +129,23 @@ class TestLoadScenario:
         doc = {"network": "five_node.json", "profile": {"9": [0.1]}}
         with pytest.raises(KeyError):
             load_scenario(write_doc(tmp_path, doc))
+
+    def test_margins_must_be_finite_and_positive(self, tmp_path):
+        for key in ("fuse_recloser", "recloser_recloser"):
+            for bad in (0, -0.1, math.nan, math.inf):
+                doc = {"network": "five_node.json", "margins": {key: bad}}
+                with pytest.raises(NetworkFileError, match=(
+                        f"^{key} margin must be finite and > 0, got ")):
+                    load_scenario(write_doc(tmp_path, doc, "scn.json"))
+
+    def test_fuse_must_be_in_the_fuse_table(self, tmp_path):
+        doc = read_fixture("five_node.json")
+        doc["laterals"][1]["fuse"] = "nosuch"
+        net = write_doc(tmp_path, doc)
+        scenario = write_doc(tmp_path, {"network": str(net)}, "scn.json")
+        with pytest.raises(NetworkFileError, match=(
+                "lateral 2: fuse 'nosuch' is not in the fuse table")):
+            load_scenario(scenario)
 
     def test_case_b_cadence_values(self, case_b_scenario):
         assert case_b_scenario.dispatch_every == 1

@@ -19,7 +19,8 @@ from feederprot.model import (FeederSection, Lateral, Network,
                               RecloserPlacement, SubstationSource)
 from feederprot.power_flow import solve_distflow
 
-from conftest import radial_chains, recloser_zone, scenario_config
+from conftest import (pair_checks, radial_chains, recloser_zone,
+                      scenario_config)
 
 VI = TCIConstants(a=19.61, b=0.491, c=1.0, m=2.0, K=0.0)
 D_GRID = np.round(np.arange(0.1, 1.0 + 1e-9, 1e-3), 6)
@@ -628,10 +629,9 @@ class TestDispatch:
                                                  five_node_solution):
         scn = five_node_scenario
         config = replace(self.config(scn), fr_margin=5.0)
-        pair_ids = {pair.id for pair, _ in coord.build_pairs(
-            scn.network, five_node_solution, scn.fuse_curves,
-            fr_margin=config.fr_margin, rr_margin=config.rr_margin,
-            fault_impedance_floor=config.fault_impedance_floor)}
+        pair_ids = {pd.id for pd in coord.study_pairs(
+            flt.fault_kernel(scn.network, five_node_solution),
+            config.fault_impedance_floor)[0]}
         available = {u.id: u.p_out for u in scn.network.dg_units}
         with pytest.raises(opt.InfeasibleError) as exc:
             opt.solve_dispatch(scn.network, available, scn.fuse_curves,
@@ -907,11 +907,9 @@ class TestRandomChains:
             final = opt.apply_settings(study.network, study.settings())
         except opt.InfeasibleError:
             return
-        pairs = coord.build_pairs(final, solve_distflow(final), fuse_curves,
-                                  fr_margin, 0.02, floor)
-        for pair, sweep in pairs:
-            verdict = coord.check_pair(pair, sweep).failure_mode
-            assert verdict is coord.FailureMode.NONE, pair.id
+        for case in pair_checks(final, fuse_curves, fr_margin, 0.02, floor):
+            verdict = coord.check_pair(*case).failure_mode
+            assert verdict is coord.FailureMode.NONE, case[0].id
         # and the dispatch is maximal: no curtailed unit can go any higher
         for uid, ceiling in available.items():
             output = final.dg(uid).p_out
