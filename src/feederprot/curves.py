@@ -61,8 +61,9 @@ class RecloserSettings:
         if not TIME_DIAL_MIN <= self.time_dial <= TIME_DIAL_MAX:
             raise ValueError(f"time_dial {self.time_dial} outside "
                              f"[{TIME_DIAL_MIN}, {TIME_DIAL_MAX}]")
-        if self.pickup <= 0:
-            raise ValueError("pickup must be positive")
+        if not 0 < self.pickup < math.inf:
+            raise ValueError("pickup must be finite and > 0, "
+                             f"got {self.pickup!r}")
 
 
 @dataclass(frozen=True)

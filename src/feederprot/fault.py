@@ -1,9 +1,13 @@
 """Fault studies: DG source models, the per-state fault kernel, disparities.
 
 Three-phase faults are solved on the single equivalent-phase per-unit
-circuit.  Rotating DG become voltage sources behind a reactance;
-inverter DG become constant current injections or switch off; the
-substation is its configured voltage behind the source impedance.
+circuit, where every source is one Norton pair at its tap: the shunt
+admittance it adds and the current it injects.  The substation is its
+configured voltage V behind the source impedance, (1/z_src, V/z_src).
+Synchronous and asynchronous DG are an emf behind their subtransient or
+locked-rotor reactance z, (1/z, emf/z).  Inverter DG inject k_clamp
+times rated current in quadrature, (0, -j k_clamp I_rated), or switch
+off, (0, 0), as does any unit at zero output.
 
 Each operating state is factored once by the Z-bus (Thevenin) method
 (Grainger & Stevenson, *Power System Analysis*, ch. 10), specialised to
@@ -24,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 from .model import (DGKind, DGUnit, Network, UnknownElementError)
 from .power_flow import PowerFlowSolution, dg_terminal_voltages
@@ -49,26 +52,11 @@ def at_lateral(lateral_id: int) -> FaultLocation:
 
 
 @dataclass(frozen=True)
-class TheveninEquivalent:
-    emf: complex
-    impedance: complex
+class NortonSource:
+    """What a source adds to the faulted circuit at its tap."""
 
-    def __post_init__(self):
-        if abs(self.impedance) <= 0:
-            raise ValueError("rotating-machine impedance magnitude must be > 0")
-
-
-class FaultModelKind(Enum):
-    VOLTAGE_BEHIND_IMPEDANCE = "voltage_behind_impedance"
-    CONSTANT_CURRENT = "constant_current"
-    OFF = "off"
-
-
-@dataclass(frozen=True)
-class DGFaultModel:
-    kind: FaultModelKind
-    thevenin: TheveninEquivalent | None = None
-    i_const: float = 0.0
+    shunt: complex
+    injection: complex
 
 
 @dataclass(frozen=True)
@@ -82,8 +70,8 @@ class FaultStudy:
     delta_rr: dict[str, float]
 
 
-def build_dg_fault_model(dg: DGUnit, v_terminal: float) -> DGFaultModel:
-    """Fault representation of one DG unit from its pre-fault state.
+def build_dg_fault_model(dg: DGUnit, v_terminal: float) -> NortonSource:
+    """The Norton pair of one DG unit from its pre-fault state.
 
     Synchronous and asynchronous machines become an emf behind their
     subtransient / locked-rotor reactance, reconstructed from the
@@ -96,34 +84,32 @@ def build_dg_fault_model(dg: DGUnit, v_terminal: float) -> DGFaultModel:
         raise ValueError("terminal voltage must be positive")
     if dg.p_out == 0.0 and dg.q_out == 0.0:
         # a unit dispatched (or profiled) to zero is disconnected
-        return DGFaultModel(FaultModelKind.OFF)
+        return NortonSource(0j, 0j)
     v = complex(v_terminal, 0.0)
     # generator convention: unit delivers (p + jq), I = conj(S/V)
     i_pre = complex(dg.p_out, -dg.q_out) / v_terminal
 
     if dg.kind is DGKind.SYNCHRONOUS:
         z = complex(0.0, dg.params.xd2)
-        return DGFaultModel(FaultModelKind.VOLTAGE_BEHIND_IMPEDANCE,
-                            thevenin=TheveninEquivalent(v + z * i_pre, z))
+        return NortonSource(1.0 / z, (v + z * i_pre) / z)
     if dg.kind is DGKind.ASYNCHRONOUS:
         # pre-fault slip mapped affinely from loading; it nudges the
         # internal emf, the locked-rotor reactance sets the magnitude
         slip = dg.params.rated_slip * (dg.p_out / dg.rating_s)
         z = complex(0.0, dg.params.x_lr)
-        emf = (1.0 + slip) * (v + z * i_pre)
-        return DGFaultModel(FaultModelKind.VOLTAGE_BEHIND_IMPEDANCE,
-                            thevenin=TheveninEquivalent(emf, z))
+        return NortonSource(1.0 / z, (1.0 + slip) * (v + z * i_pre) / z)
     # inverter-based
     rated_i = dg.rating_s
     prospective = v_terminal / dg.params.coupling_x * rated_i
     if prospective > dg.params.k_off * rated_i:
-        return DGFaultModel(FaultModelKind.OFF)
-    return DGFaultModel(FaultModelKind.CONSTANT_CURRENT,
-                        i_const=dg.params.k_clamp * rated_i)
+        return NortonSource(0j, 0j)
+    # injected in quadrature with the pre-fault voltage, matching the
+    # phase of a current driven through the coupling reactance
+    return NortonSource(0j, -1j * (dg.params.k_clamp * rated_i))
 
 
 def build_all_fault_models(network: Network,
-                           sol: PowerFlowSolution) -> dict[int, DGFaultModel]:
+                           sol: PowerFlowSolution) -> dict[int, NortonSource]:
     volts = dg_terminal_voltages(network, sol)
     return {u.id: build_dg_fault_model(u, volts[u.id])
             for u in network.dg_units}
@@ -228,19 +214,12 @@ def fault_kernel(network: Network, sol: PowerFlowSolution) -> FaultKernel:
     n = network.n_nodes
     z = [complex(s.r, s.x) for s in network.sections]
     z_src = network.source.impedance
-    shunt = [1.0 / z_src] + [0j] * (n - 1)
-    sources = [(0, network.source.voltage / z_src)]
-    for unit in network.dg_units:
-        fm, tap = models[unit.id], unit.tap_node
-        if fm.kind is FaultModelKind.VOLTAGE_BEHIND_IMPEDANCE:
-            shunt[tap] += 1.0 / fm.thevenin.impedance
-            sources.append((tap, fm.thevenin.emf / fm.thevenin.impedance))
-        elif fm.kind is FaultModelKind.CONSTANT_CURRENT:
-            # injected in quadrature with the pre-fault voltage, matching
-            # the phase of a current driven through the coupling reactance
-            sources.append((tap, -1j * fm.i_const))
-        else:  # OFF injects nothing and adds no shunt
-            sources.append((tap, 0j))
+    sources = [(0, NortonSource(1.0 / z_src, network.source.voltage / z_src))]
+    sources += ((u.tap_node, models[u.id]) for u in network.dg_units)
+    shunt = [0j] * n
+    for tap, src in sources:
+        if src.shunt:  # adding a zero shunt could turn a -0.0 into 0.0
+            shunt[tap] += src.shunt
 
     # section k's divider seen from node k + 1 (up) and from node k
     # (down); neither divides by the zero admittance past an open end
@@ -256,9 +235,9 @@ def fault_kernel(network: Network, sol: PowerFlowSolution) -> FaultKernel:
     z_kk = [1.0 / (u + d) for u, d in zip(up, down)]
 
     columns = []
-    for j, current in sources:
+    for j, src in sources:
         v = [0j] * n
-        v[j] = current * z_kk[j]
+        v[j] = src.injection * z_kk[j]
         for k in reversed(range(j)):
             v[k] = v[k + 1] / up_div[k]
         for k in range(j, n - 1):

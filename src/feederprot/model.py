@@ -181,8 +181,9 @@ def validate_flow(network: Network) -> list[Violation]:
         name = f"section[{idx}]"
         if sec.from_node != idx or sec.to_node != idx + 1:
             out.append(Violation(name, "sections must form a radial chain 0..N"))
-        if sec.r < 0 or sec.x < 0 or (sec.r == 0 and sec.x == 0):
-            out.append(Violation(name, "r, x >= 0 and not both zero"))
+        if (not (0 <= sec.r < math.inf and 0 <= sec.x < math.inf)
+                or (sec.r == 0 and sec.x == 0)):
+            out.append(Violation(name, "r, x finite, >= 0 and not both zero"))
 
     seen_lat = set()
     for lat in network.laterals:
@@ -192,10 +193,10 @@ def validate_flow(network: Network) -> list[Violation]:
         seen_lat.add(lat.id)
         if not 0 <= lat.tap_node < n:
             out.append(Violation(name, f"tap node {lat.tap_node} not on feeder"))
-        if lat.load_p < 0:
-            out.append(Violation(name, "load_p must be non-negative"))
-        if abs(lat.load_q) > 2 * lat.load_p:
-            out.append(Violation(name, "|load_q| exceeds 2*load_p sanity bound"))
+        if not 0 <= lat.load_p < math.inf:
+            out.append(Violation(name, "load_p must be finite and >= 0"))
+        if not abs(lat.load_q) <= 2 * lat.load_p:
+            out.append(Violation(name, "|load_q| must be finite, <= 2*load_p"))
 
     seen_dg = set()
     for unit in network.dg_units:
@@ -205,33 +206,40 @@ def validate_flow(network: Network) -> list[Violation]:
         seen_dg.add(unit.id)
         if not 0 <= unit.tap_node < n:
             out.append(Violation(name, f"tap node {unit.tap_node} not on feeder"))
-        if unit.p_out < 0:
-            out.append(Violation(name, "p_out must be non-negative"))
-        if unit.p_out ** 2 + unit.q_out ** 2 > unit.rating_s ** 2 * (1 + 1e-12):
+        if not 0 < unit.rating_s < math.inf:
+            out.append(Violation(name, "rating_s must be finite and > 0"))
+        if not 0 <= unit.p_out < math.inf:
+            out.append(Violation(name, "p_out must be finite and >= 0"))
+        if not (unit.p_out ** 2 + unit.q_out ** 2
+                <= unit.rating_s ** 2 * (1 + 1e-12)):
             out.append(Violation(name, "output exceeds apparent-power rating"))
-        if unit.rating_s <= 0:
-            out.append(Violation(name, "rating_s must be positive"))
         if not isinstance(unit.params, DG_PARAMS[unit.kind]):
             out.append(Violation(name, f"params do not match kind {unit.kind.value}"))
         elif isinstance(unit.params, SynchronousParams):
-            if unit.params.xd2 <= 0:
-                out.append(Violation(name, "subtransient reactance must be positive"))
+            if not 0 < unit.params.xd2 < math.inf:
+                out.append(Violation(
+                    name, "subtransient reactance must be finite and > 0"))
         elif isinstance(unit.params, AsynchronousParams):
-            if unit.params.x_lr <= 0:
-                out.append(Violation(name, "locked-rotor reactance must be positive"))
+            if not 0 < unit.params.x_lr < math.inf:
+                out.append(Violation(
+                    name, "locked-rotor reactance must be finite and > 0"))
+            if not math.isfinite(unit.params.rated_slip):
+                out.append(Violation(name, "rated slip must be finite"))
         elif isinstance(unit.params, InverterParams):
             p = unit.params
             if not (1.25 <= p.k_clamp <= 2.0 <= p.k_off <= 3.0):
                 out.append(Violation(
                     name, "require 1.25 <= k_clamp <= 2 <= k_off <= 3"))
-            if p.coupling_x <= 0:
-                out.append(Violation(name, "coupling reactance must be positive"))
+            if not 0 < p.coupling_x < math.inf:
+                out.append(Violation(
+                    name, "coupling reactance must be finite and > 0"))
 
     src = network.source
     if not 0.9 <= src.voltage <= 1.1:
         out.append(Violation("source", "voltage outside [0.9, 1.1] pu"))
-    if abs(src.impedance) <= 0:
-        out.append(Violation("source", "source impedance magnitude must be > 0"))
+    if not 0 < abs(src.impedance) < math.inf:
+        out.append(Violation(
+            "source", "source impedance magnitude must be finite and > 0"))
     return out
 
 
@@ -258,7 +266,9 @@ def validate(network: Network) -> list[Violation]:
             out.append(Violation(
                 name, f"fast curve above slow curve at {crossing:g} pu"))
 
-    if network.base_mva <= 0 or network.base_kv <= 0:
-        out.append(Violation("bases", "base_mva and base_kv must be positive"))
+    if not (0 < network.base_mva < math.inf
+            and 0 < network.base_kv < math.inf):
+        out.append(Violation(
+            "bases", "base_mva and base_kv must be positive and finite"))
 
     return out

@@ -56,6 +56,15 @@ def _integer(doc: dict, key: str, default: int, context: str) -> int:
     return value
 
 
+def _settings(entry: dict, context: str) -> RecloserSettings:
+    """A pickup and time dial; a bad value is an error at ``context``."""
+    try:
+        return RecloserSettings(pickup=float(entry["pickup"]),
+                                time_dial=float(entry["time_dial"]))
+    except ValueError as exc:
+        raise NetworkFileError(f"{context}: {exc}") from None
+
+
 def _parse_dg(entry: dict, context: str,) -> DGUnit:
     _require_keys(entry, {"id", "tap", "kind", "rating", "p", "q", "params",
                           "curtailable"},
@@ -99,8 +108,7 @@ def _parse_recloser(entry: dict, families: dict[str, TCIConstants],
         curves.append(RecloserCurve(
             tag=cv["tag"],
             constants=families[cv["family"]],
-            settings=RecloserSettings(pickup=float(cv["pickup"]),
-                                      time_dial=float(cv["time_dial"])),
+            settings=_settings(cv, cctx),
         ))
     return RecloserPlacement(
         id=str(entry["id"]),
@@ -303,8 +311,7 @@ def load_settings_file(path: str | Path) -> dict[str, RecloserSettings]:
             if type(st[key]) not in (int, float):
                 raise NetworkFileError(
                     f"{ctx}: {key} must be a number, got {st[key]!r}")
-        out[rid] = RecloserSettings(pickup=float(st["pickup"]),
-                                    time_dial=float(st["time_dial"]))
+        out[rid] = _settings(st, ctx)
     return out
 
 

@@ -67,24 +67,23 @@ def _net_injections(network: Network) -> tuple[list[float], list[float]]:
     return d_p, d_q
 
 
-def solve_distflow(network: Network, tol: float = DEFAULT_TOL,
-                   max_iter: int = DEFAULT_MAX_ITER) -> PowerFlowSolution:
+def solve_distflow(network: Network,
+                   tol: float = DEFAULT_TOL) -> PowerFlowSolution:
     """Forward-backward sweep to the requested power-mismatch tolerance.
 
-    Returns the best iterate with converged=False when max_iter is
-    exhausted; raises PowerFlowDivergence on voltage collapse or runaway
-    flows and ValueError on bad arguments or on a network that fails
-    validate_flow (the devices, which no sweep reads, are not checked).
+    Returns the last iterate with converged=False after DEFAULT_MAX_ITER
+    sweeps; raises PowerFlowDivergence on voltage collapse or runaway
+    flows and ValueError on a tolerance that is not finite and positive
+    or on a network that fails validate_flow (the devices, which no sweep
+    reads, are not checked).
 
     The sweeps run on lists of floats.  A scalar ``x ** 2`` is libm
     ``pow``, which can differ in the last bit from ``x * x``, so each
     square keeps the form it is written in, and the backward sum keeps
     its order.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol!r}")
     violations = validate_flow(network)
     if violations:
         raise ValueError(f"invalid network: {violations[0].element}: "
@@ -102,7 +101,7 @@ def solve_distflow(network: Network, tol: float = DEFAULT_TOL,
     q = [0.0] * len(r)
 
     mismatch = math.inf
-    for it in range(1, max_iter + 1):
+    for it in range(1, DEFAULT_MAX_ITER + 1):
         # backward, from the feeder end: downstream demand plus the
         # section losses of the previous iterate
         p_up = []
@@ -135,8 +134,8 @@ def solve_distflow(network: Network, tol: float = DEFAULT_TOL,
         if mismatch <= tol:
             return PowerFlowSolution(tuple(p), tuple(q), tuple(v), True, it,
                                      mismatch)
-    return PowerFlowSolution(tuple(p), tuple(q), tuple(v), False, max_iter,
-                             mismatch)
+    return PowerFlowSolution(tuple(p), tuple(q), tuple(v), False,
+                             DEFAULT_MAX_ITER, mismatch)
 
 
 def _residual(p, q, v, r, x, d_p, d_q) -> float:

@@ -8,6 +8,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import pytest
+
 from feederprot import cli
 from feederprot import optimizer as opt
 from feederprot.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, main
@@ -16,6 +18,24 @@ from feederprot.netfile import dump_settings, fixtures_dir, load_scenario
 FIVE_NODE = str(fixtures_dir() / "five_node_scenario.json")
 CASE_A = str(fixtures_dir() / "ieee37_case_a.json")
 CASE_B = fixtures_dir() / "ieee37_case_b.json"
+
+# a value that is not a finite number, where it enters, and the element
+# the input error names: keys into the five-node network file, the
+# --tol flag, or a step of case B's profile for DG unit 4
+NON_FINITE = {
+    "dg-p": ("powerflow", ("dg", 0, "p"), math.nan, "dg[1]"),
+    "dg-rating": ("powerflow", ("dg", 0, "rating"), math.nan, "dg[1]"),
+    "dg-xd2": ("powerflow", ("dg", 0, "params", "xd2"), math.inf, "dg[1]"),
+    "section-r": ("powerflow", ("sections", 1, "r"), math.inf, "section[1]"),
+    "lateral-q": ("powerflow", ("laterals", 0, "q"), math.nan, "lateral[1]"),
+    "source-x": ("powerflow", ("source", "x"), math.nan, "source"),
+    "bases-kv": ("powerflow", ("bases", "kv"), math.inf, "bases"),
+    "pickup": ("coordinate", ("reclosers", 2, "curves", 0, "pickup"),
+               math.nan, "reclosers[2].curves[0]"),
+    "tol-nan": ("powerflow", "--tol", math.nan, "tol"),
+    "tol-inf": ("powerflow", "--tol", math.inf, "tol"),
+    "profile": ("timeseries", "profile", math.nan, "dg[4]"),
+}
 
 
 class TestExitCodes:
@@ -113,6 +133,33 @@ class TestExitCodes:
                     f"input error: {net}: lateral {lateral['id']}: fuse "
                     f"'nosuch' is not in the fuse table\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("case", sorted(NON_FINITE))
+    def test_non_finite_inputs_are_input_errors(self, case, tmp_path, capsys):
+        command, where, value, element = NON_FINITE[case]
+        if where == "--tol":
+            source = ["--scenario", FIVE_NODE, f"--tol={value}"]
+        elif where == "profile":
+            doc = json.loads(CASE_B.read_text())
+            doc["network"] = str(CASE_B.parent / doc["network"])
+            doc["profile"]["4"][2] = value
+            scenario = tmp_path / "scn.json"
+            scenario.write_text(json.dumps(doc))
+            source = ["--scenario", str(scenario)]
+        else:
+            doc = json.loads((fixtures_dir() / "five_node.json").read_text())
+            *keys, last = where
+            entry = doc
+            for key in keys:
+                entry = entry[key]
+            entry[last] = value
+            net = tmp_path / "net.json"
+            net.write_text(json.dumps(doc))  # as NaN or Infinity
+            source = ["--network", str(net)]
+        out = ["--out-dir", str(tmp_path / "out")]
+        assert main([command] + source + out) == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and element in err, err
 
     def test_unconverged_load_flow_is_a_run_failure(self, tmp_path):
         for cmd in (["powerflow"], ["fault", "--at", "node:1"],

@@ -28,6 +28,8 @@ RUNS = {
                               "--at", "node:2"],
     "fault-five_node-lateral1": ["fault", "--scenario", FIVE_NODE,
                                  "--at", "lateral:1"],
+    # downstream of the synchronous, asynchronous and inverter units
+    "fault-case_a-node11": ["fault", "--scenario", CASE_A, "--at", "node:11"],
 }
 
 DIGESTS = {
@@ -115,6 +117,13 @@ DIGESTS = {
             "f0e5d28389b85ac2b26a1b6106192b5a29f32fee07f13f943a62865f7a8b7936",
         "fault.csv":
             "8ad38f5aac4a568e1c41442c7ef49d8c69deb8ecf894505627268deac7dee6ac",
+    },
+    "fault-case_a-node11": {
+        "exit": 0,
+        "stdout":
+            "7139ce2cfb9104efb82b07a2ccd01e24ba6f28fcf430b2825245d2dcec484767",
+        "fault.csv":
+            "c3e063ee0143100ccc3234d07d2a416418610a0c1b0b6fd677aded9b795fa625",
     },
 }
 # case B is case A's network and start state with a profile, which only

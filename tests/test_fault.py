@@ -32,26 +32,27 @@ def loop_admittance(network):
     return y
 
 
+def norton_sources(network, sol):
+    """Every source's tap and Norton pair, the substation first."""
+    models = flt.build_all_fault_models(network, sol)
+    z_src = network.source.impedance
+    substation = flt.NortonSource(1.0 / z_src, network.source.voltage / z_src)
+    return [(0, substation),
+            *((u.tap_node, models[u.id]) for u in network.dg_units)]
+
+
 def dense_fault_kernel(network, sol):
     """The kernel as one dense nodal solve: Y holds the sections and the
     source shunts; the right-hand sides are each source's injection and a
     unit current at every node.  Returns (v_oc, z_kk) indexed by node."""
-    models = flt.build_all_fault_models(network, sol)
-    n = network.n_nodes
+    sources = norton_sources(network, sol)
+    n, m = network.n_nodes, len(sources)
     y = loop_admittance(network)
-    m = 1 + len(network.dg_units)
     rhs = np.zeros((n, m + n), dtype=complex)
     rhs[range(n), range(m, m + n)] = 1.0
-    z_src = network.source.impedance
-    y[0, 0] += 1.0 / z_src
-    rhs[0, 0] = network.source.voltage / z_src
-    for col, unit in enumerate(network.dg_units, start=1):
-        fm = models[unit.id]
-        if fm.kind is flt.FaultModelKind.VOLTAGE_BEHIND_IMPEDANCE:
-            y[unit.tap_node, unit.tap_node] += 1.0 / fm.thevenin.impedance
-            rhs[unit.tap_node, col] = fm.thevenin.emf / fm.thevenin.impedance
-        elif fm.kind is flt.FaultModelKind.CONSTANT_CURRENT:
-            rhs[unit.tap_node, col] = -1j * fm.i_const
+    for col, (tap, src) in enumerate(sources):
+        y[tap, tap] += src.shunt
+        rhs[tap, col] = src.injection
     volts = np.linalg.solve(y, rhs)
     return volts[:, :m], np.diagonal(volts[:, m:])
 
@@ -65,44 +66,33 @@ def contributions(kernel, fault_impedance):
 
 def assert_matches_dense(network):
     """The chain reduction agrees with the dense solve element-wise to
-    1e-12 relative, and an OFF unit's column is exactly zero."""
+    1e-12 relative, so a source that injects nothing, whose dense column
+    is exactly zero, has an exactly zero column."""
     sol = solve_distflow(network)
     kernel = flt.fault_kernel(network, sol)
     v_oc, z_kk = dense_fault_kernel(network, sol)
     got_v, got_z = np.asarray(kernel.v_oc), np.asarray(kernel.z_kk)
     assert got_v.shape == v_oc.shape and got_z.shape == z_kk.shape
     assert np.all(np.abs(got_z - z_kk) <= 1e-12 * np.abs(z_kk))
-    models = flt.build_all_fault_models(network, sol)
-    for col, unit in enumerate((None, *network.dg_units)):
-        got, want = got_v[:, col], v_oc[:, col]
-        if unit and models[unit.id].kind is flt.FaultModelKind.OFF:
-            assert np.all(got == 0)
-        else:
-            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+    assert np.all(np.abs(got_v - v_oc) <= 1e-12 * np.abs(v_oc))
     return kernel
 
 
-def independent_fault_current(network, models, fault_node,
+def independent_fault_current(network, sources, fault_node,
                               fault_impedance=0.0):
     """One-shot complex nodal solve with the faulted node grounded.
 
-    Written against the circuit directly: source shunts and injections
-    assembled into Y*V = I, the fault represented by forcing V = 0 at
-    the node (or adding the fault impedance as a shunt), and the fault
-    current read back from the nodal balance.
+    Written against the circuit directly: the sources' shunts and
+    injections assembled into Y*V = I, the fault represented by forcing
+    V = 0 at the node (or adding the fault impedance as a shunt), and the
+    fault current read back from the nodal balance.
     """
     n = network.n_nodes
     y = loop_admittance(network)
     inj = np.zeros(n, dtype=complex)
-    y[0, 0] += 1.0 / network.source.impedance
-    inj[0] += network.source.voltage / network.source.impedance
-    for unit in network.dg_units:
-        fm = models[unit.id]
-        if fm.kind is flt.FaultModelKind.VOLTAGE_BEHIND_IMPEDANCE:
-            y[unit.tap_node, unit.tap_node] += 1.0 / fm.thevenin.impedance
-            inj[unit.tap_node] += fm.thevenin.emf / fm.thevenin.impedance
-        elif fm.kind is flt.FaultModelKind.CONSTANT_CURRENT:
-            inj[unit.tap_node] += -1j * fm.i_const
+    for tap, src in sources:
+        y[tap, tap] += src.shunt
+        inj[tap] += src.injection
     if fault_impedance > 0:
         y[fault_node, fault_node] += 1.0 / fault_impedance
         volts = np.linalg.solve(y, inj)
@@ -112,22 +102,13 @@ def independent_fault_current(network, models, fault_node,
     return inj[fault_node] - y[fault_node, keep] @ volts
 
 
-def only_source(network, models, keep):
-    """Network and fault models with every source but ``keep`` dead:
-    voltage sources shorted (emf zero, impedance kept) and current
-    sources opened, so the circuit carries ``keep``'s contribution."""
-    if keep != "substation":
-        network = replace(network,
-                          source=replace(network.source, voltage=0.0))
-    dead = {}
-    for uid, fm in models.items():
-        if uid == keep or fm.kind is flt.FaultModelKind.OFF:
-            dead[uid] = fm
-        elif fm.kind is flt.FaultModelKind.VOLTAGE_BEHIND_IMPEDANCE:
-            dead[uid] = replace(fm, thevenin=replace(fm.thevenin, emf=0j))
-        else:
-            dead[uid] = replace(fm, i_const=0.0)
-    return network, dead
+def only_source(sources, keep):
+    """The sources with every one but column ``keep`` dead: its injection
+    zero and its shunt kept (a voltage source shorted behind its
+    impedance, a current source opened), so the circuit carries
+    ``keep``'s contribution."""
+    return [(tap, src if col == keep else replace(src, injection=0j))
+            for col, (tap, src) in enumerate(sources)]
 
 
 class TestKernelProperties:
@@ -135,16 +116,14 @@ class TestKernelProperties:
     def test_contributions_match_independent_solve(self, chain):
         net, floor = chain
         sol = solve_distflow(net)
-        models = flt.build_all_fault_models(net, sol)
-        nodes = range(net.n_nodes)
+        sources = norton_sources(net, sol)
         kernel = flt.fault_kernel(net, sol)
-        sources = ["substation"] + [u.id for u in net.dg_units]
         for zf in (0.0, floor):
             got = contributions(kernel, zf)
-            for col, sid in enumerate(sources):
-                alone, dead = only_source(net, models, sid)
-                for node in nodes:
-                    expect = independent_fault_current(alone, dead, node, zf)
+            for col in range(len(sources)):
+                alone = only_source(sources, col)
+                for node in range(net.n_nodes):
+                    expect = independent_fault_current(net, alone, node, zf)
                     assert abs(got[node, col] - expect) <= 1e-9 * abs(expect)
 
     @given(radial_chains())
@@ -218,11 +197,11 @@ class TestNetworkSolve:
     def test_with_dg_matches_independent_nodal_solve(self, five_node_scenario):
         net = five_node_scenario.network
         sol = solve_distflow(net)
-        models = flt.build_all_fault_models(net, sol)
+        sources = norton_sources(net, sol)
         kernel = flt.fault_kernel(net, sol)
         for node in range(1, net.n_nodes):
             for zf in (0.0, 0.2):
-                expect = independent_fault_current(net, models, node, zf)
+                expect = independent_fault_current(net, sources, node, zf)
                 got = contributions(kernel, zf)[node].sum()
                 assert abs(got - expect) < 1e-6
 
@@ -253,38 +232,38 @@ class TestDGModels:
         dg = DGUnit(1, 2, DGKind.SYNCHRONOUS, 0.4, 0.3, 0.12,
                     SynchronousParams(xd2=0.6))
         v = 0.97
-        fm = flt.build_dg_fault_model(dg, v)
-        assert fm.kind is flt.FaultModelKind.VOLTAGE_BEHIND_IMPEDANCE
+        src = flt.build_dg_fault_model(dg, v)
         i_pre = complex(0.3, -0.12) / v
         expect = complex(v, 0.0) + 1j * 0.6 * i_pre
-        assert abs(fm.thevenin.emf - expect) < 1e-12
-        assert fm.thevenin.impedance == 1j * 0.6
+        assert abs(src.injection / src.shunt - expect) < 1e-12
+        assert src.shunt == 1 / (1j * 0.6)
 
     def test_asynchronous_slip_scales_with_loading(self):
         from feederprot.model import AsynchronousParams
         params = AsynchronousParams(x_lr=2.2, rated_slip=0.02)
         v = 0.98
         half = DGUnit(4, 8, DGKind.ASYNCHRONOUS, 0.2, 0.1, 0.03, params)
-        fm = flt.build_dg_fault_model(half, v)
+        src = flt.build_dg_fault_model(half, v)
         i_pre = complex(0.1, -0.03) / v
         slip = 0.02 * (0.1 / 0.2)
         expect = (1 + slip) * (complex(v, 0) + 1j * 2.2 * i_pre)
-        assert abs(fm.thevenin.emf - expect) < 1e-12
+        assert abs(src.injection / src.shunt - expect) < 1e-12
+        assert src.shunt == 1 / (1j * 2.2)
 
     def test_inverter_clamps_or_switches_off(self):
         params = InverterParams(k_off=2.0, k_clamp=1.5, coupling_x=0.4)
         dg = DGUnit(2, 4, DGKind.INVERTER, 0.3, 0.2, 0.0, params)
         clamped = flt.build_dg_fault_model(dg, 0.79)
-        assert clamped.kind is flt.FaultModelKind.CONSTANT_CURRENT
-        assert abs(clamped.i_const - 1.5 * 0.3) < 1e-12
+        assert clamped.shunt == 0
+        assert abs(clamped.injection - -1j * 1.5 * 0.3) < 1e-12
         # prospective current 0.81/0.4 = 2.02 x rated exceeds k_off = 2
         off = flt.build_dg_fault_model(dg, 0.81)
-        assert off.kind is flt.FaultModelKind.OFF
+        assert off == flt.NortonSource(0j, 0j)
 
     def test_zero_output_unit_is_off(self):
         dg = DGUnit(1, 2, DGKind.SYNCHRONOUS, 0.4, 0.0, 0.0,
                     SynchronousParams(xd2=0.6))
-        assert flt.build_dg_fault_model(dg, 1.0).kind is flt.FaultModelKind.OFF
+        assert flt.build_dg_fault_model(dg, 1.0) == flt.NortonSource(0j, 0j)
 
     def test_terminal_voltage_must_be_positive(self):
         dg = DGUnit(1, 2, DGKind.SYNCHRONOUS, 0.4, 0.3, 0.1,
@@ -362,6 +341,6 @@ class TestInputChecks:
 
     def test_requires_converged_power_flow(self, five_node_scenario):
         net = five_node_scenario.network
-        sol = solve_distflow(net, tol=1e-16, max_iter=1)
+        sol = solve_distflow(net, tol=1e-300)
         with pytest.raises(PowerFlowNotConverged):
             flt.solve_fault(net, sol, flt.at_node(1))

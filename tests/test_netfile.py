@@ -181,6 +181,8 @@ class TestSettingsFiles:
          "{path}:R1: pickup must be a number, got 'x'"),
         ('{"R1": {"pickup": 1.0, "time_dial": true}}',
          "{path}:R1: time_dial must be a number, got True"),
+        ('{"R1": {"pickup": NaN, "time_dial": 0.5}}',
+         "{path}:R1: pickup must be finite and > 0, got nan"),
     ])
     def test_errors_name_the_file(self, tmp_path, capsys, text, error):
         # the message starts with the file, and through a scenario's

@@ -4,11 +4,13 @@ same sweep on numpy arrays."""
 import math
 import random
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from feederprot import power_flow
 from feederprot.curves import (RecloserCurve, RecloserSettings,
                                ReclosingSequence, TCIConstants)
 from feederprot.model import (DGUnit, FeederSection, Lateral, Network,
@@ -113,15 +115,16 @@ class TestFailureModes:
 
     def test_bad_arguments(self):
         net = two_bus(0.1, 0.05)
-        with pytest.raises(ValueError):
-            solve_distflow(net, tol=0.0)
-        with pytest.raises(ValueError):
-            solve_distflow(net, max_iter=0)
+        for tol in (0.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="tol must be finite"):
+                solve_distflow(net, tol=tol)
 
-    def test_unconverged_flagged(self):
-        sol = solve_distflow(two_bus(0.6, 0.3), tol=1e-14, max_iter=1)
+    def test_unconverged_flagged(self, five_node_scenario):
+        # the sweep stalls about 1.5e-18 pu short of this tolerance
+        sol = solve_distflow(five_node_scenario.network, tol=1e-300)
         assert not sol.converged
-        assert sol.iterations == 1
+        assert sol.iterations == DEFAULT_MAX_ITER
+        assert 0 < sol.max_mismatch < 1e-16
 
 
 class TestTerminalVoltages:
@@ -132,10 +135,11 @@ class TestTerminalVoltages:
         for unit in net.dg_units:
             assert volts[unit.id] == five_node_solution.v_mag[unit.tap_node]
 
-    def test_requires_converged_solution(self):
-        sol = solve_distflow(two_bus(0.6, 0.3), tol=1e-14, max_iter=1)
+    def test_requires_converged_solution(self, five_node_scenario):
+        net = five_node_scenario.network
+        sol = solve_distflow(net, tol=1e-300)
         with pytest.raises(PowerFlowNotConverged):
-            dg_terminal_voltages(two_bus(0.6, 0.3), sol)
+            dg_terminal_voltages(net, sol)
 
 
 def _numpy_net_injections(network: Network) -> tuple[np.ndarray, np.ndarray]:
@@ -219,17 +223,20 @@ def _numpy_residual(p, q, v, r, x, d_p, d_q) -> float:
     return worst
 
 
-def assert_same_sweep(network, **kwargs):
+def assert_same_sweep(network, tol=DEFAULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """The sweep and the array reference agree in every field, or both
-    report the same collapse; returns the sweep's answer."""
-    try:
-        want = numpy_distflow(network, **kwargs)
-    except PowerFlowDivergence as ref:
-        with pytest.raises(PowerFlowDivergence) as got:
-            solve_distflow(network, **kwargs)
-        assert (got.value.node, got.value.voltage) == (ref.node, ref.voltage)
-        return got.value
-    got = solve_distflow(network, **kwargs)
+    report the same collapse, when both stop after ``max_iter`` sweeps
+    (the package's DEFAULT_MAX_ITER patched); returns the sweep's answer."""
+    with mock.patch.object(power_flow, "DEFAULT_MAX_ITER", max_iter):
+        try:
+            want = numpy_distflow(network, tol, max_iter)
+        except PowerFlowDivergence as ref:
+            with pytest.raises(PowerFlowDivergence) as got:
+                solve_distflow(network, tol)
+            assert ((got.value.node, got.value.voltage)
+                    == (ref.node, ref.voltage))
+            return got.value
+        got = solve_distflow(network, tol)
     assert got.p_flow == want.p_flow
     assert got.q_flow == want.q_flow
     assert got.v_mag == want.v_mag
