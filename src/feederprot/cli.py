@@ -197,7 +197,7 @@ def cmd_optimize(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
     rows: list[list] = []
     try:
         study = opt.solve_dispatch(net, _available(scn), scn.fuse_curves,
-                                   config)[1]
+                                   config)
         net, solved = study.network, study.settings()
         net, settings = opt.apply_settings(net, solved), solved
     except opt.InfeasibleError:
@@ -254,7 +254,7 @@ def cmd_timeseries(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
         if step % scn.dispatch_every == 0 or step % scn.settings_every == 0:
             try:
                 study = opt.solve_dispatch(net, _available(scn, step),
-                                           scn.fuse_curves, config)[1]
+                                           scn.fuse_curves, config)
                 net = study.network
                 if step % scn.settings_every == 0:
                     net = opt.apply_settings(net, study.settings())

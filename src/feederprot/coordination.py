@@ -4,10 +4,11 @@ A pair couples a primary device (the one meant to operate first) with
 its backup.  Under fuse saving, the recloser's first fast curve is the
 primary and the fuse MM curve is the backup; between reclosers the
 downstream unit is primary.  study_pairs enumerates every pair of a
-state as a PairStudy, from one fault kernel of the network as given;
-DG makes the pair's two devices see different currents, captured as
-the pair's disparity.  pair_curves maps a PairStudy to its two curves,
-and check_pair checks it at a required margin.
+state, from one fault kernel of the network as given, as one flat
+PairStudy: its devices, the primary's current range, its one sample
+sequence (the CurrentAxis ``axis``) and the disparity DG causes between
+the two devices' currents.  pair_curves maps it to its two curves, and
+check_pair checks it at a required margin.
 """
 
 from __future__ import annotations
@@ -49,25 +50,6 @@ class FailureMode(Enum):
 
 
 @dataclass(frozen=True)
-class PairSweep:
-    """Currents the pair actually sees, from a fault study."""
-
-    i_primary_max: float
-    i_primary_min: float
-    delta: float  # disparity between the pair's currents
-
-    @cached_property
-    def axis(self) -> CurrentAxis:
-        """The sweep's current samples by index, none built."""
-        return CurrentAxis.spanning(self.i_primary_min, self.i_primary_max)
-
-    @cached_property
-    def grid(self) -> list[float]:
-        """The sweep's current samples (current_grid), built once."""
-        return current_grid(self.i_primary_min, self.i_primary_max)
-
-
-@dataclass(frozen=True)
 class PairStudy:
     """One protection pair and the currents it sees at one state."""
 
@@ -75,7 +57,14 @@ class PairStudy:
     kind: PairKind
     primary: str  # recloser id; the downstream one of a recloser pair
     backup: str | int  # upstream recloser id, or the fused lateral's id
-    sweep: PairSweep  # max from bolted faults, min through the floor
+    i_primary_max: float  # from bolted faults
+    i_primary_min: float  # through the fault impedance floor
+    delta: float  # disparity between the pair's currents
+
+    @cached_property
+    def axis(self) -> CurrentAxis:
+        """The primary's current samples, built once per pair."""
+        return CurrentAxis.spanning(self.i_primary_min, self.i_primary_max)
 
 
 @dataclass(frozen=True)
@@ -93,7 +82,7 @@ class CoordinationReport:
 class CurrentAxis:
     """Log-spaced current samples covering [lo, hi], endpoints included,
     by index: evenly spaced exponents k * step + log10(lo), the last one
-    exactly log10(hi)."""
+    exactly log10(hi); an index outside 0..size - 1 raises IndexError."""
 
     size: int
     start: float
@@ -109,17 +98,15 @@ class CurrentAxis:
         start, stop = math.log10(lo), math.log10(hi)
         return cls(size, start, (stop - start) / (size - 1), stop)
 
-    def at(self, k: int) -> float:
-        """Sample k, 0 <= k < size."""
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, k: int) -> float:
+        if not 0 <= k < self.size:
+            raise IndexError(f"current sample {k} outside 0..{self.size - 1}")
         if k == self.size - 1:
             return 10.0 ** self.stop
         return 10.0 ** (k * self.step + self.start)
-
-
-def current_grid(lo: float, hi: float) -> list[float]:
-    """Every sample of CurrentAxis.spanning(lo, hi), in order."""
-    axis = CurrentAxis.spanning(lo, hi)
-    return [axis.at(k) for k in range(axis.size)]
 
 
 def pair_curves(network: Network, pair: PairStudy,
@@ -138,7 +125,7 @@ def check_pair(pair: PairStudy, primary: RecloserCurve,
                backup: RecloserCurve | FuseCurve,
                required: float) -> CoordinationReport:
     """Evaluate the range and margin conditions over the pair's current
-    grid, with its primary and backup curves (pair_curves) and the
+    axis, with its primary and backup curves (pair_curves) and the
     margin it requires, in seconds.
 
     The margin condition is checked with the pair's currents linked by
@@ -147,15 +134,14 @@ def check_pair(pair: PairStudy, primary: RecloserCurve,
     between, so its current is the primary's less the disparity.  The
     margin holds when the worst backup-minus-primary gap is at least
     ``required`` less MARGIN_TOL.  The range condition is the operating
-    order (primary no slower than backup) at both ends of the sweep.
+    order (primary no slower than backup) at both ends of the range.
     """
-    sweep = pair.sweep
-    shift = sweep.delta if pair.kind is PairKind.FUSE_RECLOSER \
-        else -sweep.delta
+    shift = pair.delta if pair.kind is PairKind.FUSE_RECLOSER \
+        else -pair.delta
     samples = []
     worst = math.inf
-    worst_i = sweep.grid[0]
-    for i in sweep.grid:
+    worst_i = pair.axis[0]
+    for i in pair.axis:
         tp = primary.time_at(i)
         ib = i + shift
         tb = backup.time_at(ib) if ib > 0 else NO_OPERATION
@@ -179,8 +165,8 @@ def check_pair(pair: PairStudy, primary: RecloserCurve,
         mode = FailureMode.NONE
 
     delay = 0.0
-    if pair.kind is PairKind.RECLOSER_RECLOSER and sweep.delta > 0:
-        raw = backup_delay(backup, sweep.delta, sweep.i_primary_max)
+    if pair.kind is PairKind.RECLOSER_RECLOSER and pair.delta > 0:
+        raw = backup_delay(backup, pair.delta, pair.i_primary_max)
         delay = abs(raw) if not math.isinf(raw) else math.inf
 
     return CoordinationReport(
@@ -246,14 +232,12 @@ def study_pairs(kernel: flt.FaultKernel, fault_impedance_floor: float,
                 continue
             pairs.append(PairStudy(
                 f"{rec.id}-L{lat.id}", PairKind.FUSE_RECLOSER, rec.id,
-                lat.id, PairSweep(i_bolted[k - rec.node],
-                                  i_floored[k - rec.node],
-                                  flt._dg_current(network, bolted[k][1],
-                                                  rec.node, n))))
+                lat.id, i_bolted[k - rec.node], i_floored[k - rec.node],
+                flt._dg_current(network, bolted[k][1], rec.node, n)))
     for up, down in zip(network.reclosers, network.reclosers[1:]):
         pairs.append(PairStudy(
             f"{up.id}-{down.id}", PairKind.RECLOSER_RECLOSER, down.id, up.id,
-            PairSweep(*zones[down.id],
-                      flt._dg_current(network, bolted[down.node][1], up.node,
-                                      down.node))))
+            *zones[down.id],
+            flt._dg_current(network, bolted[down.node][1], up.node,
+                            down.node)))
     return pairs, zones

@@ -210,8 +210,9 @@ def validate_flow(network: Network) -> list[Violation]:
             out.append(Violation(name, "rating_s must be finite and > 0"))
         if not 0 <= unit.p_out < math.inf:
             out.append(Violation(name, "p_out must be finite and >= 0"))
-        if not (unit.p_out ** 2 + unit.q_out ** 2
-                <= unit.rating_s ** 2 * (1 + 1e-12)):
+        # hypot: squaring a finite output may overflow
+        if not (math.hypot(unit.p_out, unit.q_out)
+                <= unit.rating_s * (1 + 1e-12)):
             out.append(Violation(name, "output exceeds apparent-power rating"))
         if not isinstance(unit.params, DG_PARAMS[unit.kind]):
             out.append(Violation(name, f"params do not match kind {unit.kind.value}"))

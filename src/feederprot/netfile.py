@@ -47,7 +47,7 @@ def _require_keys(doc: dict, allowed: set[str], required: set[str],
         raise NetworkFileError(f"{context}: missing keys {sorted(missing)}")
 
 
-def _integer(doc: dict, key: str, default: int, context: str) -> int:
+def _integer(doc: dict, key: str, default: int | None, context: str) -> int:
     """A JSON integer; a float, string or boolean is an input error."""
     value = doc.get(key, default)
     if type(value) is not int:
@@ -82,8 +82,8 @@ def _parse_dg(entry: dict, context: str,) -> DGUnit:
                   {f.name for f in keys if f.default is MISSING},
                   f"{context}.params")
     return DGUnit(
-        id=int(entry["id"]),
-        tap_node=int(entry["tap"]),
+        id=_integer(entry, "id", None, context),
+        tap_node=_integer(entry, "tap", None, context),
         kind=kind,
         rating_s=float(entry["rating"]),
         p_out=float(entry["p"]),
@@ -112,22 +112,20 @@ def _parse_recloser(entry: dict, families: dict[str, TCIConstants],
         ))
     return RecloserPlacement(
         id=str(entry["id"]),
-        node=int(entry["node"]),
+        node=_integer(entry, "node", None, context),
         sequence=ReclosingSequence(curves=tuple(curves),
                                   pattern=entry["pattern"]),
     )
 
 
-def load_network(path: str | Path,
-                 families: dict[str, TCIConstants] | None = None) -> Network:
+def load_network(path: str | Path) -> Network:
     """Parse and validate a network description file."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise NetworkFileError(f"{path}:{exc.lineno}: {exc.msg}") from exc
-    if families is None:
-        families = load_curve_families()
+    families = load_curve_families()
 
     ctx = str(path)
     _require_keys(doc, {"notes", "bases", "source", "sections", "laterals",
@@ -140,15 +138,19 @@ def load_network(path: str | Path,
 
     sections = []
     for k, s in enumerate(doc["sections"]):
+        sctx = f"{ctx}:sections[{k}]"
         _require_keys(s, {"from", "to", "r", "x"}, {"from", "to", "r", "x"},
-                      f"{ctx}:sections[{k}]")
-        sections.append(FeederSection(int(s["from"]), int(s["to"]),
-                                      float(s["r"]), float(s["x"])))
+                      sctx)
+        sections.append(FeederSection(
+            _integer(s, "from", None, sctx), _integer(s, "to", None, sctx),
+            float(s["r"]), float(s["x"])))
     laterals = []
     for k, l in enumerate(doc["laterals"]):
+        lctx = f"{ctx}:laterals[{k}]"
         _require_keys(l, {"id", "tap", "p", "q", "fuse"},
-                      {"id", "tap", "p", "q"}, f"{ctx}:laterals[{k}]")
-        laterals.append(Lateral(int(l["id"]), int(l["tap"]), float(l["p"]),
+                      {"id", "tap", "p", "q"}, lctx)
+        laterals.append(Lateral(_integer(l, "id", None, lctx),
+                                _integer(l, "tap", None, lctx), float(l["p"]),
                                 float(l["q"]), l.get("fuse")))
     dg = tuple(_parse_dg(e, f"{ctx}:dg[{k}]")
                for k, e in enumerate(doc.get("dg", [])))
@@ -266,8 +268,20 @@ def load_scenario(path: str | Path) -> Scenario:
     profile: dict[int, tuple[float, ...]] = {}
     lengths = set()
     for key, series in doc.get("profile", {}).items():
-        dg_id = int(key)
+        try:
+            dg_id = int(key)
+        except ValueError:
+            raise NetworkFileError(f"{ctx}: profile key {key!r} is not an "
+                                   f"integer DG id") from None
         network.dg(dg_id)  # raises on unknown unit
+        if type(series) is not list:
+            raise NetworkFileError(f"{ctx}: profile dg[{dg_id}] must be a "
+                                   f"list of outputs, got {series!r}")
+        for step, v in enumerate(series):
+            if type(v) not in (int, float) or not 0 <= v < math.inf:
+                raise NetworkFileError(
+                    f"{ctx}: profile dg[{dg_id}] step {step}: output must "
+                    f"be a finite number >= 0, got {v!r}")
         profile[dg_id] = tuple(float(v) for v in series)
         lengths.add(len(series))
     if len(lengths) > 1:

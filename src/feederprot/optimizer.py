@@ -33,8 +33,8 @@ and under the monotonicity above returns the bisection's point bit for
 bit.
 
 The ladder's bounds are each the extreme of a quotient over a pair's
-current grid, whose numerator and denominator both fall along the
-grid.  So the two ends of a block of samples bound every quotient
+current axis, whose numerator and denominator both fall along the
+axis.  So the two ends of a block of samples bound every quotient
 inside it, and a block whose bound stays more than PRUNE_GUARD beyond
 the running cap or floor is left unsampled; the others are halved.
 The pruned ladder returns the full sweep's dials, headroom and
@@ -196,8 +196,8 @@ def _solve_settings_at_pickups(network: Network, sub: SettingsSubproblem,
     once (the first violation, if one came before).
 
     Each bound is the extreme of a quotient N/S over the pair's current
-    grid, found without sampling every point.  A fuse cap's numerator
-    t_fuse(i + delta) - fr_margin - K never rises along the grid and the
+    axis, found without sampling every point.  A fuse cap's numerator
+    t_fuse(i + delta) - fr_margin - K never rises along the axis and the
     dial slope S is positive and falling, so no limit inside a block
     (s, e) of samples lies below N(e)/S(s), or N(e)/S(e) when N(e) < 0.
     A recloser floor's numerator rr_margin + slope_down*D + K_down -
@@ -210,7 +210,7 @@ def _solve_settings_at_pickups(network: Network, sub: SettingsSubproblem,
     smaller one, so sampling a fuse pair's first melting current and a
     recloser pair's first current before any other raises what a full
     sweep raises.  A floor past TIME_DIAL_MAX + DIAL_TOL is named by its
-    first need above that in grid order, as a full sweep names it.
+    first need above that in axis order, as a full sweep names it.
     """
     order = list(network.reclosers)
     pickups = sub.pickup_lo
@@ -218,18 +218,18 @@ def _solve_settings_at_pickups(network: Network, sub: SettingsSubproblem,
 
     # per-device upper bound from its fuse pairs: the margin constraint
     # is quantified over the pair's current range, so one affine
-    # constraint per grid sample, all with D as the only free variable
+    # constraint per axis sample, all with D as the only free variable
     ub: dict[str, float] = {rec.id: TIME_DIAL_MAX for rec in order}
     ub_pair: dict[str, str] = {}
     for pd in _fuse_pairs(sub):
         curve, fuse = pair_curves(network, pd, fuse_curves)
         slope_at = _dial_slope(curve, pickups[pd.primary], pd.id)
-        k, cap, delta = curve.constants.K, ub[pd.primary], pd.sweep.delta
-        axis, melt = pd.sweep.axis, fuse.mm_points[0][0]
+        k, cap, delta = curve.constants.K, ub[pd.primary], pd.delta
+        axis, melt = pd.axis, fuse.mm_points[0][0]
         # the fuse never melts below its first tabulated current, so the
-        # samples before the first melting one constrain nothing
-        melting = bisect_left(range(axis.size), True,
-                              key=lambda j: axis.at(j) + delta >= melt)
+        # samples before the first melting one constrain nothing; the
+        # predicate adds delta as visit() does, so both round alike
+        melting = bisect_left(axis, True, key=lambda i: i + delta >= melt)
         if melting == axis.size:
             continue
         num: dict[int, float] = {}
@@ -237,7 +237,7 @@ def _solve_settings_at_pickups(network: Network, sub: SettingsSubproblem,
 
         def visit(j: int) -> None:
             nonlocal cap
-            i = axis.at(j)
+            i = axis[j]
             num[j] = fuse_time(fuse, i + delta) - fr_margin - k
             slope[j] = slope_at(i)
             cap = min(cap, num[j] / slope[j])
@@ -279,12 +279,12 @@ def _solve_settings_at_pickups(network: Network, sub: SettingsSubproblem,
             down = _dial_slope(curve_down, pickups[rec.id], pd.id)
             up = _dial_slope(curve_up, pickups[pd.backup], pd.id)
             k_down, k_up = curve_down.constants.K, curve_up.constants.K
-            floor, delta, axis = lb[pd.backup], pd.sweep.delta, pd.sweep.axis
+            floor, delta, axis = lb[pd.backup], pd.delta, pd.axis
             parts: dict[int, tuple[float, float]] = {}
 
             def need_at(j: int) -> float:
                 if j not in parts:
-                    i = axis.at(j)
+                    i = axis[j]
                     slope_down = down(i)
                     i_up = i - delta
                     if i_up <= 0:
@@ -314,7 +314,7 @@ def _solve_settings_at_pickups(network: Network, sub: SettingsSubproblem,
                 room = TIME_DIAL_MAX + DIAL_TOL - level
                 headroom = min(headroom, room)
                 if room < 0 and first is None:
-                    # name the first need in grid order past the cap,
+                    # name the first need in axis order past the cap,
                     # as a full sweep does
                     level = max(floor, TIME_DIAL_MAX + DIAL_TOL)
                     if axis.size > 2:
@@ -432,7 +432,7 @@ def pair_slacks(study: StateStudy, fuse_curves: dict[str, FuseCurve],
     A pair's bound is the largest disparity whose fuse cap stays at or
     above D, the study's floor dial less the DIAL_TOL the ladder
     forgives, so the slack's sign agrees with the ladder's cap check.
-    At each grid current i the fuse must not melt before T_i =
+    At each axis current i the fuse must not melt before T_i =
     D*slope_i + fr_margin + K: its current must stay at or below the MM
     table's current at T_i, the first tabulated one when T_i lies above
     the table, and unbounded at or below its clamped tail.  The bound,
@@ -450,7 +450,7 @@ def pair_slacks(study: StateStudy, fuse_curves: dict[str, FuseCurve],
         slope_at = _dial_slope(curve, sub.pickup_lo[pd.primary], pd.id)
         t_tail, (i_head, t_head) = fuse.mm_points[-1][1], fuse.mm_points[0]
         bound = MAX_DISPARITY_BOUND
-        for i in pd.sweep.grid:
+        for i in pd.axis:
             t_need = dial * slope_at(i) + base
             if t_need <= t_tail:
                 continue
@@ -459,7 +459,7 @@ def pair_slacks(study: StateStudy, fuse_curves: dict[str, FuseCurve],
             else:
                 reach = fuse_inverse_current(fuse, t_need)
             bound = min(bound, reach - i)
-        slacks[pd.id] = max(bound, 0.0) - pd.sweep.delta
+        slacks[pd.id] = max(bound, 0.0) - pd.delta
     return slacks
 
 
@@ -529,10 +529,9 @@ def _replayed_bisection(probe: Callable[[float], tuple[bool, float | None]],
 
 def solve_dispatch(network: Network, available: dict[int, float],
                    fuse_curves: dict[str, FuseCurve],
-                   config: OptimizerConfig,
-                   ) -> tuple[dict[int, float], StateStudy]:
-    """Component-wise maximal curtailable outputs that leave the settings
-    ladder solvable, and the study of the state they set.
+                   config: OptimizerConfig) -> StateStudy:
+    """The study of the state whose curtailable outputs are component-wise
+    maximal while the settings ladder stays solvable.
 
     ``available`` maps each curtailable unit to its output ceiling.
     A candidate's feasibility is its study's verdict; studies are kept
@@ -564,12 +563,11 @@ def solve_dispatch(network: Network, available: dict[int, float],
         return {i: t * available[i] for i in ids}
 
     full = study_at(at_factor(1.0))
-    if ids and full.error is None:
-        return at_factor(1.0), full
-    # raises the ladder's own error if even zero output is infeasible
+    if full.error is None:
+        return full
+    # raises the ladder's own error if even zero output is infeasible;
+    # with no curtailable unit, zero output is the full state
     study_at(at_factor(0.0)).settings()
-    if not ids:
-        return {}, full
 
     lo = _replayed_bisection(lambda t: probe(at_factor(t)), 0.0, 1.0, 1e-9,
                              None, full.headroom)
@@ -591,7 +589,7 @@ def solve_dispatch(network: Network, available: dict[int, float],
         outputs[uid] = _replayed_bisection(
             at_output, p_lo, p_hi, 1e-9 * max(available[uid], 1.0),
             at_output(p_lo)[1], h_hi)
-    return outputs, study_at(outputs)
+    return study_at(outputs)
 
 
 def baseline_settings(network: Network, fuse_curves: dict[str, FuseCurve],

@@ -105,6 +105,11 @@ def pair_checks(network, fuse_curves, fr_margin, rr_margin, floor):
             for pd in coord.study_pairs(kernel, floor)[0]]
 
 
+def dispatched(study, available) -> dict[int, float]:
+    """The outputs solve_dispatch set, read off its study's network."""
+    return {uid: study.network.dg(uid).p_out for uid in available}
+
+
 def scenario_config(scn) -> opt.OptimizerConfig:
     return opt.OptimizerConfig(
         fr_margin=scn.fr_margin,
@@ -151,7 +156,7 @@ def case_a_result(case_a_scenario):
                                            config)
     study = opt.solve_dispatch(
         opt.apply_settings(scn.network, start_settings), available,
-        scn.fuse_curves, config)[1]
+        scn.fuse_curves, config)
     settings = study.settings()
     final_net = opt.apply_settings(study.network, settings)
     elapsed = time.monotonic() - start
@@ -179,9 +184,9 @@ def case_b_run(tmp_path_factory):
     available = cli._available
 
     def recorded(*args):
-        result = solve_dispatch(*args)
-        dispatches.append((args, result[0]))
-        return result
+        study = solve_dispatch(*args)
+        dispatches.append((args, dispatched(study, args[1])))
+        return study
 
     def at_step(scn, k=0):
         step[0] = k

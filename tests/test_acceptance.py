@@ -151,20 +151,19 @@ def test_04_curve_math_properties():
 
 def exhaustive_verdict(pair, primary, backup, required, n=10_000):
     """Dense linear evaluation of the range and margin conditions."""
-    sweep = pair.sweep
-    grid = np.linspace(sweep.i_primary_min, sweep.i_primary_max, n)
+    grid = np.linspace(pair.i_primary_min, pair.i_primary_max, n)
     sign = 1.0 if pair.kind is coord.PairKind.FUSE_RECLOSER else -1.0
     worst = math.inf
     for i in grid:
         tp = primary.time_at(float(i))
-        ib = float(i) + sign * sweep.delta
+        ib = float(i) + sign * pair.delta
         tb = backup.time_at(ib) if ib > 0 else NO_OPERATION
         if not (math.isinf(tp) or math.isinf(tb)):
             worst = min(worst, tb - tp)
 
     def order_ok(i):
         tp = primary.time_at(float(i))
-        tb = backup.time_at(float(i) + sign * sweep.delta)
+        tb = backup.time_at(float(i) + sign * pair.delta)
         return tp <= tb
 
     if not (order_ok(grid[0]) and order_ok(grid[-1])):
@@ -197,13 +196,11 @@ def test_06_failure_modes_and_backup_delay():
     from test_coordination import fr_pair, rr_pair
 
     overrun = coord.check_pair(*fr_pair(
-        coord.PairSweep(i_primary_max=6.0, i_primary_min=3.0, delta=20.0),
-        margin=0.1))
+        i_primary_max=6.0, i_primary_min=3.0, delta=20.0, margin=0.1))
     assert overrun.failure_mode is coord.FailureMode.RANGE_EXCEEDED
 
     squeezed = coord.check_pair(*fr_pair(
-        coord.PairSweep(i_primary_max=8.0, i_primary_min=4.0, delta=0.0),
-        margin=0.5))
+        i_primary_max=8.0, i_primary_min=4.0, delta=0.0, margin=0.5))
     assert squeezed.failure_mode is coord.FailureMode.MARGIN_VIOLATED
     assert squeezed.range_ok
 
@@ -213,13 +210,12 @@ def test_06_failure_modes_and_backup_delay():
         dial_down = float(rng.uniform(0.1, 0.3))
         dial_up = float(rng.uniform(dial_down + 0.3, 1.0))
         base = coord.check_pair(*rr_pair(
-            coord.PairSweep(9.0, 3.0, 0.0), margin=0.3, dial_down=dial_down,
-            dial_up=dial_up))
+            9.0, 3.0, 0.0, margin=0.3, dial_down=dial_down, dial_up=dial_up))
         if base.failure_mode is not coord.FailureMode.NONE:
             continue
         delta = float(rng.uniform(0.1, 1.5))
         shifted = coord.check_pair(*rr_pair(
-            coord.PairSweep(9.0, 3.0, delta), margin=0.3, dial_down=dial_down,
+            9.0, 3.0, delta, margin=0.3, dial_down=dial_down,
             dial_up=dial_up))
         assert shifted.margin_ok
         assert shifted.failure_mode is coord.FailureMode.NONE

@@ -161,6 +161,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and element in err, err
 
+    @pytest.mark.parametrize("key, value, code", [
+        ("p", 1e200, EXIT_INPUT), ("rating", 1e200, EXIT_OK)])
+    def test_huge_finite_outputs_and_ratings(self, tmp_path, capsys, key,
+                                             value, code):
+        # 1e200 is finite, but its square overflows a float: the rating
+        # check judges it, an output past the rating as a violation
+        doc = json.loads((fixtures_dir() / "five_node.json").read_text())
+        doc["dg"][0][key] = value
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(doc))
+        assert main(["powerflow", "--network", str(net),
+                     "--out-dir", str(tmp_path / "out")]) == code
+        if code == EXIT_INPUT:
+            assert capsys.readouterr().err == (
+                f"input error: {net}: invalid network: dg[1]: output "
+                f"exceeds apparent-power rating\n")
+
     def test_unconverged_load_flow_is_a_run_failure(self, tmp_path):
         for cmd in (["powerflow"], ["fault", "--at", "node:1"],
                     ["coordinate"], ["optimize"]):

@@ -37,24 +37,27 @@ def power_law_fuse(c0=26.0, currents=(1.0, 2.0, 4.0, 8.0, 16.0, 32.0)):
     return FuseCurve(name="toy", mm_points=mm, tc_points=tc)
 
 
-def fr_pair(sweep, margin=0.1, dial=0.1, fuse=None):
-    """check_pair's arguments for a fuse-recloser pair at the sweep."""
+def fr_pair(i_primary_max, i_primary_min, delta, margin=0.1, dial=0.1,
+            fuse=None):
+    """check_pair's arguments for a fuse-recloser pair over the range."""
     return (coord.PairStudy("R-L", coord.PairKind.FUSE_RECLOSER, "R", 1,
-                            sweep),
+                            i_primary_max, i_primary_min, delta),
             recloser_curve(dial=dial), fuse or power_law_fuse(), margin)
 
 
-def rr_pair(sweep, margin=0.3, dial_down=0.1, dial_up=0.6):
-    """check_pair's arguments for a recloser-recloser pair at the sweep."""
+def rr_pair(i_primary_max, i_primary_min, delta, margin=0.3, dial_down=0.1,
+            dial_up=0.6):
+    """check_pair's arguments for a recloser-recloser pair over the range."""
     return (coord.PairStudy("UP-DOWN", coord.PairKind.RECLOSER_RECLOSER,
-                            "DOWN", "UP", sweep),
+                            "DOWN", "UP", i_primary_max, i_primary_min,
+                            delta),
             recloser_curve(dial=dial_down), recloser_curve(dial=dial_up),
             margin)
 
 
 class TestCurrentGrid:
     def test_endpoints_and_spacing(self):
-        grid = coord.current_grid(2.0, 20.0)
+        grid = list(coord.CurrentAxis.spanning(2.0, 20.0))
         assert grid[0] == pytest.approx(2.0)
         assert grid[-1] == pytest.approx(20.0)
         assert np.all(np.diff(np.log(grid)) > 0)
@@ -62,34 +65,41 @@ class TestCurrentGrid:
         assert len(grid) == 201
 
     def test_degenerate_range_still_covered(self):
-        grid = coord.current_grid(5.0, 5.0)
+        grid = list(coord.CurrentAxis.spanning(5.0, 5.0))
         assert len(grid) >= 2
         assert np.allclose(grid, 5.0)
 
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
-            coord.current_grid(0.0, 5.0)
+            coord.CurrentAxis.spanning(0.0, 5.0)
         with pytest.raises(ValueError):
-            coord.current_grid(6.0, 5.0)
+            coord.CurrentAxis.spanning(6.0, 5.0)
+
+    def test_indices_outside_the_axis_raise(self):
+        axis = coord.CurrentAxis.spanning(2.0, 20.0)
+        assert len(axis) == axis.size == 201
+        assert axis[axis.size - 1] == 10.0 ** axis.stop
+        for k in (axis.size, axis.size + 1, -1):
+            with pytest.raises(IndexError):
+                axis[k]
 
 
 class TestCheckPair:
     def brute_force(self, pair, primary, backup, required, n=2000):
         """Linear exhaustive evaluation of the range and margin conditions."""
-        sweep = pair.sweep
-        grid = np.linspace(sweep.i_primary_min, sweep.i_primary_max, n)
+        grid = np.linspace(pair.i_primary_min, pair.i_primary_max, n)
         sign = 1.0 if pair.kind is coord.PairKind.FUSE_RECLOSER else -1.0
         worst = math.inf
         for i in grid:
             tp = primary.time_at(float(i))
-            ib = float(i) + sign * sweep.delta
+            ib = float(i) + sign * pair.delta
             tb = backup.time_at(ib) if ib > 0 else NO_OPERATION
             if not (math.isinf(tp) or math.isinf(tb)):
                 worst = min(worst, tb - tp)
 
         def ok_at(i):
             tp = primary.time_at(float(i))
-            tb = backup.time_at(float(i) + sign * sweep.delta)
+            tb = backup.time_at(float(i) + sign * pair.delta)
             return tp <= tb
         range_ok = ok_at(grid[0]) and ok_at(grid[-1])
         margin_ok = worst >= required - coord.MARGIN_TOL
@@ -100,8 +110,8 @@ class TestCheckPair:
         return coord.FailureMode.NONE
 
     def test_clean_pair(self):
-        case = fr_pair(coord.PairSweep(i_primary_max=8.0, i_primary_min=3.0,
-                                       delta=0.5), margin=0.1)
+        case = fr_pair(i_primary_max=8.0, i_primary_min=3.0, delta=0.5,
+                       margin=0.1)
         report = coord.check_pair(*case)
         assert report.failure_mode is coord.FailureMode.NONE
         assert report.range_ok and report.margin_ok
@@ -110,8 +120,8 @@ class TestCheckPair:
     def test_range_exceeded_when_fuse_beats_recloser(self):
         # a large disparity drives the fuse far down its curve; the fuse
         # melts before the recloser trips at the sweep endpoints
-        case = fr_pair(coord.PairSweep(i_primary_max=6.0, i_primary_min=3.0,
-                                       delta=20.0), margin=0.1)
+        case = fr_pair(i_primary_max=6.0, i_primary_min=3.0, delta=20.0,
+                       margin=0.1)
         report = coord.check_pair(*case)
         assert report.failure_mode is coord.FailureMode.RANGE_EXCEEDED
         assert not report.range_ok
@@ -119,8 +129,8 @@ class TestCheckPair:
 
     def test_margin_violated_with_correct_ordering(self):
         # operating order correct everywhere, but the gap is too small
-        case = fr_pair(coord.PairSweep(i_primary_max=8.0, i_primary_min=4.0,
-                                       delta=0.0), margin=0.5)
+        case = fr_pair(i_primary_max=8.0, i_primary_min=4.0, delta=0.0,
+                       margin=0.5)
         report = coord.check_pair(*case)
         assert report.failure_mode is coord.FailureMode.MARGIN_VIOLATED
         assert report.range_ok and not report.margin_ok
@@ -128,10 +138,9 @@ class TestCheckPair:
 
     def test_worst_margin_matches_brute_force(self):
         _, primary, fuse, _ = case = fr_pair(
-            coord.PairSweep(i_primary_max=9.0, i_primary_min=2.5, delta=1.0),
-            margin=0.1)
+            i_primary_max=9.0, i_primary_min=2.5, delta=1.0, margin=0.1)
         report = coord.check_pair(*case)
-        grid = coord.current_grid(2.5, 9.0)
+        grid = coord.CurrentAxis.spanning(2.5, 9.0)
         margins = [fuse_time(fuse, float(i) + 1.0)
                    - primary.time_at(float(i)) for i in grid]
         assert report.worst_margin == pytest.approx(min(margins))
@@ -164,12 +173,10 @@ class TestRecloserPairProperties:
     def test_positive_disparity_helps_the_margin(self):
         # the upstream device sees less current, so it responds later:
         # a pair coordinated at zero disparity stays coordinated
-        base = coord.check_pair(*rr_pair(coord.PairSweep(9.0, 3.0, 0.0),
-                                         margin=0.3))
+        base = coord.check_pair(*rr_pair(9.0, 3.0, 0.0, margin=0.3))
         assert base.failure_mode is coord.FailureMode.NONE
         for delta in (0.2, 0.5, 1.0):
-            shifted = coord.check_pair(
-                *rr_pair(coord.PairSweep(9.0, 3.0, delta), margin=0.3))
+            shifted = coord.check_pair(*rr_pair(9.0, 3.0, delta, margin=0.3))
             assert shifted.failure_mode is coord.FailureMode.NONE
             assert shifted.worst_margin > base.worst_margin
             assert shifted.backup_delay > 0.0
@@ -183,7 +190,7 @@ class TestRecloserPairProperties:
         assert coord.backup_delay(backup, 5.5, 6.0) == NO_OPERATION
 
     def test_report_carries_absolute_delay(self):
-        case = rr_pair(coord.PairSweep(9.0, 3.0, 1.0))
+        case = rr_pair(9.0, 3.0, 1.0)
         report = coord.check_pair(*case)
         raw = coord.backup_delay(case[2], 1.0, 9.0)
         assert report.backup_delay == pytest.approx(abs(raw))
@@ -193,9 +200,9 @@ SCENARIOS = ("five_node_scenario", "case_a_scenario", "case_b_scenario")
 
 
 def reference_pairs(network, sol, floor):
-    """Pair id -> sweep from one-shot fault solves: fuse pairs from faults
-    at the lateral; recloser pairs from an explicit zone sweep and the DG
-    between the two reclosers."""
+    """Pair id -> current range and disparity from one-shot fault solves:
+    fuse pairs from faults at the lateral; recloser pairs from an explicit
+    zone sweep and the DG between the two reclosers."""
     out = {}
     for rec in network.reclosers:
         zone = recloser_zone(network, rec.id)
@@ -252,15 +259,14 @@ def reference_study_pairs(kernel, floor):
             floored = kernel.study(loc, floor)
             pairs.append(coord.PairStudy(
                 f"{rec.id}-L{lat.id}", coord.PairKind.FUSE_RECLOSER, rec.id,
-                lat.id, coord.PairSweep(bolted.i_recloser[rec.id],
-                                        floored.i_recloser[rec.id],
-                                        bolted.delta_fr[rec.id])))
+                lat.id, bolted.i_recloser[rec.id],
+                floored.i_recloser[rec.id], bolted.delta_fr[rec.id]))
     for up, down in zip(network.reclosers, network.reclosers[1:]):
         i_max, i_min = zones[down.id]
         bolted = kernel.study(flt.at_node(down.node), 0.0)
         pairs.append(coord.PairStudy(
             f"{up.id}-{down.id}", coord.PairKind.RECLOSER_RECLOSER, down.id,
-            up.id, coord.PairSweep(i_max, i_min, bolted.delta_rr[down.id])))
+            up.id, i_max, i_min, bolted.delta_rr[down.id]))
     return pairs, zones
 
 
@@ -309,10 +315,10 @@ class TestPairEnumeration:
         pairs, _ = coord.study_pairs(kernel, 0.0)
         assert [pd.id for pd in pairs] == ["R1-L1", "R1-L2", "R2-L3",
                                            "R2-L4", "RLY-R1", "R1-R2"]
-        by_id = {pd.id: pd.sweep for pd in pairs}
-        for sweep in by_id.values():
-            assert sweep.delta >= 0.0
-            assert sweep.i_primary_min <= sweep.i_primary_max
+        by_id = {pd.id: pd for pd in pairs}
+        for pair in pairs:
+            assert pair.delta >= 0.0
+            assert pair.i_primary_min <= pair.i_primary_max
         # DG 1 taps node 2, between R1 (node 1) and R2 (node 3)
         assert by_id["R1-R2"].delta > 0.0
         assert by_id["RLY-R1"].delta == 0.0
@@ -340,8 +346,7 @@ class TestPairEnumeration:
         expect = reference_pairs(scn.network, sol, floor)
         assert [pd.id for pd in pairs] == list(expect)
         for pair in pairs:
-            sweep = pair.sweep
-            got = (sweep.i_primary_max, sweep.i_primary_min, sweep.delta)
+            got = (pair.i_primary_max, pair.i_primary_min, pair.delta)
             for g, w in zip(got, expect[pair.id]):
                 assert g == pytest.approx(w, rel=1e-9, abs=1e-12), pair.id
 

@@ -71,6 +71,25 @@ class TestLoadNetwork:
         with pytest.raises(NetworkFileError, match="invalid network"):
             load_network(write_doc(tmp_path, doc))
 
+    @pytest.mark.parametrize("bad", [2.7, 2.0, True, "2"])
+    @pytest.mark.parametrize("name, k, key", [
+        ("sections", 1, "from"), ("sections", 1, "to"),
+        ("laterals", 1, "id"), ("laterals", 1, "tap"),
+        ("dg", 0, "id"), ("dg", 0, "tap"), ("reclosers", 1, "node")])
+    def test_nodes_taps_and_ids_must_be_integers(self, tmp_path, capsys,
+                                                name, k, key, bad):
+        # int() would put DG 1 at node 2 for a tap of 2.7, at node 1 for
+        # true, and run on
+        doc = read_fixture("five_node.json")
+        doc[name][k][key] = bad
+        path = write_doc(tmp_path, doc)
+        assert main(["fault", "--network", str(path), "--at", "node:2",
+                     "--out-dir", str(tmp_path / "out")]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"input error: {path}:{name}[{k}]: {key} must be an integer, "
+            f"got {bad!r}\n")
+        assert not (tmp_path / "out").exists()
+
 
 class TestLoadScenario:
     def test_shipped_scenarios_load(self):
@@ -124,6 +143,28 @@ class TestLoadScenario:
                "profile": {"1": [0.1, 0.2], "2": [0.1]}}
         with pytest.raises(NetworkFileError, match="lengths differ"):
             load_scenario(write_doc(tmp_path, doc))
+
+    @pytest.mark.parametrize("key, step_5, error", [
+        ("4", math.nan, "profile dg[4] step 5: output must be a finite "
+                        "number >= 0, got nan"),
+        ("4", -0.5, "profile dg[4] step 5: output must be a finite "
+                    "number >= 0, got -0.5"),
+        ("4", "0.5", "profile dg[4] step 5: output must be a finite "
+                     "number >= 0, got '0.5'"),
+        ("4", None, "profile dg[4] must be a list of outputs, got 0.5"),
+        ("x", 0.0, "profile key 'x' is not an integer DG id")])
+    def test_profile_is_checked_on_load(self, tmp_path, key, step_5, error):
+        # a bad value at case B's unit 4, step 5, a number in place of
+        # the series, or a key that is no id
+        doc = read_fixture("ieee37_case_b.json")
+        doc["network"] = str(fixtures_dir() / doc["network"])
+        series = doc["profile"].pop("4")
+        series[5] = step_5
+        doc["profile"][key] = series if step_5 is not None else 0.5
+        path = write_doc(tmp_path, doc, "scn.json")
+        with pytest.raises(NetworkFileError) as exc:
+            load_scenario(path)
+        assert str(exc.value) == f"{path}: {error}"
 
     def test_profile_must_reference_known_dg(self, tmp_path):
         doc = {"network": "five_node.json", "profile": {"9": [0.1]}}

@@ -19,8 +19,8 @@ from feederprot.model import (FeederSection, Lateral, Network,
                               RecloserPlacement, SubstationSource)
 from feederprot.power_flow import solve_distflow
 
-from conftest import (pair_checks, radial_chains, recloser_zone,
-                      scenario_config)
+from conftest import (dispatched, pair_checks, radial_chains,
+                      recloser_zone, scenario_config)
 
 VI = TCIConstants(a=19.61, b=0.491, c=1.0, m=2.0, K=0.0)
 D_GRID = np.round(np.arange(0.1, 1.0 + 1e-9, 1e-3), 6)
@@ -200,9 +200,8 @@ def reference_ladder(network, sub, fuse_curves, config):
     ub_pair = {}
     for pd in opt._fuse_pairs(sub):
         fuse = fuse_curves[network.lateral(pd.backup).fuse]
-        sw = pd.sweep
-        for i in coord.current_grid(sw.i_primary_min, sw.i_primary_max):
-            t_fuse = fuse_time(fuse, float(i) + sw.delta)
+        for i in pd.axis:
+            t_fuse = fuse_time(fuse, float(i) + pd.delta)
             if math.isinf(t_fuse):
                 continue  # fuse never melts here; no constraint at i
             slope = _reference_affine_slope(curve[pd.primary],
@@ -233,15 +232,14 @@ def reference_ladder(network, sub, fuse_curves, config):
             pd = rr_up.get(rec.id)
             if pd is None:
                 continue
-            sw = pd.sweep
-            for i in coord.current_grid(sw.i_primary_min, sw.i_primary_max):
+            for i in pd.axis:
                 slope_down = _reference_affine_slope(
                     curve[rec.id], pickups[rec.id], float(i), pd.id)
-                i_up = float(i) - sw.delta
+                i_up = float(i) - pd.delta
                 if i_up <= 0:
                     raise opt.InfeasibleError(
                         pd.id,
-                        f"disparity {sw.delta:.4g} pu swamps the backup "
+                        f"disparity {pd.delta:.4g} pu swamps the backup "
                         f"current at {i:.4g} pu")
                 slope_up = _reference_affine_slope(
                     curve[pd.backup], pickups[pd.backup], i_up, pd.id)
@@ -408,13 +406,12 @@ FLAT_TAIL = ((1.0, 7.86), (2.0, 7.859999999999995))
 
 def fuse_pair(lateral, i_max, i_min, delta=0.0):
     return coord.PairStudy(f"R1-L{lateral}", coord.PairKind.FUSE_RECLOSER,
-                           "R1", lateral,
-                           coord.PairSweep(i_max, i_min, delta))
+                           "R1", lateral, i_max, i_min, delta)
 
 
 def recloser_pair(i_max, i_min, delta=0.0):
     return coord.PairStudy("RLY-R1", coord.PairKind.RECLOSER_RECLOSER, "R1",
-                           "RLY", coord.PairSweep(i_max, i_min, delta))
+                           "RLY", i_max, i_min, delta)
 
 
 # name: (RLY curve, R1 curve, {id: pickup}, pairs, {fuse: MM table},
@@ -565,16 +562,15 @@ class TestDispatch:
         scn = five_node_scenario
         config = self.config(scn)
         available = {u.id: u.p_out for u in scn.network.dg_units}
-        outputs, study = opt.solve_dispatch(scn.network, available,
-                                            scn.fuse_curves, config)
-        assert outputs == available
-        assert study.network == scn.network.with_dg_outputs(outputs)
+        study = opt.solve_dispatch(scn.network, available, scn.fuse_curves,
+                                   config)
+        assert study.network == scn.network.with_dg_outputs(available)
 
     def test_empty_available_is_a_no_op(self, five_node_scenario):
         scn = five_node_scenario
         config = self.config(scn)
         assert opt.solve_dispatch(scn.network, {}, scn.fuse_curves,
-                                  config)[0] == {}
+                                  config).network == scn.network
 
     def test_settings_feasible_at_matches_solver(self, five_node_scenario):
         scn = five_node_scenario
@@ -590,10 +586,10 @@ class TestDispatch:
         config = self.config(scn)
         available = {u.id: u.p_out for u in scn.network.dg_units}
         first = opt.solve_dispatch(scn.network, available, scn.fuse_curves,
-                                   config)[0]
+                                   config)
         second = opt.solve_dispatch(scn.network, available, scn.fuse_curves,
-                                    config)[0]
-        assert first == second
+                                    config)
+        assert first.network == second.network
 
     @pytest.mark.parametrize("fixture, curtails", [
         ("five_node_scenario", False), ("case_a_scenario", True)])
@@ -603,11 +599,12 @@ class TestDispatch:
         config = self.config(scn)
         available = {u.id: u.p_out for u in scn.network.dg_units
                      if u.curtailable}
-        first = opt.solve_dispatch(scn.network, available, scn.fuse_curves,
-                                   config)[0]
+        first = dispatched(opt.solve_dispatch(
+            scn.network, available, scn.fuse_curves, config), available)
         assert any(first[i] < available[i] for i in available) == curtails
-        again = opt.solve_dispatch(scn.network.with_dg_outputs(first),
-                                   available, scn.fuse_curves, config)[0]
+        again = dispatched(opt.solve_dispatch(
+            scn.network.with_dg_outputs(first), available, scn.fuse_curves,
+            config), available)
         assert again == first
         # so one dispatch and settings pass is its own fixed point: a
         # second pass from the re-dialed network it reached changes nothing
@@ -615,7 +612,7 @@ class TestDispatch:
         net = scn.network
         for _ in range(2):
             study = opt.solve_dispatch(net, available, scn.fuse_curves,
-                                       config)[1]
+                                       config)
             settings = study.settings()
             net = opt.apply_settings(study.network, settings)
             passes.append((net, settings,
@@ -661,8 +658,7 @@ def bisected_pair_slacks(network, fuse_curves, config):
         fuse = network.lateral(pd.backup).fuse
         curve = network.recloser(pd.primary).sequence.coordinating_curve
         need = dials[pd.primary].time_dial - opt.DIAL_TOL
-        grid = coord.current_grid(pd.sweep.i_primary_min,
-                                  pd.sweep.i_primary_max)
+        grid = list(pd.axis)
         slope_at = opt._dial_slope(curve, pickups[pd.primary], pd.id)
         slopes = [slope_at(float(i)) for i in grid]
 
@@ -810,9 +806,10 @@ class TestDispatchSearch:
         config = scenario_config(scn)
         available = {u.id: u.p_out for u in scn.network.dg_units
                      if u.curtailable}
-        assert opt.solve_dispatch(scn.network, available, scn.fuse_curves,
-                                  config)[0] == bisected_dispatch(
-            scn.network, available, scn.fuse_curves, config)
+        assert dispatched(opt.solve_dispatch(
+            scn.network, available, scn.fuse_curves, config), available) \
+            == bisected_dispatch(scn.network, available, scn.fuse_curves,
+                                 config)
 
     @pytest.mark.parametrize("scale", [1.0, 0.9, 0.93, 0.96, 0.99])
     def test_case_a_curtailable_block_scaled(self, case_a_scenario, scale):
@@ -820,8 +817,8 @@ class TestDispatchSearch:
         config = scenario_config(scn)
         available = {u.id: scale * u.p_out for u in scn.network.dg_units
                      if u.curtailable}
-        got = opt.solve_dispatch(scn.network, available, scn.fuse_curves,
-                                 config)[0]
+        got = dispatched(opt.solve_dispatch(
+            scn.network, available, scn.fuse_curves, config), available)
         assert any(got[i] < available[i] for i in available)
         assert got == bisected_dispatch(scn.network, available,
                                         scn.fuse_curves, config)
@@ -885,10 +882,8 @@ class TestRandomChains:
                 opt.solve_dispatch(net, available, fuse_curves, config)
             assert got.value.pair == exc.pair
             return
-        outputs, study = opt.solve_dispatch(net, available, fuse_curves,
-                                            config)
-        assert outputs == expect
-        assert study.network == net.with_dg_outputs(outputs)
+        study = opt.solve_dispatch(net, available, fuse_curves, config)
+        assert study.network == net.with_dg_outputs(expect)
         # the answer is the feasible state nearest the boundary
         slacks = opt.pair_slacks(study, fuse_curves, config)
         assert min(slacks.values(), default=0.0) >= 0.0
@@ -902,8 +897,7 @@ class TestRandomChains:
                                      fault_impedance_floor=floor)
         available = {u.id: u.p_out for u in net.dg_units}
         try:
-            study = opt.solve_dispatch(net, available, fuse_curves,
-                                       config)[1]
+            study = opt.solve_dispatch(net, available, fuse_curves, config)
             final = opt.apply_settings(study.network, study.settings())
         except opt.InfeasibleError:
             return
@@ -994,7 +988,7 @@ class TestAlternate:
         available = {u.id: u.p_out for u in scn.network.dg_units
                      if u.curtailable}
         study = opt.solve_dispatch(scn.network, available,
-                                   scn.fuse_curves, config)[1]
+                                   scn.fuse_curves, config)
         study.settings()
         for uid, ceiling in available.items():
             assert study.network.dg(uid).p_out == pytest.approx(ceiling)
@@ -1005,9 +999,7 @@ class TestAlternate:
                                                         five_node_scenario):
         scn = five_node_scenario
         config = opt.OptimizerConfig(fault_impedance_floor=0.15)
-        outputs, study = opt.solve_dispatch(scn.network, {}, scn.fuse_curves,
-                                            config)
-        assert outputs == {}
+        study = opt.solve_dispatch(scn.network, {}, scn.fuse_curves, config)
         assert study.network == scn.network
         study.settings()
 
