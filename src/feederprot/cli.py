@@ -251,7 +251,7 @@ def cmd_timeseries(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
         net = net.with_dg_outputs(fixed)
         # a settings step adopts the study's settings if apply accepts them
         feasible, study = True, None
-        if step % scn.dispatch_every == 0 or step % scn.settings_every == 0:
+        if step % scn.dispatch_every == 0:
             try:
                 study = opt.solve_dispatch(net, _available(scn, step),
                                            scn.fuse_curves, config)
@@ -270,7 +270,8 @@ def cmd_timeseries(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
         by_id = {u.id: u for u in net.dg_units}
         row += [by_id[i].p_out for i in dg_ids]
         row += [settings[r].time_dial for r in rec_ids]
-        row += [clearing, min(slacks.values(), default=0.0), int(feasible)]
+        row += [clearing, "" if slacks is None else
+                min(slacks.values(), default=0.0), int(feasible)]
         rows.append(row)
         lines.append(f"  step {step}: DG total "
                      f"{_fmt(sum(u.p_out for u in net.dg_units))} pu, "

@@ -37,8 +37,24 @@ def fixtures_dir() -> Path:
     return Path(str(resources.files("feederprot.fixtures")))
 
 
+def _require_object(doc, context: str) -> None:
+    """A JSON object; a list, number or string is an input error."""
+    if type(doc) is not dict:
+        raise NetworkFileError(
+            f"{context}: must be a JSON object, got {doc!r}")
+
+
+def _read_json(path: Path):
+    """The JSON document a file holds; bad JSON names the file and line."""
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise NetworkFileError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+
+
 def _require_keys(doc: dict, allowed: set[str], required: set[str],
                   context: str) -> None:
+    _require_object(doc, context)
     unknown = set(doc) - allowed
     if unknown:
         raise NetworkFileError(f"{context}: unknown keys {sorted(unknown)}")
@@ -121,10 +137,7 @@ def _parse_recloser(entry: dict, families: dict[str, TCIConstants],
 def load_network(path: str | Path) -> Network:
     """Parse and validate a network description file."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise NetworkFileError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    doc = _read_json(path)
     families = load_curve_families()
 
     ctx = str(path)
@@ -195,6 +208,10 @@ class Scenario:
 
     def __post_init__(self):
         # one check for the scenario file, --network and every override
+        if (self.dispatch_every < 1 or self.settings_every < 1
+                or self.settings_every % self.dispatch_every != 0):
+            raise NetworkFileError("settings_every must be a positive "
+                                   "multiple of dispatch_every")
         for key, margin in (("fuse_recloser", self.fr_margin),
                             ("recloser_recloser", self.rr_margin)):
             if not 0.0 < margin < math.inf:
@@ -228,10 +245,7 @@ def load_scenario(path: str | Path) -> Scenario:
     among the shipped fixtures.
     """
     path = _resolve(str(path), Path())
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise NetworkFileError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    doc = _read_json(path)
     ctx = str(path)
     _require_keys(doc, {"notes", "network", "margins", "fault_impedance_floor",
                         "tolerances", "max_iters", "cadence", "profile",
@@ -251,11 +265,6 @@ def load_scenario(path: str | Path) -> Scenario:
     dispatch_every = _integer(cadence, "dispatch_every", 1, f"{ctx}:cadence")
     settings_every = _integer(cadence, "settings_every", dispatch_every,
                               f"{ctx}:cadence")
-    if (dispatch_every < 1 or settings_every < 1
-            or settings_every % dispatch_every != 0):
-        raise NetworkFileError(
-            f"{ctx}: settings_every must be a positive multiple of "
-            f"dispatch_every")
 
     floor = float(doc.get("fault_impedance_floor", 0.0))
     if not 0.0 <= floor < math.inf:
@@ -267,13 +276,16 @@ def load_scenario(path: str | Path) -> Scenario:
 
     profile: dict[int, tuple[float, ...]] = {}
     lengths = set()
+    _require_object(doc.get("profile", {}), f"{ctx}:profile")
     for key, series in doc.get("profile", {}).items():
         try:
             dg_id = int(key)
         except ValueError:
             raise NetworkFileError(f"{ctx}: profile key {key!r} is not an "
                                    f"integer DG id") from None
-        network.dg(dg_id)  # raises on unknown unit
+        if dg_id not in {u.id for u in network.dg_units}:
+            raise NetworkFileError(f"{ctx}: profile key {key!r}: no DG unit "
+                                   f"with id {dg_id} in {net_path}")
         if type(series) is not list:
             raise NetworkFileError(f"{ctx}: profile dg[{dg_id}] must be a "
                                    f"list of outputs, got {series!r}")
@@ -292,30 +304,28 @@ def load_scenario(path: str | Path) -> Scenario:
         sp = _resolve(doc["initial_settings"], path.parent)
         initial = load_settings_file(sp)
 
-    return Scenario(
-        network_path=net_path,
-        network=network,
-        fr_margin=float(margins.get("fuse_recloser", DEFAULT_FR_MARGIN)),
-        rr_margin=float(margins.get("recloser_recloser", DEFAULT_RR_MARGIN)),
-        fault_impedance_floor=floor,
-        powerflow_tol=float(tol.get("powerflow", DEFAULT_TOL)),
-        dispatch_tol=float(tol.get("dispatch", 1e-6)),
-        objective_tol=float(tol.get("objective", 1e-4)),
-        max_iters=max_iters,
-        dispatch_every=dispatch_every,
-        settings_every=settings_every,
-        profile=profile,
-        initial_settings=initial,
-    )
+    try:
+        return Scenario(
+            network_path=net_path, network=network,
+            fr_margin=float(margins.get("fuse_recloser", DEFAULT_FR_MARGIN)),
+            rr_margin=float(margins.get("recloser_recloser",
+                                        DEFAULT_RR_MARGIN)),
+            fault_impedance_floor=floor,
+            powerflow_tol=float(tol.get("powerflow", DEFAULT_TOL)),
+            dispatch_tol=float(tol.get("dispatch", 1e-6)),
+            objective_tol=float(tol.get("objective", 1e-4)),
+            max_iters=max_iters, dispatch_every=dispatch_every,
+            settings_every=settings_every, profile=profile,
+            initial_settings=initial)
+    except NetworkFileError as exc:
+        raise NetworkFileError(f"{ctx}: {exc}") from None
 
 
 def load_settings_file(path: str | Path) -> dict[str, RecloserSettings]:
     """Parse a settings file: each recloser id's pickup and time_dial."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise NetworkFileError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    doc = _read_json(path)
+    _require_object(doc, str(path))
     out = {}
     for rid, st in doc.items():
         ctx = f"{path}:{rid}"

@@ -15,12 +15,13 @@ fuse-recloser constraint:
   per-unit restoration reaches a component-wise maximal feasible point.
 
 Both need the settings ladder solved at one operating state.
-study_state solves a state once into a StateStudy: its load flow, its
-settings subproblem and one ladder pass with dials, headroom and
-verdict.  The dispatch probe reads the verdict and headroom, the
-settings step the dials, total_clearing_time the zone currents and
-pair_slacks the floor dials.  solve_dispatch returns its answer's
-study, so no consumer solves that state again.
+study_state solves a state once into a StateStudy, one flat record: its
+load flow, pairs, zone currents and pickup bounds, and one ladder pass
+with dials, headroom and verdict, a value only its settings() raises.
+The dispatch probe reads the verdict and headroom, the settings step
+the dials, total_clearing_time the zone currents and pair_slacks the
+floor dials.  solve_dispatch returns its answer's study, so no
+consumer solves that state again.
 
 The bisections define the dispatch, but are not run probe by probe.
 The ladder's headroom, the least room it leaves under any bound it
@@ -38,7 +39,7 @@ axis.  So the two ends of a block of samples bound every quotient
 inside it, and a block whose bound stays more than PRUNE_GUARD beyond
 the running cap or floor is left unsampled; the others are halved.
 The pruned ladder returns the full sweep's dials, headroom and
-verdict bit for bit, and raises what it raises.
+verdict bit for bit.
 
 One dispatch followed by one settings solve is already the fixed point
 of alternating the two: neither the feasibility test nor the dispatch
@@ -49,7 +50,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, replace
 
 from . import fault as flt
@@ -99,14 +100,6 @@ class OptimizerConfig:
     powerflow_tol: float = DEFAULT_TOL
 
 
-@dataclass(frozen=True)
-class SettingsSubproblem:
-    i_max: dict[str, float]
-    pairs: tuple[PairStudy, ...]
-    pickup_lo: dict[str, float]  # twice the maximum load current
-    pickup_hi: dict[str, float]  # half the minimum line-line fault current
-
-
 def _load_current(network: Network, sol: PowerFlowSolution, node: int) -> float:
     """Apparent load current carried past the node, DG netting excluded.
 
@@ -118,23 +111,8 @@ def _load_current(network: Network, sol: PowerFlowSolution, node: int) -> float:
     return math.hypot(p, q) / sol.v_mag[node]
 
 
-def build_settings_subproblem(network: Network, sol: PowerFlowSolution,
-                              config: OptimizerConfig) -> SettingsSubproblem:
-    """Freeze the fault-current data that linearizes the settings problem."""
-    kernel = flt.fault_kernel(network, sol)
-    floor = config.fault_impedance_floor
-    pairs, zones = study_pairs(kernel, floor)
-    return SettingsSubproblem(
-        i_max={rid: mx for rid, (mx, _) in zones.items()},
-        pairs=tuple(pairs),
-        pickup_lo={rec.id: 2.0 * _load_current(network, sol, rec.node)
-                   for rec in network.reclosers},
-        pickup_hi={rid: 0.5 * LL_FACTOR * mn
-                   for rid, (_, mn) in zones.items()})
-
-
-def _fuse_pairs(sub: SettingsSubproblem) -> list[PairStudy]:
-    return [pd for pd in sub.pairs if pd.kind is PairKind.FUSE_RECLOSER]
+def _fuse_pairs(pairs: Sequence[PairStudy]) -> list[PairStudy]:
+    return [pd for pd in pairs if pd.kind is PairKind.FUSE_RECLOSER]
 
 
 def _dial_slope(curve: RecloserCurve, pickup: float,
@@ -179,21 +157,23 @@ def _sweep(first: int, last: int, visit: Callable[[int], object],
         _refine(first, last, visit, keep)
 
 
-def _solve_settings_at_pickups(network: Network, sub: SettingsSubproblem,
+def _solve_settings_at_pickups(network: Network, pairs: Sequence[PairStudy],
+                               pickups: dict[str, float],
                                fuse_curves: dict[str, FuseCurve],
                                config: OptimizerConfig,
-                               ) -> tuple[dict[str, RecloserSettings], float,
+                               ) -> tuple[dict[str, RecloserSettings] | None,
+                                          float | None,
                                           InfeasibleError | None]:
-    """Downstream-first dial ladder at the rule's pickups: its dials, its
-    headroom and its first violation (None when it is solvable).
+    """Downstream-first dial ladder at the given pickups: its dials, its
+    headroom and its verdict, the first violation (None when solvable).
 
     The headroom is the least room left under a bound, each with
     DIAL_TOL: a recloser's fuse cap over the dial it needs, and
     TIME_DIAL_MAX over the need of each raised backup; it is >= 0 exactly
     when the ladder is solvable.  No bound feeds a dial, so the ladder
     runs on past a violation.  A current outside a curve's operating
-    region, or a disparity that swamps the backup current, raises at
-    once (the first violation, if one came before).
+    region, or a disparity that swamps the backup current, stops it at
+    once, with no dials or headroom and the first violation as verdict.
 
     Each bound is the extreme of a quotient N/S over the pair's current
     axis, found without sampling every point.  A fuse cap's numerator
@@ -206,59 +186,57 @@ def _solve_settings_at_pickups(network: Network, sub: SettingsSubproblem,
     its ends, then halves each block whose bound comes within
     PRUNE_GUARD of the running cap or floor, sampling the midpoint; the
     other blocks are left out, since no sample there moves the bound.
-    Every check that can raise passes at a current if it passes at a
-    smaller one, so sampling a fuse pair's first melting current and a
-    recloser pair's first current before any other raises what a full
-    sweep raises.  A floor past TIME_DIAL_MAX + DIAL_TOL is named by its
-    first need above that in axis order, as a full sweep names it.
+    Every check that stops the ladder passes at a current if it passes
+    at a smaller one, so sampling a fuse pair's first melting current and
+    a recloser pair's first current before any other stops it where a
+    full sweep stops.  A floor past TIME_DIAL_MAX + DIAL_TOL is named by
+    its first need above that in axis order, as a full sweep names it.
     """
     order = list(network.reclosers)
-    pickups = sub.pickup_lo
     fr_margin, rr_margin = config.fr_margin, config.rr_margin
-
-    # per-device upper bound from its fuse pairs: the margin constraint
-    # is quantified over the pair's current range, so one affine
-    # constraint per axis sample, all with D as the only free variable
     ub: dict[str, float] = {rec.id: TIME_DIAL_MAX for rec in order}
     ub_pair: dict[str, str] = {}
-    for pd in _fuse_pairs(sub):
-        curve, fuse = pair_curves(network, pd, fuse_curves)
-        slope_at = _dial_slope(curve, pickups[pd.primary], pd.id)
-        k, cap, delta = curve.constants.K, ub[pd.primary], pd.delta
-        axis, melt = pd.axis, fuse.mm_points[0][0]
-        # the fuse never melts below its first tabulated current, so the
-        # samples before the first melting one constrain nothing; the
-        # predicate adds delta as visit() does, so both round alike
-        melting = bisect_left(axis, True, key=lambda i: i + delta >= melt)
-        if melting == axis.size:
-            continue
-        num: dict[int, float] = {}
-        slope: dict[int, float] = {}
-
-        def visit(j: int) -> None:
-            nonlocal cap
-            i = axis[j]
-            num[j] = fuse_time(fuse, i + delta) - fr_margin - k
-            slope[j] = slope_at(i)
-            cap = min(cap, num[j] / slope[j])
-
-        def keep(s: int, e: int) -> bool:
-            """Whether a limit inside (s, e) may come below the cap."""
-            return num[e] / slope[e if num[e] < 0 else s] \
-                <= cap + PRUNE_GUARD
-
-        _sweep(melting, axis.size - 1, visit, keep)
-        if cap < ub[pd.primary]:
-            ub[pd.primary] = cap
-            ub_pair[pd.primary] = pd.id
-
-    rr_up = {pd.primary: pd for pd in sub.pairs
+    rr_up = {pd.primary: pd for pd in pairs
              if pd.kind is PairKind.RECLOSER_RECLOSER}
     lb: dict[str, float] = {rec.id: TIME_DIAL_MIN for rec in order}
     dial: dict[str, float] = {}
     headroom = math.inf
     first: InfeasibleError | None = None
     try:
+        # per-device upper bound from its fuse pairs: the margin constraint
+        # is quantified over the pair's current range, so one affine
+        # constraint per axis sample, all with D as the only free variable
+        for pd in _fuse_pairs(pairs):
+            curve, fuse = pair_curves(network, pd, fuse_curves)
+            slope_at = _dial_slope(curve, pickups[pd.primary], pd.id)
+            k, cap, delta = curve.constants.K, ub[pd.primary], pd.delta
+            axis, melt = pd.axis, fuse.mm_points[0][0]
+            # the fuse never melts below its first tabulated current, so the
+            # samples before the first melting one constrain nothing; the
+            # predicate adds delta as visit() does, so both round alike
+            melting = bisect_left(axis, True, key=lambda i: i + delta >= melt)
+            if melting == axis.size:
+                continue
+            num: dict[int, float] = {}
+            slope: dict[int, float] = {}
+
+            def visit(j: int) -> None:
+                nonlocal cap
+                i = axis[j]
+                num[j] = fuse_time(fuse, i + delta) - fr_margin - k
+                slope[j] = slope_at(i)
+                cap = min(cap, num[j] / slope[j])
+
+            def keep(s: int, e: int) -> bool:
+                """Whether a limit inside (s, e) may come below the cap."""
+                return num[e] / slope[e if num[e] < 0 else s] \
+                    <= cap + PRUNE_GUARD
+
+            _sweep(melting, axis.size - 1, visit, keep)
+            if cap < ub[pd.primary]:
+                ub[pd.primary] = cap
+                ub_pair[pd.primary] = pd.id
+
         for rec in reversed(order):
             d = lb[rec.id]
             room = ub[rec.id] + DIAL_TOL - d
@@ -325,9 +303,7 @@ def _solve_settings_at_pickups(network: Network, sub: SettingsSubproblem,
                         pd.id, f"backup needs D = {need:.4f} > "
                                f"{TIME_DIAL_MAX}")
     except InfeasibleError as exc:
-        if first is None:
-            raise
-        raise first from exc
+        return None, None, first or exc
     return {rid: RecloserSettings(pickup=pickups[rid],
                                   time_dial=min(d, TIME_DIAL_MAX))
             for rid, d in dial.items()}, headroom, first
@@ -337,15 +313,19 @@ def _solve_settings_at_pickups(network: Network, sub: SettingsSubproblem,
 class StateStudy:
     """One operating state, solved once and read by every consumer.
 
-    ``dials`` are the ladder's floor dials, kept through a violated bound
-    and None when the ladder raised.  ``error`` is the verdict: None, or
-    the first InfeasibleError, an empty pickup rule first.  ``headroom``
+    ``dials`` are the ladder's floor dials at ``pickup_lo``, kept through
+    a violated bound and None when the ladder stopped or did not run.
+    ``error`` is the verdict: None, or the first InfeasibleError, an
+    empty pickup rule first; only settings() raises it.  ``headroom``
     is the ladder's, None when the failure has no such measure.
     """
 
     network: Network
     flow: PowerFlowSolution
-    sub: SettingsSubproblem
+    pairs: Sequence[PairStudy]
+    i_max: dict[str, float]  # each recloser's zone maximum
+    pickup_lo: dict[str, float]  # twice the maximum load current
+    pickup_hi: dict[str, float]  # half the minimum line-line fault current
     dials: dict[str, RecloserSettings] | None
     headroom: float | None
     error: InfeasibleError | None
@@ -367,23 +347,26 @@ def study_state(network: Network, fuse_curves: dict[str, FuseCurve],
     line-line fault current.
     """
     flow = solve_distflow(network, tol=config.powerflow_tol)
-    sub = build_settings_subproblem(network, flow, config)
+    pairs, zones = study_pairs(flt.fault_kernel(network, flow),
+                               config.fault_impedance_floor)
+    pickup_lo = {rec.id: 2.0 * _load_current(network, flow, rec.node)
+                 for rec in network.reclosers}
     dials = headroom = error = None
-    try:
-        if all(lo > 0 for lo in sub.pickup_lo.values()):
-            dials, headroom, error = _solve_settings_at_pickups(
-                network, sub, fuse_curves, config)
-    except InfeasibleError as exc:
-        error = exc
-    for rid, hi in sub.pickup_hi.items():
-        lo = sub.pickup_lo[rid]
+    if all(lo > 0 for lo in pickup_lo.values()):
+        dials, headroom, error = _solve_settings_at_pickups(
+            network, pairs, pickup_lo, fuse_curves, config)
+    pickup_hi = {rid: 0.5 * LL_FACTOR * mn for rid, (_, mn) in zones.items()}
+    for rid, hi in pickup_hi.items():
+        lo = pickup_lo[rid]
         if not 0 < lo <= hi:
             headroom, error = None, InfeasibleError(
                 rid, f"pickup rule empty: 2x load {lo:.4g} exceeds half "
                      f"line-line fault {hi:.4g}" if lo else
                      "pickup rule empty: no load past the recloser")
             break
-    return StateStudy(network, flow, sub, dials, headroom, error)
+    return StateStudy(network, flow, pairs,
+                      {rid: mx for rid, (mx, _) in zones.items()},
+                      pickup_lo, pickup_hi, dials, headroom, error)
 
 
 def apply_settings(network: Network,
@@ -420,13 +403,13 @@ def total_clearing_time(study: StateStudy,
     total = 0.0
     for rec in study.network.reclosers:
         cv = replace(rec.sequence.coordinating_curve, settings=settings[rec.id])
-        t = cv.time_at(study.sub.i_max[rec.id])
+        t = cv.time_at(study.i_max[rec.id])
         total += t if not math.isinf(t) else 0.0
     return total
 
 
 def pair_slacks(study: StateStudy, fuse_curves: dict[str, FuseCurve],
-                config: OptimizerConfig) -> dict[str, float]:
+                config: OptimizerConfig) -> dict[str, float] | None:
     """Disparity headroom of every fuse-recloser pair, keyed by pair id.
 
     A pair's bound is the largest disparity whose fuse cap stays at or
@@ -437,17 +420,17 @@ def pair_slacks(study: StateStudy, fuse_curves: dict[str, FuseCurve],
     table's current at T_i, the first tabulated one when T_i lies above
     the table, and unbounded at or below its clamped tail.  The bound,
     clamped to [0, MAX_DISPARITY_BOUND], minus the pair's disparity is
-    its slack.  Raises the study's verdict when it has no dials.
+    its slack; None when the study has no floor dials.  A current
+    outside the operating region at its pickups raises InfeasibleError.
     """
     if study.dials is None:
-        raise study.error
-    network, sub = study.network, study.sub
+        return None
     slacks: dict[str, float] = {}
-    for pd in _fuse_pairs(sub):
-        curve, fuse = pair_curves(network, pd, fuse_curves)
+    for pd in _fuse_pairs(study.pairs):
+        curve, fuse = pair_curves(study.network, pd, fuse_curves)
         base = config.fr_margin + curve.constants.K
         dial = study.dials[pd.primary].time_dial - DIAL_TOL
-        slope_at = _dial_slope(curve, sub.pickup_lo[pd.primary], pd.id)
+        slope_at = _dial_slope(curve, study.pickup_lo[pd.primary], pd.id)
         t_tail, (i_head, t_head) = fuse.mm_points[-1][1], fuse.mm_points[0]
         bound = MAX_DISPARITY_BOUND
         for i in pd.axis:

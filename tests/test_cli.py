@@ -37,6 +37,20 @@ NON_FINITE = {
     "profile": ("timeseries", "profile", math.nan, "dg[4]"),
 }
 
+# a JSON value that is not an object where one must be: the file it
+# goes into, the key it replaces there (none: the whole document), and
+# the key the input error names after the file
+NON_OBJECT = {
+    "profile": ("scenario", ("profile",), [[0.1]], ":profile"),
+    "cadence": ("scenario", ("cadence",), 5, ":cadence"),
+    "tolerances": ("scenario", ("tolerances",), 1, ":tolerances"),
+    "margins": ("scenario", ("margins",), [1, 2], ":margins"),
+    "bases": ("network", ("bases",), [1, 2], ":bases"),
+    "section": ("network", ("sections", 1), 5, ":sections[1]"),
+    "settings-file": ("settings", (), [1, 2], ""),
+    "settings-entry": ("settings", ("R1",), 5, ":R1"),
+}
+
 
 class TestExitCodes:
     def test_powerflow_ok(self, tmp_path):
@@ -125,12 +139,14 @@ class TestExitCodes:
         scenario = tmp_path / "scn.json"
         scenario.write_text(json.dumps({"network": str(net)}))
         out = ["--out-dir", str(tmp_path / "out")]
-        for source in (["--network", str(net)],
-                       ["--scenario", str(scenario)]):
+        # through a scenario, its file comes first, then the network's
+        for source, where in ((["--network", str(net)], f"{net}"),
+                              (["--scenario", str(scenario)],
+                               f"{scenario}: {net}")):
             for command in ("coordinate", "optimize"):
                 assert main([command] + source + out) == EXIT_INPUT
                 assert capsys.readouterr().err == (
-                    f"input error: {net}: lateral {lateral['id']}: fuse "
+                    f"input error: {where}: lateral {lateral['id']}: fuse "
                     f"'nosuch' is not in the fuse table\n")
         assert not (tmp_path / "out").exists()
 
@@ -160,6 +176,34 @@ class TestExitCodes:
         assert main([command] + source + out) == EXIT_INPUT
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and element in err, err
+
+    @pytest.mark.parametrize("case", sorted(NON_OBJECT))
+    def test_non_object_json_is_an_input_error(self, case, tmp_path,
+                                               capsys):
+        where, keys, value, key = NON_OBJECT[case]
+        docs = {"network": json.loads(
+                    (fixtures_dir() / "five_node.json").read_text()),
+                "settings": {"R1": {"pickup": 1.0, "time_dial": 0.5}},
+                "scenario": json.loads(Path(FIVE_NODE).read_text())}
+        paths = {name: tmp_path / f"{name}.json" for name in docs}
+        docs["scenario"].update(network=str(paths["network"]),
+                                initial_settings=str(paths["settings"]))
+        if keys:
+            *parents, last = keys
+            entry = docs[where]
+            for k in parents:
+                entry = entry[k]
+            entry[last] = value
+        else:
+            docs[where] = value
+        for name, doc in docs.items():
+            paths[name].write_text(json.dumps(doc))
+        assert main(["powerflow", "--scenario", str(paths["scenario"]),
+                     "--out-dir", str(tmp_path / "out")]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"input error: {paths[where]}{key}: must be a JSON object, got "
+            f"{value!r}\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("key, value, code", [
         ("p", 1e200, EXIT_INPUT), ("rating", 1e200, EXIT_OK)])
@@ -202,6 +246,42 @@ class TestExitCodes:
                      "--out-dir", str(tmp_path)]) == EXIT_INFEASIBLE
         row = (tmp_path / "timeseries.csv").read_text().splitlines()[1]
         assert row.endswith(",0")
+
+    def test_timeseries_without_floor_dials_is_degraded(self, tmp_path,
+                                                         capsys):
+        # no load past R2 empties its pickup rule, so no state has floor
+        # dials or a slack; started from a settings file, the run still
+        # writes every step, degraded, with an empty slack cell
+        net = json.loads((fixtures_dir() / "five_node.json").read_text())
+        for lateral in net["laterals"]:
+            if lateral["id"] in (3, 4):
+                lateral["p"] = lateral["q"] = 0.0
+        (tmp_path / "net.json").write_text(json.dumps(net))
+        (tmp_path / "settings.json").write_text(json.dumps(
+            {"RLY": {"pickup": 1.3, "time_dial": 0.5},
+             "R1": {"pickup": 1.0, "time_dial": 0.6},
+             "R2": {"pickup": 0.22, "time_dial": 0.4}}))
+        doc = json.loads(Path(FIVE_NODE).read_text())
+        doc.update(network=str(tmp_path / "net.json"),
+                   initial_settings=str(tmp_path / "settings.json"),
+                   profile={"1": [0.3, 0.2]})
+        scenario = tmp_path / "scn.json"
+        scenario.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["timeseries", "--scenario", str(scenario),
+                     "--out-dir", str(out)]) == EXIT_INFEASIBLE
+        report = capsys.readouterr().out.splitlines()
+        assert report[0] == ("time-series run: 2 steps, dispatch every 1, "
+                             "settings every 1")
+        assert [line.endswith("feasible False") for line in report[1:3]] \
+            == [True, True]
+        rows = (out / "timeseries.csv").read_text().splitlines()
+        assert rows[0].endswith(",total_clearing_time_s,worst_slack_pu,"
+                                "feasible")
+        assert len(rows) == 3
+        for step, row in enumerate(rows[1:]):
+            assert row.startswith(f"{step},0.3,0.25,0.5,0.6,0.4,")
+            assert row.endswith(",,0")
 
     def test_infeasible_optimize_keeps_the_start_settings(self, tmp_path,
                                                           capsys):

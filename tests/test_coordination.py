@@ -326,15 +326,15 @@ class TestPairEnumeration:
     @pytest.mark.parametrize("fixture", SCENARIOS)
     def test_pairs_and_settings_read_one_enumeration(self, fixture, request,
                                                      tmp_path):
-        # the pairs coordinate reports are the settings subproblem's
+        # the pairs coordinate reports are the state study's
         scn = request.getfixturevalue(fixture)
         cli.cmd_coordinate(scn, tmp_path)
         with open(tmp_path / "coordination.csv", newline="") as fh:
             rows = list(csv.DictReader(fh))
-        sub = opt.build_settings_subproblem(
-            scn.network, solve_distflow(scn.network), scenario_config(scn))
+        study = opt.study_state(scn.network, scn.fuse_curves,
+                                scenario_config(scn))
         assert [(row["pair_id"], row["kind"]) for row in rows] == \
-            [(pd.id, pd.kind.value) for pd in sub.pairs]
+            [(pd.id, pd.kind.value) for pd in study.pairs]
 
     @pytest.mark.parametrize("fixture", SCENARIOS)
     def test_pairs_match_one_shot_fault_solves(self, fixture, request):

@@ -120,8 +120,12 @@ class TestLoadScenario:
             doc = {"network": "five_node.json",
                    "cadence": {"dispatch_every": dispatch_every,
                                "settings_every": settings_every}}
-            with pytest.raises(NetworkFileError, match="positive multiple"):
-                load_scenario(write_doc(tmp_path, doc))
+            path = write_doc(tmp_path, doc)
+            with pytest.raises(NetworkFileError) as exc:
+                load_scenario(path)
+            assert str(exc.value) == (
+                f"{path}: settings_every must be a positive multiple of "
+                f"dispatch_every")
 
     def test_cadence_and_max_iters_must_be_integers(self, tmp_path):
         # int() would turn 2.5 into 2 and accept "5" and true
@@ -167,17 +171,26 @@ class TestLoadScenario:
         assert str(exc.value) == f"{path}: {error}"
 
     def test_profile_must_reference_known_dg(self, tmp_path):
+        # the error names the scenario file, the profile key and the
+        # network that lacks the unit
         doc = {"network": "five_node.json", "profile": {"9": [0.1]}}
-        with pytest.raises(KeyError):
-            load_scenario(write_doc(tmp_path, doc))
+        path = write_doc(tmp_path, doc)
+        with pytest.raises(NetworkFileError) as exc:
+            load_scenario(path)
+        assert str(exc.value) == (
+            f"{path}: profile key '9': no DG unit with id 9 in "
+            f"{fixtures_dir() / 'five_node.json'}")
 
     def test_margins_must_be_finite_and_positive(self, tmp_path):
         for key in ("fuse_recloser", "recloser_recloser"):
             for bad in (0, -0.1, math.nan, math.inf):
                 doc = {"network": "five_node.json", "margins": {key: bad}}
-                with pytest.raises(NetworkFileError, match=(
-                        f"^{key} margin must be finite and > 0, got ")):
-                    load_scenario(write_doc(tmp_path, doc, "scn.json"))
+                path = write_doc(tmp_path, doc, "scn.json")
+                with pytest.raises(NetworkFileError) as exc:
+                    load_scenario(path)
+                assert str(exc.value) == (
+                    f"{path}: {key} margin must be finite and > 0, got "
+                    f"{float(bad)!r}")
 
     def test_fuse_must_be_in_the_fuse_table(self, tmp_path):
         doc = read_fixture("five_node.json")

@@ -188,17 +188,19 @@ def _reference_affine_slope(curve: RecloserCurve, pickup: float,
     return c.a / denom + c.b
 
 
-def reference_ladder(network, sub, fuse_curves, config):
+def reference_ladder(network, pairs, pickups, fuse_curves, config):
     """Reference: the dial ladder as the package ran it before each
-    pair's slope constants were read once, one slope call per sample."""
+    pair's slope constants were read once, one slope call per sample.
+
+    It raises where the ladder stops, the first violation if one came
+    before; ladder_result maps that raise to the returned verdict."""
     order = list(network.reclosers)
-    pickups = sub.pickup_lo
     curve = {rec.id: rec.sequence.coordinating_curve for rec in order}
     kconst = {rid: cv.constants.K for rid, cv in curve.items()}
 
     ub = {rec.id: opt.TIME_DIAL_MAX for rec in order}
     ub_pair = {}
-    for pd in opt._fuse_pairs(sub):
+    for pd in opt._fuse_pairs(pairs):
         fuse = fuse_curves[network.lateral(pd.backup).fuse]
         for i in pd.axis:
             t_fuse = fuse_time(fuse, float(i) + pd.delta)
@@ -212,7 +214,7 @@ def reference_ladder(network, sub, fuse_curves, config):
                 ub[pd.primary] = limit
                 ub_pair[pd.primary] = pd.id
 
-    rr_up = {pd.primary: pd for pd in sub.pairs
+    rr_up = {pd.primary: pd for pd in pairs
              if pd.kind is coord.PairKind.RECLOSER_RECLOSER}
     lb = {rec.id: opt.TIME_DIAL_MIN for rec in order}
     dial = {}
@@ -263,22 +265,31 @@ def reference_ladder(network, sub, fuse_curves, config):
             for rid, d in dial.items()}, headroom, first
 
 
-def ladder_result(ladder, network, sub, fuse_curves, config):
-    """What a ladder gives on a settings subproblem: its dials, headroom
-    and first violation (pair and message), or what it raised."""
+def ladder_result(ladder, network, pairs, pickups, fuse_curves, config):
+    """What a ladder gives over the pairs at the pickups: its dials,
+    headroom and verdict (exception type, pair and message), or what
+    else it raised.  The reference's InfeasibleError maps to the verdict
+    the package ladder returns, no dials and no headroom; the package
+    ladder must not raise one."""
     try:
-        dials, headroom, first = ladder(network, sub, fuse_curves, config)
+        dials, headroom, first = ladder(network, pairs, pickups,
+                                        fuse_curves, config)
+    except opt.InfeasibleError as exc:
+        if ladder is not reference_ladder:
+            raise
+        dials, headroom, first = None, None, exc
     except Exception as exc:  # noqa: BLE001 -- compared as data
-        return "raised", type(exc), getattr(exc, "pair", None), str(exc)
-    return ("solved", dials, headroom,
-            None if first is None else (first.pair, str(first)))
+        return "raised", type(exc), str(exc)
+    return (dials, headroom,
+            None if first is None else (type(first), first.pair, str(first)))
 
 
 def ladder_outcome(ladder, network, fuse_curves, config):
-    """What a ladder gives at the network as dispatched."""
-    sol = solve_distflow(network, tol=config.powerflow_tol)
-    sub = opt.build_settings_subproblem(network, sol, config)
-    return ladder_result(ladder, network, sub, fuse_curves, config)
+    """What a ladder gives at the pairs and rule pickups of the network's
+    study as dispatched."""
+    study = opt.study_state(network, fuse_curves, config)
+    return ladder_result(ladder, network, study.pairs, study.pickup_lo,
+                         fuse_curves, config)
 
 
 @pytest.fixture(scope="module")
@@ -490,8 +501,8 @@ class TestLadderMatchesReference:
                 got = ladder_outcome(opt._solve_settings_at_pickups, net,
                                      fuse_curves, config)
                 assert got == expect, (margins, scale)
-                outcomes.add((expect[0], expect[-1] is None))
-        assert ("solved", True) in outcomes  # some state is solvable
+                outcomes.add(expect[-1] is None)
+        assert True in outcomes  # some state is solvable
 
     @settings(max_examples=30)
     @given(radial_chains(), st.sampled_from((0.0, 0.05, 0.1)),
@@ -520,13 +531,12 @@ class TestLadderMatchesReference:
         fuse_curves = {fid: FuseCurve(fid, mm, tuple((i, 2.0 * t)
                                                      for i, t in mm))
                        for fid, mm in tables.items()}
-        sub = opt.SettingsSubproblem(i_max={}, pairs=pairs,
-                                     pickup_lo=pickups, pickup_hi={})
         config = opt.OptimizerConfig(fr_margin=margins[0],
                                      rr_margin=margins[1])
-        assert ladder_result(opt._solve_settings_at_pickups, network, sub,
-                             fuse_curves, config) == \
-            ladder_result(reference_ladder, network, sub, fuse_curves, config)
+        assert ladder_result(opt._solve_settings_at_pickups, network, pairs,
+                             pickups, fuse_curves, config) == \
+            ladder_result(reference_ladder, network, pairs, pickups,
+                          fuse_curves, config)
 
 
 class TestApplySettings:
@@ -636,8 +646,8 @@ class TestDispatch:
         assert exc.value.pair in pair_ids
         # pickups no fault current exceeds: the curve slope itself fails
         study = opt.study_state(scn.network, scn.fuse_curves, config)
-        high = replace(study, sub=replace(
-            study.sub, pickup_lo={r: 1e3 for r in study.sub.pickup_lo}))
+        high = replace(study,
+                       pickup_lo={r: 1e3 for r in study.pickup_lo})
         with pytest.raises(opt.InfeasibleError) as exc:
             opt.pair_slacks(high, scn.fuse_curves, config)
         assert exc.value.pair in pair_ids
@@ -649,10 +659,9 @@ def bisected_pair_slacks(network, fuse_curves, config):
     dial less DIAL_TOL, minus the pair disparity from a fresh
     bolted-fault solve at the lateral."""
     study = opt.study_state(network, fuse_curves, config)
-    sol, sub, dials = study.flow, study.sub, study.dials
-    pickups = sub.pickup_lo
+    sol, dials, pickups = study.flow, study.dials, study.pickup_lo
     slacks = {}
-    for pd in sub.pairs:
+    for pd in study.pairs:
         if pd.kind is not coord.PairKind.FUSE_RECLOSER:
             continue
         fuse = network.lateral(pd.backup).fuse
@@ -955,6 +964,23 @@ class TestPairSlacks:
                  for name, f in scn.fuse_curves.items()}
         config = replace(scenario_config(scn), fr_margin=fr_margin)
         self.check(scn.network, fuses, config)
+
+    def test_no_floor_dials_no_slacks(self, five_node_scenario):
+        # no load past R2 empties its pickup rule: the ladder does not
+        # run, and only settings() raises the stored verdict
+        scn = five_node_scenario
+        network = replace(scn.network, laterals=tuple(
+            replace(lat, load_p=0.0, load_q=0.0) if lat.tap_node >= 3
+            else lat for lat in scn.network.laterals))
+        config = scenario_config(scn)
+        study = opt.study_state(network, scn.fuse_curves, config)
+        assert study.dials is None and study.headroom is None
+        assert opt.pair_slacks(study, scn.fuse_curves, config) is None
+        with pytest.raises(opt.InfeasibleError) as exc:
+            study.settings()
+        assert exc.value is study.error
+        assert str(exc.value) == ("infeasible at pair R2: pickup rule "
+                                  "empty: no load past the recloser")
 
     def test_feasible_case_b_steps_report_no_negative_slack(self,
                                                             case_b_run):
