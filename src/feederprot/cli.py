@@ -20,8 +20,8 @@ from pathlib import Path
 from . import coordination as coord
 from . import fault as flt
 from . import optimizer as opt
-from .curves import load_curve_families
-from .model import UnknownElementError, validate
+from .curves import RecloserSettings, load_curve_families
+from .model import Network, UnknownElementError, validate
 from .netfile import (NetworkFileError, Scenario, dump_settings,
                       load_scenario, load_network)
 from .power_flow import (PowerFlowDivergence, PowerFlowNotConverged,
@@ -182,18 +182,29 @@ def _available(scn: Scenario, step: int = 0) -> dict[int, float]:
     return out
 
 
-def cmd_optimize(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
-    # one dispatch and one settings solve are already the fixed point of
-    # alternating the two; the report line keeps the alternation's wording
-    # for existing parsers
-    config = _config(scn)
+def _start(scn: Scenario, config: opt.OptimizerConfig, header: str,
+           ) -> tuple[Network, dict[str, RecloserSettings]]:
+    """The network re-dialed to the start settings, and the settings of
+    its coordinating curves: a recloser the settings file omits keeps
+    its own.  Start settings that fail print the header and raise."""
     try:
         settings = scn.initial_settings or opt.baseline_settings(
             scn.network, scn.fuse_curves, config)
         net = opt.apply_settings(scn.network, settings)
     except opt.InfeasibleError:  # no start settings: no artifacts either
-        print("alternating optimization: infeasible after 0 iterations")
+        print(header)
         raise  # main names the pair on stderr
+    return net, {rec.id: rec.sequence.coordinating_curve.settings
+                 for rec in net.reclosers}
+
+
+def cmd_optimize(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
+    # one dispatch and one settings solve are already the fixed point of
+    # alternating the two; the report line keeps the alternation's wording
+    # for existing parsers
+    config = _config(scn)
+    net, settings = _start(
+        scn, config, "alternating optimization: infeasible after 0 iterations")
     rows: list[list] = []
     try:
         study = opt.solve_dispatch(net, _available(scn), scn.fuse_curves,
@@ -231,13 +242,7 @@ def cmd_timeseries(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
     config = _config(scn)
     lines = [f"time-series run: {steps} steps, dispatch every "
              f"{scn.dispatch_every}, settings every {scn.settings_every}"]
-    try:
-        settings = scn.initial_settings or opt.baseline_settings(
-            scn.network, scn.fuse_curves, config)
-        net = opt.apply_settings(scn.network, settings)
-    except opt.InfeasibleError:  # no start settings: no artifacts either
-        print(lines[0])
-        raise  # main names the pair on stderr
+    net, settings = _start(scn, config, lines[0])
     degraded = False
     rows: list[list] = []
     dg_ids = [u.id for u in scn.network.dg_units]
@@ -261,6 +266,8 @@ def cmd_timeseries(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
                     settings = study.settings()
             except opt.InfeasibleError:
                 feasible = False
+                if study is None:  # no dispatch: each unit at its ceiling
+                    net = net.with_dg_outputs(_available(scn, step))
         degraded = degraded or not feasible
 
         study = study or opt.study_state(net, scn.fuse_curves, config)

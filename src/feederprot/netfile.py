@@ -37,11 +37,13 @@ def fixtures_dir() -> Path:
     return Path(str(resources.files("feederprot.fixtures")))
 
 
-def _require_object(doc, context: str) -> None:
-    """A JSON object; a list, number or string is an input error."""
-    if type(doc) is not dict:
+def _require(doc, kind: type, context: str):
+    """doc, which must be a JSON object (kind dict) or array (kind list)."""
+    if type(doc) is not kind:
+        name = "object" if kind is dict else "array"
         raise NetworkFileError(
-            f"{context}: must be a JSON object, got {doc!r}")
+            f"{context}: must be a JSON {name}, got {doc!r}")
+    return doc
 
 
 def _read_json(path: Path):
@@ -54,7 +56,7 @@ def _read_json(path: Path):
 
 def _require_keys(doc: dict, allowed: set[str], required: set[str],
                   context: str) -> None:
-    _require_object(doc, context)
+    _require(doc, dict, context)
     unknown = set(doc) - allowed
     if unknown:
         raise NetworkFileError(f"{context}: unknown keys {sorted(unknown)}")
@@ -114,7 +116,8 @@ def _parse_recloser(entry: dict, families: dict[str, TCIConstants],
     _require_keys(entry, {"id", "node", "pattern", "curves"},
                   {"id", "node", "pattern", "curves"}, context)
     curves = []
-    for k, cv in enumerate(entry["curves"]):
+    for k, cv in enumerate(_require(entry["curves"], list,
+                                    f"{context}.curves")):
         cctx = f"{context}.curves[{k}]"
         _require_keys(cv, {"tag", "family", "pickup", "time_dial"},
                       {"tag", "family", "pickup", "time_dial"}, cctx)
@@ -148,6 +151,8 @@ def load_network(path: str | Path) -> Network:
     _require_keys(doc["bases"], {"mva", "kv"}, {"mva", "kv"}, f"{ctx}:bases")
     _require_keys(doc["source"], {"voltage", "r", "x"},
                   {"voltage", "r", "x"}, f"{ctx}:source")
+    for key in ("sections", "laterals", "dg", "reclosers"):
+        _require(doc.get(key, []), list, f"{ctx}:{key}")
 
     sections = []
     for k, s in enumerate(doc["sections"]):
@@ -222,6 +227,11 @@ class Scenario:
                 raise NetworkFileError(
                     f"{self.network_path}: lateral {lat.id}: fuse "
                     f"{lat.fuse!r} is not in the fuse table")
+        for rid in self.initial_settings or {}:
+            if rid not in {rec.id for rec in self.network.reclosers}:
+                raise NetworkFileError(
+                    f"initial_settings:{rid}: no recloser with id {rid!r} "
+                    f"in {self.network_path}")
 
 
 def _resolve(ref: str, base_dir: Path) -> Path:
@@ -276,7 +286,7 @@ def load_scenario(path: str | Path) -> Scenario:
 
     profile: dict[int, tuple[float, ...]] = {}
     lengths = set()
-    _require_object(doc.get("profile", {}), f"{ctx}:profile")
+    _require(doc.get("profile", {}), dict, f"{ctx}:profile")
     for key, series in doc.get("profile", {}).items():
         try:
             dg_id = int(key)
@@ -324,8 +334,7 @@ def load_scenario(path: str | Path) -> Scenario:
 def load_settings_file(path: str | Path) -> dict[str, RecloserSettings]:
     """Parse a settings file: each recloser id's pickup and time_dial."""
     path = Path(path)
-    doc = _read_json(path)
-    _require_object(doc, str(path))
+    doc = _require(_read_json(path), dict, str(path))
     out = {}
     for rid, st in doc.items():
         ctx = f"{path}:{rid}"

@@ -35,11 +35,9 @@ bit.
 
 The ladder's bounds are each the extreme of a quotient over a pair's
 current axis, whose numerator and denominator both fall along the
-axis.  So the two ends of a block of samples bound every quotient
-inside it, and a block whose bound stays more than PRUNE_GUARD beyond
-the running cap or floor is left unsampled; the others are halved.
-The pruned ladder returns the full sweep's dials, headroom and
-verdict bit for bit.
+axis.  _extreme finds every one, leaving unsampled the blocks of
+samples that cannot move it, so the ladder returns the full sweep's
+dials, headroom and verdict bit for bit.
 
 One dispatch followed by one settings solve is already the fixed point
 of alternating the two: neither the feasibility test nor the dispatch
@@ -65,8 +63,8 @@ LL_FACTOR = math.sqrt(3) / 2  # line-line fault proxy from the 3-phase value
 MAX_DISPARITY_BOUND = 1024.0  # pu; reported when no fuse cap binds
 DIAL_TOL = 1e-12  # dial overrun the ladder forgives against both its bounds
 PRUNE_GUARD = 1e-9
-"""How near a block's bound may come to the running cap or floor before
-the ladder samples inside the block.
+"""How near a block's bound may come to the running level before
+_extreme samples inside the block.
 
 In exact arithmetic no quotient N/S inside a block passes its bound.
 Computed, one can pass it only where rounding puts two samples' melt
@@ -133,28 +131,50 @@ def _dial_slope(curve: RecloserCurve, pickup: float,
     return slope
 
 
-def _refine(s: int, e: int, visit: Callable[[int], object],
-            keep: Callable[[int, int], bool]) -> None:
-    """Visit the samples strictly between s and e, e > s + 1, that
-    pruning keeps: while keep(s, e) holds, the midpoint, then each half
-    in turn."""
-    if keep(s, e):
-        m = (s + e) // 2
-        visit(m)
-        if m - s > 1:
-            _refine(s, m, visit, keep)
-        if e - m > 1:
-            _refine(m, e, visit, keep)
+def _extreme(term: Callable[[int], tuple[float, float]], first: int,
+             last: int, level: float, greatest: bool,
+             cap: float = math.inf,
+             ) -> tuple[float, dict[int, tuple[float, float]]]:
+    """The greatest (or least) of level and the quotients n/s that term(j)
+    = (n, s) gives over samples first..last, and the samples taken.
 
-
-def _sweep(first: int, last: int, visit: Callable[[int], object],
-           keep: Callable[[int, int], bool]) -> None:
-    """Visit samples first..last as pruning keeps them, first first."""
-    visit(first)
-    if last > first:
-        visit(last)
-    if last > first + 1:
-        _refine(first, last, visit, keep)
+    n never rises along the samples and s is positive and falling, so
+    the ends of a block (a, b) bound every quotient strictly inside it:
+    none lies above n(a)/s(b), or n(a)/s(a) when n(a) < 0, nor below
+    n(b)/s(a), or n(b)/s(b) when n(b) < 0.  The sweep samples first,
+    then last, then halves blocks left first, sampling each midpoint,
+    but leaves out a block whose bound stays more than PRUNE_GUARD
+    short of the running level (for the greatest, of cap if smaller):
+    no quotient inside reaches it.  So the level is the full sweep's,
+    and the greatest takes every sample whose quotient passes cap.
+    """
+    taken: dict[int, tuple[float, float]] = {}
+    ends = [last, first] if last > first else [first]
+    blocks = [(first, last)] if last - first > 1 else []
+    while ends or blocks:
+        if ends:
+            j = ends.pop()
+        else:
+            a, b = blocks.pop()
+            if greatest:
+                n = taken[a][0]
+                if n / taken[a if n < 0 else b][1] \
+                        < min(level, cap) - PRUNE_GUARD:
+                    continue
+            else:
+                n = taken[b][0]
+                if n / taken[b if n < 0 else a][1] > level + PRUNE_GUARD:
+                    continue
+            j = (a + b) // 2
+            if b - j > 1:
+                blocks.append((j, b))
+            if j - a > 1:
+                blocks.append((a, j))
+        n, s = taken[j] = term(j)
+        q = n / s
+        if q > level if greatest else q < level:
+            level = q
+    return level, taken
 
 
 def _solve_settings_at_pickups(network: Network, pairs: Sequence[PairStudy],
@@ -175,22 +195,15 @@ def _solve_settings_at_pickups(network: Network, pairs: Sequence[PairStudy],
     region, or a disparity that swamps the backup current, stops it at
     once, with no dials or headroom and the first violation as verdict.
 
-    Each bound is the extreme of a quotient N/S over the pair's current
-    axis, found without sampling every point.  A fuse cap's numerator
-    t_fuse(i + delta) - fr_margin - K never rises along the axis and the
-    dial slope S is positive and falling, so no limit inside a block
-    (s, e) of samples lies below N(e)/S(s), or N(e)/S(e) when N(e) < 0.
-    A recloser floor's numerator rr_margin + slope_down*D + K_down -
-    K_up falls and the backup's slope falls with it, so no need inside
-    lies above N(s)/S(e), or N(s)/S(s) when N(s) < 0.  A sweep samples
-    its ends, then halves each block whose bound comes within
-    PRUNE_GUARD of the running cap or floor, sampling the midpoint; the
-    other blocks are left out, since no sample there moves the bound.
-    Every check that stops the ladder passes at a current if it passes
-    at a smaller one, so sampling a fuse pair's first melting current and
-    a recloser pair's first current before any other stops it where a
-    full sweep stops.  A floor past TIME_DIAL_MAX + DIAL_TOL is named by
-    its first need above that in axis order, as a full sweep names it.
+    Each bound is the _extreme of a quotient N/S over the pair's current
+    axis, N falling along it as the slope S does: a fuse cap's N is
+    t_fuse(i + delta) - fr_margin - K, a floor's rr_margin + slope_down*D
+    + K_down - K_up.  Every check that stops the ladder passes at a
+    current if it passes at a smaller one, and _extreme samples a
+    sweep's first current first, so it stops where a full sweep stops.
+    A floor past TIME_DIAL_MAX + DIAL_TOL is named by its first need
+    above that in axis order, as a full sweep names it, from the
+    samples its _extreme takes with that cap.
     """
     order = list(network.reclosers)
     fr_margin, rr_margin = config.fr_margin, config.rr_margin
@@ -199,7 +212,6 @@ def _solve_settings_at_pickups(network: Network, pairs: Sequence[PairStudy],
     rr_up = {pd.primary: pd for pd in pairs
              if pd.kind is PairKind.RECLOSER_RECLOSER}
     lb: dict[str, float] = {rec.id: TIME_DIAL_MIN for rec in order}
-    dial: dict[str, float] = {}
     headroom = math.inf
     first: InfeasibleError | None = None
     try:
@@ -209,30 +221,21 @@ def _solve_settings_at_pickups(network: Network, pairs: Sequence[PairStudy],
         for pd in _fuse_pairs(pairs):
             curve, fuse = pair_curves(network, pd, fuse_curves)
             slope_at = _dial_slope(curve, pickups[pd.primary], pd.id)
-            k, cap, delta = curve.constants.K, ub[pd.primary], pd.delta
+            k, delta = curve.constants.K, pd.delta
             axis, melt = pd.axis, fuse.mm_points[0][0]
             # the fuse never melts below its first tabulated current, so the
             # samples before the first melting one constrain nothing; the
-            # predicate adds delta as visit() does, so both round alike
+            # predicate adds delta as limit() does, so both round alike
             melting = bisect_left(axis, True, key=lambda i: i + delta >= melt)
             if melting == axis.size:
                 continue
-            num: dict[int, float] = {}
-            slope: dict[int, float] = {}
 
-            def visit(j: int) -> None:
-                nonlocal cap
+            def limit(j: int) -> tuple[float, float]:
                 i = axis[j]
-                num[j] = fuse_time(fuse, i + delta) - fr_margin - k
-                slope[j] = slope_at(i)
-                cap = min(cap, num[j] / slope[j])
+                return fuse_time(fuse, i + delta) - fr_margin - k, slope_at(i)
 
-            def keep(s: int, e: int) -> bool:
-                """Whether a limit inside (s, e) may come below the cap."""
-                return num[e] / slope[e if num[e] < 0 else s] \
-                    <= cap + PRUNE_GUARD
-
-            _sweep(melting, axis.size - 1, visit, keep)
+            cap, _ = _extreme(limit, melting, axis.size - 1, ub[pd.primary],
+                              False)
             if cap < ub[pd.primary]:
                 ub[pd.primary] = cap
                 ub_pair[pd.primary] = pd.id
@@ -246,7 +249,6 @@ def _solve_settings_at_pickups(network: Network, pairs: Sequence[PairStudy],
                     ub_pair.get(rec.id, rec.id),
                     f"needs D >= {d:.4f} but fuse pair caps it at "
                     f"{ub[rec.id]:.4f}")
-            dial[rec.id] = d
             pd = rr_up.get(rec.id)
             if pd is None:
                 continue
@@ -258,55 +260,35 @@ def _solve_settings_at_pickups(network: Network, pairs: Sequence[PairStudy],
             up = _dial_slope(curve_up, pickups[pd.backup], pd.id)
             k_down, k_up = curve_down.constants.K, curve_up.constants.K
             floor, delta, axis = lb[pd.backup], pd.delta, pd.axis
-            parts: dict[int, tuple[float, float]] = {}
 
-            def need_at(j: int) -> float:
-                if j not in parts:
-                    i = axis[j]
-                    slope_down = down(i)
-                    i_up = i - delta
-                    if i_up <= 0:
-                        raise InfeasibleError(
-                            pd.id,
-                            f"disparity {delta:.4g} pu swamps the backup "
-                            f"current at {i:.4g} pu")
-                    parts[j] = (rr_margin + slope_down * d + k_down - k_up,
-                                up(i_up))
-                num, slope = parts[j]
-                return num / slope
+            def need(j: int) -> tuple[float, float]:
+                i = axis[j]
+                slope_down = down(i)
+                i_up = i - delta
+                if i_up <= 0:
+                    raise InfeasibleError(
+                        pd.id, f"disparity {delta:.4g} pu swamps the backup "
+                               f"current at {i:.4g} pu")
+                return rr_margin + slope_down * d + k_down - k_up, up(i_up)
 
-            def visit(j: int) -> None:
-                nonlocal level
-                level = max(level, need_at(j))
-
-            def keep(s: int, e: int) -> bool:
-                """Whether a need inside (s, e) may come above level."""
-                num = parts[s][0]
-                return num / parts[s if num < 0 else e][1] \
-                    >= level - PRUNE_GUARD
-
-            level = floor  # keep() prunes against it: the running floor
-            _sweep(0, axis.size - 1, visit, keep)
+            level, taken = _extreme(need, 0, axis.size - 1, floor, True,
+                                    TIME_DIAL_MAX + DIAL_TOL)
             if level > floor:
                 lb[pd.backup] = level
                 room = TIME_DIAL_MAX + DIAL_TOL - level
                 headroom = min(headroom, room)
                 if room < 0 and first is None:
-                    # name the first need in axis order past the cap,
-                    # as a full sweep does
-                    level = max(floor, TIME_DIAL_MAX + DIAL_TOL)
-                    if axis.size > 2:
-                        _refine(0, axis.size - 1, need_at, keep)
-                    need = next(need for j in sorted(parts)
-                                if (need := need_at(j)) > level)
+                    past = max(floor, TIME_DIAL_MAX + DIAL_TOL)
+                    over = next(q for j in sorted(taken)
+                                if (q := taken[j][0] / taken[j][1]) > past)
                     first = InfeasibleError(
-                        pd.id, f"backup needs D = {need:.4f} > "
+                        pd.id, f"backup needs D = {over:.4f} > "
                                f"{TIME_DIAL_MAX}")
     except InfeasibleError as exc:
         return None, None, first or exc
     return {rid: RecloserSettings(pickup=pickups[rid],
                                   time_dial=min(d, TIME_DIAL_MAX))
-            for rid, d in dial.items()}, headroom, first
+            for rid, d in lb.items()}, headroom, first
 
 
 @dataclass(frozen=True, eq=False)

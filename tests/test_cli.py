@@ -50,6 +50,15 @@ NON_OBJECT = {
     "settings-file": ("settings", (), [1, 2], ""),
     "settings-entry": ("settings", ("R1",), 5, ":R1"),
 }
+# the same for a JSON value that is not an array where one must be
+NON_ARRAY = {
+    "sections": ("network", ("sections",), 5, ":sections"),
+    "laterals": ("network", ("laterals",), {"id": 1}, ":laterals"),
+    "dg": ("network", ("dg",), "dg", ":dg"),
+    "reclosers": ("network", ("reclosers",), 2.5, ":reclosers"),
+    "curves": ("network", ("reclosers", 1, "curves"), {"tag": "fast"},
+               ":reclosers[1].curves"),
+}
 
 
 class TestExitCodes:
@@ -177,10 +186,11 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("input error: ") and element in err, err
 
-    @pytest.mark.parametrize("case", sorted(NON_OBJECT))
+    @pytest.mark.parametrize("case", sorted(NON_OBJECT) + sorted(NON_ARRAY))
     def test_non_object_json_is_an_input_error(self, case, tmp_path,
                                                capsys):
-        where, keys, value, key = NON_OBJECT[case]
+        kind = "object" if case in NON_OBJECT else "array"
+        where, keys, value, key = {**NON_OBJECT, **NON_ARRAY}[case]
         docs = {"network": json.loads(
                     (fixtures_dir() / "five_node.json").read_text()),
                 "settings": {"R1": {"pickup": 1.0, "time_dial": 0.5}},
@@ -201,7 +211,7 @@ class TestExitCodes:
         assert main(["powerflow", "--scenario", str(paths["scenario"]),
                      "--out-dir", str(tmp_path / "out")]) == EXIT_INPUT
         assert capsys.readouterr().err == (
-            f"input error: {paths[where]}{key}: must be a JSON object, got "
+            f"input error: {paths[where]}{key}: must be a JSON {kind}, got "
             f"{value!r}\n")
         assert not (tmp_path / "out").exists()
 
@@ -251,7 +261,8 @@ class TestExitCodes:
                                                          capsys):
         # no load past R2 empties its pickup rule, so no state has floor
         # dials or a slack; started from a settings file, the run still
-        # writes every step, degraded, with an empty slack cell
+        # writes every step, degraded, with an empty slack cell, and
+        # each failed dispatch leaves unit 1 at its step's ceiling
         net = json.loads((fixtures_dir() / "five_node.json").read_text())
         for lateral in net["laterals"]:
             if lateral["id"] in (3, 4):
@@ -279,9 +290,48 @@ class TestExitCodes:
         assert rows[0].endswith(",total_clearing_time_s,worst_slack_pu,"
                                 "feasible")
         assert len(rows) == 3
-        for step, row in enumerate(rows[1:]):
-            assert row.startswith(f"{step},0.3,0.25,0.5,0.6,0.4,")
+        for step, (row, ceiling) in enumerate(zip(rows[1:], (0.3, 0.2))):
+            assert row.startswith(f"{step},{ceiling},0.25,0.5,0.6,0.4,")
             assert row.endswith(",,0")
+
+    def partial_settings_scenario(self, tmp_path, settings):
+        """The degraded run's five-node scenario, started from a settings
+        file that holds the given entries."""
+        (tmp_path / "settings.json").write_text(json.dumps(settings))
+        doc = json.loads(Path(FIVE_NODE).read_text())
+        doc.update(network=str(fixtures_dir() / "five_node.json"),
+                   initial_settings=str(tmp_path / "settings.json"),
+                   profile={"1": [0.3, 0.2]})
+        scenario = tmp_path / "scn.json"
+        scenario.write_text(json.dumps(doc))
+        return scenario
+
+    def test_settings_file_may_name_some_reclosers(self, tmp_path):
+        # R1 and R2 keep the dials of their own coordinating curves
+        scenario = self.partial_settings_scenario(
+            tmp_path, {"RLY": {"pickup": 1.3, "time_dial": 0.55}})
+        for command in ("optimize", "timeseries"):
+            assert main([command, "--scenario", str(scenario), "--margins",
+                         "0.2,0.3", "--out-dir", str(tmp_path / command)]) \
+                == EXIT_INFEASIBLE
+        assert json.loads((tmp_path / "optimize" / "settings_final.json")
+                          .read_text()) == {
+            "RLY": {"pickup": 1.3, "time_dial": 0.55},
+            "R1": {"pickup": 1.0, "time_dial": 0.25},
+            "R2": {"pickup": 0.22, "time_dial": 0.1}}
+        rows = (tmp_path / "timeseries" / "timeseries.csv").read_text()
+        assert rows.splitlines()[1].startswith("0,0.3,0.25,0.55,0.25,0.1,")
+
+    def test_unknown_recloser_in_settings_is_an_input_error(self, tmp_path,
+                                                            capsys):
+        scenario = self.partial_settings_scenario(
+            tmp_path, {"RX": {"pickup": 1.3, "time_dial": 0.5}})
+        assert main(["optimize", "--scenario", str(scenario),
+                     "--out-dir", str(tmp_path / "out")]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"input error: {scenario}: initial_settings:RX: no recloser with "
+            f"id 'RX' in {fixtures_dir() / 'five_node.json'}\n")
+        assert not (tmp_path / "out").exists()
 
     def test_infeasible_optimize_keeps_the_start_settings(self, tmp_path,
                                                           capsys):

@@ -539,6 +539,56 @@ class TestLadderMatchesReference:
                           fuse_curves, config)
 
 
+@st.composite
+def falling_terms(draw):
+    """Terms (n, s) of samples 0..size-1 with n never rising, across
+    zero, and s positive and falling.  The coarse form has plateaus and
+    steps, so extremes sit inside blocks; in the near form every
+    quotient lies within 4e-10 of 1, so within PRUNE_GUARD of every
+    other and of the floor's cap TIME_DIAL_MAX + DIAL_TOL."""
+    size = draw(st.integers(1, 40))
+
+    def values(elements):
+        return draw(st.lists(elements, min_size=size, max_size=size))
+    if draw(st.booleans()):
+        nums = values(st.integers(-6, 12).map(float))
+        slopes = values(st.integers(1, 8).map(float))
+    else:
+        nums = [2.0 * (1.0 + u) for u in values(st.floats(-1e-10, 1e-10))]
+        slopes = [2.0 * (1.0 + abs(u))
+                  for u in values(st.floats(-1e-10, 1e-10))]
+    return sorted(nums, reverse=True), sorted(slopes, reverse=True)
+
+
+class TestExtreme:
+    """The pruned extreme against the brute-force one."""
+
+    @settings(max_examples=300)
+    @given(falling_terms(), st.data(), st.booleans())
+    def test_matches_brute_force(self, terms, data, greatest):
+        nums, slopes = terms
+        first = data.draw(st.integers(0, len(nums) - 1))
+        last = data.draw(st.integers(first, len(nums) - 1))
+        quotients = [nums[j] / slopes[j] for j in range(first, last + 1)]
+        start = data.draw(st.sampled_from([-7.0, 1.0, 13.0] + quotients))
+        cap = opt.TIME_DIAL_MAX + opt.DIAL_TOL
+        calls = []
+
+        def term(j):
+            calls.append(j)
+            return nums[j], slopes[j]
+
+        level, taken = opt._extreme(term, first, last, start, greatest, cap)
+        assert level == (max if greatest else min)([start] + quotients)
+        assert calls[0] == first
+        assert len(calls) == len(set(calls))
+        assert taken == {j: (nums[j], slopes[j]) for j in calls}
+        if greatest:
+            # the floor names its first need past the cap from these
+            past = [first + k for k, q in enumerate(quotients) if q > cap]
+            assert not past or past[0] in taken
+
+
 class TestApplySettings:
     def test_coordinating_curve_takes_dial(self, five_node_scenario):
         net = five_node_scenario.network
