@@ -24,8 +24,7 @@ from .curves import RecloserSettings, load_curve_families
 from .model import Network, UnknownElementError, validate
 from .netfile import (NetworkFileError, Scenario, dump_settings,
                       load_scenario, load_network)
-from .power_flow import (PowerFlowDivergence, PowerFlowNotConverged,
-                         solve_distflow)
+from .power_flow import PowerFlowDivergence, PowerFlowNotConverged
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -72,7 +71,7 @@ def _config(scn: Scenario) -> opt.OptimizerConfig:
 
 
 def cmd_powerflow(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
-    sol = solve_distflow(scn.network, tol=scn.powerflow_tol)
+    sol = scn.flow
     lines = ["pre-fault load flow",
              f"  converged: {sol.converged}  iterations: {sol.iterations}  "
              f"max mismatch: {_fmt(sol.max_mismatch)} pu"]
@@ -107,8 +106,9 @@ def cmd_fault(scn: Scenario, location: flt.FaultLocation,
               out_dir: Path, fault_impedance: float = 0.0,
               ) -> tuple[RunReport, int]:
     net = scn.network
-    sol = solve_distflow(net, tol=scn.powerflow_tol)
-    study = flt.solve_fault(net, sol, location, fault_impedance)
+    scn.flow  # a diverging load flow is reported before a bad location
+    flt.check_fault(net, location, fault_impedance)
+    study = scn.kernel.study(location, fault_impedance)
     amps = net.base_amps
     lines = [f"fault study at {location.kind}:{location.ref} "
              f"(fault impedance {_fmt(fault_impedance)} pu)",
@@ -138,9 +138,7 @@ def cmd_fault(scn: Scenario, location: flt.FaultLocation,
 
 def cmd_coordinate(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
     net = scn.network
-    sol = solve_distflow(net, tol=scn.powerflow_tol)
-    pairs, _ = coord.study_pairs(flt.fault_kernel(net, sol),
-                                 scn.fault_impedance_floor)
+    pairs, _ = coord.study_pairs(scn.kernel, scn.fault_impedance_floor)
     required = {coord.PairKind.FUSE_RECLOSER: scn.fr_margin,
                 coord.PairKind.RECLOSER_RECLOSER: scn.rr_margin}
     lines = ["coordination verdicts"]

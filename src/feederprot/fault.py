@@ -247,13 +247,20 @@ def fault_kernel(network: Network, sol: PowerFlowSolution) -> FaultKernel:
                        z_kk=tuple(z_kk))
 
 
+def check_fault(network: Network, location: FaultLocation,
+                fault_impedance: float) -> None:
+    """Raise the input error of a fault at a location not on the network
+    or through an impedance that is not finite and >= 0."""
+    _fault_node(network, location)
+    if not 0.0 <= fault_impedance < math.inf:
+        raise ValueError(f"fault impedance must be finite and >= 0, "
+                         f"got {fault_impedance!r}")
+
+
 def solve_fault(network: Network, sol: PowerFlowSolution,
                 location: FaultLocation,
                 fault_impedance: float = 0.0) -> FaultStudy:
     """Solve one three-phase fault on its own kernel (see FaultKernel.study)."""
-    _fault_node(network, location)  # an unknown location is an input error
-    if not 0.0 <= fault_impedance < math.inf:
-        raise ValueError(f"fault impedance must be finite and >= 0, "
-                         f"got {fault_impedance!r}")
+    check_fault(network, location, fault_impedance)
     return fault_kernel(network, sol).study(location, fault_impedance)
 

@@ -12,6 +12,7 @@ import json
 import math
 import os
 from dataclasses import MISSING, dataclass, field, fields
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 
@@ -19,9 +20,10 @@ from .coordination import DEFAULT_FR_MARGIN, DEFAULT_RR_MARGIN
 from .curves import (FuseCurve, RecloserCurve, RecloserSettings,
                      ReclosingSequence, TCIConstants, load_curve_families,
                      load_fuse_curves)
+from .fault import FaultKernel, fault_kernel
 from .model import (DG_PARAMS, DGKind, DGUnit, FeederSection, Lateral,
                     Network, RecloserPlacement, SubstationSource, validate)
-from .power_flow import DEFAULT_TOL
+from .power_flow import DEFAULT_TOL, PowerFlowSolution, solve_distflow
 
 FIXTURE_ENV = "FEEDERPROT_FIXTURES"
 
@@ -232,6 +234,18 @@ class Scenario:
                 raise NetworkFileError(
                     f"initial_settings:{rid}: no recloser with id {rid!r} "
                     f"in {self.network_path}")
+
+    @cached_property
+    def flow(self) -> PowerFlowSolution:
+        """The network's pre-fault load flow at ``powerflow_tol``, solved
+        on first read; a replaced scenario solves its own."""
+        return solve_distflow(self.network, tol=self.powerflow_tol)
+
+    @cached_property
+    def kernel(self) -> FaultKernel:
+        """The fault kernel of that load flow, factored on first read;
+        raises PowerFlowNotConverged when the flow did not converge."""
+        return fault_kernel(self.network, self.flow)
 
 
 def _resolve(ref: str, base_dir: Path) -> Path:

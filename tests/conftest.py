@@ -202,7 +202,6 @@ def case_b_run(tmp_path_factory):
         mp.setattr(opt, "solve_dispatch", recorded)
         mp.setattr(cli, "_available", at_step)
         mp.setattr(opt, "solve_distflow", flow)
-        mp.setattr(cli, "solve_distflow", flow)
         code = cli.main(["timeseries", "--scenario",
                          str(fixtures_dir() / "ieee37_case_b.json"),
                          "--out-dir", str(out_dir)])

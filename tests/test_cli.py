@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from feederprot import cli
+from feederprot import cli, netfile
+from feederprot import fault as flt
 from feederprot import optimizer as opt
 from feederprot.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, main
 from feederprot.netfile import dump_settings, fixtures_dir, load_scenario
@@ -238,6 +239,33 @@ class TestExitCodes:
             assert main(cmd + ["--scenario", FIVE_NODE, "--tol", "1e-300",
                                "--out-dir", str(tmp_path)]) \
                 == EXIT_INFEASIBLE, cmd[0]
+
+    def test_fault_checks_its_inputs_before_the_flow_converges(
+            self, tmp_path, capsys):
+        # a load flow that raises fails first, then a bad location or
+        # impedance (exit 2), then a load flow that did not converge
+        args = ["fault", "--scenario", FIVE_NODE, "--tol", "1e-300",
+                "--out-dir", str(tmp_path)]
+        assert main(args + ["--at", "node:99"]) == EXIT_INPUT
+        assert capsys.readouterr().err == \
+            "input error: 'node 99 not on feeder'\n"
+        assert main(args + ["--at", "node:2", "--impedance", "-1"]) \
+            == EXIT_INPUT
+        assert main(args + ["--at", "node:2"]) == EXIT_INFEASIBLE
+        assert capsys.readouterr().err.endswith(
+            "run failed: power flow solution did not converge\n")
+        # ten times the five-node loads collapse the voltage at node 3
+        doc = json.loads((fixtures_dir() / "five_node.json").read_text())
+        for lateral in doc["laterals"]:
+            lateral["p"] *= 10
+            lateral["q"] *= 10
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(doc))
+        assert main(["fault", "--network", str(net), "--at", "node:99",
+                     "--out-dir", str(tmp_path)]) == EXIT_INFEASIBLE
+        assert capsys.readouterr().err == (
+            "run failed: voltage collapse at node 3: 0.4125 pu\n")
+        assert not (tmp_path / "fault.csv").exists()
 
     def test_solved_dials_the_model_rejects_are_infeasible(self, tmp_path):
         # at these margins the ladder raises R2's coordinating dial above
@@ -484,3 +512,49 @@ class TestReproducibility:
     def test_coordinate_byte_identical(self, tmp_path):
         self.rerun(["coordinate", "--scenario", FIVE_NODE], tmp_path,
                    ["coordination.csv", "pair_R1-L1_curves.csv"])
+
+    def test_study_commands_share_one_state(self, tmp_path, monkeypatch):
+        """powerflow, fault everywhere and coordinate on one scenario
+        solve its load flow and fault kernel once, and write the bytes
+        each command writes on a freshly loaded scenario."""
+        # counted wherever a package module binds them
+        counts = {"flow": 0, "kernel": 0}
+        modules = [m for n, m in sys.modules.items()
+                   if n.startswith("feederprot.")]
+        for fn, key in ((netfile.solve_distflow, "flow"),
+                        (netfile.fault_kernel, "kernel")):
+            def counted(*args, fn=fn, key=key, **kwargs):
+                counts[key] += 1
+                return fn(*args, **kwargs)
+            for module in modules:
+                if getattr(module, fn.__name__, None) is fn:
+                    monkeypatch.setattr(module, fn.__name__, counted)
+
+        scn = load_scenario(CASE_A)
+        net = scn.network
+        locations = ([flt.FaultLocation("node", k)
+                      for k in range(net.n_nodes)]
+                     + [flt.FaultLocation("lateral", lat.id)
+                        for lat in net.laterals if lat.fuse is not None])
+        runs = ([("powerflow", cli.cmd_powerflow)]
+                + [(f"{loc.kind}{loc.ref}",
+                    lambda s, out, loc=loc: cli.cmd_fault(s, loc, out))
+                   for loc in locations]
+                + [("coordinate", cli.cmd_coordinate)])
+
+        def run(name, cmd, scenario, root):
+            _, code = cmd(scenario, root / name)
+            return code, {f.name: f.read_bytes()
+                          for f in sorted((root / name).iterdir())}
+
+        shared = [run(*r, scn, tmp_path / "shared") for r in runs]
+        assert counts == {"flow": 1, "kernel": 1}
+        fresh = [run(*r, load_scenario(CASE_A), tmp_path / "fresh")
+                 for r in runs]
+        assert shared == fresh
+        assert [code for code, _ in shared] \
+            == [EXIT_OK] * (1 + len(locations)) + [EXIT_INFEASIBLE]
+
+        tighter = replace(scn, powerflow_tol=1e-10)
+        assert tighter.flow is not scn.flow
+        assert counts["flow"] == 2 + len(runs)

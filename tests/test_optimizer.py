@@ -1119,7 +1119,6 @@ class TestOneStudyPerState:
             return solve_distflow(network, *args, **kwargs)
 
         monkeypatch.setattr(opt, "solve_distflow", recorded)
-        monkeypatch.setattr(cli, "solve_distflow", recorded)
         assert cli.cmd_optimize(case_a_scenario, tmp_path)[1] == cli.EXIT_OK
         assert len(flows) == 14  # the no-DG baseline, then 13 probes
         assert len(set(flows)) == len(flows)
