@@ -24,14 +24,14 @@ floor dials.  solve_dispatch returns its answer's study, so no
 consumer solves that state again.
 
 The bisections define the dispatch, but are not run probe by probe.
-The ladder's headroom, the least room it leaves under any bound it
-checks, is >= 0 exactly when it is solvable and close to linear in
-output except where units switch off at zero output.  An Illinois
-regula falsi on the headroom brackets the feasibility boundary to the
-bisection's resolution in a handful of probes; the bisection is then
-replayed against that bracket, probing only the midpoints inside it,
-and under the monotonicity above returns the bisection's point bit for
-bit.
+Under the monotonicity above, a feasible and an infeasible probe decide
+every point of a bisection's walk not strictly between them.  The
+ladder's headroom, the least room it leaves under any bound it checks,
+is >= 0 exactly when it is solvable and close to linear in output
+except where units switch off at zero output, so an Illinois-weighted
+secant on it predicts the undecided rest of the walk, and only points
+of that walk are probed until none is left undecided.  The walk's
+point is then the bisection's bit for bit, and a state already solved.
 
 The ladder's bounds are each the extreme of a quotient over a pair's
 current axis, whose numerator and denominator both fall along the
@@ -444,30 +444,39 @@ def _replayed_bisection(probe: Callable[[float], tuple[bool, float | None]],
                         lo: float, hi: float, tol: float,
                         h_lo: float | None, h_hi: float | None) -> float:
     """The point that bisecting [lo, hi] down to width tol returns, found
-    with fewer probes.
+    by probing only points of its walk.
 
     ``probe(x)`` is the ladder's verdict at x and its headroom; lo is
     feasible, hi is not, and h_lo, h_hi are their headrooms (None when
-    not usable).  An Illinois regula falsi on the headroom first narrows
-    a bracket [a, b], a feasible and b not, to narrower than tol, the
-    bisection's own resolution.  Each verdict comes from the ladder,
-    never from the sign of the headroom; a step outside the bracket, or
-    an end without usable headroom, takes the midpoint.  Then the plain
-    bisection is replayed: with feasibility monotone in x, a midpoint at
-    or below a is feasible and one at or above b is not, so only a
-    midpoint strictly inside (a, b) is probed, and the answer is the
-    bisection's bit for bit, however wide the bracket.
+    not usable).  With feasibility monotone in x, the probed feasible a
+    and infeasible b decide every midpoint at or below a, or at or above
+    b.  Each pass walks the bisection, taking those verdicts and
+    predicting the rest from the headroom's root: the Illinois-weighted
+    secant between a and b, or their midpoint when an end has no usable
+    headroom.  It then probes the undecided end of the predicted final
+    bracket nearer that root, a point strictly inside (a, b), so the
+    loop ends.  Each verdict comes from the ladder, never from the sign
+    of the headroom.  Once a and b decide the whole walk, its point is
+    the bisection's bit for bit, and a probed one unless it is lo.
     """
     a, b, h_a, h_b = lo, hi, h_lo, h_hi
     kept = None  # the end the last step kept, for the Illinois halving
-    while hi - lo > tol and b - a >= tol:
-        x = 0.5 * (a + b)
+    while True:
+        root = 0.5 * (a + b)
         if h_a is not None and h_b is not None:
             secant = b - h_b * (b - a) / (h_b - h_a)
             if a <= secant <= b:
-                # half of tol inside, so a step onto an end (zero
-                # headroom there) still closes the bracket
-                x = min(max(secant, a + 0.5 * tol), b - 0.5 * tol)
+                root = secant
+        p, q = lo, hi
+        while q - p > tol:
+            mid = 0.5 * (p + q)
+            if mid <= a or mid < b and mid <= root:
+                p = mid
+            else:
+                q = mid
+        if p <= a and q >= b:
+            return p
+        x = min((e for e in (p, q) if a < e < b), key=lambda e: abs(e - root))
         ok, h = probe(x)
         if ok:
             a, h_a = x, h
@@ -479,17 +488,6 @@ def _replayed_bisection(probe: Callable[[float], tuple[bool, float | None]],
             if kept == "a" and h_a is not None:
                 h_a *= 0.5
             kept = "a"
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid <= a:
-            lo = mid
-        elif mid >= b:
-            hi = mid
-        elif probe(mid)[0]:
-            lo = a = mid
-        else:
-            hi = b = mid
-    return lo
 
 
 def solve_dispatch(network: Network, available: dict[int, float],
@@ -504,11 +502,14 @@ def solve_dispatch(network: Network, available: dict[int, float],
     curtailment factor finds a feasible base point; tail-first per-unit
     restoration then pushes every unit to its individual limit.  Each
     bisection defines its answer; _replayed_bisection reaches the same
-    point with a headroom-guided search and far fewer probes.  The
-    probe at factor 0, where every curtailable unit is off, gives no
-    usable headroom: switching units off is a jump, not a continuation.
-    When even full curtailment is infeasible the ladder's
-    InfeasibleError, naming the binding pair, propagates.
+    point probing only points of its walk, and like it rests on
+    feasibility being monotone in every output.  So zero output is
+    probed only when factor 0.5 fails, and a unit whose first walk
+    point above its base output fails keeps that output.  Zero output,
+    every curtailable unit off, gives no usable headroom: switching
+    units off is a jump, not a continuation.  When even full
+    curtailment is infeasible the ladder's InfeasibleError, naming the
+    binding pair, propagates.
     """
     ids = sorted(available)
     studies: dict[tuple[float, ...], StateStudy] = {}
@@ -530,9 +531,10 @@ def solve_dispatch(network: Network, available: dict[int, float],
     full = study_at(at_factor(1.0))
     if full.error is None:
         return full
-    # raises the ladder's own error if even zero output is infeasible;
-    # with no curtailable unit, zero output is the full state
-    study_at(at_factor(0.0)).settings()
+    # zero output, which raises the ladder's own error, can fail only if
+    # the search's first probe does; with no curtailable unit, both are full
+    if study_at(at_factor(0.5)).error is not None:
+        study_at(at_factor(0.0)).settings()
 
     lo = _replayed_bisection(lambda t: probe(at_factor(t)), 0.0, 1.0, 1e-9,
                              None, full.headroom)
@@ -543,17 +545,24 @@ def solve_dispatch(network: Network, available: dict[int, float],
         p_lo, p_hi = outputs[uid], available[uid]
         if p_hi - p_lo <= 1e-12:
             continue
+        tol = 1e-9 * max(available[uid], 1.0)
 
         def at_output(p: float, uid: int = uid):
             return probe({**outputs, uid: p})
 
+        # the walk's first point above p_lo: when it fails, so does every
+        # midpoint, and the bisection keeps p_lo
+        first = p_hi
+        while first - p_lo > tol:
+            first = 0.5 * (p_lo + first)
+        if not at_output(first)[0]:
+            continue
         ok, h_hi = at_output(p_hi)
         if ok:
             outputs[uid] = p_hi
             continue
-        outputs[uid] = _replayed_bisection(
-            at_output, p_lo, p_hi, 1e-9 * max(available[uid], 1.0),
-            at_output(p_lo)[1], h_hi)
+        outputs[uid] = _replayed_bisection(at_output, p_lo, p_hi, tol,
+                                           study_at(outputs).headroom, h_hi)
     return study_at(outputs)
 
 

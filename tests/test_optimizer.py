@@ -682,6 +682,37 @@ class TestDispatch:
             scn.network.with_dg_outputs(first).dg_units
         assert passes[1] == passes[0]
 
+    def test_case_a_never_probes_zero_output(self, case_a_scenario,
+                                             monkeypatch):
+        # a feasible factor 0.5 already implies feasible zero output
+        scn = case_a_scenario
+        available = {u.id: u.p_out for u in scn.network.dg_units
+                     if u.curtailable}
+        probed = []
+        study_state = opt.study_state
+
+        def recorded(network, *args):
+            probed.append([network.dg(i).p_out for i in available])
+            return study_state(network, *args)
+
+        monkeypatch.setattr(opt, "study_state", recorded)
+        opt.solve_dispatch(scn.network, available, scn.fuse_curves,
+                           self.config(scn))
+        assert probed and all(any(p) for p in probed)
+
+    def test_zero_output_failure_is_its_own_error(self, five_node_scenario):
+        scn = five_node_scenario
+        config = replace(self.config(scn), fr_margin=5.0)
+        available = {u.id: u.p_out for u in scn.network.dg_units}
+        zero = opt.study_state(
+            scn.network.with_dg_outputs(dict.fromkeys(available, 0.0)),
+            scn.fuse_curves, config).error
+        assert zero is not None
+        with pytest.raises(opt.InfeasibleError) as exc:
+            opt.solve_dispatch(scn.network, available, scn.fuse_curves,
+                               config)
+        assert (exc.value.pair, str(exc.value)) == (zero.pair, str(zero))
+
     def test_infeasibility_names_a_scenario_pair(self, five_node_scenario,
                                                  five_node_solution):
         scn = five_node_scenario
@@ -823,10 +854,11 @@ def bisection_midpoints(target, tol=1e-9):
 
 class TestReplayedBisection:
     """On a synthetic monotone probe, the search returns the plain
-    bisection's point and never probes a point whose verdict it knows.
+    bisection's point, probes only points of its walk, never one whose
+    verdict it knows, and returns a probed point unless it is lo.
     Boundaries sit on, and a fraction of the search bracket beside, the
-    midpoints the bisection visits, where a misplaced replay bracket
-    changes a verdict."""
+    midpoints the bisection visits, where a misread walk changes a
+    verdict."""
 
     HEADROOMS = {
         "linear": lambda x, edge: edge - x,
@@ -854,7 +886,40 @@ class TestReplayedBisection:
                                           1e-9)
             assert len(set(probed)) == len(probed)
             assert not {0.0, 1.0} & set(probed)
-            assert len(probed) <= 10  # plain bisection: 30
+            assert all(x in bisection_midpoints(x) for x in probed)
+            assert got in probed or got == 0.0
+            assert len(probed) <= 9  # plain bisection: 30
+
+    def test_case_a_restoration_probes_once_per_unit(self, case_a_scenario,
+                                                     monkeypatch):
+        # every curtailed unit fails at the first walk point above its
+        # output, and that one probe settles it
+        scn = case_a_scenario
+        available = {u.id: u.p_out for u in scn.network.dg_units
+                     if u.curtailable}
+        probed, searched = [], []
+        study_state, search = opt.study_state, opt._replayed_bisection
+
+        def recorded(network, *args):
+            probed.append({i: network.dg(i).p_out for i in available})
+            return study_state(network, *args)
+
+        def factor_search(*args):
+            t = search(*args)
+            searched.append(len(probed))
+            return t
+
+        monkeypatch.setattr(opt, "study_state", recorded)
+        monkeypatch.setattr(opt, "_replayed_bisection", factor_search)
+        got = dispatched(opt.solve_dispatch(
+            scn.network, available, scn.fuse_curves, scenario_config(scn)),
+            available)
+        curtailed = sorted(i for i in available if got[i] < available[i])
+        # only the factor search searches; each later probe raises one unit
+        assert curtailed and len(searched) == 1
+        assert sorted(i for p in probed[searched[0]:] for i in curtailed
+                      if p[i] > got[i]) == curtailed
+        assert len(probed) - searched[0] == len(curtailed)
 
 
 class TestDispatchSearch:
@@ -904,7 +969,7 @@ class TestDispatchSearch:
                      if u.curtailable}
         opt.solve_dispatch(scn.network, available, scn.fuse_curves,
                            scenario_config(scn))
-        assert len(flows) <= 13  # plain bisection: 84
+        assert len(flows) <= 9  # plain bisection: 84
 
     def test_headroom_sign_is_the_ladder_verdict(self, case_a_scenario):
         scn = case_a_scenario
@@ -1120,7 +1185,7 @@ class TestOneStudyPerState:
 
         monkeypatch.setattr(opt, "solve_distflow", recorded)
         assert cli.cmd_optimize(case_a_scenario, tmp_path)[1] == cli.EXIT_OK
-        assert len(flows) == 14  # the no-DG baseline, then 13 probes
+        assert len(flows) == 10  # the no-DG baseline, then 9 probes
         assert len(set(flows)) == len(flows)
 
     def test_timeseries_on_case_b(self, case_b_run):
@@ -1128,3 +1193,4 @@ class TestOneStudyPerState:
         # a state may come back in a later step
         flows = case_b_run["flows"]
         assert len(set(flows)) == len(flows)
+        assert len(flows) == 106
