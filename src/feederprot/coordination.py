@@ -201,8 +201,9 @@ def backup_delay(backup: RecloserCurve, delta_rr: float,
 def study_pairs(kernel: flt.FaultKernel, fault_impedance_floor: float,
                 ) -> tuple[list[PairStudy], dict[str, tuple[float, float]]]:
     """Every fuse-recloser pair, then every recloser-recloser pair, and
-    each recloser's (I_max, I_min), from one bolted and one floored fault
-    at every node of the state's one kernel, which must cover them all.
+    each recloser's (I_max, I_min), from a bolted fault at every node of
+    the state's one kernel, which must cover them all, and a floored one
+    at each zone's far end and fused tap.
 
     A recloser's zone runs from its node to the next recloser's: I_max is
     its bolted maximum there, I_min the floored current at the far end.
@@ -213,31 +214,34 @@ def study_pairs(kernel: flt.FaultKernel, fault_impedance_floor: float,
     network = kernel.network
     n = network.n_nodes
     bolted = [kernel.source_currents(k, 0.0) for k in range(n)]
-    floored = [kernel.source_currents(k, fault_impedance_floor)
-               for k in range(n)]
 
     pairs: list[PairStudy] = []
     zones: dict[str, tuple[float, float]] = {}
     ends = [rec.node for rec in network.reclosers[1:]] + [n]
     for rec, end in zip(network.reclosers, ends):
         # the DG a directional recloser sees, summed as _recloser_current
-        upstream = [u.id for u in network.dg_units if u.tap_node < rec.node]
-        i_bolted, i_floored = ([i_sub + sum(i_dg[uid] for uid in upstream)
-                                for i_sub, i_dg in currents[rec.node:end]]
-                               for currents in (bolted, floored))
-        zones[rec.id] = (max(i_bolted), i_floored[-1])
+        upstream = [s for s, u in enumerate(network.dg_units, 1)
+                    if u.tap_node < rec.node]
+
+        def seen(currents: list[float]) -> float:
+            return currents[0] + sum(currents[s] for s in upstream)
+
+        def floored(k: int) -> float:
+            return seen(kernel.source_currents(k, fault_impedance_floor))
+
+        zones[rec.id] = (max(seen(bolted[k]) for k in range(rec.node, end)),
+                         floored(end - 1))
         for lat in network.laterals:
             k = lat.tap_node
             if lat.fuse is None or not rec.node <= k < end:
                 continue
             pairs.append(PairStudy(
                 f"{rec.id}-L{lat.id}", PairKind.FUSE_RECLOSER, rec.id,
-                lat.id, i_bolted[k - rec.node], i_floored[k - rec.node],
-                flt._dg_current(network, bolted[k][1], rec.node, n)))
+                lat.id, seen(bolted[k]), floored(k),
+                flt._dg_current(network, bolted[k], rec.node, n)))
     for up, down in zip(network.reclosers, network.reclosers[1:]):
         pairs.append(PairStudy(
             f"{up.id}-{down.id}", PairKind.RECLOSER_RECLOSER, down.id, up.id,
             *zones[down.id],
-            flt._dg_current(network, bolted[down.node][1], up.node,
-                            down.node)))
+            flt._dg_current(network, bolted[down.node], up.node, down.node)))
     return pairs, zones

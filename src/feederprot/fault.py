@@ -27,6 +27,7 @@ recloser-recloser disparities exact sums of the per-DG contributions.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .model import (DGKind, DGUnit, Network, UnknownElementError)
@@ -123,16 +124,19 @@ def _fault_node(network: Network, location: FaultLocation) -> int:
     return network.lateral(location.ref).tap_node
 
 
-def _dg_current(network: Network, i_dg: dict, lo: int, hi: int) -> float:
+def _dg_current(network: Network, currents: Sequence[float], lo: int,
+                hi: int) -> float:
     """Summed contribution of the DG tapped at lo <= node < hi, in feeder
-    order."""
-    return sum(i_dg[u.id] for u in network.dg_units if lo <= u.tap_node < hi)
+    order, from a fault's source_currents."""
+    return sum(currents[s] for s, u in enumerate(network.dg_units, 1)
+               if lo <= u.tap_node < hi)
 
 
-def _recloser_current(network: Network, recloser_node: int, i_sub, i_dg):
+def _recloser_current(network: Network, recloser_node: int,
+                      currents: Sequence[float]) -> float:
     """Current a directional recloser sees of a fault downstream of it:
     the substation's and that of the DG tapped upstream of it."""
-    return i_sub + _dg_current(network, i_dg, 0, recloser_node)
+    return currents[0] + _dg_current(network, currents, 0, recloser_node)
 
 
 @dataclass(frozen=True)
@@ -150,12 +154,11 @@ class FaultKernel:
     z_kk: tuple[complex, ...]
 
     def source_currents(self, node: int, fault_impedance: float,
-                        ) -> tuple[float, dict[int, float]]:
-        """Contribution magnitudes of a fault at the node: the
-        substation's, and each DG unit's by id."""
+                        ) -> list[float]:
+        """Contribution magnitudes of a fault at the node, in kernel
+        order: the substation's, then each DG unit's."""
         z = self.z_kk[node] + fault_impedance
-        i_sub, *i_dg = (abs(v / z) for v in self.v_oc[node])
-        return i_sub, {u.id: i for u, i in zip(self.network.dg_units, i_dg)}
+        return [abs(v / z) for v in self.v_oc[node]]
 
     def study(self, location: FaultLocation,
               fault_impedance: float = 0.0) -> FaultStudy:
@@ -167,7 +170,9 @@ class FaultKernel:
         """
         network = self.network
         f_node = _fault_node(network, location)
-        i_sub, i_dg = self.source_currents(f_node, fault_impedance)
+        currents = self.source_currents(f_node, fault_impedance)
+        i_sub = currents[0]
+        i_dg = dict(zip((u.id for u in network.dg_units), currents[1:]))
         total = i_sub + sum(i_dg.values())
 
         i_recloser: dict[str, float] = {}
@@ -176,11 +181,12 @@ class FaultKernel:
         prev_node = 0
         for rec in network.reclosers:
             i_recloser[rec.id] = (
-                _recloser_current(network, rec.node, i_sub, i_dg)
+                _recloser_current(network, rec.node, currents)
                 if rec.node <= f_node else 0.0)
-            delta_fr[rec.id] = _dg_current(network, i_dg, rec.node,
+            delta_fr[rec.id] = _dg_current(network, currents, rec.node,
                                            network.n_nodes)
-            delta_rr[rec.id] = _dg_current(network, i_dg, prev_node, rec.node)
+            delta_rr[rec.id] = _dg_current(network, currents, prev_node,
+                                           rec.node)
             prev_node = rec.node
 
         i_fuse: dict[int, float] = {}

@@ -27,17 +27,21 @@ The bisections define the dispatch, but are not run probe by probe.
 Under the monotonicity above, a feasible and an infeasible probe decide
 every point of a bisection's walk not strictly between them.  The
 ladder's headroom, the least room it leaves under any bound it checks,
-is >= 0 exactly when it is solvable and close to linear in output
-except where units switch off at zero output, so an Illinois-weighted
-secant on it predicts the undecided rest of the walk, and only points
-of that walk are probed until none is left undecided.  The walk's
-point is then the bisection's bit for bit, and a state already solved.
+is >= 0 exactly when it is solvable and smooth in output except where
+units switch off at zero output, so inverse quadratic interpolation
+through the last three probed headrooms, as in Brent's root finder
+(Brent 1973, Algorithms for Minimization without Derivatives),
+predicts the undecided rest of the walk, and only points of that walk
+are probed until none is left undecided.  The walk's point is then the
+bisection's bit for bit, and a state already solved.
 
 The ladder's bounds are each the extreme of a quotient over a pair's
 current axis, whose numerator and denominator both fall along the
-axis.  _extreme finds every one, leaving unsampled the blocks of
-samples that cannot move it, so the ladder returns the full sweep's
-dials, headroom and verdict bit for bit.
+axis, and a pair's slack is the least gap between the current the fuse
+may carry and the axis current.  _extreme finds every one, leaving
+unsampled the blocks of samples that cannot move it, so the ladder
+returns the full sweep's dials, headroom and verdict, and pair_slacks
+its slacks, bit for bit.
 
 One dispatch followed by one settings solve is already the fixed point
 of alternating the two: neither the feasibility test nor the dispatch
@@ -55,7 +59,8 @@ from . import fault as flt
 from .coordination import (DEFAULT_FR_MARGIN, DEFAULT_RR_MARGIN, PairKind,
                            PairStudy, pair_curves, study_pairs)
 from .curves import (TIME_DIAL_MAX, TIME_DIAL_MIN, FuseCurve, RecloserCurve,
-                     RecloserSettings, fuse_inverse_current, fuse_time)
+                     RecloserSettings, fuse_inverse_current, fuse_time,
+                     tci_time)
 from .model import Network
 from .power_flow import DEFAULT_TOL, PowerFlowSolution, solve_distflow
 
@@ -75,7 +80,12 @@ caps that can still bind are at most TIME_DIAL_MAX = 1, the floors
 that matter are of the same order, and the shipped curve families keep
 S above their b >= 0.11 s per unit dial, so with margins and offsets
 under 1e3 s that error stays below 1e-11, under a hundredth of the
-guard.  A wider guard only samples more.
+guard.  pair_slacks' gaps reach - i are currents in pu.  Computed, a
+reach can fall below an earlier one only where two samples' needed
+times lie within a few ulps of each other or the MM table's segments
+meet, and then by a few ulps of the reach, at most the table's last
+current; the shipped tables end at 32 pu, so a gap passes its block
+bound by under 1e-13 pu.  A wider guard only samples more.
 """
 
 
@@ -134,6 +144,7 @@ def _dial_slope(curve: RecloserCurve, pickup: float,
 def _extreme(term: Callable[[int], tuple[float, float]], first: int,
              last: int, level: float, greatest: bool,
              cap: float = math.inf,
+             block: Callable[[int, int], float] | None = None,
              ) -> tuple[float, dict[int, tuple[float, float]]]:
     """The greatest (or least) of level and the quotients n/s that term(j)
     = (n, s) gives over samples first..last, and the samples taken.
@@ -141,12 +152,15 @@ def _extreme(term: Callable[[int], tuple[float, float]], first: int,
     n never rises along the samples and s is positive and falling, so
     the ends of a block (a, b) bound every quotient strictly inside it:
     none lies above n(a)/s(b), or n(a)/s(a) when n(a) < 0, nor below
-    n(b)/s(a), or n(b)/s(b) when n(b) < 0.  The sweep samples first,
-    then last, then halves blocks left first, sampling each midpoint,
-    but leaves out a block whose bound stays more than PRUNE_GUARD
-    short of the running level (for the greatest, of cap if smaller):
-    no quotient inside reaches it.  So the level is the full sweep's,
-    and the greatest takes every sample whose quotient passes cap.
+    n(b)/s(a), or n(b)/s(b) when n(b) < 0.  The least of pair_slacks'
+    gaps reach - i, each over s = 1, has its own bound, block(a, b) =
+    reach(a) - i(b): reach never falls along the samples and i rises,
+    so no gap inside lies below it.  The sweep samples first, then
+    last, then halves blocks left first, sampling each midpoint, but
+    leaves out a block whose bound stays more than PRUNE_GUARD short of
+    the running level (for the greatest, of cap if smaller): no
+    quotient inside reaches it.  So the level is the full sweep's, and
+    the greatest takes every sample whose quotient passes cap.
     """
     taken: dict[int, tuple[float, float]] = {}
     ends = [last, first] if last > first else [first]
@@ -160,6 +174,9 @@ def _extreme(term: Callable[[int], tuple[float, float]], first: int,
                 n = taken[a][0]
                 if n / taken[a if n < 0 else b][1] \
                         < min(level, cap) - PRUNE_GUARD:
+                    continue
+            elif block is not None:
+                if block(a, b) > level + PRUNE_GUARD:
                     continue
             else:
                 n = taken[b][0]
@@ -384,8 +401,8 @@ def total_clearing_time(study: StateStudy,
     """Sum of coordinating-curve trip times at each recloser's zone maximum."""
     total = 0.0
     for rec in study.network.reclosers:
-        cv = replace(rec.sequence.coordinating_curve, settings=settings[rec.id])
-        t = cv.time_at(study.i_max[rec.id])
+        t = tci_time(rec.sequence.coordinating_curve.constants,
+                     settings[rec.id], study.i_max[rec.id])
         total += t if not math.isinf(t) else 0.0
     return total
 
@@ -399,11 +416,15 @@ def pair_slacks(study: StateStudy, fuse_curves: dict[str, FuseCurve],
     forgives, so the slack's sign agrees with the ladder's cap check.
     At each axis current i the fuse must not melt before T_i =
     D*slope_i + fr_margin + K: its current must stay at or below the MM
-    table's current at T_i, the first tabulated one when T_i lies above
-    the table, and unbounded at or below its clamped tail.  The bound,
-    clamped to [0, MAX_DISPARITY_BOUND], minus the pair's disparity is
-    its slack; None when the study has no floor dials.  A current
-    outside the operating region at its pickups raises InfeasibleError.
+    table's current at T_i, its reach: the first tabulated one when T_i
+    lies above the table, and unbounded at or below its clamped tail.
+    The least gap reach - i, clamped to [0, MAX_DISPARITY_BOUND], minus
+    the pair's disparity is its slack; None when the study has no floor
+    dials.  T_i falls as i rises, so reach never falls, and _extreme
+    skips the blocks whose bound reach(a) - i(b) cannot lower the gap.
+    A current outside the operating region at its pickups raises
+    InfeasibleError at the axis's first sample, which _extreme takes
+    first, as a full sweep does.
     """
     if study.dials is None:
         return None
@@ -414,16 +435,22 @@ def pair_slacks(study: StateStudy, fuse_curves: dict[str, FuseCurve],
         dial = study.dials[pd.primary].time_dial - DIAL_TOL
         slope_at = _dial_slope(curve, study.pickup_lo[pd.primary], pd.id)
         t_tail, (i_head, t_head) = fuse.mm_points[-1][1], fuse.mm_points[0]
-        bound = MAX_DISPARITY_BOUND
-        for i in pd.axis:
+        axis, seen = pd.axis, {}
+
+        def gap(j: int) -> tuple[float, float]:
+            i = axis[j]
             t_need = dial * slope_at(i) + base
             if t_need <= t_tail:
-                continue
-            if t_need > t_head:
+                reach = math.inf
+            elif t_need > t_head:
                 reach = i_head
             else:
                 reach = fuse_inverse_current(fuse, t_need)
-            bound = min(bound, reach - i)
+            seen[j] = reach, i
+            return reach - i, 1.0
+
+        bound, _ = _extreme(gap, 0, axis.size - 1, MAX_DISPARITY_BOUND, False,
+                            block=lambda a, b: seen[a][0] - seen[b][1])
         slacks[pd.id] = max(bound, 0.0) - pd.delta
     return slacks
 
@@ -440,6 +467,36 @@ def settings_feasible_at(network: Network,
     return study_state(network, fuse_curves, config).error is None
 
 
+def _predicted_root(points: Sequence[tuple[float, float]]) -> float:
+    """Where the headroom through up to three (x, headroom) points
+    reaches zero: inverse quadratic interpolation through three, as in
+    Brent's root finder, else the secant through the last two; NaN when
+    fewer remain or their headrooms tie.  No divisor is zero."""
+    if len(points) == 3:
+        (x0, f0), (x1, f1), (x2, f2) = points
+        if f0 != f1 and f1 != f2 and f0 != f2:
+            return (x0 * f1 / (f0 - f1) * f2 / (f0 - f2)
+                    + x1 * f0 / (f1 - f0) * f2 / (f1 - f2)
+                    + x2 * f0 / (f2 - f0) * f1 / (f2 - f1))
+        points = points[1:]
+    if len(points) == 2:
+        (x1, f1), (x2, f2) = points
+        if f1 != f2:
+            return x2 - f2 * (x2 - x1) / (f2 - f1)
+    return math.nan
+
+
+def _first_above(lo: float, hi: float, tol: float) -> float:
+    """The walk's first point above lo when bisecting [lo, hi] down to
+    width tol: the last midpoint of a walk that fails at every one.  With
+    feasibility monotone, when it fails so does every midpoint, and the
+    bisection returns lo."""
+    first = hi
+    while first - lo > tol:
+        first = 0.5 * (lo + first)
+    return first
+
+
 def _replayed_bisection(probe: Callable[[float], tuple[bool, float | None]],
                         lo: float, hi: float, tol: float,
                         h_lo: float | None, h_hi: float | None) -> float:
@@ -451,22 +508,22 @@ def _replayed_bisection(probe: Callable[[float], tuple[bool, float | None]],
     not usable).  With feasibility monotone in x, the probed feasible a
     and infeasible b decide every midpoint at or below a, or at or above
     b.  Each pass walks the bisection, taking those verdicts and
-    predicting the rest from the headroom's root: the Illinois-weighted
-    secant between a and b, or their midpoint when an end has no usable
-    headroom.  It then probes the undecided end of the predicted final
-    bracket nearer that root, a point strictly inside (a, b), so the
-    loop ends.  Each verdict comes from the ladder, never from the sign
-    of the headroom.  Once a and b decide the whole walk, its point is
-    the bisection's bit for bit, and a probed one unless it is lo.
+    predicting the rest from the headroom's root: _predicted_root
+    through the last three points with usable headroom, lo and hi
+    counted first, or the midpoint of a and b when fewer than two have
+    it or the root leaves [a, b].  It then probes the undecided end of
+    the predicted final bracket nearer that root, a point strictly
+    inside (a, b), so the loop ends.  Each verdict comes from the
+    ladder, never from the sign of the headroom.  Once a and b decide
+    the whole walk, its point is the bisection's bit for bit, and a
+    probed one unless it is lo.
     """
-    a, b, h_a, h_b = lo, hi, h_lo, h_hi
-    kept = None  # the end the last step kept, for the Illinois halving
+    a, b = lo, hi
+    known = [(x, h) for x, h in ((lo, h_lo), (hi, h_hi)) if h is not None]
     while True:
-        root = 0.5 * (a + b)
-        if h_a is not None and h_b is not None:
-            secant = b - h_b * (b - a) / (h_b - h_a)
-            if a <= secant <= b:
-                root = secant
+        root = _predicted_root(known[-3:])
+        if not a <= root <= b:
+            root = 0.5 * (a + b)
         p, q = lo, hi
         while q - p > tol:
             mid = 0.5 * (p + q)
@@ -479,15 +536,11 @@ def _replayed_bisection(probe: Callable[[float], tuple[bool, float | None]],
         x = min((e for e in (p, q) if a < e < b), key=lambda e: abs(e - root))
         ok, h = probe(x)
         if ok:
-            a, h_a = x, h
-            if kept == "b" and h_b is not None:
-                h_b *= 0.5
-            kept = "b"
+            a = x
         else:
-            b, h_b = x, h
-            if kept == "a" and h_a is not None:
-                h_a *= 0.5
-            kept = "a"
+            b = x
+        if h is not None:
+            known.append((x, h))
 
 
 def solve_dispatch(network: Network, available: dict[int, float],
@@ -504,8 +557,10 @@ def solve_dispatch(network: Network, available: dict[int, float],
     bisection defines its answer; _replayed_bisection reaches the same
     point probing only points of its walk, and like it rests on
     feasibility being monotone in every output.  So zero output is
-    probed only when factor 0.5 fails, and a unit whose first walk
-    point above its base output fails keeps that output.  Zero output,
+    probed only when factor 0.5 fails; the factor search then first
+    probes its walk's first point above zero output (_first_above), as
+    each restoration does above its unit's output, and ends at its base
+    when that probe fails.  Zero output,
     every curtailable unit off, gives no usable headroom: switching
     units off is a jump, not a continuation.  When even full
     curtailment is infeasible the ladder's InfeasibleError, naming the
@@ -533,11 +588,12 @@ def solve_dispatch(network: Network, available: dict[int, float],
         return full
     # zero output, which raises the ladder's own error, can fail only if
     # the search's first probe does; with no curtailable unit, both are full
-    if study_at(at_factor(0.5)).error is not None:
+    search = study_at(at_factor(0.5)).error is None
+    if not search:
         study_at(at_factor(0.0)).settings()
-
+        search = probe(at_factor(_first_above(0.0, 1.0, 1e-9)))[0]
     lo = _replayed_bisection(lambda t: probe(at_factor(t)), 0.0, 1.0, 1e-9,
-                             None, full.headroom)
+                             None, full.headroom) if search else 0.0
     outputs = at_factor(lo)
 
     # restoration pass, feeder tail first, deterministic order
@@ -550,12 +606,7 @@ def solve_dispatch(network: Network, available: dict[int, float],
         def at_output(p: float, uid: int = uid):
             return probe({**outputs, uid: p})
 
-        # the walk's first point above p_lo: when it fails, so does every
-        # midpoint, and the bisection keeps p_lo
-        first = p_hi
-        while first - p_lo > tol:
-            first = 0.5 * (p_lo + first)
-        if not at_output(first)[0]:
+        if not at_output(_first_above(p_lo, p_hi, tol))[0]:
             continue
         ok, h_hi = at_output(p_hi)
         if ok:

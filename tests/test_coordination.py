@@ -234,10 +234,10 @@ def reference_zone(kernel, rec, floor):
     network = kernel.network
     zone = recloser_zone(network, rec.id)
     bolted = [flt._recloser_current(network, rec.node,
-                                    *kernel.source_currents(k, 0.0))
+                                    kernel.source_currents(k, 0.0))
               for k in zone]
     floored = flt._recloser_current(
-        network, rec.node, *kernel.source_currents(zone[-1], floor))
+        network, rec.node, kernel.source_currents(zone[-1], floor))
     return max(bolted), floored
 
 

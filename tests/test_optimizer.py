@@ -1,6 +1,7 @@
 """Settings and dispatch optimization against exhaustive grid search."""
 
 import csv
+import itertools
 import math
 from dataclasses import replace
 
@@ -589,6 +590,52 @@ class TestExtreme:
             assert not past or past[0] in taken
 
 
+@st.composite
+def rising_gaps(draw):
+    """Samples 0..size-1 of pair_slacks' gaps reach - i: reach never
+    falling, with plateaus and a +inf tail, and the current i rising."""
+    size = draw(st.integers(1, 40))
+    reach = sorted(draw(st.lists(st.integers(0, 12).map(float),
+                                 min_size=size, max_size=size)))
+    tail = draw(st.integers(0, size))
+    reach[size - tail:] = [math.inf] * tail
+    steps = draw(st.lists(st.integers(1, 4).map(float), min_size=size,
+                          max_size=size))
+    return reach, list(itertools.accumulate(steps))
+
+
+class TestExtremeOfGaps:
+    """The pruned least of pair_slacks' gaps, with their block bound,
+    against the brute-force one."""
+
+    @settings(max_examples=300)
+    @given(rising_gaps(), st.data())
+    def test_matches_brute_force(self, samples, data):
+        reach, currents = samples
+        first = data.draw(st.integers(0, len(reach) - 1))
+        last = data.draw(st.integers(first, len(reach) - 1))
+        gaps = [reach[j] - currents[j] for j in range(first, last + 1)]
+        start = data.draw(st.sampled_from(
+            [opt.MAX_DISPARITY_BOUND, -5.0, 3.0] + gaps))
+        calls = []
+
+        def term(j):
+            calls.append(j)
+            return reach[j] - currents[j], 1.0
+
+        def block(a, b):
+            # pair_slacks reads both ends off the samples it took
+            assert a in calls and b in calls
+            return reach[a] - currents[b]
+
+        level, taken = opt._extreme(term, first, last, start, False,
+                                    block=block)
+        assert level == min([start] + gaps)
+        assert calls[0] == first
+        assert len(calls) == len(set(calls))
+        assert taken == {j: (reach[j] - currents[j], 1.0) for j in calls}
+
+
 class TestApplySettings:
     def test_coordinating_curve_takes_dial(self, five_node_scenario):
         net = five_node_scenario.network
@@ -713,6 +760,33 @@ class TestDispatch:
                                config)
         assert (exc.value.pair, str(exc.value)) == (zero.pair, str(zero))
 
+    def test_factor_search_ending_at_zero_probes_once(self,
+                                                      five_node_scenario,
+                                                      monkeypatch):
+        # factor 0.5 fails and zero output passes; the walk's first point
+        # above zero fails, so the search ends there and never probes the
+        # other 29 midpoints of the plain bisection
+        scn = five_node_scenario
+        config = replace(scenario_config(scn), fr_margin=0.18)
+        available = {u.id: u.p_out for u in scn.network.dg_units
+                     if u.curtailable}
+        expect = bisected_dispatch(scn.network, available, scn.fuse_curves,
+                                   config)
+        assert expect == dict.fromkeys(available, 0.0)
+        flows = []
+        solve_distflow = opt.solve_distflow
+
+        def counted(*args, **kwargs):
+            flows.append(args)
+            return solve_distflow(*args, **kwargs)
+
+        monkeypatch.setattr(opt, "solve_distflow", counted)
+        got = dispatched(opt.solve_dispatch(
+            scn.network, available, scn.fuse_curves, config), available)
+        assert got == expect
+        # full, 0.5, zero and 2**-30, then one probe per curtailed unit
+        assert len(flows) <= 4 + len(available)
+
     def test_infeasibility_names_a_scenario_pair(self, five_node_scenario,
                                                  five_node_solution):
         scn = five_node_scenario
@@ -782,6 +856,44 @@ def bisected_pair_slacks(network, fuse_curves, config):
                                 0.0)
         slacks[pd.id] = bound - study.delta_fr[pd.primary]
     return slacks
+
+
+def full_sweep_slacks(study, fuse_curves, config):
+    """The unpruned sweep pair_slacks replaced, kept as its bit-for-bit
+    reference: every axis sample of every fuse-recloser pair."""
+    if study.dials is None:
+        return None
+    slacks = {}
+    for pd in study.pairs:
+        if pd.kind is not coord.PairKind.FUSE_RECLOSER:
+            continue
+        curve, fuse = coord.pair_curves(study.network, pd, fuse_curves)
+        base = config.fr_margin + curve.constants.K
+        dial = study.dials[pd.primary].time_dial - opt.DIAL_TOL
+        slope_at = opt._dial_slope(curve, study.pickup_lo[pd.primary], pd.id)
+        t_tail, (i_head, t_head) = fuse.mm_points[-1][1], fuse.mm_points[0]
+        bound = opt.MAX_DISPARITY_BOUND
+        for i in pd.axis:
+            t_need = dial * slope_at(i) + base
+            if t_need <= t_tail:
+                continue
+            if t_need > t_head:
+                reach = i_head
+            else:
+                reach = opt.fuse_inverse_current(fuse, t_need)
+            bound = min(bound, reach - i)
+        slacks[pd.id] = max(bound, 0.0) - pd.delta
+    return slacks
+
+
+def outcome(solve, *args):
+    """A solve's floats by key as their bits, None, or the pair and
+    message of the InfeasibleError it raises."""
+    try:
+        got = solve(*args)
+    except opt.InfeasibleError as exc:
+        return exc.pair, str(exc)
+    return None if got is None else {k: v.hex() for k, v in got.items()}
 
 
 def bisected_dispatch(network, available, fuse_curves, config):
@@ -888,7 +1000,7 @@ class TestReplayedBisection:
             assert not {0.0, 1.0} & set(probed)
             assert all(x in bisection_midpoints(x) for x in probed)
             assert got in probed or got == 0.0
-            assert len(probed) <= 9  # plain bisection: 30
+            assert len(probed) <= 8  # plain bisection: 30
 
     def test_case_a_restoration_probes_once_per_unit(self, case_a_scenario,
                                                      monkeypatch):
@@ -969,7 +1081,7 @@ class TestDispatchSearch:
                      if u.curtailable}
         opt.solve_dispatch(scn.network, available, scn.fuse_curves,
                            scenario_config(scn))
-        assert len(flows) <= 9  # plain bisection: 84
+        assert len(flows) <= 8  # plain bisection: 84
 
     def test_headroom_sign_is_the_ladder_verdict(self, case_a_scenario):
         scn = case_a_scenario
@@ -1011,6 +1123,21 @@ class TestRandomChains:
         # the answer is the feasible state nearest the boundary
         slacks = opt.pair_slacks(study, fuse_curves, config)
         assert min(slacks.values(), default=0.0) >= 0.0
+
+    @pytest.mark.deep
+    @settings(max_examples=300)
+    @given(radial_chains(), st.sampled_from((0.0, 0.01, 0.03)))
+    def test_dispatch_is_the_bisection_on_300_chains(self, fuse_curves,
+                                                     chain, fr_margin):
+        net, floor = chain
+        config = opt.OptimizerConfig(fr_margin=fr_margin, rr_margin=0.02,
+                                     fault_impedance_floor=floor)
+        available = {u.id: u.p_out for u in net.dg_units}
+
+        def dispatch(*args):
+            return dispatched(opt.solve_dispatch(*args), available)
+        assert outcome(dispatch, net, available, fuse_curves, config) == \
+            outcome(bisected_dispatch, net, available, fuse_curves, config)
 
     @settings(max_examples=30)  # 18 feasible, 6 curtail; tier-1 stays short
     @given(radial_chains(), st.sampled_from((0.01, 0.03, 0.1)))
@@ -1066,6 +1193,8 @@ class TestPairSlacks:
         (1.0, 0.01, 0.1),  # needed times above the table: bounds clamp to 0
         (10.0, 0.01, 0.1),  # the same, but study currents below the table
         (1.0, 1.0, 0.5),  # interior bounds next to zero-clamped ones
+        (0.35, 10.0, 0.1),  # least gaps inside the sweep, where the needed
+        (0.7, 10.0, 0.1),  # times cross the table's first point
     ])
     def test_fuse_table_edges(self, five_node_scenario, i_scale, t_scale,
                               fr_margin):
@@ -1117,6 +1246,40 @@ class TestPairSlacks:
         assert any(outputs[u] < scn.network.dg(u).p_out for u in curtailable)
         self.check(scn.network.with_dg_outputs(outputs), scn.fuse_curves,
                    scenario_config(scn))
+
+    def test_pruned_sweep_is_the_full_sweep_on_case_b(self, case_b_run,
+                                                      monkeypatch):
+        read, size = [], []
+        extreme = opt._extreme
+
+        def counted(term, first, last, *args, **kwargs):
+            level, taken = extreme(term, first, last, *args, **kwargs)
+            read.append(len(taken))
+            size.append(last - first + 1)
+            return level, taken
+
+        for (network, _, fuse_curves, config), answer in \
+                case_b_run["dispatches"]:
+            study = opt.study_state(network.with_dg_outputs(answer),
+                                    fuse_curves, config)
+            with monkeypatch.context() as patched:
+                patched.setattr(opt, "_extreme", counted)
+                got = outcome(opt.pair_slacks, study, fuse_curves, config)
+            assert got == outcome(full_sweep_slacks, study, fuse_curves,
+                                  config)
+        assert len(case_b_run["dispatches"]) == 24
+        assert 2 * sum(read) < sum(size)
+
+    @settings(max_examples=40)
+    @given(radial_chains(), st.sampled_from((0.0, 0.01, 0.03, 0.1)))
+    def test_pruned_sweep_is_the_full_sweep_on_random_chains(
+            self, fuse_curves, chain, fr_margin):
+        net, floor = chain
+        config = opt.OptimizerConfig(fr_margin=fr_margin, rr_margin=0.02,
+                                     fault_impedance_floor=floor)
+        study = opt.study_state(net, fuse_curves, config)
+        assert outcome(opt.pair_slacks, study, fuse_curves, config) == \
+            outcome(full_sweep_slacks, study, fuse_curves, config)
 
 
 class TestAlternate:
@@ -1185,7 +1348,7 @@ class TestOneStudyPerState:
 
         monkeypatch.setattr(opt, "solve_distflow", recorded)
         assert cli.cmd_optimize(case_a_scenario, tmp_path)[1] == cli.EXIT_OK
-        assert len(flows) == 10  # the no-DG baseline, then 9 probes
+        assert len(flows) == 9  # the no-DG baseline, then 8 probes
         assert len(set(flows)) == len(flows)
 
     def test_timeseries_on_case_b(self, case_b_run):
@@ -1193,4 +1356,4 @@ class TestOneStudyPerState:
         # a state may come back in a later step
         flows = case_b_run["flows"]
         assert len(set(flows)) == len(flows)
-        assert len(flows) == 106
+        assert len(flows) == 95
