@@ -93,7 +93,9 @@ class CurrentAxis:
     def spanning(cls, lo: float, hi: float) -> CurrentAxis:
         if not 0 < lo <= hi:
             raise ValueError("current grid needs 0 < lo <= hi")
-        decades = math.log10(hi / lo)
+        ratio = hi / lo  # past the float range, the logs' difference
+        decades = (math.log10(ratio) if ratio < math.inf
+                   else math.log10(hi) - math.log10(lo))
         size = max(2, int(math.ceil(DEFAULT_POINTS_PER_DECADE * decades)) + 1)
         start, stop = math.log10(lo), math.log10(hi)
         return cls(size, start, (stop - start) / (size - 1), stop)

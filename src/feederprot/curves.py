@@ -131,7 +131,10 @@ def tci_time(constants: TCIConstants, settings: RecloserSettings,
     if i_fault <= 0:
         return NO_OPERATION
     mult = i_fault / settings.pickup
-    denom = mult ** constants.m - constants.c
+    try:
+        denom = mult ** constants.m - constants.c
+    except OverflowError:  # a*D/denom is 0 to double precision
+        return tci_asymptote(constants, settings)
     if mult <= 1.0 or denom <= 0.0:
         return NO_OPERATION
     d = settings.time_dial

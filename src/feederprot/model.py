@@ -88,15 +88,9 @@ class DGUnit:
                            self.q_out / self.p_out if self.p_out > 0 else 0.0)
 
     def with_output(self, p: float) -> "DGUnit":
-        """Copy at real output p, reactive power scaled to keep power factor.
-
-        From zero output, q follows the q/p ratio the unit was built with.
-        """
-        if self.p_out > 0:
-            q = self.q_out * (p / self.p_out)
-        else:
-            q = self.q_per_p * p
-        unit = replace(self, p_out=p, q_out=q)
+        """Copy at real output p and reactive power q_per_p * p, the power
+        factor the unit was built with, whatever output it held before."""
+        unit = replace(self, p_out=p, q_out=self.q_per_p * p)
         object.__setattr__(unit, "q_per_p", self.q_per_p)
         return unit
 

@@ -1,9 +1,11 @@
 """Network and scenario file ingestion.
 
 Both formats are JSON; field names are documented in the repository's
-FORMATS.md.  Unknown keys are rejected so typos fail loudly instead of
-silently defaulting.  Electrical quantities in the files are per-unit
-on the declared bases.
+FORMATS.md.  Every element is read by a ``_reader`` of a spec that
+names each of its keys once, with the key's JSON kind and default: an
+unknown key, a missing one or a value of the wrong kind is an input
+error naming the file, the element and the key.  Electrical quantities
+in the files are per-unit on the declared bases.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from dataclasses import MISSING, dataclass, field, fields
 from functools import cached_property
 from importlib import resources
@@ -18,14 +21,21 @@ from pathlib import Path
 
 from .coordination import DEFAULT_FR_MARGIN, DEFAULT_RR_MARGIN
 from .curves import (FuseCurve, RecloserCurve, RecloserSettings,
-                     ReclosingSequence, TCIConstants, load_curve_families,
+                     ReclosingSequence, load_curve_families,
                      load_fuse_curves)
 from .fault import FaultKernel, fault_kernel
 from .model import (DG_PARAMS, DGKind, DGUnit, FeederSection, Lateral,
-                    Network, RecloserPlacement, SubstationSource, validate)
+                    Network, RecloserPlacement, SubstationSource, validate,
+                    validate_flow)
 from .power_flow import DEFAULT_TOL, PowerFlowSolution, solve_distflow
 
 FIXTURE_ENV = "FEEDERPROT_FIXTURES"
+
+# a key's JSON kind is the type json.loads gives its value, float standing
+# for any JSON number, integer or not, but never true or false
+_KINDS = {float: "a number", int: "an integer", str: "a string",
+          bool: "true or false", dict: "a JSON object", list: "a JSON array"}
+NUMBER, INTEGER, STRING = (float, MISSING), (int, MISSING), (str, MISSING)
 
 
 class NetworkFileError(ValueError):
@@ -39,159 +49,146 @@ def fixtures_dir() -> Path:
     return Path(str(resources.files("feederprot.fixtures")))
 
 
-def _require(doc, kind: type, context: str):
-    """doc, which must be a JSON object (kind dict) or array (kind list)."""
-    if type(doc) is not kind:
-        name = "object" if kind is dict else "array"
-        raise NetworkFileError(
-            f"{context}: must be a JSON {name}, got {doc!r}")
-    return doc
-
-
 def _read_json(path: Path):
     """The JSON document a file holds; bad JSON names the file and line."""
     try:
         return json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise NetworkFileError(f"{path}:{exc.lineno}: {exc.msg}") from exc
+    except ValueError as exc:  # not UTF-8, or an integer of 4,300+ digits
+        raise NetworkFileError(f"{path}: {exc}") from exc
 
 
-def _require_keys(doc: dict, allowed: set[str], required: set[str],
-                  context: str) -> None:
-    _require(doc, dict, context)
-    unknown = set(doc) - allowed
-    if unknown:
-        raise NetworkFileError(f"{context}: unknown keys {sorted(unknown)}")
-    missing = required - set(doc)
-    if missing:
-        raise NetworkFileError(f"{context}: missing keys {sorted(missing)}")
+def _is(value, kind: type) -> bool:
+    return type(value) is kind or kind is float and type(value) is int
 
 
-def _integer(doc: dict, key: str, default: int | None, context: str) -> int:
-    """A JSON integer; a float, string or boolean is an input error."""
-    value = doc.get(key, default)
-    if type(value) is not int:
-        raise NetworkFileError(
-            f"{context}: {key} must be an integer, got {value!r}")
-    return value
-
-
-def _settings(entry: dict, context: str) -> RecloserSettings:
-    """A pickup and time dial; a bad value is an error at ``context``."""
+def _float(number: int | float) -> float:
+    """A JSON number as a float; an integer past the float range is
+    infinite, as json reads 1e400."""
     try:
-        return RecloserSettings(pickup=float(entry["pickup"]),
-                                time_dial=float(entry["time_dial"]))
+        return float(number)
+    except OverflowError:
+        return math.inf if number > 0 else -math.inf
+
+
+def _object(doc, ctx) -> dict:
+    if not _is(doc, dict):
+        raise NetworkFileError(f"{ctx}: must be a JSON object, got {doc!r}")
+    return doc
+
+
+def _made(make, ctx, *args, **kwargs):
+    """make(*args, **kwargs); its ValueError is an input error at ctx."""
+    try:
+        return make(*args, **kwargs)
     except ValueError as exc:
-        raise NetworkFileError(f"{context}: {exc}") from None
+        raise NetworkFileError(f"{ctx}: {exc}") from None
 
 
-def _parse_dg(entry: dict, context: str,) -> DGUnit:
-    _require_keys(entry, {"id", "tap", "kind", "rating", "p", "q", "params",
-                          "curtailable"},
-                  {"id", "tap", "kind", "rating", "p", "q", "params"}, context)
-    kind_name = entry["kind"]
+def _reader(spec: dict, make=None):
+    """The reader of a JSON object by spec, read(doc, ctx).
+
+    spec maps each key to (kind, default), default MISSING for a required
+    key; an object or array key may add a reader, which reads the value,
+    or each item.  read gives the values in the order of spec's keys,
+    numbers as floats, or make(*values), whose ValueError is an input
+    error at the element.  A key's context is file:key in a file (ctx a
+    Path), element.key in an element, and an item's adds [k].
+    """
+    entries = [(key, kind, default, inner[0] if inner else None)
+               for key, (kind, default, *inner) in spec.items()]
+    required = {key for key, _, default, _ in entries if default is MISSING}
+
+    def read(doc, ctx):
+        if not (type(doc) is dict and doc.keys() <= spec.keys()
+                and required <= doc.keys()):
+            if unknown := _object(doc, ctx).keys() - spec.keys():
+                raise NetworkFileError(
+                    f"{ctx}: unknown keys {sorted(unknown)}")
+            raise NetworkFileError(
+                f"{ctx}: missing keys {sorted(required.difference(doc))}")
+        values = []
+        sep = ":" if isinstance(ctx, Path) else "."
+        for key, kind, default, inner in entries:
+            value = doc.get(key, default)
+            if type(value) is not kind and key in doc:  # defaults hold
+                if not _is(value, kind):
+                    where = (f"{ctx}{sep}{key}:" if kind in (dict, list)
+                             else f"{ctx}: {key}")
+                    raise NetworkFileError(
+                        f"{where} must be {_KINDS[kind]}, got {value!r}")
+                value = _float(value)  # an int where a number goes
+            if inner:
+                sub = f"{ctx}{sep}{key}"
+                value = (tuple([inner(item, f"{sub}[{k}]")
+                                for k, item in enumerate(value)])
+                         if kind is list else inner(value, sub))
+            values.append(value)
+        return _made(make, ctx, *values) if make else values
+    return read
+
+
+SETTINGS = {"pickup": NUMBER, "time_dial": NUMBER}
+_settings = _reader(SETTINGS, RecloserSettings)
+# a kind's parameter class's fields are its keys, those without a default
+# the required ones
+_params = {kind: _reader({f.name: (float, f.default) for f in fields(cls)},
+                         cls) for kind, cls in DG_PARAMS.items()}
+
+
+_dg_fields = _reader({
+    "id": INTEGER, "tap": INTEGER, "kind": STRING, "rating": NUMBER,
+    "p": NUMBER, "q": NUMBER,
+    # read below, by the spec of the kind's parameter class
+    "params": (dict, MISSING, lambda params, ctx: (params, ctx)),
+    "curtailable": (bool, False)})
+
+
+def _dg(doc, ctx: str) -> DGUnit:
+    uid, tap, kind, rating, p, q, params, curtailable = _dg_fields(doc, ctx)
     try:
-        kind = DGKind(kind_name)
+        kind = DGKind(kind)
     except ValueError:
-        raise NetworkFileError(f"{context}: unknown DG kind {kind_name!r}")
-    params_cls = DG_PARAMS[kind]
-    # the parameter class's fields are the keys, those without a default
-    # the required ones
-    keys = fields(params_cls)
-    _require_keys(entry["params"], {f.name for f in keys},
-                  {f.name for f in keys if f.default is MISSING},
-                  f"{context}.params")
-    return DGUnit(
-        id=_integer(entry, "id", None, context),
-        tap_node=_integer(entry, "tap", None, context),
-        kind=kind,
-        rating_s=float(entry["rating"]),
-        p_out=float(entry["p"]),
-        q_out=float(entry["q"]),
-        params=params_cls(**{k: float(v) for k, v in entry["params"].items()}),
-        curtailable=bool(entry.get("curtailable", False)),
-    )
-
-
-def _parse_recloser(entry: dict, families: dict[str, TCIConstants],
-                    context: str) -> RecloserPlacement:
-    _require_keys(entry, {"id", "node", "pattern", "curves"},
-                  {"id", "node", "pattern", "curves"}, context)
-    curves = []
-    for k, cv in enumerate(_require(entry["curves"], list,
-                                    f"{context}.curves")):
-        cctx = f"{context}.curves[{k}]"
-        _require_keys(cv, {"tag", "family", "pickup", "time_dial"},
-                      {"tag", "family", "pickup", "time_dial"}, cctx)
-        if cv["family"] not in families:
-            raise NetworkFileError(f"{cctx}: unknown curve family "
-                                   f"{cv['family']!r}")
-        curves.append(RecloserCurve(
-            tag=cv["tag"],
-            constants=families[cv["family"]],
-            settings=_settings(cv, cctx),
-        ))
-    return RecloserPlacement(
-        id=str(entry["id"]),
-        node=_integer(entry, "node", None, context),
-        sequence=ReclosingSequence(curves=tuple(curves),
-                                  pattern=entry["pattern"]),
-    )
+        raise NetworkFileError(f"{ctx}: unknown DG kind {kind!r}") from None
+    return DGUnit(uid, tap, kind, rating, p, q, _params[kind](*params),
+                  curtailable)
 
 
 def load_network(path: str | Path) -> Network:
     """Parse and validate a network description file."""
     path = Path(path)
-    doc = _read_json(path)
     families = load_curve_families()
 
-    ctx = str(path)
-    _require_keys(doc, {"notes", "bases", "source", "sections", "laterals",
-                        "dg", "reclosers"},
-                  {"bases", "source", "sections", "laterals", "reclosers"},
-                  ctx)
-    _require_keys(doc["bases"], {"mva", "kv"}, {"mva", "kv"}, f"{ctx}:bases")
-    _require_keys(doc["source"], {"voltage", "r", "x"},
-                  {"voltage", "r", "x"}, f"{ctx}:source")
-    for key in ("sections", "laterals", "dg", "reclosers"):
-        _require(doc.get(key, []), list, f"{ctx}:{key}")
+    def curve(tag, family, pickup, time_dial) -> RecloserCurve:
+        if family not in families:
+            raise ValueError(f"unknown curve family {family!r}")
+        return RecloserCurve(tag, families[family],
+                             RecloserSettings(pickup, time_dial))
 
-    sections = []
-    for k, s in enumerate(doc["sections"]):
-        sctx = f"{ctx}:sections[{k}]"
-        _require_keys(s, {"from", "to", "r", "x"}, {"from", "to", "r", "x"},
-                      sctx)
-        sections.append(FeederSection(
-            _integer(s, "from", None, sctx), _integer(s, "to", None, sctx),
-            float(s["r"]), float(s["x"])))
-    laterals = []
-    for k, l in enumerate(doc["laterals"]):
-        lctx = f"{ctx}:laterals[{k}]"
-        _require_keys(l, {"id", "tap", "p", "q", "fuse"},
-                      {"id", "tap", "p", "q"}, lctx)
-        laterals.append(Lateral(_integer(l, "id", None, lctx),
-                                _integer(l, "tap", None, lctx), float(l["p"]),
-                                float(l["q"]), l.get("fuse")))
-    dg = tuple(_parse_dg(e, f"{ctx}:dg[{k}]")
-               for k, e in enumerate(doc.get("dg", [])))
-    reclosers = tuple(_parse_recloser(e, families, f"{ctx}:reclosers[{k}]")
-                      for k, e in enumerate(doc["reclosers"]))
-
-    network = Network(
-        sections=tuple(sections),
-        laterals=tuple(laterals),
-        dg_units=dg,
-        source=SubstationSource(voltage=float(doc["source"]["voltage"]),
-                                source_r=float(doc["source"]["r"]),
-                                source_x=float(doc["source"]["x"])),
-        reclosers=reclosers,
-        base_mva=float(doc["bases"]["mva"]),
-        base_kv=float(doc["bases"]["kv"]),
-    )
-    problems = validate(network)
-    if problems:
+    _, (mva, kv), source, sections, laterals, dg, reclosers = _reader({
+        "notes": (str, None),
+        "bases": (dict, MISSING, _reader({"mva": NUMBER, "kv": NUMBER})),
+        "source": (dict, MISSING, _reader(
+            {"voltage": NUMBER, "r": NUMBER, "x": NUMBER}, SubstationSource)),
+        "sections": (list, MISSING, _reader(
+            {"from": INTEGER, "to": INTEGER, "r": NUMBER, "x": NUMBER},
+            FeederSection)),
+        "laterals": (list, MISSING, _reader(
+            {"id": INTEGER, "tap": INTEGER, "p": NUMBER, "q": NUMBER,
+             "fuse": (str, None)}, Lateral)),
+        "dg": (list, [], _dg),
+        "reclosers": (list, MISSING, _reader({
+            "id": STRING, "node": INTEGER, "pattern": STRING,
+            "curves": (list, MISSING, _reader(
+                {"tag": STRING, "family": STRING, **SETTINGS}, curve))},
+            lambda rid, node, pattern, curves: RecloserPlacement(
+                rid, node, ReclosingSequence(curves, pattern))))},
+    )(_read_json(path), path)
+    network = Network(sections, laterals, dg, source, reclosers, mva, kv)
+    if problems := validate(network):
         lines = "; ".join(f"{v.element}: {v.rule}" for v in problems)
-        raise NetworkFileError(f"{ctx}: invalid network: {lines}")
+        raise NetworkFileError(f"{path}: invalid network: {lines}")
     return network
 
 
@@ -219,6 +216,9 @@ class Scenario:
                 or self.settings_every % self.dispatch_every != 0):
             raise NetworkFileError("settings_every must be a positive "
                                    "multiple of dispatch_every")
+        if not 0.0 < self.powerflow_tol < math.inf:  # as solve_distflow's
+            raise NetworkFileError(f"tol must be finite and > 0, got "
+                                   f"{self.powerflow_tol!r}")
         for key, margin in (("fuse_recloser", self.fr_margin),
                             ("recloser_recloser", self.rr_margin)):
             if not 0.0 < margin < math.inf:
@@ -269,97 +269,79 @@ def load_scenario(path: str | Path) -> Scenario:
     among the shipped fixtures.
     """
     path = _resolve(str(path), Path())
-    doc = _read_json(path)
-    ctx = str(path)
-    _require_keys(doc, {"notes", "network", "margins", "fault_impedance_floor",
-                        "tolerances", "max_iters", "cadence", "profile",
-                        "initial_settings"},
-                  {"network"}, ctx)
-
-    margins = doc.get("margins", {})
-    _require_keys(margins, {"fuse_recloser", "recloser_recloser"}, set(),
-                  f"{ctx}:margins")
-    tol = doc.get("tolerances", {})
-    _require_keys(tol, {"powerflow", "dispatch", "objective"}, set(),
-                  f"{ctx}:tolerances")
-    max_iters = _integer(doc, "max_iters", 20, ctx)
-    cadence = doc.get("cadence", {})
-    _require_keys(cadence, {"dispatch_every", "settings_every"}, set(),
-                  f"{ctx}:cadence")
-    dispatch_every = _integer(cadence, "dispatch_every", 1, f"{ctx}:cadence")
-    settings_every = _integer(cadence, "settings_every", dispatch_every,
-                              f"{ctx}:cadence")
-
-    floor = float(doc.get("fault_impedance_floor", 0.0))
+    (_, net_ref, (fr_margin, rr_margin), floor, (pf_tol, dispatch_tol,
+     objective_tol), max_iters, (dispatch_every, settings_every), profile_doc,
+     settings_ref) = _reader({
+        "notes": (str, None),
+        "network": STRING,
+        "margins": (dict, {}, _reader({
+            "fuse_recloser": (float, Scenario.fr_margin),
+            "recloser_recloser": (float, Scenario.rr_margin)})),
+        "fault_impedance_floor": (float, Scenario.fault_impedance_floor),
+        "tolerances": (dict, {}, _reader({
+            "powerflow": (float, Scenario.powerflow_tol),
+            "dispatch": (float, Scenario.dispatch_tol),
+            "objective": (float, Scenario.objective_tol)})),
+        "max_iters": (int, Scenario.max_iters),
+        "cadence": (dict, {}, _reader({
+            "dispatch_every": (int, Scenario.dispatch_every),
+            "settings_every": (int, None)})),  # default: dispatch_every
+        "profile": (dict, {}),
+        "initial_settings": (str, None)})(_read_json(path), path)
     if not 0.0 <= floor < math.inf:
-        raise NetworkFileError(f"{ctx}: fault_impedance_floor must be finite "
+        raise NetworkFileError(f"{path}: fault_impedance_floor must be finite "
                                f"and >= 0, got {floor!r}")
 
-    net_path = _resolve(doc["network"], path.parent)
+    net_path = _made(_resolve, path, net_ref, path.parent)
     network = load_network(net_path)
 
+    # a key is an id in decimal, so no two keys name one unit
     profile: dict[int, tuple[float, ...]] = {}
-    lengths = set()
-    _require(doc.get("profile", {}), dict, f"{ctx}:profile")
-    for key, series in doc.get("profile", {}).items():
-        try:
-            dg_id = int(key)
-        except ValueError:
-            raise NetworkFileError(f"{ctx}: profile key {key!r} is not an "
-                                   f"integer DG id") from None
+    for key, series in profile_doc.items():
+        if not re.fullmatch(r"0|-?[1-9][0-9]*", key):
+            raise NetworkFileError(f"{path}: profile key {key!r} is not an "
+                                   f"integer DG id")
+        dg_id = int(key)
         if dg_id not in {u.id for u in network.dg_units}:
-            raise NetworkFileError(f"{ctx}: profile key {key!r}: no DG unit "
+            raise NetworkFileError(f"{path}: profile key {key!r}: no DG unit "
                                    f"with id {dg_id} in {net_path}")
-        if type(series) is not list:
-            raise NetworkFileError(f"{ctx}: profile dg[{dg_id}] must be a "
+        if not _is(series, list):
+            raise NetworkFileError(f"{path}: profile dg[{dg_id}] must be a "
                                    f"list of outputs, got {series!r}")
         for step, v in enumerate(series):
-            if type(v) not in (int, float) or not 0 <= v < math.inf:
+            if not (_is(v, float) and 0 <= _float(v) < math.inf):
                 raise NetworkFileError(
-                    f"{ctx}: profile dg[{dg_id}] step {step}: output must "
+                    f"{path}: profile dg[{dg_id}] step {step}: output must "
                     f"be a finite number >= 0, got {v!r}")
-        profile[dg_id] = tuple(float(v) for v in series)
-        lengths.add(len(series))
-    if len(lengths) > 1:
-        raise NetworkFileError(f"{ctx}: profile series lengths differ")
+        # the unit at its peak, judged as the network's own outputs are
+        outputs = profile[dg_id] = tuple(map(_float, series))
+        peak = max(outputs, default=0.0)
+        if problems := validate_flow(network.with_dg_outputs({dg_id: peak})):
+            raise NetworkFileError(f"{path}: profile dg[{dg_id}] step "
+                                   f"{outputs.index(peak)}: {problems[0].rule}")
+    if len({len(series) for series in profile.values()}) > 1:
+        raise NetworkFileError(f"{path}: profile series lengths differ")
 
     initial = None
-    if "initial_settings" in doc:
-        sp = _resolve(doc["initial_settings"], path.parent)
-        initial = load_settings_file(sp)
-
-    try:
-        return Scenario(
-            network_path=net_path, network=network,
-            fr_margin=float(margins.get("fuse_recloser", DEFAULT_FR_MARGIN)),
-            rr_margin=float(margins.get("recloser_recloser",
-                                        DEFAULT_RR_MARGIN)),
-            fault_impedance_floor=floor,
-            powerflow_tol=float(tol.get("powerflow", DEFAULT_TOL)),
-            dispatch_tol=float(tol.get("dispatch", 1e-6)),
-            objective_tol=float(tol.get("objective", 1e-4)),
-            max_iters=max_iters, dispatch_every=dispatch_every,
-            settings_every=settings_every, profile=profile,
-            initial_settings=initial)
-    except NetworkFileError as exc:
-        raise NetworkFileError(f"{ctx}: {exc}") from None
+    if settings_ref is not None:
+        initial = load_settings_file(
+            _made(_resolve, path, settings_ref, path.parent))
+    return _made(
+        Scenario, path, network_path=net_path, network=network,
+        fr_margin=fr_margin, rr_margin=rr_margin, fault_impedance_floor=floor,
+        powerflow_tol=pf_tol, dispatch_tol=dispatch_tol,
+        objective_tol=objective_tol, max_iters=max_iters,
+        dispatch_every=dispatch_every,
+        settings_every=(dispatch_every if settings_every is None
+                        else settings_every),
+        profile=profile, initial_settings=initial)
 
 
 def load_settings_file(path: str | Path) -> dict[str, RecloserSettings]:
     """Parse a settings file: each recloser id's pickup and time_dial."""
     path = Path(path)
-    doc = _require(_read_json(path), dict, str(path))
-    out = {}
-    for rid, st in doc.items():
-        ctx = f"{path}:{rid}"
-        _require_keys(st, {"pickup", "time_dial"}, {"pickup", "time_dial"},
-                      ctx)
-        for key in ("pickup", "time_dial"):
-            if type(st[key]) not in (int, float):
-                raise NetworkFileError(
-                    f"{ctx}: {key} must be a number, got {st[key]!r}")
-        out[rid] = _settings(st, ctx)
-    return out
+    return {rid: _settings(entry, f"{path}:{rid}")
+            for rid, entry in _object(_read_json(path), path).items()}
 
 
 def dump_settings(settings: dict[str, RecloserSettings]) -> str:

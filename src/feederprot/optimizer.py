@@ -132,7 +132,10 @@ def _dial_slope(curve: RecloserCurve, pickup: float,
 
     def slope(current: float) -> float:
         mult = current / pickup
-        denom = mult ** m - cc
+        try:
+            denom = mult ** m - cc
+        except OverflowError:  # a/denom is 0 to double precision
+            return b
         if mult <= 1.0 or denom <= 0.0:
             raise InfeasibleError(
                 pair, f"current {current:.4g} pu below operating region of "

@@ -28,6 +28,9 @@ NON_FINITE = {
     "dg-rating": ("powerflow", ("dg", 0, "rating"), math.nan, "dg[1]"),
     "dg-xd2": ("powerflow", ("dg", 0, "params", "xd2"), math.inf, "dg[1]"),
     "section-r": ("powerflow", ("sections", 1, "r"), math.inf, "section[1]"),
+    # an integer past the float range reads as infinite, as 1e400 does
+    "section-x-int": ("powerflow", ("sections", 1, "x"), -10 ** 400,
+                      "section[1]"),
     "lateral-q": ("powerflow", ("laterals", 0, "q"), math.nan, "lateral[1]"),
     "source-x": ("powerflow", ("source", "x"), math.nan, "source"),
     "bases-kv": ("powerflow", ("bases", "kv"), math.inf, "bases"),

@@ -69,6 +69,13 @@ class TestCurrentGrid:
         assert len(grid) >= 2
         assert np.allclose(grid, 5.0)
 
+    def test_span_past_the_float_range(self):
+        # hi / lo overflows: the span is the logs' difference, 310 decades
+        axis = coord.CurrentAxis.spanning(1e-300, 1e10)
+        assert len(axis) == 200 * 310 + 1
+        assert axis[0] == pytest.approx(1e-300)
+        assert axis[axis.size - 1] == pytest.approx(1e10)
+
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
             coord.CurrentAxis.spanning(0.0, 5.0)

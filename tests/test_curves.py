@@ -75,6 +75,16 @@ class TestRecloserCurveMath:
         assert abs(floor - 0.491 * 0.7) < 1e-15
         assert abs(tci_time(VERY_INVERSE, st, 1e9) - floor) < 1e-12
 
+    def test_overflowing_power_is_the_asymptote(self):
+        # (I/Ip)**m past the float range: a*D/denom is 0, T = b*D + K, the
+        # value the formula itself gives once the power is about 1e308
+        tiny = RecloserSettings(pickup=1e-300, time_dial=0.5)
+        assert tci_time(VERY_INVERSE, tiny, 1.0) == \
+            tci_asymptote(VERY_INVERSE, tiny)
+        st = RecloserSettings(pickup=1.0, time_dial=0.5)
+        assert tci_time(VERY_INVERSE, st, 1e154) == \
+            tci_asymptote(VERY_INVERSE, st)
+
     def test_monotone_decreasing_in_current(self):
         rng = np.random.default_rng(7)
         st = RecloserSettings(pickup=1.0, time_dial=0.5)

@@ -191,6 +191,16 @@ class TestDerivedStates:
         through_zero = unit.with_output(0.0).with_output(p2).q_out
         assert abs(through_zero - direct) <= 1e-12 * abs(direct)
 
+    @given(st.floats(1e-4, 1.0), st.floats(-0.5, 0.5), st.floats(0.0, 1.0),
+           st.floats(0.0, 1.0))
+    def test_state_depends_only_on_its_output(self, p, q, p1, p2):
+        # q is q_per_p * p2 bit for bit, whatever output came before
+        unit = DGUnit(1, 1, DGKind.SYNCHRONOUS, 1.0, p, q,
+                      SynchronousParams(xd2=0.25), curtailable=True)
+        two_steps = unit.with_output(p1).with_output(p2)
+        assert two_steps == unit.with_output(p2)
+        assert two_steps.q_out.hex() == (unit.q_per_p * p2).hex()
+
     def test_with_dg_outputs_replaces_listed_units(self):
         net = base_network()
         out = net.with_dg_outputs({1: 0.1})

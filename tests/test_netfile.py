@@ -46,6 +46,10 @@ class TestLoadNetwork:
         path.write_text('{"bases": \n !}')
         with pytest.raises(NetworkFileError, match="broken.json:2"):
             load_network(path)
+        # text that is not UTF-8 names the file too
+        path.write_bytes(b'\xff{"bases": {}}')
+        with pytest.raises(NetworkFileError, match="broken.json: 'utf-8'"):
+            load_network(path)
 
     def test_unknown_dg_kind(self, tmp_path):
         doc = read_fixture("five_node.json")

@@ -2,6 +2,7 @@
 
 import csv
 import itertools
+import json
 import math
 from dataclasses import replace
 
@@ -18,6 +19,7 @@ from feederprot.curves import (FuseCurve, RecloserCurve, RecloserSettings,
                                load_fuse_curves, tci_time)
 from feederprot.model import (FeederSection, Lateral, Network,
                               RecloserPlacement, SubstationSource)
+from feederprot.netfile import fixtures_dir
 from feederprot.power_flow import solve_distflow
 
 from conftest import (dispatched, pair_checks, radial_chains,
@@ -657,6 +659,28 @@ class TestApplySettings:
         with pytest.raises(opt.InfeasibleError, match="slow curve") as exc:
             opt.apply_settings(net, st)
         assert exc.value.pair == "R2"
+
+
+class TestDialSlope:
+    def test_overflowing_power_is_the_limit(self):
+        # (I/Ip)**m past the float range: a/denom is 0 and the slope is b,
+        # as the formula gives once the power is about 1e308
+        slope_at = opt._dial_slope(curve("fast"), 1e-160, "R1-L1")
+        assert slope_at(1.0) == VI.b
+        assert opt._dial_slope(curve("fast"), 1.0, "R1-L1")(1e154) == VI.b
+
+    def test_loads_of_1e_160_are_a_verdict(self, tmp_path, capsys):
+        # the load rule sets pickups near 2e-160, whose dial slope at a
+        # fault current overflowed into a traceback
+        doc = json.loads((fixtures_dir() / "five_node.json").read_text())
+        for lateral in doc["laterals"]:
+            lateral["p"], lateral["q"] = 1e-160, 0
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(doc))
+        assert cli.main(["optimize", "--network", str(net), "--out-dir",
+                         str(tmp_path / "out")]) == cli.EXIT_INFEASIBLE
+        assert capsys.readouterr().err.startswith(
+            "run failed: infeasible at pair R1-L1: ")
 
 
 class TestDispatch:
