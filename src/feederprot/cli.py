@@ -203,18 +203,13 @@ def cmd_optimize(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
     config = _config(scn)
     net, settings = _start(
         scn, config, "alternating optimization: infeasible after 0 iterations")
+    (study, settings, feasible), = opt.operate(
+        net, settings, [({}, _available(scn), True)], scn.fuse_curves, config)
     rows: list[list] = []
-    try:
-        study = opt.solve_dispatch(net, _available(scn), scn.fuse_curves,
-                                   config)
-        net, solved = study.network, study.settings()
-        net, settings = opt.apply_settings(net, solved), solved
-    except opt.InfeasibleError:
-        pass  # report the start settings and the last network reached
-    else:
+    if feasible:
         slacks = opt.pair_slacks(study, scn.fuse_curves, config)
         rows.append([1, opt.total_clearing_time(study, settings),
-                     sum(u.p_out for u in net.dg_units),
+                     sum(u.p_out for u in study.network.dg_units),
                      min(slacks.values(), default=0.0)])
     stop = "slack_fixed_point" if rows else "infeasible"
     lines = [f"alternating optimization: {stop} after {len(rows)} iterations"]
@@ -229,57 +224,37 @@ def cmd_optimize(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
     (out_dir / "settings_final.json").write_text(dump_settings(settings))
     manifest.append(("settings_final.json", len(settings)))
     _write_csv(out_dir, "dispatch_final.csv", ["dg_id", "p_out_pu"],
-               [[u.id, u.p_out] for u in net.dg_units], manifest)
+               [[u.id, u.p_out] for u in study.network.dg_units], manifest)
     return RunReport(lines, manifest), EXIT_OK if rows else EXIT_INFEASIBLE
 
 
 def cmd_timeseries(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
     steps = max((len(s) for s in scn.profile.values()), default=0)
     if steps < 1:
-        raise NetworkFileError("timeseries needs a profile of length >= 1")
+        raise NetworkFileError(f"{scn.network_path}: timeseries needs a "
+                               f"profile of length >= 1")
     config = _config(scn)
     lines = [f"time-series run: {steps} steps, dispatch every "
              f"{scn.dispatch_every}, settings every {scn.settings_every}"]
     net, settings = _start(scn, config, lines[0])
-    degraded = False
+    # natural output of non-curtailable units follows the profile; the
+    # plan is lazy, so each step reads its profile values as it starts
+    plan = (({u.id: scn.profile[u.id][step] for u in scn.network.dg_units
+              if not u.curtailable and u.id in scn.profile},
+             _available(scn, step) if step % scn.dispatch_every == 0 else None,
+             step % scn.settings_every == 0) for step in range(steps))
     rows: list[list] = []
     dg_ids = [u.id for u in scn.network.dg_units]
     rec_ids = [r.id for r in scn.network.reclosers]
-
-    for step in range(steps):
-        # natural output of non-curtailable units follows the profile
-        fixed = {u.id: scn.profile[u.id][step]
-                 for u in scn.network.dg_units
-                 if not u.curtailable and u.id in scn.profile}
-        net = net.with_dg_outputs(fixed)
-        # a settings step adopts the study's settings if apply accepts them
-        feasible, study = True, None
-        if step % scn.dispatch_every == 0:
-            try:
-                study = opt.solve_dispatch(net, _available(scn, step),
-                                           scn.fuse_curves, config)
-                net = study.network
-                if step % scn.settings_every == 0:
-                    net = opt.apply_settings(net, study.settings())
-                    settings = study.settings()
-            except opt.InfeasibleError:
-                feasible = False
-                if study is None:  # no dispatch: each unit at its ceiling
-                    net = net.with_dg_outputs(_available(scn, step))
-        degraded = degraded or not feasible
-
-        study = study or opt.study_state(net, scn.fuse_curves, config)
+    for step, (study, settings, feasible) in enumerate(
+            opt.operate(net, settings, plan, scn.fuse_curves, config)):
         clearing = opt.total_clearing_time(study, settings)
         slacks = opt.pair_slacks(study, scn.fuse_curves, config)
-        row: list = [step]
-        by_id = {u.id: u for u in net.dg_units}
-        row += [by_id[i].p_out for i in dg_ids]
-        row += [settings[r].time_dial for r in rec_ids]
-        row += [clearing, "" if slacks is None else
-                min(slacks.values(), default=0.0), int(feasible)]
-        rows.append(row)
-        lines.append(f"  step {step}: DG total "
-                     f"{_fmt(sum(u.p_out for u in net.dg_units))} pu, "
+        outputs = [u.p_out for u in study.network.dg_units]
+        rows.append([step, *outputs, *(settings[r].time_dial for r in rec_ids),
+                     clearing, "" if slacks is None else
+                     min(slacks.values(), default=0.0), int(feasible)])
+        lines.append(f"  step {step}: DG total {_fmt(sum(outputs))} pu, "
                      f"clearing {_fmt(clearing)} s, feasible {feasible}")
 
     manifest: list[tuple[str, int]] = []
@@ -287,7 +262,8 @@ def cmd_timeseries(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
               + [f"tds_{r}" for r in rec_ids]
               + ["total_clearing_time_s", "worst_slack_pu", "feasible"])
     _write_csv(out_dir, "timeseries.csv", header, rows, manifest)
-    return RunReport(lines, manifest), EXIT_INFEASIBLE if degraded else EXIT_OK
+    return RunReport(lines, manifest), (
+        EXIT_OK if all(row[-1] for row in rows) else EXIT_INFEASIBLE)
 
 
 def _scenario_from_args(args) -> Scenario:

@@ -261,12 +261,3 @@ def check_fault(network: Network, location: FaultLocation,
     if not 0.0 <= fault_impedance < math.inf:
         raise ValueError(f"fault impedance must be finite and >= 0, "
                          f"got {fault_impedance!r}")
-
-
-def solve_fault(network: Network, sol: PowerFlowSolution,
-                location: FaultLocation,
-                fault_impedance: float = 0.0) -> FaultStudy:
-    """Solve one three-phase fault on its own kernel (see FaultKernel.study)."""
-    check_fault(network, location, fault_impedance)
-    return fault_kernel(network, sol).study(location, fault_impedance)
-

@@ -46,13 +46,16 @@ its slacks, bit for bit.
 One dispatch followed by one settings solve is already the fixed point
 of alternating the two: neither the feasibility test nor the dispatch
 reads the dials in service or the outputs the dispatch is about to set.
+operate runs that pass step by step over a plan of outputs and
+dispatch ceilings: optimize is its one-step plan, timeseries one step
+per profile value.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 
 from . import fault as flt
@@ -618,6 +621,34 @@ def solve_dispatch(network: Network, available: dict[int, float],
         outputs[uid] = _replayed_bisection(at_output, p_lo, p_hi, tol,
                                            study_at(outputs).headroom, h_hi)
     return study_at(outputs)
+
+
+def operate(network: Network, settings: dict[str, RecloserSettings],
+            steps: Iterable[tuple[dict[int, float], dict[int, float] | None,
+                                  bool]],
+            fuse_curves: dict[str, FuseCurve], config: OptimizerConfig,
+            ) -> Iterator[tuple[StateStudy, dict[str, RecloserSettings], bool]]:
+    """Yield (study, settings in service, feasible) for each step of a plan
+    of (outputs to set, ceilings to dispatch under or None, adopt the
+    dispatch's settings?), each read as its step starts.  A failed
+    dispatch leaves each curtailable unit at its ceiling, a rejected
+    re-dial the dispatch; both keep the settings in service."""
+    for outputs, ceilings, adopt in steps:
+        network = network.with_dg_outputs(outputs)
+        study, feasible = None, True
+        if ceilings is not None:
+            try:
+                study = solve_dispatch(network, ceilings, fuse_curves, config)
+                network = study.network
+                if adopt:
+                    network = apply_settings(network, study.settings())
+                    settings = study.settings()
+            except InfeasibleError:
+                feasible = False
+                if study is None:
+                    network = network.with_dg_outputs(ceilings)
+        yield (study or study_state(network, fuse_curves, config), settings,
+               feasible)
 
 
 def baseline_settings(network: Network, fuse_curves: dict[str, FuseCurve],

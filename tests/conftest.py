@@ -174,23 +174,20 @@ def case_a_result(case_a_scenario):
 def case_b_run(tmp_path_factory):
     """One full 24-step time-series run of the cadence scenario, with the
     arguments and the answer of every dispatch it made, and the time step
-    (-1 before the first) and DG outputs of every load flow it ran."""
+    (-1 before the first) and DG outputs of every load flow it ran.  Case
+    B dispatches every step, so each dispatch starts the next step."""
     from feederprot import cli
 
     dispatches = []
     flows = []
     step = [-1]
     solve_dispatch = opt.solve_dispatch
-    available = cli._available
 
     def recorded(*args):
+        step[0] += 1
         study = solve_dispatch(*args)
         dispatches.append((args, dispatched(study, args[1])))
         return study
-
-    def at_step(scn, k=0):
-        step[0] = k
-        return available(scn, k)
 
     def flow(network, *args, **kwargs):
         flows.append((step[0], tuple((u.id, u.p_out)
@@ -200,7 +197,6 @@ def case_b_run(tmp_path_factory):
     out_dir = tmp_path_factory.mktemp("case_b")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(opt, "solve_dispatch", recorded)
-        mp.setattr(cli, "_available", at_step)
         mp.setattr(opt, "solve_distflow", flow)
         code = cli.main(["timeseries", "--scenario",
                          str(fixtures_dir() / "ieee37_case_b.json"),

@@ -84,7 +84,7 @@ def test_02_disparity_identities_random_placements(five_node_scenario):
             loc = flt.at_node(int(rng.integers(1, 5)))
         else:
             loc = flt.at_lateral(int(rng.integers(1, 5)))
-        study = flt.solve_fault(net, sol, loc)
+        study = flt.fault_kernel(net, sol).study(loc)
         prev = 0
         for rec in net.reclosers:
             fr = sum(study.i_dg[u.id] for u in units

@@ -423,6 +423,23 @@ class TestExitCodes:
         assert rows[1:] == ["1,0.0979144720361", "2,0.0979144720361",
                             "3,0.05", "4,0.1"]
 
+    def test_failed_optimize_dispatch_reports_each_unit_at_its_ceiling(
+            self, tmp_path):
+        # the time-series rule: a profiled curtailable unit is reported at
+        # its profile value, not at its network output
+        doc = json.loads(Path(CASE_A).read_text())
+        doc["network"] = str(Path(CASE_A).parent / doc["network"])
+        doc["profile"] = {"1": [0.05]}  # unit 1's network output is 0.12
+        scenario = tmp_path / "ceiling.json"
+        scenario.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["optimize", "--scenario", str(scenario),
+                     "--margins", "0.2,0.3",
+                     "--out-dir", str(out)]) == EXIT_INFEASIBLE
+        assert (out / "trace.csv").read_text().count("\n") == 1
+        rows = (out / "dispatch_final.csv").read_text().splitlines()
+        assert rows[1:] == ["1,0.05", "2,0.12", "3,0.05", "4,0.1"]
+
     def test_bare_scenario_name_resolves_from_any_directory(
             self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -432,9 +449,10 @@ class TestExitCodes:
         assert main(["powerflow", "--scenario", "nope.json",
                      "--out-dir", "out"]) == EXIT_INPUT
 
-    def test_timeseries_requires_profile(self, tmp_path):
+    def test_timeseries_requires_profile(self, tmp_path, capsys):
         assert main(["timeseries", "--scenario", FIVE_NODE,
                      "--out-dir", str(tmp_path)]) == EXIT_INPUT
+        assert "five_node.json" in capsys.readouterr().err
 
     def test_runs_without_numpy(self, tmp_path):
         # numpy set to None in sys.modules makes every import of it raise

@@ -210,6 +210,7 @@ def reference_pairs(network, sol, floor):
     """Pair id -> current range and disparity from one-shot fault solves:
     fuse pairs from faults at the lateral; recloser pairs from an explicit
     zone sweep and the DG between the two reclosers."""
+    kernel = flt.fault_kernel(network, sol)
     out = {}
     for rec in network.reclosers:
         zone = recloser_zone(network, rec.id)
@@ -217,19 +218,19 @@ def reference_pairs(network, sol, floor):
             if lat.fuse is None or lat.tap_node not in zone:
                 continue
             loc = flt.at_lateral(lat.id)
-            bolted = flt.solve_fault(network, sol, loc)
-            floored = flt.solve_fault(network, sol, loc, floor)
+            bolted = kernel.study(loc)
+            floored = kernel.study(loc, floor)
             out[f"{rec.id}-L{lat.id}"] = (bolted.i_recloser[rec.id],
                                           floored.i_recloser[rec.id],
                                           bolted.delta_fr[rec.id])
 
     for up, down in zip(network.reclosers, network.reclosers[1:]):
         zone = recloser_zone(network, down.id)
-        i_max = max(flt.solve_fault(network, sol, flt.at_node(k))
-                    .i_recloser[down.id] for k in zone)
-        i_min = flt.solve_fault(network, sol, flt.at_node(zone[-1]),
-                                floor).i_recloser[down.id]
-        study = flt.solve_fault(network, sol, flt.at_node(down.node))
+        i_max = max(kernel.study(flt.at_node(k)).i_recloser[down.id]
+                    for k in zone)
+        i_min = kernel.study(flt.at_node(zone[-1]),
+                             floor).i_recloser[down.id]
+        study = kernel.study(flt.at_node(down.node))
         delta = sum(study.i_dg[u.id] for u in network.dg_units
                     if up.node <= u.tap_node < down.node)
         out[f"{up.id}-{down.id}"] = (i_max, i_min, delta)
@@ -362,7 +363,7 @@ class TestPairEnumeration:
                                                          request):
         scn = request.getfixturevalue(fixture)
         net = replace(scn.network, dg_units=())
-        sol = solve_distflow(net)
+        kernel = flt.fault_kernel(net, solve_distflow(net))
         studied = 0
         for rec in net.reclosers:
             zone = recloser_zone(net, rec.id)
@@ -370,8 +371,7 @@ class TestPairEnumeration:
                 if lat.fuse is None or lat.tap_node not in zone:
                     continue
                 for zf in (0.0, scn.fault_impedance_floor):
-                    study = flt.solve_fault(net, sol, flt.at_lateral(lat.id),
-                                            zf)
+                    study = kernel.study(flt.at_lateral(lat.id), zf)
                     assert study.i_fault_total == study.i_recloser[rec.id]
                 studied += 1
         assert studied > 0

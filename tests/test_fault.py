@@ -135,9 +135,9 @@ class TestKernelProperties:
         for rec in net.reclosers:
             zone = recloser_zone(net, rec.id)
             mx, mn = zones[rec.id]
-            swept = max(flt.solve_fault(net, sol, flt.at_node(k))
-                        .i_recloser[rec.id] for k in zone)
-            far = flt.solve_fault(net, sol, flt.at_node(zone[-1]), floor)
+            swept = max(kernel.study(flt.at_node(k)).i_recloser[rec.id]
+                        for k in zone)
+            far = kernel.study(flt.at_node(zone[-1]), floor)
             assert abs(mx - swept) <= 1e-9 * swept
             assert abs(mn - far.i_recloser[rec.id]) <= 1e-9 * mn
 
@@ -189,7 +189,7 @@ class TestNetworkSolve:
         for node in range(1, net.n_nodes):
             sec = net.sections[node - 1]
             z += complex(sec.r, sec.x)
-            study = flt.solve_fault(net, sol, flt.at_node(node))
+            study = kernel.study(flt.at_node(node))
             expect = net.source.voltage / z
             assert abs(contributions(kernel, 0.0)[node].sum() - expect) < 1e-9
             assert abs(study.i_fault_total - abs(expect)) < 1e-9
@@ -208,22 +208,24 @@ class TestNetworkSolve:
     def test_total_is_arithmetic_sum_of_contributions(self, five_node_scenario,
                                                       five_node_solution):
         net = five_node_scenario.network
-        study = flt.solve_fault(net, five_node_solution, flt.at_node(3))
+        kernel = flt.fault_kernel(net, five_node_solution)
+        study = kernel.study(flt.at_node(3))
         assert abs(study.i_fault_total
                    - (study.i_substation + sum(study.i_dg.values()))) < 1e-12
 
     def test_no_dg_decays_with_distance(self, case_a_scenario):
         net = replace(case_a_scenario.network, dg_units=())
-        sol = solve_distflow(net)
-        totals = [flt.solve_fault(net, sol, flt.at_node(k)).i_fault_total
+        kernel = flt.fault_kernel(net, solve_distflow(net))
+        totals = [kernel.study(flt.at_node(k)).i_fault_total
                   for k in range(1, net.n_nodes)]
         assert all(a > b for a, b in zip(totals, totals[1:]))
 
     def test_impedance_floor_lowers_current(self, five_node_scenario,
                                             five_node_solution):
         net = five_node_scenario.network
-        bolted = flt.solve_fault(net, five_node_solution, flt.at_node(4))
-        floored = flt.solve_fault(net, five_node_solution, flt.at_node(4), 0.3)
+        kernel = flt.fault_kernel(net, five_node_solution)
+        bolted = kernel.study(flt.at_node(4))
+        floored = kernel.study(flt.at_node(4), 0.3)
         assert floored.i_fault_total < bolted.i_fault_total
 
 
@@ -276,7 +278,8 @@ class TestDeviceCurrents:
     def test_disparities_are_explicit_sums(self, five_node_scenario,
                                            five_node_solution):
         net = five_node_scenario.network
-        study = flt.solve_fault(net, five_node_solution, flt.at_lateral(2))
+        kernel = flt.fault_kernel(net, five_node_solution)
+        study = kernel.study(flt.at_lateral(2))
         prev = 0
         for rec in net.reclosers:
             fr = sum(study.i_dg[u.id] for u in net.dg_units
@@ -290,24 +293,27 @@ class TestDeviceCurrents:
     def test_downstream_recloser_is_blocked(self, five_node_scenario,
                                             five_node_solution):
         net = five_node_scenario.network
-        study = flt.solve_fault(net, five_node_solution, flt.at_node(2))
+        kernel = flt.fault_kernel(net, five_node_solution)
+        study = kernel.study(flt.at_node(2))
         assert study.i_recloser["R2"] == 0.0
         assert study.i_recloser["R1"] > 0.0
 
     def test_upstream_recloser_misses_downstream_dg(self, five_node_scenario,
                                                     five_node_solution):
         net = five_node_scenario.network
-        study = flt.solve_fault(net, five_node_solution, flt.at_node(4))
+        kernel = flt.fault_kernel(net, five_node_solution)
+        study = kernel.study(flt.at_node(4))
         expect = study.i_substation + study.i_dg[1]  # DG 1 taps node 2 < R2
         assert abs(study.i_recloser["R2"] - expect) < 1e-12
 
     def test_fuse_entry_only_for_faulted_lateral(self, five_node_scenario,
                                                  five_node_solution):
         net = five_node_scenario.network
-        on_lat = flt.solve_fault(net, five_node_solution, flt.at_lateral(3))
+        kernel = flt.fault_kernel(net, five_node_solution)
+        on_lat = kernel.study(flt.at_lateral(3))
         assert set(on_lat.i_fuse) == {3}
         assert on_lat.i_fuse[3] == on_lat.i_fault_total
-        on_node = flt.solve_fault(net, five_node_solution, flt.at_node(3))
+        on_node = kernel.study(flt.at_node(3))
         assert on_node.i_fuse == {}
 
 
@@ -318,10 +324,10 @@ class TestZoneSweep:
         sol = five_node_solution
         floor = 0.15
         # R1 sits at node 1, its zone ends before R2 at node 3
-        currents = [flt.solve_fault(net, sol, flt.at_node(k)).i_recloser["R1"]
-                    for k in (1, 2)]
-        far = flt.solve_fault(net, sol, flt.at_node(2), floor)
         kernel = flt.fault_kernel(net, sol)
+        currents = [kernel.study(flt.at_node(k)).i_recloser["R1"]
+                    for k in (1, 2)]
+        far = kernel.study(flt.at_node(2), floor)
         mx, mn = coord.study_pairs(kernel, floor)[1]["R1"]
         assert abs(mx - max(currents)) < 1e-12
         assert abs(mn - far.i_recloser["R1"]) < 1e-12
@@ -334,13 +340,15 @@ class TestInputChecks:
 
     def test_unknown_references(self, five_node_scenario, five_node_solution):
         net = five_node_scenario.network
-        with pytest.raises(UnknownElementError):
-            flt.solve_fault(net, five_node_solution, flt.at_node(42))
-        with pytest.raises(UnknownElementError):
-            flt.solve_fault(net, five_node_solution, flt.at_lateral(42))
+        kernel = flt.fault_kernel(net, five_node_solution)
+        for loc in (flt.at_node(42), flt.at_lateral(42)):
+            with pytest.raises(UnknownElementError):
+                flt.check_fault(net, loc, 0.0)
+            with pytest.raises(UnknownElementError):
+                kernel.study(loc)
 
     def test_requires_converged_power_flow(self, five_node_scenario):
         net = five_node_scenario.network
         sol = solve_distflow(net, tol=1e-300)
         with pytest.raises(PowerFlowNotConverged):
-            flt.solve_fault(net, sol, flt.at_node(1))
+            flt.fault_kernel(net, sol)

@@ -838,7 +838,8 @@ def bisected_pair_slacks(network, fuse_curves, config):
     dial less DIAL_TOL, minus the pair disparity from a fresh
     bolted-fault solve at the lateral."""
     study = opt.study_state(network, fuse_curves, config)
-    sol, dials, pickups = study.flow, study.dials, study.pickup_lo
+    dials, pickups = study.dials, study.pickup_lo
+    kernel = flt.fault_kernel(network, study.flow)
     slacks = {}
     for pd in study.pairs:
         if pd.kind is not coord.PairKind.FUSE_RECLOSER:
@@ -876,8 +877,7 @@ def bisected_pair_slacks(network, fuse_curves, config):
                     else:
                         hi = mid
                 bound = lo
-        study = flt.solve_fault(network, sol, flt.at_lateral(pd.backup),
-                                0.0)
+        study = kernel.study(flt.at_lateral(pd.backup), 0.0)
         slacks[pd.id] = bound - study.delta_fr[pd.primary]
     return slacks
 
@@ -1381,3 +1381,80 @@ class TestOneStudyPerState:
         flows = case_b_run["flows"]
         assert len(set(flows)) == len(flows)
         assert len(flows) == 95
+
+
+def cadence_plan(scn, steps):
+    """The steps ``timeseries`` plans: each profiled non-curtailable unit
+    at its profile value, a dispatch under the step's ceilings on a
+    dispatch step, and its settings adopted on a settings step."""
+    for step in steps:
+        yield ({u.id: scn.profile[u.id][step] for u in scn.network.dg_units
+                if not u.curtailable and u.id in scn.profile},
+               {u.id: scn.profile[u.id][step] if u.id in scn.profile
+                else u.p_out for u in scn.network.dg_units if u.curtailable}
+               if step % scn.dispatch_every == 0 else None,
+               step % scn.settings_every == 0)
+
+
+class TestOperate:
+    def start(self, scn):
+        config = cli._config(scn)
+        settings = opt.baseline_settings(scn.network, scn.fuse_curves, config)
+        return opt.apply_settings(scn.network, settings), settings, config
+
+    def records(self, scn, network, settings, config, steps):
+        """Each step's outputs, settings, clearing time, worst slack and
+        verdict, as a ``timeseries`` row reads them."""
+        out = []
+        for study, in_service, feasible in opt.operate(
+                network, settings, cadence_plan(scn, steps), scn.fuse_curves,
+                config):
+            slacks = opt.pair_slacks(study, scn.fuse_curves, config)
+            out.append(((study, in_service),
+                        ([u.p_out for u in study.network.dg_units],
+                         in_service,
+                         opt.total_clearing_time(study, in_service),
+                         min(slacks.values()), feasible)))
+        return out
+
+    def test_case_b_matches_the_timeseries_rows(self, case_b_scenario,
+                                                case_b_run):
+        scn = case_b_scenario
+        with open(case_b_run["out_dir"] / "timeseries.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        records = self.records(scn, *self.start(scn), range(len(rows)))
+        assert len(records) == len(rows) == 24
+        for row, (_, (outputs, settings, clearing, slack, ok)) in zip(
+                rows, records):
+            dials = [settings[r.id].time_dial for r in scn.network.reclosers]
+            assert row[1:] == [cli._fmt(x) for x in
+                               (*outputs, *dials, clearing, slack)] + [
+                                   str(int(ok))]
+
+    def test_resumed_at_a_settings_step_repeats_every_later_record(
+            self, case_b_scenario):
+        scn = case_b_scenario
+        network, settings, config = self.start(scn)
+        records = self.records(scn, network, settings, config, range(24))
+        for k in (5, 10, 15, 20):
+            assert k % scn.settings_every == 0
+            (study, in_service), _ = records[k - 1]
+            resumed = self.records(scn, study.network, in_service, config,
+                                   range(k, 24))
+            assert [r for _, r in resumed] == [r for _, r in records[k:]]
+
+    def test_reads_each_step_as_it_starts(self, case_b_scenario):
+        scn = case_b_scenario
+        network, settings, config = self.start(scn)
+        log = []
+
+        def plan():
+            for k, step in enumerate(cadence_plan(scn, range(3))):
+                log.append(("step", k))
+                yield step
+
+        for k, _ in enumerate(opt.operate(network, settings, plan(),
+                                          scn.fuse_curves, config)):
+            log.append(("record", k))
+        assert log == [("step", 0), ("record", 0), ("step", 1),
+                       ("record", 1), ("step", 2), ("record", 2)]
