@@ -13,9 +13,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import TextIO
 
 from . import coordination as coord
 from . import fault as flt
@@ -49,11 +53,29 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+@contextmanager
+def _artifact(out_dir: Path, name: str) -> Iterator[TextIO]:
+    """The text file every artifact is written through: out_dir/name,
+    written over its old bytes, with any old tail cut at the end.
+
+    Cutting a file to zero length first, as open(path, "w") does, frees
+    its blocks, which costs far more than the write on a filesystem that
+    discards freed blocks.  out_dir is created only when it is missing.
+    """
+    path = out_dir / name
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    except FileNotFoundError:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", newline="") as fh:
+        yield fh
+        fh.truncate()
+
+
 def _write_csv(out_dir: Path, name: str, header: list[str],
                rows: list[list], manifest: list[tuple[str, int]]) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / name
-    with open(path, "w", newline="") as fh:
+    with _artifact(out_dir, name) as fh:
         w = csv.writer(fh)
         w.writerow(header)
         for row in rows:
@@ -220,8 +242,8 @@ def cmd_optimize(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
     _write_csv(out_dir, "trace.csv",
                ["iteration", "total_clearing_time_s", "total_dg_output_pu",
                 "worst_slack_pu"], rows, manifest)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "settings_final.json").write_text(dump_settings(settings))
+    with _artifact(out_dir, "settings_final.json") as fh:
+        fh.write(dump_settings(settings))
     manifest.append(("settings_final.json", len(settings)))
     _write_csv(out_dir, "dispatch_final.csv", ["dg_id", "p_out_pu"],
                [[u.id, u.p_out] for u in study.network.dg_units], manifest)

@@ -93,11 +93,15 @@ bound by under 1e-13 pu.  A wider guard only samples more.
 
 
 class InfeasibleError(RuntimeError):
-    """No admissible settings or dispatch exists; names the binding pair."""
+    """No admissible settings or dispatch exists; names the binding pair.
 
-    def __init__(self, pair: str, detail: str):
+    A failed dispatch also carries the study of its ceiling state, which
+    it solved first, as ``ceiling``."""
+
+    def __init__(self, pair: str, detail: str,
+                 ceiling: StateStudy | None = None):
         super().__init__(f"infeasible at pair {pair}: {detail}")
-        self.pair = pair
+        self.pair, self.detail, self.ceiling = pair, detail, ceiling
 
 
 @dataclass(frozen=True)
@@ -570,7 +574,7 @@ def solve_dispatch(network: Network, available: dict[int, float],
     every curtailable unit off, gives no usable headroom: switching
     units off is a jump, not a continuation.  When even full
     curtailment is infeasible the ladder's InfeasibleError, naming the
-    binding pair, propagates.
+    binding pair, is raised with the study at the ceilings.
     """
     ids = sorted(available)
     studies: dict[tuple[float, ...], StateStudy] = {}
@@ -596,7 +600,8 @@ def solve_dispatch(network: Network, available: dict[int, float],
     # the search's first probe does; with no curtailable unit, both are full
     search = study_at(at_factor(0.5)).error is None
     if not search:
-        study_at(at_factor(0.0)).settings()
+        if (error := study_at(at_factor(0.0)).error) is not None:
+            raise InfeasibleError(error.pair, error.detail, full)
         search = probe(at_factor(_first_above(0.0, 1.0, 1e-9)))[0]
     lo = _replayed_bisection(lambda t: probe(at_factor(t)), 0.0, 1.0, 1e-9,
                              None, full.headroom) if search else 0.0
@@ -631,8 +636,9 @@ def operate(network: Network, settings: dict[str, RecloserSettings],
     """Yield (study, settings in service, feasible) for each step of a plan
     of (outputs to set, ceilings to dispatch under or None, adopt the
     dispatch's settings?), each read as its step starts.  A failed
-    dispatch leaves each curtailable unit at its ceiling, a rejected
-    re-dial the dispatch; both keep the settings in service."""
+    dispatch leaves each curtailable unit at its ceiling and reports the
+    study it made there, a rejected re-dial the dispatch; both keep the
+    settings in service."""
     for outputs, ceilings, adopt in steps:
         network = network.with_dg_outputs(outputs)
         study, feasible = None, True
@@ -643,10 +649,11 @@ def operate(network: Network, settings: dict[str, RecloserSettings],
                 if adopt:
                     network = apply_settings(network, study.settings())
                     settings = study.settings()
-            except InfeasibleError:
+            except InfeasibleError as exc:
                 feasible = False
                 if study is None:
                     network = network.with_dg_outputs(ceilings)
+                    study = exc.ceiling
         yield (study or study_state(network, fuse_curves, config), settings,
                feasible)
 

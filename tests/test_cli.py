@@ -579,3 +579,62 @@ class TestReproducibility:
         tighter = replace(scn, powerflow_tol=1e-10)
         assert tighter.flow is not scn.flow
         assert counts["flow"] == 2 + len(runs)
+
+
+class TestRerunOverOldFiles:
+    """Each command writes over its same-named files in --out-dir and cuts
+    any old tail: a rerun into a used directory writes the bytes a run
+    into a fresh one does."""
+
+    RUNS = {
+        "powerflow": ["powerflow", "--scenario", CASE_A],
+        "fault": ["fault", "--scenario", CASE_A, "--at", "lateral:3"],
+        "coordinate": ["coordinate", "--scenario", FIVE_NODE],
+        "optimize": ["optimize", "--scenario", CASE_A],
+        "timeseries": ["timeseries", "--scenario", str(CASE_B)],
+    }
+
+    @staticmethod
+    def written(out: Path) -> dict[str, bytes]:
+        return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+    @pytest.mark.parametrize("command", RUNS)
+    def test_junk_longer_than_every_artifact_is_cut(self, command, tmp_path,
+                                                    capsys):
+        args = self.RUNS[command]
+        fresh, dirty = tmp_path / "fresh" / "nested", tmp_path / "dirty"
+        code = main(args + ["--out-dir", str(fresh)])
+        report = capsys.readouterr().out
+        expected = self.written(fresh)
+        dirty.mkdir()
+        for name, data in expected.items():
+            (dirty / name).write_bytes(b"junk," * (len(data) // 5 + 100))
+        assert main(args + ["--out-dir", str(dirty)]) == code
+        assert capsys.readouterr().out == report
+        assert self.written(dirty) == expected
+
+    def test_a_shorter_coordination_table_replaces_a_longer_one(
+            self, tmp_path):
+        fresh, used = tmp_path / "fresh", tmp_path / "used"
+        main(["coordinate", "--scenario", FIVE_NODE, "--out-dir", str(fresh)])
+        main(["coordinate", "--scenario", CASE_A, "--out-dir", str(used)])
+        case_a = self.written(used)
+        main(["coordinate", "--scenario", FIVE_NODE, "--out-dir", str(used)])
+        five_node = self.written(fresh)
+        assert len(case_a["coordination.csv"]) \
+            > len(five_node["coordination.csv"])
+        # files this run does not write stay as they were
+        assert self.written(used) == {**case_a, **five_node}
+        assert set(case_a) - set(five_node)
+
+    @pytest.mark.parametrize("command", RUNS)
+    def test_out_dir_under_a_file_is_an_input_error(self, command, tmp_path,
+                                                    capsys):
+        (tmp_path / "file").write_text("not a directory\n")
+        out = tmp_path / "file" / "out"
+        assert main(self.RUNS[command] + ["--out-dir", str(out)]) \
+            == EXIT_INPUT
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ")
+        assert "Traceback" not in err
+        assert (tmp_path / "file").read_text() == "not a directory\n"

@@ -1,6 +1,7 @@
 """Settings and dispatch optimization against exhaustive grid search."""
 
 import csv
+import hashlib
 import itertools
 import json
 import math
@@ -1381,6 +1382,58 @@ class TestOneStudyPerState:
         flows = case_b_run["flows"]
         assert len(set(flows)) == len(flows)
         assert len(flows) == 95
+
+    def test_failed_dispatch_reports_the_ceiling_study_it_made(
+            self, monkeypatch, tmp_path, capsys):
+        # the dispatch studies its ceiling state first; the record of a
+        # failed dispatch is that study, not a second solve of the state
+        flows, step = [], [-1]
+        solve_distflow, solve_dispatch = opt.solve_distflow, opt.solve_dispatch
+
+        def flow(network, *args, **kwargs):
+            flows.append((step[0], tuple((u.id, u.p_out)
+                                         for u in network.dg_units)))
+            return solve_distflow(network, *args, **kwargs)
+
+        def dispatch(*args):
+            step[0] += 1
+            return solve_dispatch(*args)
+
+        monkeypatch.setattr(opt, "solve_distflow", flow)
+        monkeypatch.setattr(opt, "solve_dispatch", dispatch)
+        out = tmp_path / "optimize"
+        assert cli.main(["optimize", "--scenario",
+                         str(fixtures_dir() / "ieee37_case_a.json"),
+                         "--margins", "0.2,0.3", "--out-dir", str(out)]) \
+            == cli.EXIT_INFEASIBLE
+        # the no-DG baseline, then the ceiling, 0.5 and zero output
+        assert len(flows) == 4
+        assert len(set(flows)) == len(flows)
+        digests = {  # the bytes of the run that solved the ceiling twice
+            "stdout":
+                "42117ff1a6d55fa06005525385e1bd22f2a3f65ee245746f855d4f4a077dc08d",
+            "trace.csv":
+                "2bd8ea8087d8433afc8d1e390070bc05c9394e65b8a8fc08aaecdc6eaf37fb88",
+            "settings_final.json":
+                "eba9d046007dad8fec0dd99bbd471b2bc818cd60d86a214eec2ed5add057fbc8",
+            "dispatch_final.csv":
+                "a504d921bccf19d834028f47898d965c1b59faf565a7728b87675713d52ee37b",
+        }
+        written = {"stdout": capsys.readouterr().out.encode()}
+        written.update((f.name, f.read_bytes()) for f in out.iterdir())
+        assert {name: hashlib.sha256(data).hexdigest()
+                for name, data in written.items()} == digests
+
+        # every step of case B at these margins fails its dispatch
+        flows.clear()
+        step[0] = -1
+        assert cli.main(["timeseries", "--scenario",
+                         str(fixtures_dir() / "ieee37_case_b.json"),
+                         "--margins", "0.2,0.3",
+                         "--out-dir", str(tmp_path / "timeseries")]) \
+            == cli.EXIT_INFEASIBLE
+        assert capsys.readouterr().out.count("feasible False") == 24
+        assert len(set(flows)) == len(flows) == 73  # 97 solving it twice
 
 
 def cadence_plan(scn, steps):
