@@ -12,14 +12,10 @@ Exit codes: 0 success, 1 infeasible, diverged or unconverged load flow
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import sys
-from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import TextIO
 
 from . import coordination as coord
 from . import fault as flt
@@ -53,33 +49,37 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-@contextmanager
-def _artifact(out_dir: Path, name: str) -> Iterator[TextIO]:
-    """The text file every artifact is written through: out_dir/name,
-    written over its old bytes, with any old tail cut at the end.
-
-    Cutting a file to zero length first, as open(path, "w") does, frees
-    its blocks, which costs far more than the write on a filesystem that
-    discards freed blocks.  out_dir is created only when it is missing.
-    """
-    path = out_dir / name
+def _artifact(out_dir: Path, name: str, text: str) -> None:
+    """Write text as UTF-8 over out_dir/name's old bytes, cut the old tail
+    (cutting to zero length first frees blocks: slow where they are
+    discarded), and create out_dir only when it is missing."""
+    data = text.encode()
     try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        fd = os.open(out_dir / name, os.O_WRONLY | os.O_CREAT, 0o666)
     except FileNotFoundError:
         out_dir.mkdir(parents=True, exist_ok=True)
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "w", newline="") as fh:
-        yield fh
-        fh.truncate()
+        fd = os.open(out_dir / name, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        rest = memoryview(data)
+        while rest:  # a write may take fewer bytes than it is given
+            rest = rest[os.write(fd, rest):]
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
-def _write_csv(out_dir: Path, name: str, header: list[str],
-               rows: list[list], manifest: list[tuple[str, int]]) -> None:
-    with _artifact(out_dir, name) as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+def _text(v) -> str:
+    s = str(v)
+    if "," in s or '"' in s or "\r" in s or "\n" in s:  # as csv.writer
+        return '"' + s.replace('"', '""') + '"'
+    return s
+
+
+def _write_csv(out_dir: Path, name: str, header: list[str], rows: list | tuple,
+               manifest: list[tuple[str, int]]) -> None:
+    lines = [",".join([f"{v:.12g}" if isinstance(v, float) else _text(v)
+                       for v in row]) for row in (header, *rows)]  # as _fmt
+    _artifact(out_dir, name, "\r\n".join(lines) + "\r\n")
     manifest.append((name, len(rows)))
 
 
@@ -184,7 +184,7 @@ def cmd_coordinate(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
                      report.backup_delay])
         _write_csv(out_dir, f"pair_{pair.id}_curves.csv",
                    ["current_pu", "t_primary_s", "t_backup_s"],
-                   [list(s) for s in report.samples], manifest)
+                   report.samples, manifest)
     _write_csv(out_dir, "coordination.csv",
                ["pair_id", "kind", "range_ok", "margin_ok", "worst_margin_s",
                 "worst_margin_current_pu", "failure_mode", "backup_delay_s"],
@@ -242,8 +242,7 @@ def cmd_optimize(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
     _write_csv(out_dir, "trace.csv",
                ["iteration", "total_clearing_time_s", "total_dg_output_pu",
                 "worst_slack_pu"], rows, manifest)
-    with _artifact(out_dir, "settings_final.json") as fh:
-        fh.write(dump_settings(settings))
+    _artifact(out_dir, "settings_final.json", dump_settings(settings))
     manifest.append(("settings_final.json", len(settings)))
     _write_csv(out_dir, "dispatch_final.csv", ["dg_id", "p_out_pu"],
                [[u.id, u.p_out] for u in study.network.dg_units], manifest)

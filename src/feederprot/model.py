@@ -249,6 +249,9 @@ def validate(network: Network) -> list[Violation]:
         if rec.id in seen_rec:
             out.append(Violation(name, "duplicate recloser id"))
         seen_rec.add(rec.id)
+        if not rec.id or "/" in rec.id or "\0" in rec.id:  # names files
+            out.append(Violation(f"recloser[{rec.id!r}]", "id must be "
+                                 "non-empty, without '/' or NUL: it names files"))
         if not 0 <= rec.node < network.n_nodes:
             out.append(Violation(name, f"node {rec.node} not on feeder"))
         if rec.node <= prev:

@@ -1,5 +1,7 @@
 """Command-line interface: exit codes, artifacts, and reproducibility."""
 
+import csv
+import io
 import json
 import math
 import os
@@ -9,6 +11,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from feederprot import cli, netfile
 from feederprot import fault as flt
@@ -449,6 +452,23 @@ class TestExitCodes:
         assert main(["powerflow", "--scenario", "nope.json",
                      "--out-dir", "out"]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("rid", ["a/b", "", "R\0x"])
+    def test_recloser_id_that_cannot_name_a_file(self, rid, tmp_path,
+                                                  capsys):
+        # the id names pair_<id>_curves.csv: rejected on load, before
+        # any artifact is written
+        doc = json.loads((fixtures_dir() / "five_node.json").read_text())
+        doc["reclosers"][2]["id"] = rid
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        assert main(["coordinate", "--network", str(net),
+                     "--out-dir", str(out)]) == EXIT_INPUT
+        assert capsys.readouterr().err == (
+            f"input error: {net}: invalid network: recloser[{rid!r}]: id "
+            f"must be non-empty, without '/' or NUL: it names files\n")
+        assert not out.exists()
+
     def test_timeseries_requires_profile(self, tmp_path, capsys):
         assert main(["timeseries", "--scenario", FIVE_NODE,
                      "--out-dir", str(tmp_path)]) == EXIT_INPUT
@@ -638,3 +658,104 @@ class TestRerunOverOldFiles:
         assert err.startswith("input error: ")
         assert "Traceback" not in err
         assert (tmp_path / "file").read_text() == "not a directory\n"
+
+
+# CSV cells: floats (the extremes included), ints, bools, and strings
+# built from the characters that need quoting
+CELLS = st.one_of(
+    st.floats(), st.sampled_from([math.inf, -math.inf, math.nan, -0.0,
+                                  5e-324, 1e308]),
+    st.integers(), st.booleans(),
+    st.text(st.sampled_from([",", '"', "\r", "\n", "\u00e9", "a", " "]),
+            max_size=5))
+
+
+class TestArtifactBytes:
+    """The CSV writer writes what csv.writer writes, in every file."""
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.text(max_size=3), min_size=2, max_size=4),
+           st.lists(st.lists(CELLS, min_size=2, max_size=5), max_size=5))
+    def test_rows_match_csv_writer(self, tmp_path, header, rows):
+        # one-cell rows are left out: csv.writer quotes a lone empty cell
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows([cli._fmt(v) if isinstance(v, float) else v
+                          for v in row] for row in rows)
+        manifest = []
+        # every example writes over the last one's file
+        cli._write_csv(tmp_path, "rows.csv", header, rows, manifest)
+        assert (tmp_path / "rows.csv").read_bytes() \
+            == buf.getvalue().encode("utf-8")
+        assert manifest == [("rows.csv", len(rows))]
+
+    def test_no_rows_is_the_header_alone(self, tmp_path):
+        manifest = []
+        cli._write_csv(tmp_path, "empty.csv", ["a", "b,c"], [], manifest)
+        assert (tmp_path / "empty.csv").read_bytes() == b'a,"b,c"\r\n'
+        assert manifest == [("empty.csv", 0)]
+
+    def test_quoted_recloser_id_reads_back(self, tmp_path, capsys):
+        rid = 'R,"2\u00e9'
+        doc = json.loads((fixtures_dir() / "five_node.json").read_text())
+        assert doc["reclosers"][2]["id"] == "R2"
+        doc["reclosers"][2]["id"] = rid
+        net = tmp_path / "net.json"
+        net.write_text(json.dumps(doc))
+
+        def table(out: Path, name: str) -> list[dict]:
+            with open(out / name, newline="", encoding="utf-8") as fh:
+                return list(csv.DictReader(fh))
+
+        runs = {"fault": ["fault", "--at", "node:4"],
+                "coordinate": ["coordinate"]}
+        for name, args in runs.items():
+            for source, out in (((fixtures_dir() / "five_node.json"),
+                                 tmp_path / "R2" / name),
+                                (net, tmp_path / "quoted" / name)):
+                main(args + ["--network", str(source), "--out-dir", str(out)])
+        capsys.readouterr()
+        plain = tmp_path / "R2"
+        quoted = tmp_path / "quoted"
+        faulted = [row["id"] for row in table(quoted / "fault", "fault.csv")
+                   if row["kind"] == "recloser"]
+        assert rid in faulted
+        assert faulted == [
+            rid if row["id"] == "R2" else row["id"]
+            for row in table(plain / "fault", "fault.csv")
+            if row["kind"] == "recloser"]
+        pairs = [row["pair_id"]
+                 for row in table(quoted / "coordinate", "coordination.csv")]
+        assert pairs == [
+            row["pair_id"].replace("R2", rid)
+            for row in table(plain / "coordinate", "coordination.csv")]
+        assert any(rid in pair for pair in pairs)
+        for pair in pairs:
+            curves = f"pair_{pair}_curves.csv"
+            assert (quoted / "coordinate" / curves).read_bytes() == (
+                plain / "coordinate" / curves.replace(rid, "R2")).read_bytes()
+
+    def test_short_writes_give_the_same_bytes(self, tmp_path, monkeypatch,
+                                              capsys):
+        runs = {"optimize": ["optimize", "--scenario", CASE_A],
+                "coordinate": ["coordinate", "--scenario", CASE_A]}
+        for name, args in runs.items():
+            main(args + ["--out-dir", str(tmp_path / "whole" / name)])
+        write, sizes = os.write, []
+
+        def short(fd, data):  # at most 7 bytes per call
+            sizes.append(len(data))
+            return write(fd, data[:7])
+
+        monkeypatch.setattr(os, "write", short)
+        for name, args in runs.items():
+            main(args + ["--out-dir", str(tmp_path / "short" / name)])
+        monkeypatch.undo()
+        capsys.readouterr()
+        assert max(sizes) > 7
+        for name in runs:
+            whole = TestRerunOverOldFiles.written(tmp_path / "whole" / name)
+            assert len(whole) > 2
+            assert TestRerunOverOldFiles.written(
+                tmp_path / "short" / name) == whole

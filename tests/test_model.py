@@ -110,6 +110,11 @@ class TestValidate:
                                       recloser(1, "R2")))
         self.assert_violated(net, "strictly increase")
 
+    @pytest.mark.parametrize("rid", ["", "a/b", "R\0"])
+    def test_recloser_id_must_name_a_file(self, rid):
+        net = base_network(reclosers=(relay(), recloser(1, rid)))
+        self.assert_violated(net, "without '/' or NUL")
+
     def test_off_head_recloser_needs_fast_curve(self):
         net = base_network(reclosers=(relay(), relay(node=1, rid="R1")))
         self.assert_violated(net, "needs a fast curve")
