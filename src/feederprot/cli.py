@@ -20,9 +20,9 @@ from pathlib import Path
 from . import coordination as coord
 from . import fault as flt
 from . import optimizer as opt
-from .curves import RecloserSettings, load_curve_families
+from .curves import RecloserSettings
 from .model import Network, UnknownElementError, validate
-from .netfile import (NetworkFileError, Scenario, dump_settings,
+from .netfile import (FAMILIES, NetworkFileError, Scenario, dump_settings,
                       load_scenario, load_network)
 from .power_flow import PowerFlowDivergence, PowerFlowNotConverged
 
@@ -304,11 +304,10 @@ def _scenario_from_args(args) -> Scenario:
     if args.tol is not None:
         scn = replace(scn, powerflow_tol=args.tol)
     if args.curve_family:
-        families = load_curve_families()
-        if args.curve_family not in families:
+        if args.curve_family not in FAMILIES:
             raise NetworkFileError(
                 f"unknown curve family {args.curve_family!r}")
-        consts = families[args.curve_family]
+        consts = FAMILIES[args.curve_family]
         recs = tuple(
             replace(r, sequence=replace(
                 r.sequence,

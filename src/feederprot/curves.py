@@ -15,18 +15,13 @@ callers can feed results straight into min/compare logic.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from importlib import resources
-from pathlib import Path
 
 NO_OPERATION = math.inf
 TIME_DIAL_MIN = 0.1  # the time-dial range of every recloser setting
 TIME_DIAL_MAX = 1.0
-
-CURVE_DATA_FILE = "curve_families.json"
 
 
 class CurveRangeError(ValueError):
@@ -247,45 +242,3 @@ def fuse_inverse_current(curve: FuseCurve, t_target: float) -> float:
         )
     _, neg_t, log_i, log_t = curve.mm_logs
     return _interp(neg_t, log_t, log_i, -t_target, math.log(t_target))
-
-
-def _read_data_file(path, packaged: str, top_keys: set[str],
-                    label: str) -> dict:
-    """Parse a data file, the packaged one when path is None, rejecting
-    unknown top-level keys."""
-    data = resources.files("feederprot.data")
-    source = data / packaged if path is None else Path(path)
-    doc = json.loads(source.read_text())
-    if unknown := set(doc) - top_keys:
-        raise ValueError(f"{label}: unknown keys {sorted(unknown)}")
-    return doc
-
-
-def load_curve_families(path=None) -> dict[str, TCIConstants]:
-    """Read the named curve-family constants from the versioned data file."""
-    doc = _read_data_file(path, CURVE_DATA_FILE, {"version", "families"},
-                          "curve data file")
-    families = {}
-    for name, consts in doc["families"].items():
-        extra = set(consts) - {"a", "b", "c", "m", "K"}
-        if extra:
-            raise ValueError(f"curve family {name}: unknown keys {sorted(extra)}")
-        families[name] = TCIConstants(**consts)
-    return families
-
-
-def load_fuse_curves(path=None) -> dict[str, FuseCurve]:
-    """Read the fuse table file (id -> MM/TC point lists)."""
-    doc = _read_data_file(path, "fuse_curves.json", {"version", "fuses"},
-                          "fuse data file")
-    fuses = {}
-    for name, spec in doc["fuses"].items():
-        extra = set(spec) - {"mm", "tc"}
-        if extra:
-            raise ValueError(f"fuse {name}: unknown keys {sorted(extra)}")
-        fuses[name] = FuseCurve(
-            name=name,
-            mm_points=tuple((float(i), float(t)) for i, t in spec["mm"]),
-            tc_points=tuple((float(i), float(t)) for i, t in spec["tc"]),
-        )
-    return fuses

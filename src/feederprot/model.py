@@ -252,6 +252,9 @@ def validate(network: Network) -> list[Violation]:
         if not rec.id or "/" in rec.id or "\0" in rec.id:  # names files
             out.append(Violation(f"recloser[{rec.id!r}]", "id must be "
                                  "non-empty, without '/' or NUL: it names files"))
+        if any("\ud800" <= c <= "\udfff" for c in rec.id):  # surrogates
+            out.append(Violation(f"recloser[{rec.id!r}]",
+                                 "id must encode as UTF-8: it names files"))
         if not 0 <= rec.node < network.n_nodes:
             out.append(Violation(name, f"node {rec.node} not on feeder"))
         if rec.node <= prev:

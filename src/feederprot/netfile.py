@@ -1,6 +1,6 @@
-"""Network and scenario file ingestion.
+"""Network, scenario and shipped curve-table file ingestion.
 
-Both formats are JSON; field names are documented in the repository's
+Every format is JSON; field names are documented in the repository's
 FORMATS.md.  Every element is read by a ``_reader`` of a spec that
 names each of its keys once, with the key's JSON kind and default: an
 unknown key, a missing one or a value of the wrong kind is an input
@@ -15,14 +15,13 @@ import math
 import os
 import re
 from dataclasses import MISSING, dataclass, field, fields
-from functools import cached_property
+from functools import cached_property, partial
 from importlib import resources
 from pathlib import Path
 
 from .coordination import DEFAULT_FR_MARGIN, DEFAULT_RR_MARGIN
 from .curves import (FuseCurve, RecloserCurve, RecloserSettings,
-                     ReclosingSequence, load_curve_families,
-                     load_fuse_curves)
+                     ReclosingSequence, TCIConstants)
 from .fault import FaultKernel, fault_kernel
 from .model import (DG_PARAMS, DGKind, DGUnit, FeederSection, Lateral,
                     Network, RecloserPlacement, SubstationSource, validate,
@@ -155,15 +154,44 @@ def _dg(doc, ctx: str) -> DGUnit:
                   curtailable)
 
 
+def _point(pair, ctx: str) -> tuple[float, float]:
+    """A fuse table's [current, time] pair of numbers."""
+    if _is(pair, list) and len(pair) == 2 and all(_is(v, float) for v in pair):
+        return _float(pair[0]), _float(pair[1])
+    raise NetworkFileError(f"{ctx}: must be a [current, time] pair of "
+                           f"numbers, got {pair!r}")
+
+
+_FAMILY = (dict.fromkeys(("a", "b", "c", "m", "K"), NUMBER),
+           lambda _, *constants: TCIConstants(*constants))
+_FUSE = ({"mm": (list, MISSING, _point), "tc": (list, MISSING, _point)},
+         FuseCurve)
+
+
+def _table(path: Path, key: str, entry: tuple) -> dict:
+    """A data file's {"version": int, key: {name: ...}} entries, each read
+    at file:key.name by entry's spec into entry's make(name, *values)."""
+    spec, make = entry
+    _, entries = _reader({"version": INTEGER, key: (dict, MISSING)})(
+        _read_json(path), path)
+    return {name: _reader(spec, partial(make, name))(
+        doc, f"{path}:{key}.{name}") for name, doc in entries.items()}
+
+
+# the shipped tables, read once, on import
+_DATA = Path(str(resources.files("feederprot.data")))
+FAMILIES = _table(_DATA / "curve_families.json", "families", _FAMILY)
+FUSES = _table(_DATA / "fuse_curves.json", "fuses", _FUSE)
+
+
 def load_network(path: str | Path) -> Network:
     """Parse and validate a network description file."""
     path = Path(path)
-    families = load_curve_families()
 
     def curve(tag, family, pickup, time_dial) -> RecloserCurve:
-        if family not in families:
+        if family not in FAMILIES:
             raise ValueError(f"unknown curve family {family!r}")
-        return RecloserCurve(tag, families[family],
+        return RecloserCurve(tag, FAMILIES[family],
                              RecloserSettings(pickup, time_dial))
 
     _, (mva, kv), source, sections, laterals, dg, reclosers = _reader({
@@ -207,8 +235,7 @@ class Scenario:
     settings_every: int = 1
     profile: dict[int, tuple[float, ...]] = field(default_factory=dict)
     initial_settings: dict[str, RecloserSettings] | None = None
-    fuse_curves: dict[str, FuseCurve] = field(
-        default_factory=load_fuse_curves)
+    fuse_curves: dict[str, FuseCurve] = field(default_factory=lambda: FUSES)
 
     def __post_init__(self):
         # one check for the scenario file, --network and every override
@@ -219,6 +246,10 @@ class Scenario:
         if not 0.0 < self.powerflow_tol < math.inf:  # as solve_distflow's
             raise NetworkFileError(f"tol must be finite and > 0, got "
                                    f"{self.powerflow_tol!r}")
+        if not 0.0 <= self.fault_impedance_floor < math.inf:
+            raise NetworkFileError(f"fault_impedance_floor must be finite "
+                                   f"and >= 0, got "
+                                   f"{self.fault_impedance_floor!r}")
         for key, margin in (("fuse_recloser", self.fr_margin),
                             ("recloser_recloser", self.rr_margin)):
             if not 0.0 < margin < math.inf:
@@ -249,10 +280,7 @@ class Scenario:
 
 
 def _resolve(ref: str, base_dir: Path) -> Path:
-    cand = Path(ref)
-    if cand.is_absolute() and cand.exists():
-        return cand
-    local = base_dir / ref
+    local = base_dir / ref  # ref itself when it is absolute
     if local.exists():
         return local
     shipped = fixtures_dir() / ref
@@ -288,10 +316,6 @@ def load_scenario(path: str | Path) -> Scenario:
             "settings_every": (int, None)})),  # default: dispatch_every
         "profile": (dict, {}),
         "initial_settings": (str, None)})(_read_json(path), path)
-    if not 0.0 <= floor < math.inf:
-        raise NetworkFileError(f"{path}: fault_impedance_floor must be finite "
-                               f"and >= 0, got {floor!r}")
-
     net_path = _made(_resolve, path, net_ref, path.parent)
     network = load_network(net_path)
 

@@ -17,11 +17,10 @@ from feederprot import coordination as coord
 from feederprot import fault as flt
 from feederprot import optimizer as opt
 from feederprot.curves import (NO_OPERATION, RecloserSettings, TCIConstants,
-                               invert_tci_for_current, load_fuse_curves,
-                               tci_time)
+                               invert_tci_for_current, tci_time)
 from feederprot.model import (AsynchronousParams, DGKind, DGUnit,
                               InverterParams, SynchronousParams)
-from feederprot.netfile import fixtures_dir
+from feederprot.netfile import FUSES, fixtures_dir
 from feederprot.power_flow import solve_distflow
 
 from conftest import pair_checks
@@ -229,7 +228,7 @@ def test_06_failure_modes_and_backup_delay():
 def test_07_settings_match_grid_search(five_node_scenario):
     """The settings ladder equals exhaustive 1e-3 dial-grid search on the
     two- and three-recloser cases; terminal dial sits at the floor."""
-    fuse_curves = load_fuse_curves()
+    fuse_curves = FUSES
     config = opt.OptimizerConfig(fault_impedance_floor=0.15)
     results = []
     for name, net in (("2-recloser", two_recloser_toy()),

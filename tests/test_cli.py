@@ -452,7 +452,7 @@ class TestExitCodes:
         assert main(["powerflow", "--scenario", "nope.json",
                      "--out-dir", "out"]) == EXIT_INPUT
 
-    @pytest.mark.parametrize("rid", ["a/b", "", "R\0x"])
+    @pytest.mark.parametrize("rid", ["a/b", "", "R\0x", "R\ud800"])
     def test_recloser_id_that_cannot_name_a_file(self, rid, tmp_path,
                                                   capsys):
         # the id names pair_<id>_curves.csv: rejected on load, before
@@ -462,11 +462,13 @@ class TestExitCodes:
         net = tmp_path / "net.json"
         net.write_text(json.dumps(doc))
         out = tmp_path / "out"
+        rule = ("must encode as UTF-8" if rid == "R\ud800" else
+                "must be non-empty, without '/' or NUL")
         assert main(["coordinate", "--network", str(net),
                      "--out-dir", str(out)]) == EXIT_INPUT
         assert capsys.readouterr().err == (
             f"input error: {net}: invalid network: recloser[{rid!r}]: id "
-            f"must be non-empty, without '/' or NUL: it names files\n")
+            f"{rule}: it names files\n")
         assert not out.exists()
 
     def test_timeseries_requires_profile(self, tmp_path, capsys):

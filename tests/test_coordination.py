@@ -13,9 +13,9 @@ from feederprot import coordination as coord
 from feederprot import fault as flt
 from feederprot import optimizer as opt
 from feederprot.curves import (FuseCurve, NO_OPERATION, RecloserCurve,
-                               RecloserSettings, TCIConstants, fuse_time,
-                               load_curve_families)
+                               RecloserSettings, TCIConstants, fuse_time)
 from feederprot.model import RecloserPlacement
+from feederprot.netfile import FAMILIES
 from feederprot.power_flow import solve_distflow
 
 from conftest import (pair_checks, radial_chains, recloser_zone,
@@ -169,7 +169,7 @@ class TestMarginTolerance:
         # current, the current multiple is at least 2/(sqrt(3)/2), and
         # the dial slope falls as the multiple grows
         multiple = 2.0 / opt.LL_FACTOR
-        for name, consts in load_curve_families().items():
+        for name, consts in FAMILIES.items():
             curve = RecloserCurve("fast", consts, RecloserSettings(1.0, 1.0))
             slope = opt._dial_slope(curve, 1.0, name)
             assert slope(2.0 * multiple) < slope(multiple), name

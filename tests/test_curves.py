@@ -1,5 +1,6 @@
 """Time-current curve math: recloser inverse curves and fuse tables."""
 
+import json
 import math
 
 import numpy as np
@@ -8,8 +9,9 @@ import pytest
 from feederprot.curves import (
     CurveRangeError, FuseCurve, NO_OPERATION, RecloserCurve, RecloserSettings,
     ReclosingSequence, TCIConstants, fuse_inverse_current, fuse_time,
-    invert_tci_for_current, load_curve_families, load_fuse_curves,
-    tci_asymptote, tci_time)
+    invert_tci_for_current, tci_asymptote, tci_time)
+from feederprot import netfile
+from feederprot.netfile import FAMILIES, FUSES
 
 VERY_INVERSE = TCIConstants(a=19.61, b=0.491, c=1.0, m=2.0, K=0.0)
 
@@ -255,9 +257,9 @@ class TestFuseTablesMatchReference:
 
     SAMPLES = 100_000
 
-    @pytest.mark.parametrize("name", sorted(load_fuse_curves()))
+    @pytest.mark.parametrize("name", sorted(FUSES))
     def test_fuse_time(self, name):
-        fuse = load_fuse_curves()[name]
+        fuse = FUSES[name]
         cur = [i for i, _ in fuse.mm_points]
         xs = (_knots_and_neighbours(cur)
               + [0.0, -1.0, math.inf, math.nan]
@@ -266,9 +268,9 @@ class TestFuseTablesMatchReference:
         new = [fuse_time(fuse, i) for i in xs]
         assert np.array_equal(ref, new, equal_nan=True)
 
-    @pytest.mark.parametrize("name", sorted(load_fuse_curves()))
+    @pytest.mark.parametrize("name", sorted(FUSES))
     def test_fuse_inverse_current(self, name):
-        fuse = load_fuse_curves()[name]
+        fuse = FUSES[name]
         tim = [t for _, t in fuse.mm_points]
         ts = (_knots_and_neighbours(tim) + [0.0, math.inf]
               + _log_uniform(tim[-1] / 1.1, tim[0] * 1.1, self.SAMPLES, 2))
@@ -293,14 +295,14 @@ class TestFuseTablesMatchReference:
 
 class TestDataFiles:
     def test_families_load(self):
-        families = load_curve_families()
+        families = FAMILIES
         assert {"moderately_inverse", "very_inverse",
                 "extremely_inverse"} <= set(families)
         for consts in families.values():
             assert consts.a > 0 and consts.m > 0
 
     def test_fuses_load_and_mm_below_tc(self):
-        fuses = load_fuse_curves()
+        fuses = FUSES
         assert len(fuses) >= 2
         for fuse in fuses.values():
             # a curve whose MM table is this fuse's TC table reads TC
@@ -314,9 +316,36 @@ class TestDataFiles:
         bad = tmp_path / "families.json"
         bad.write_text('{"version": 1, "families": {}, "extras": {}}')
         with pytest.raises(ValueError, match="unknown keys"):
-            load_curve_families(bad)
+            netfile._table(bad, "families", netfile._FAMILY)
         bad_fuse = tmp_path / "fuses.json"
         bad_fuse.write_text('{"version": 1, "fuses": {"fx": {"mm": [[1, 2], '
                             '[2, 1]], "tc": [[1, 3], [2, 2]], "melt": []}}}')
         with pytest.raises(ValueError, match="unknown keys"):
-            load_fuse_curves(bad_fuse)
+            netfile._table(bad_fuse, "fuses", netfile._FUSE)
+
+    @pytest.mark.parametrize("key, entry, error", [
+        ("families", {"a": 1, "b": 0, "c": 1, "m": 2},
+         "families.x: missing keys ['K']"),
+        ("families", {"a": "19.61", "b": 0, "c": 1, "m": 2, "K": 0},
+         "families.x: a must be a number, got '19.61'"),
+        ("families", {"a": -1, "b": 0, "c": 1, "m": 2, "K": 0},
+         "families.x: curve constants require a > 0 and m > 0"),
+        ("fuses", {"mm": [[1, 2], [2, 1]]}, "fuses.x: missing keys ['tc']"),
+        ("fuses", {"mm": [[1, 2], [2, "1"]], "tc": [[1, 3], [2, 2]]},
+         "fuses.x.mm[1]: must be a [current, time] pair of numbers, got "
+         "[2, '1']"),
+        ("fuses", {"mm": [[1, 2], [2, 1]], "tc": [[1, 3, 0], [2, 2]]},
+         "fuses.x.tc[0]: must be a [current, time] pair of numbers, got "
+         "[1, 3, 0]"),
+        ("fuses", {"mm": [[1, 2]], "tc": [[1, 3], [2, 2]]},
+         "fuses.x: fuse x: mm needs >= 2 points")])
+    def test_malformed_entry_names_file_and_entry(self, tmp_path, key, entry,
+                                                  error):
+        # the input error the commands exit 2 on; a shipped table's is
+        # raised on import
+        bad = tmp_path / "table.json"
+        bad.write_text(json.dumps({"version": 1, key: {"x": entry}}))
+        with pytest.raises(netfile.NetworkFileError) as exc:
+            netfile._table(bad, key, {"families": netfile._FAMILY,
+                                      "fuses": netfile._FUSE}[key])
+        assert str(exc.value) == f"{bad}:{error}"

@@ -1,5 +1,6 @@
 """Network model invariants, accessors, and derived-state copies."""
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -89,6 +90,18 @@ class TestValidate:
         net = base_network(dg_units=(unit,))
         self.assert_violated(net, "apparent-power rating")
 
+    @pytest.mark.parametrize("unit, fragment", [
+        (DGUnit(1, 2, DGKind.INVERTER, 0.3, 0.1, 0.0,
+                InverterParams(k_off=3.0, k_clamp=1.5)), "duplicate DG id"),
+        (DGUnit(3, 2, DGKind.ASYNCHRONOUS, 0.3, 0.1, 0.0,
+                AsynchronousParams(x_lr=0.0)), "locked-rotor reactance"),
+        (DGUnit(3, 2, DGKind.ASYNCHRONOUS, 0.3, 0.1, 0.0,
+                AsynchronousParams(x_lr=2.0, rated_slip=math.nan)),
+         "rated slip must be finite")])
+    def test_dg_unit_checks(self, unit, fragment):
+        net = base_network(dg_units=base_network().dg_units + (unit,))
+        self.assert_violated(net, fragment)
+
     def test_dg_params_match_kind(self):
         unit = DGUnit(1, 1, DGKind.SYNCHRONOUS, 0.4, 0.3, 0.1,
                       AsynchronousParams(x_lr=2.0))
@@ -110,10 +123,17 @@ class TestValidate:
                                       recloser(1, "R2")))
         self.assert_violated(net, "strictly increase")
 
-    @pytest.mark.parametrize("rid", ["", "a/b", "R\0"])
+    def test_duplicate_recloser_id(self):
+        net = base_network(reclosers=(relay(), recloser(1, "R1"),
+                                      recloser(2, "R1")))
+        self.assert_violated(net, "duplicate recloser id")
+
+    @pytest.mark.parametrize("rid", ["", "a/b", "R\0", "R\ud800"])
     def test_recloser_id_must_name_a_file(self, rid):
         net = base_network(reclosers=(relay(), recloser(1, rid)))
-        self.assert_violated(net, "without '/' or NUL")
+        # a lone surrogate has no UTF-8 encoding, so it names no file
+        self.assert_violated(net, "encode as UTF-8" if rid == "R\ud800"
+                             else "without '/' or NUL")
 
     def test_off_head_recloser_needs_fast_curve(self):
         net = base_network(reclosers=(relay(), relay(node=1, rid="R1")))

@@ -2,13 +2,15 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
+from feederprot import netfile
 from feederprot.cli import EXIT_INPUT, main
 from feederprot.curves import RecloserSettings
-from feederprot.netfile import (NetworkFileError, dump_settings, fixtures_dir,
-                                load_network, load_scenario,
+from feederprot.netfile import (FIXTURE_ENV, NetworkFileError, dump_settings,
+                                fixtures_dir, load_network, load_scenario,
                                 load_settings_file)
 
 
@@ -103,6 +105,21 @@ class TestLoadScenario:
             assert scn.network.n_nodes > 1
             assert scn.fuse_curves
 
+    def test_each_load_reads_only_its_own_files(self, monkeypatch):
+        # the curve and fuse tables are read once, on import
+        reads = []
+        read_json = netfile._read_json
+
+        def recorded(path):
+            reads.append(path)
+            return read_json(path)
+
+        monkeypatch.setattr(netfile, "_read_json", recorded)
+        for name in ("five_node_scenario.json", "ieee37_case_a.json"):
+            reads.clear()
+            scn = load_scenario(fixtures_dir() / name)
+            assert reads == [fixtures_dir() / name, scn.network_path]
+
     def test_defaults(self, tmp_path):
         path = write_doc(tmp_path, {"network": "five_node.json"})
         scn = load_scenario(path)
@@ -117,6 +134,19 @@ class TestLoadScenario:
         path = write_doc(tmp_path, {"network": "missing.json"})
         with pytest.raises(NetworkFileError, match="cannot resolve"):
             load_scenario(path)
+
+    def test_fixtures_dir_is_overridden_by_the_environment(self, tmp_path,
+                                                           monkeypatch):
+        # a reference found neither as given nor beside the scenario is
+        # looked up in the directory FEEDERPROT_FIXTURES names
+        shipped = tmp_path / "shipped"
+        shipped.mkdir()
+        net = shipped / "net.json"
+        net.write_text((fixtures_dir() / "five_node.json").read_text())
+        monkeypatch.setenv(FIXTURE_ENV, str(shipped))
+        assert fixtures_dir() == shipped
+        path = write_doc(tmp_path, {"network": "net.json"}, "scn.json")
+        assert load_scenario(path).network_path == net
 
     def test_cadence_must_nest(self, tmp_path):
         # 0 and -2 are multiples of 1, but not positive ones
@@ -160,6 +190,8 @@ class TestLoadScenario:
         ("4", "0.5", "profile dg[4] step 5: output must be a finite "
                      "number >= 0, got '0.5'"),
         ("4", None, "profile dg[4] must be a list of outputs, got 0.5"),
+        ("4", 0.2, "profile dg[4] step 5: output exceeds apparent-power "
+                   "rating"),
         ("x", 0.0, "profile key 'x' is not an integer DG id")])
     def test_profile_is_checked_on_load(self, tmp_path, key, step_5, error):
         # a bad value at case B's unit 4, step 5, a number in place of
@@ -195,6 +227,24 @@ class TestLoadScenario:
                 assert str(exc.value) == (
                     f"{path}: {key} margin must be finite and > 0, got "
                     f"{float(bad)!r}")
+
+    @pytest.mark.parametrize("floor", [-0.05, math.nan, math.inf])
+    def test_floor_is_checked_on_every_scenario(self, five_node_scenario,
+                                                tmp_path, floor):
+        # the file's floor, a replaced scenario's and a bare network's
+        error = f"fault_impedance_floor must be finite and >= 0, got {floor!r}"
+        doc = {"network": "five_node.json", "fault_impedance_floor": floor}
+        path = write_doc(tmp_path, doc, "scn.json")
+        with pytest.raises(NetworkFileError) as exc:
+            load_scenario(path)
+        assert str(exc.value) == f"{path}: {error}"
+        with pytest.raises(NetworkFileError) as exc:
+            replace(five_node_scenario, fault_impedance_floor=floor)
+        assert str(exc.value) == error
+        with pytest.raises(NetworkFileError) as exc:
+            netfile.Scenario(network_path=path, fault_impedance_floor=floor,
+                             network=five_node_scenario.network)
+        assert str(exc.value) == error
 
     def test_fuse_must_be_in_the_fuse_table(self, tmp_path):
         doc = read_fixture("five_node.json")

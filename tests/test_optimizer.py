@@ -17,10 +17,10 @@ from feederprot import fault as flt
 from feederprot import optimizer as opt
 from feederprot.curves import (FuseCurve, RecloserCurve, RecloserSettings,
                                ReclosingSequence, TCIConstants, fuse_time,
-                               load_fuse_curves, tci_time)
+                               tci_time)
 from feederprot.model import (FeederSection, Lateral, Network,
                               RecloserPlacement, SubstationSource)
-from feederprot.netfile import fixtures_dir
+from feederprot.netfile import FUSES, fixtures_dir
 from feederprot.power_flow import solve_distflow
 
 from conftest import (dispatched, pair_checks, radial_chains,
@@ -298,7 +298,7 @@ def ladder_outcome(ladder, network, fuse_curves, config):
 
 @pytest.fixture(scope="module")
 def fuse_curves():
-    return load_fuse_curves()
+    return FUSES
 
 
 class TestSettingsOptimality:
@@ -811,6 +811,32 @@ class TestDispatch:
         assert got == expect
         # full, 0.5, zero and 2**-30, then one probe per curtailed unit
         assert len(flows) <= 4 + len(available)
+
+    def test_zero_ceiling_unit_is_not_restored(self, case_a_scenario,
+                                               monkeypatch):
+        # unit 3, at the tail, has a zero ceiling: the restoration skips
+        # it, so the dispatch is the one of the network with it off, in
+        # as many load flows
+        scn = case_a_scenario
+        config = replace(self.config(scn), fr_margin=0.12)
+        available = {u.id: u.p_out for u in scn.network.dg_units
+                     if u.curtailable}
+        flows = []
+        solve_distflow = opt.solve_distflow
+
+        def counted(*args, **kwargs):
+            flows.append(args)
+            return solve_distflow(*args, **kwargs)
+
+        monkeypatch.setattr(opt, "solve_distflow", counted)
+        off = opt.solve_dispatch(scn.network.with_dg_outputs({3: 0.0}),
+                                 available, scn.fuse_curves, config)
+        n_off = len(flows)
+        zero = opt.solve_dispatch(scn.network, {**available, 3: 0.0},
+                                  scn.fuse_curves, config)
+        assert zero.network == off.network
+        assert 0 < dispatched(zero, available)[1] < available[1]
+        assert len(flows) == 2 * n_off
 
     def test_infeasibility_names_a_scenario_pair(self, five_node_scenario,
                                                  five_node_solution):
