@@ -15,6 +15,8 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, replace
+from functools import cache
+from itertools import chain
 from pathlib import Path
 
 from . import coordination as coord
@@ -75,12 +77,59 @@ def _text(v) -> str:
     return s
 
 
-def _write_csv(out_dir: Path, name: str, header: list[str], rows: list | tuple,
-               manifest: list[tuple[str, int]]) -> None:
-    lines = [",".join([f"{v:.12g}" if isinstance(v, float) else _text(v)
-                       for v in row]) for row in (header, *rows)]  # as _fmt
-    _artifact(out_dir, name, "\r\n".join(lines) + "\r\n")
-    manifest.append((name, len(rows)))
+# Each artifact table by file name ({} takes a pair id): its columns as
+# name:kind, a name with {} repeated once per id.  Kinds: g a float (as
+# _fmt), d an integer, b a bool, n a float already formatted by _fmt (a
+# report line prints the same string) or a blank, t text, quoted as
+# csv.writer quotes it.
+TABLES = {
+    "powerflow_nodes.csv": "node:d v_pu:g",
+    "powerflow_sections.csv": "from_node:d to_node:d p_pu:g q_pu:g",
+    "fault.csv": "kind:t id:t current_pu:n current_amps:g delta_fr_pu:n "
+                 "delta_rr_pu:n",
+    "coordination.csv": "pair_id:t kind:t range_ok:b margin_ok:b "
+                        "worst_margin_s:n worst_margin_current_pu:n "
+                        "failure_mode:t backup_delay_s:g",
+    "pair_{}_curves.csv": "current_pu:g t_primary_s:g t_backup_s:g",
+    "trace.csv": "iteration:d total_clearing_time_s:n total_dg_output_pu:n "
+                 "worst_slack_pu:n",
+    "dispatch_final.csv": "dg_id:d p_out_pu:g",
+    "timeseries.csv": "step:d dg_{}_p_pu:g tds_{}:g total_clearing_time_s:n "
+                      "worst_slack_pu:n feasible:d",
+}
+
+
+def _csv(head: str, kinds: str, rows: list | tuple) -> str:
+    """The CSV text of header line head and rows, their columns of the given
+    kinds (letters, as in TABLES): one template, text cells alone quoted."""
+    cells = [*chain.from_iterable(rows)]
+    for k, kind in enumerate(kinds):
+        if kind == "t":
+            cells[k::len(kinds)] = map(_text, cells[k::len(kinds)])
+    template = ",".join(["%.12g" if kind == "g" else "%s" for kind in kinds])
+    return head + "\r\n" + (f"{template}\r\n" * len(rows)) % tuple(cells)
+
+
+@cache
+def _columns(name: str, repeat: tuple[tuple, ...] = ()) -> tuple[str, str]:
+    """TABLES[name]'s header line and kinds, the k-th column named with {}
+    repeated once per id of repeat[k]."""
+    ids, header, kinds = iter(repeat), [], ""
+    for column in TABLES[name].split():
+        column, _, kind = column.rpartition(":")
+        for i in next(ids) if "{}" in column else (None,):
+            header.append(_text(column.format(i)))
+            kinds += kind
+    return ",".join(header), kinds
+
+
+def _write_csv(out_dir: Path, name: str, rows: list | tuple, manifest: list,
+               at: str = "", repeat: tuple[tuple, ...] = ()) -> None:
+    """Write rows to out_dir as the table TABLES[name], `at` filling the
+    name's {} and `repeat` its repeated columns (as in _columns)."""
+    filename = name.format(at)
+    _artifact(out_dir, filename, _csv(*_columns(name, repeat), rows))
+    manifest.append((filename, len(rows)))
 
 
 def _config(scn: Scenario) -> opt.OptimizerConfig:
@@ -104,10 +153,9 @@ def cmd_powerflow(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
     for i, (p, q) in enumerate(zip(sol.p_flow, sol.q_flow)):
         lines.append(f"  {i:>2}->{i + 1:<2}   {p:+.6f}   {q:+.6f}")
     manifest: list[tuple[str, int]] = []
-    _write_csv(out_dir, "powerflow_nodes.csv", ["node", "v_pu"],
+    _write_csv(out_dir, "powerflow_nodes.csv",
                [[n, v] for n, v in enumerate(sol.v_mag)], manifest)
     _write_csv(out_dir, "powerflow_sections.csv",
-               ["from_node", "to_node", "p_pu", "q_pu"],
                [[i, i + 1, p, q]
                 for i, (p, q) in enumerate(zip(sol.p_flow, sol.q_flow))],
                manifest)
@@ -132,29 +180,31 @@ def cmd_fault(scn: Scenario, location: flt.FaultLocation,
     flt.check_fault(net, location, fault_impedance)
     study = scn.kernel.study(location, fault_impedance)
     amps = net.base_amps
+    # each current and disparity is formatted once, for its line and cell
+    pu = _fmt(study.i_substation)
     lines = [f"fault study at {location.kind}:{location.ref} "
              f"(fault impedance {_fmt(fault_impedance)} pu)",
              f"  fault-point current: {_fmt(study.i_fault_total)} pu "
              f"({study.i_fault_total * amps:.0f} A)",
-             f"  substation: {_fmt(study.i_substation)} pu"]
-    rows: list[list] = [["substation", "", study.i_substation,
-                         study.i_substation * amps, "", ""]]
+             f"  substation: {pu} pu"]
+    rows: list[list] = [["substation", "", pu, study.i_substation * amps,
+                         "", ""]]
     for rid, i in study.i_recloser.items():
-        lines.append(f"  recloser {rid}: {_fmt(i)} pu ({i * amps:.0f} A)  "
-                     f"dFR={_fmt(study.delta_fr[rid])}  "
-                     f"dRR={_fmt(study.delta_rr[rid])}")
-        rows.append(["recloser", rid, i, i * amps, study.delta_fr[rid],
-                     study.delta_rr[rid]])
+        pu, dfr, drr = (_fmt(i), _fmt(study.delta_fr[rid]),
+                        _fmt(study.delta_rr[rid]))
+        lines.append(f"  recloser {rid}: {pu} pu ({i * amps:.0f} A)  "
+                     f"dFR={dfr}  dRR={drr}")
+        rows.append(["recloser", rid, pu, i * amps, dfr, drr])
     for lid, i in study.i_fuse.items():
-        lines.append(f"  fuse L{lid}: {_fmt(i)} pu ({i * amps:.0f} A)")
-        rows.append(["fuse", f"L{lid}", i, i * amps, "", ""])
+        pu = _fmt(i)
+        lines.append(f"  fuse L{lid}: {pu} pu ({i * amps:.0f} A)")
+        rows.append(["fuse", f"L{lid}", pu, i * amps, "", ""])
     for did, i in study.i_dg.items():
-        lines.append(f"  dg {did}: {_fmt(i)} pu")
-        rows.append(["dg", did, i, i * amps, "", ""])
+        pu = _fmt(i)
+        lines.append(f"  dg {did}: {pu} pu")
+        rows.append(["dg", did, pu, i * amps, "", ""])
     manifest: list[tuple[str, int]] = []
-    _write_csv(out_dir, "fault.csv",
-               ["kind", "id", "current_pu", "current_amps",
-                "delta_fr_pu", "delta_rr_pu"], rows, manifest)
+    _write_csv(out_dir, "fault.csv", rows, manifest)
     return RunReport(lines, manifest), EXIT_OK
 
 
@@ -173,22 +223,18 @@ def cmd_coordinate(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
             required[pair.kind])
         ok = report.failure_mode is coord.FailureMode.NONE
         all_ok = all_ok and ok
+        worst, at = (_fmt(report.worst_margin),
+                     _fmt(report.worst_margin_current))
         lines.append(
             f"  {pair.id:<12} {pair.kind.value:<18} "
             f"{report.failure_mode.value:<16} "
-            f"worst margin {_fmt(report.worst_margin)} s at "
-            f"{_fmt(report.worst_margin_current)} pu")
+            f"worst margin {worst} s at {at} pu")
         rows.append([pair.id, pair.kind.value, report.range_ok,
-                     report.margin_ok, report.worst_margin,
-                     report.worst_margin_current, report.failure_mode.value,
+                     report.margin_ok, worst, at, report.failure_mode.value,
                      report.backup_delay])
-        _write_csv(out_dir, f"pair_{pair.id}_curves.csv",
-                   ["current_pu", "t_primary_s", "t_backup_s"],
-                   report.samples, manifest)
-    _write_csv(out_dir, "coordination.csv",
-               ["pair_id", "kind", "range_ok", "margin_ok", "worst_margin_s",
-                "worst_margin_current_pu", "failure_mode", "backup_delay_s"],
-               rows, manifest)
+        _write_csv(out_dir, "pair_{}_curves.csv", report.samples, manifest,
+                   pair.id)
+    _write_csv(out_dir, "coordination.csv", rows, manifest)
     return RunReport(lines, manifest), EXIT_OK if all_ok else EXIT_INFEASIBLE
 
 
@@ -230,21 +276,19 @@ def cmd_optimize(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
     rows: list[list] = []
     if feasible:
         slacks = opt.pair_slacks(study, scn.fuse_curves, config)
-        rows.append([1, opt.total_clearing_time(study, settings),
-                     sum(u.p_out for u in study.network.dg_units),
-                     min(slacks.values(), default=0.0)])
+        rows.append([1, _fmt(opt.total_clearing_time(study, settings)),
+                     _fmt(sum(u.p_out for u in study.network.dg_units)),
+                     _fmt(min(slacks.values(), default=0.0))])
     stop = "slack_fixed_point" if rows else "infeasible"
     lines = [f"alternating optimization: {stop} after {len(rows)} iterations"]
-    lines += [f"  iter {k}: total clearing {_fmt(clearing)} s, DG output "
-              f"{_fmt(output)} pu, worst slack {_fmt(worst)} pu"
+    lines += [f"  iter {k}: total clearing {clearing} s, DG output "
+              f"{output} pu, worst slack {worst} pu"
               for k, clearing, output, worst in rows]
     manifest: list[tuple[str, int]] = []
-    _write_csv(out_dir, "trace.csv",
-               ["iteration", "total_clearing_time_s", "total_dg_output_pu",
-                "worst_slack_pu"], rows, manifest)
+    _write_csv(out_dir, "trace.csv", rows, manifest)
     _artifact(out_dir, "settings_final.json", dump_settings(settings))
     manifest.append(("settings_final.json", len(settings)))
-    _write_csv(out_dir, "dispatch_final.csv", ["dg_id", "p_out_pu"],
+    _write_csv(out_dir, "dispatch_final.csv",
                [[u.id, u.p_out] for u in study.network.dg_units], manifest)
     return RunReport(lines, manifest), EXIT_OK if rows else EXIT_INFEASIBLE
 
@@ -265,24 +309,21 @@ def cmd_timeseries(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
              _available(scn, step) if step % scn.dispatch_every == 0 else None,
              step % scn.settings_every == 0) for step in range(steps))
     rows: list[list] = []
-    dg_ids = [u.id for u in scn.network.dg_units]
-    rec_ids = [r.id for r in scn.network.reclosers]
+    rec_ids = tuple(r.id for r in scn.network.reclosers)
     for step, (study, settings, feasible) in enumerate(
             opt.operate(net, settings, plan, scn.fuse_curves, config)):
-        clearing = opt.total_clearing_time(study, settings)
+        clearing = _fmt(opt.total_clearing_time(study, settings))
         slacks = opt.pair_slacks(study, scn.fuse_curves, config)
         outputs = [u.p_out for u in study.network.dg_units]
         rows.append([step, *outputs, *(settings[r].time_dial for r in rec_ids),
                      clearing, "" if slacks is None else
-                     min(slacks.values(), default=0.0), int(feasible)])
+                     _fmt(min(slacks.values(), default=0.0)), int(feasible)])
         lines.append(f"  step {step}: DG total {_fmt(sum(outputs))} pu, "
-                     f"clearing {_fmt(clearing)} s, feasible {feasible}")
+                     f"clearing {clearing} s, feasible {feasible}")
 
     manifest: list[tuple[str, int]] = []
-    header = (["step"] + [f"dg_{i}_p_pu" for i in dg_ids]
-              + [f"tds_{r}" for r in rec_ids]
-              + ["total_clearing_time_s", "worst_slack_pu", "feasible"])
-    _write_csv(out_dir, "timeseries.csv", header, rows, manifest)
+    _write_csv(out_dir, "timeseries.csv", rows, manifest, repeat=(
+        tuple(u.id for u in scn.network.dg_units), rec_ids))
     return RunReport(lines, manifest), (
         EXIT_OK if all(row[-1] for row in rows) else EXIT_INFEASIBLE)
 

@@ -8,11 +8,11 @@ fuse-recloser constraint:
   under the pair constraints is a linear program over the D vector.  On
   a radial chain it is solved exactly by downstream-first propagation,
   which also realizes the lexicographically-smallest optimum.
-* dispatch: maximize total DG real output subject to the settings
-  ladder staying solvable at the candidate operating state.  Every
-  disparity is monotone non-decreasing in each unit's output, so a
-  bisection on a global curtailment factor followed by tail-first
-  per-unit restoration reaches a component-wise maximal feasible point.
+* dispatch: a component-wise maximal DG real output, not the maximum
+  total, at which the settings ladder stays solvable.  Every disparity
+  is monotone non-decreasing in each unit's output, so a bisection on a
+  global curtailment factor followed by tail-first per-unit restoration
+  reaches one.
 
 Both need the settings ladder solved at one operating state.
 study_state solves a state once into a StateStudy, one flat record: its
@@ -351,9 +351,9 @@ def study_state(network: Network, fuse_curves: dict[str, FuseCurve],
     """Solve the network as dispatched into its StateStudy.
 
     Pickups sit at twice the maximum load current, which maximizes the
-    margin headroom of every fuse pair.  The rule is empty when that is
-    zero, which leaves the ladder unrun, or exceeds half the minimum
-    line-line fault current.
+    margin headroom of each fuse pair alone, not the ladder's.  The rule
+    is empty when that is zero, which leaves the ladder unrun, or
+    exceeds half the minimum line-line fault current.
     """
     flow = solve_distflow(network, tol=config.powerflow_tol)
     pairs, zones = study_pairs(flt.fault_kernel(network, flow),

@@ -15,7 +15,7 @@ from feederprot.model import (AsynchronousParams, DGKind, DGUnit,
                               FeederSection, InverterParams, Lateral, Network,
                               RecloserPlacement, SubstationSource,
                               SynchronousParams, validate)
-from feederprot.netfile import fixtures_dir, load_scenario
+from feederprot.netfile import FAMILIES, fixtures_dir, load_scenario
 from feederprot.power_flow import solve_distflow
 
 # property tests run the same examples on every run, untimed per example
@@ -37,9 +37,9 @@ DG_PARAMS = {
 }
 
 
-def sequence():
+def sequence(constants=VI):
     return ReclosingSequence(
-        curves=tuple(RecloserCurve(tag=tag, constants=VI,
+        curves=tuple(RecloserCurve(tag=tag, constants=constants,
                                    settings=RecloserSettings(1.0, dial))
                      for tag, dial in (("fast", 0.1), ("slow", 0.8))),
         pattern="F-S")
@@ -47,8 +47,9 @@ def sequence():
 
 @st.composite
 def radial_chains(draw):
-    """A valid radial chain of 5-30 nodes with 2-4 reclosers, fused
-    laterals and 1-5 DG units, each of any of the four fault models."""
+    """A valid radial chain of 5-30 nodes with 2-4 reclosers, each with
+    both curves of one shipped family, fused laterals and 1-5 DG units,
+    each of any of the four fault models."""
     n = draw(st.integers(5, 30))
     node = st.integers(0, n - 1)
     sections = tuple(
@@ -76,8 +77,10 @@ def radial_chains(draw):
         sections=sections, laterals=tuple(laterals), dg_units=tuple(units),
         source=SubstationSource(1.0, draw(st.floats(0.001, 0.02)),
                                 draw(st.floats(0.01, 0.1))),
-        reclosers=tuple(RecloserPlacement(f"R{k}", at, sequence())
-                        for k, at in enumerate(rec_nodes)),
+        reclosers=tuple(
+            RecloserPlacement(f"R{k}", at, sequence(
+                FAMILIES[draw(st.sampled_from(sorted(FAMILIES)))]))
+            for k, at in enumerate(rec_nodes)),
         base_mva=10.0, base_kv=12.47)
     assert validate(network) == []
     return network, draw(st.floats(0.01, 0.5))

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -664,12 +665,30 @@ class TestRerunOverOldFiles:
 
 # CSV cells: floats (the extremes included), ints, bools, and strings
 # built from the characters that need quoting
-CELLS = st.one_of(
+FLOATS = st.one_of(
     st.floats(), st.sampled_from([math.inf, -math.inf, math.nan, -0.0,
-                                  5e-324, 1e308]),
-    st.integers(), st.booleans(),
-    st.text(st.sampled_from([",", '"', "\r", "\n", "\u00e9", "a", " "]),
-            max_size=5))
+                                  5e-324, 1e308]))
+TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", "\u00e9", "a", " "]),
+               max_size=5)
+CELLS = st.one_of(FLOATS, st.integers(), st.booleans(), TEXT)
+# the cells of each column kind that cli.TABLES declares: a blank is the
+# empty string, which text may be too
+KIND_CELLS = {"g": FLOATS, "d": st.integers(), "b": st.booleans(),
+              "n": st.one_of(FLOATS.map(cli._fmt), st.just("")), "t": TEXT}
+# recloser ids, as they fill a repeated column's name or a pair file's
+IDS = st.text(st.sampled_from([",", '"', "\r", "\n", "\u00e9", "R", " ",
+                               "-", "{", "}"]), min_size=1, max_size=4)
+FORMATS_MD = Path(__file__).resolve().parents[1] / "FORMATS.md"
+
+
+def csv_writer_text(header, rows) -> str:
+    """What csv.writer writes for header and rows, floats as _fmt."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows([cli._fmt(v) if isinstance(v, float) else v
+                      for v in row] for row in rows)
+    return buf.getvalue()
 
 
 class TestArtifactBytes:
@@ -679,24 +698,109 @@ class TestArtifactBytes:
     @given(st.lists(st.text(max_size=3), min_size=2, max_size=4),
            st.lists(st.lists(CELLS, min_size=2, max_size=5), max_size=5))
     def test_rows_match_csv_writer(self, tmp_path, header, rows):
-        # one-cell rows are left out: csv.writer quotes a lone empty cell
-        buf = io.StringIO(newline="")
-        writer = csv.writer(buf)
-        writer.writerow(header)
-        writer.writerows([cli._fmt(v) if isinstance(v, float) else v
-                          for v in row] for row in rows)
+        # one-cell rows are left out: csv.writer quotes a lone empty cell.
+        # Each row is a table of its own, each column of its cell's kind.
+        kinds = {float: "g", int: "d", bool: "b", str: "t"}
+        head = ",".join(map(cli._text, header))
+        for row in rows:
+            # every row writes over the last one's file
+            cli._artifact(tmp_path, "rows.csv", cli._csv(
+                head, "".join(kinds[type(v)] for v in row), [row]))
+            assert (tmp_path / "rows.csv").read_bytes() \
+                == csv_writer_text(header, [row]).encode("utf-8")
+
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(sorted(cli.TABLES)), st.data())
+    def test_declared_tables_match_csv_writer(self, tmp_path, name, data):
+        columns = [c.rpartition(":") for c in cli.TABLES[name].split()]
+        repeat = tuple(tuple(data.draw(st.lists(
+            st.one_of(st.integers(0, 99), IDS), max_size=3)))
+            for column, _, _ in columns if "{}" in column)
+        ids = iter(repeat)
+        header, kinds = [], []
+        for column, _, kind in columns:
+            for i in next(ids) if "{}" in column else [None]:
+                header.append(column if i is None
+                              else column.replace("{}", str(i)))
+                kinds.append(kind)
+        rows = data.draw(st.lists(st.tuples(*map(KIND_CELLS.get, kinds)),
+                                  max_size=5))
+        at = data.draw(IDS) if "{}" in name else ""
         manifest = []
         # every example writes over the last one's file
-        cli._write_csv(tmp_path, "rows.csv", header, rows, manifest)
-        assert (tmp_path / "rows.csv").read_bytes() \
-            == buf.getvalue().encode("utf-8")
-        assert manifest == [("rows.csv", len(rows))]
+        cli._write_csv(tmp_path, name, rows, manifest, at, repeat)
+        file = name.replace("{}", at)
+        assert (tmp_path / file).read_bytes() \
+            == csv_writer_text(header, rows).encode("utf-8")
+        assert manifest == [(file, len(rows))]
 
     def test_no_rows_is_the_header_alone(self, tmp_path):
         manifest = []
-        cli._write_csv(tmp_path, "empty.csv", ["a", "b,c"], [], manifest)
-        assert (tmp_path / "empty.csv").read_bytes() == b'a,"b,c"\r\n'
-        assert manifest == [("empty.csv", 0)]
+        cli._write_csv(tmp_path, "timeseries.csv", [], manifest,
+                       repeat=((1,), ('R,"2',)))
+        assert (tmp_path / "timeseries.csv").read_bytes() == (
+            b'step,dg_1_p_pu,"tds_R,""2",total_clearing_time_s,'
+            b'worst_slack_pu,feasible\r\n')
+        assert manifest == [("timeseries.csv", 0)]
+
+    def test_formats_md_lists_every_declared_table(self):
+        """FORMATS.md names each table and its columns as declared, <id>
+        standing for the {} of a pair file or a repeated column."""
+        section = FORMATS_MD.read_text().split("## CSV artifacts")[1]
+        section = " ".join(section.split("\n## ")[0].split())
+        listed = {name: cols.split(", ") for name, cols in re.findall(
+            r"`([\w<>]+\.csv)` \(([^)]*)\)", section)}
+        assert listed == {
+            name.replace("{}", "<id>"):
+                [c.rpartition(":")[0].replace("{}", "<id>")
+                 for c in spec.split()]
+            for name, spec in cli.TABLES.items()}
+
+    # a fault report line per fault.csv row, by the row's kind
+    FAULT_LINES = {
+        "substation": r"  substation: (?P<current_pu>\S+) pu",
+        "recloser": r"  recloser (?P<id>.+): (?P<current_pu>\S+) pu "
+                    r"\(-?\d+ A\)  dFR=(?P<delta_fr_pu>\S+)  "
+                    r"dRR=(?P<delta_rr_pu>\S+)",
+        "fuse": r"  fuse (?P<id>\S+): (?P<current_pu>\S+) pu \(-?\d+ A\)",
+        "dg": r"  dg (?P<id>\S+): (?P<current_pu>\S+) pu",
+    }
+
+    @pytest.mark.parametrize("scenario, at", [
+        (FIVE_NODE, "node:2"), (FIVE_NODE, "lateral:1"),
+        (CASE_A, "node:11"), (CASE_A, "lateral:3")],
+        ids=["five_node-node2", "five_node-lateral1", "case_a-node11",
+             "case_a-lateral3"])
+    def test_fault_report_prints_the_csv_cells(self, scenario, at, tmp_path,
+                                               capsys):
+        """Every current and disparity the report prints is its fault.csv
+        cell, string for string.  The fault impedance and fault-point
+        current lines have no cell."""
+        assert main(["fault", "--scenario", scenario, "--at", at,
+                     "--out-dir", str(tmp_path)]) == EXIT_OK
+        out = capsys.readouterr().out.splitlines()
+        with open(tmp_path / "fault.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert out[2 + len(rows)] == "emitted files:"
+        kinds = set()
+        for line, row in zip(out[2:], rows):
+            match = re.fullmatch(self.FAULT_LINES[row["kind"]], line)
+            assert match, line
+            assert match.groupdict() == {k: row[k] for k in match.groupdict()}
+            kinds.add(row["kind"])
+        assert {"substation", "recloser", "dg"} <= kinds
+        assert ("fuse" in kinds) == at.startswith("lateral")
+
+    def test_optimize_report_prints_the_csv_cells(self, tmp_path, capsys):
+        assert main(["optimize", "--scenario", CASE_A,
+                     "--out-dir", str(tmp_path)]) == EXIT_OK
+        line = capsys.readouterr().out.splitlines()[1]
+        with open(tmp_path / "trace.csv", newline="", encoding="utf-8") as fh:
+            (row,) = csv.DictReader(fh)
+        assert line == (
+            f"  iter 1: total clearing {row['total_clearing_time_s']} s, DG "
+            f"output {row['total_dg_output_pu']} pu, worst slack "
+            f"{row['worst_slack_pu']} pu")
 
     def test_quoted_recloser_id_reads_back(self, tmp_path, capsys):
         rid = 'R,"2\u00e9'
