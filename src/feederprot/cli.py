@@ -56,11 +56,12 @@ def _artifact(out_dir: Path, name: str, text: str) -> None:
     (cutting to zero length first frees blocks: slow where they are
     discarded), and create out_dir only when it is missing."""
     data = text.encode()
+    path = os.path.join(out_dir, name)  # a str: no Path per write
     try:
-        fd = os.open(out_dir / name, os.O_WRONLY | os.O_CREAT, 0o666)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     except FileNotFoundError:
         out_dir.mkdir(parents=True, exist_ok=True)
-        fd = os.open(out_dir / name, os.O_WRONLY | os.O_CREAT, 0o666)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
     try:
         rest = memoryview(data)
         while rest:  # a write may take fewer bytes than it is given

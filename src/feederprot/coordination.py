@@ -14,6 +14,7 @@ check_pair checks it at a required margin.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -103,6 +104,13 @@ class CurrentAxis:
     def __len__(self) -> int:
         return self.size
 
+    def __iter__(self) -> Iterator[float]:
+        """The samples in index order, each as __getitem__ gives it."""
+        start, step = self.start, self.step
+        samples = [10.0 ** (k * step + start) for k in range(self.size - 1)]
+        samples.append(10.0 ** self.stop)
+        return iter(samples)
+
     def __getitem__(self, k: int) -> float:
         if not 0 <= k < self.size:
             raise IndexError(f"current sample {k} outside 0..{self.size - 1}")
@@ -128,7 +136,8 @@ def check_pair(pair: PairStudy, primary: RecloserCurve,
                required: float) -> CoordinationReport:
     """Evaluate the range and margin conditions over the pair's current
     axis, with its primary and backup curves (pair_curves) and the
-    margin it requires, in seconds.
+    margin it requires, in seconds.  Each curve is read over the whole
+    axis in one pass (times_at), as its time_at reads each sample.
 
     The margin condition is checked with the pair's currents linked by
     the disparity: the fuse sees every source, so its current is the
@@ -140,14 +149,12 @@ def check_pair(pair: PairStudy, primary: RecloserCurve,
     """
     shift = pair.delta if pair.kind is PairKind.FUSE_RECLOSER \
         else -pair.delta
-    samples = []
+    currents = list(pair.axis)
+    samples = tuple(zip(currents, primary.times_at(currents),
+                        backup.times_at([i + shift for i in currents])))
     worst = math.inf
-    worst_i = pair.axis[0]
-    for i in pair.axis:
-        tp = primary.time_at(i)
-        ib = i + shift
-        tb = backup.time_at(ib) if ib > 0 else NO_OPERATION
-        samples.append((i, tp, tb))
+    worst_i = currents[0]
+    for i, tp, tb in samples:
         margin = math.inf if math.isinf(tp) or math.isinf(tb) else tb - tp
         if margin < worst:
             worst = margin
@@ -178,7 +185,7 @@ def check_pair(pair: PairStudy, primary: RecloserCurve,
         worst_margin_current=worst_i,
         failure_mode=mode,
         backup_delay=delay,
-        samples=tuple(samples),
+        samples=samples,
     )
 
 
@@ -220,11 +227,8 @@ def study_pairs(kernel: flt.FaultKernel, fault_impedance_floor: float,
     pairs: list[PairStudy] = []
     zones: dict[str, tuple[float, float]] = {}
     ends = [rec.node for rec in network.reclosers[1:]] + [n]
-    for rec, end in zip(network.reclosers, ends):
-        # the DG a directional recloser sees, summed as _recloser_current
-        upstream = [s for s, u in enumerate(network.dg_units, 1)
-                    if u.tap_node < rec.node]
-
+    for rec, upstream, downstream, end in zip(
+            network.reclosers, kernel.upstream, kernel.downstream, ends):
         def seen(currents: list[float]) -> float:
             return currents[0] + sum(currents[s] for s in upstream)
 
@@ -240,10 +244,11 @@ def study_pairs(kernel: flt.FaultKernel, fault_impedance_floor: float,
             pairs.append(PairStudy(
                 f"{rec.id}-L{lat.id}", PairKind.FUSE_RECLOSER, rec.id,
                 lat.id, seen(bolted[k]), floored(k),
-                flt._dg_current(network, bolted[k], rec.node, n)))
-    for up, down in zip(network.reclosers, network.reclosers[1:]):
+                sum(bolted[k][s] for s in downstream)))
+    for up, down, between in zip(network.reclosers, network.reclosers[1:],
+                                 kernel.between[1:]):
         pairs.append(PairStudy(
             f"{up.id}-{down.id}", PairKind.RECLOSER_RECLOSER, down.id, up.id,
             *zones[down.id],
-            flt._dg_current(network, bolted[down.node], up.node, down.node)))
+            sum(bolted[down.node][s] for s in between)))
     return pairs, zones

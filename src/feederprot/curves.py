@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 NO_OPERATION = math.inf
@@ -76,6 +77,9 @@ class RecloserCurve:
     def time_at(self, i_fault: float) -> float:
         return tci_time(self.constants, self.settings, i_fault)
 
+    def times_at(self, currents: Iterable[float]) -> list[float]:
+        return tci_times(self.constants, self.settings, currents)
+
 
 @dataclass(frozen=True)
 class ReclosingSequence:
@@ -123,17 +127,24 @@ def tci_time(constants: TCIConstants, settings: RecloserSettings,
     The device does not operate when the current multiple M = I/Ip is at
     or below max(1, c**(1/m)), where the curve's denominator vanishes.
     """
-    if i_fault <= 0:
-        return NO_OPERATION
-    mult = i_fault / settings.pickup
-    try:
-        denom = mult ** constants.m - constants.c
-    except OverflowError:  # a*D/denom is 0 to double precision
-        return tci_asymptote(constants, settings)
-    if mult <= 1.0 or denom <= 0.0:
-        return NO_OPERATION
-    d = settings.time_dial
-    return constants.a * d / denom + constants.b * d + constants.K
+    return tci_times(constants, settings, (i_fault,))[0]
+
+
+def tci_times(constants: TCIConstants, settings: RecloserSettings,
+              currents: Iterable[float]) -> list[float]:
+    """tci_time at each current, with the curve's terms read once."""
+    m, c, k = constants.m, constants.c, constants.K
+    pickup, d = settings.pickup, settings.time_dial
+    ad, bd = constants.a * d, constants.b * d
+    times = []
+    for i in currents:
+        mult = i / pickup
+        try:  # no trip at a multiple at or below 1, nor at a current <= 0
+            denom = mult ** m - c if mult > 1.0 else 0.0
+        except OverflowError:  # a*D/denom is 0: the b*D + K asymptote
+            denom = math.inf
+        times.append(NO_OPERATION if denom <= 0.0 else ad / denom + bd + k)
+    return times
 
 
 def tci_asymptote(constants: TCIConstants, settings: RecloserSettings) -> float:
@@ -190,24 +201,25 @@ class FuseCurve:
         # MM melts no later than TC clears wherever both are defined
         lo = max(self.mm_points[0][0], self.tc_points[0][0])
         hi = min(self.mm_points[-1][0], self.tc_points[-1][0])
-        mm, tc = logs["mm"], logs["tc"]
-        for i, _ in self.mm_points:
-            if lo <= i <= hi:
-                logi = math.log(i)
-                if (_interp(mm[0], mm[2], mm[3], i, logi)
-                        > _interp(tc[0], tc[2], tc[3], i, logi)):
-                    raise ValueError(
-                        f"fuse {self.name}: MM above TC at current {i}"
-                    )
+        knots = [i for i, _ in self.mm_points if lo <= i <= hi]
+        for i, t_mm, t_tc in zip(knots, _table_times(logs["mm"], knots),
+                                 _table_times(logs["tc"], knots)):
+            if t_mm > t_tc:
+                raise ValueError(f"fuse {self.name}: MM above TC at current {i}")
 
     def time_at(self, i_fault: float) -> float:
         return fuse_time(self, i_fault)
 
+    def times_at(self, currents: Iterable[float]) -> list[float]:
+        """fuse_time at each of a run of non-decreasing currents."""
+        return _table_times(self.mm_logs, currents)
 
-def _interp(keys, log_x, log_y, key, logx: float) -> float:
-    """Log-log interpolation on the first segment whose right knot's key
-    (ascending) is at or above ``key``, the last one past the table."""
-    k = bisect_left(keys, key, 1, len(keys) - 1) - 1
+
+def _interp(log_x, log_y, k: int, logx: float) -> float:
+    """Log-log interpolation on segment k of a table, from knot k to knot
+    k + 1.  Its callers pick k as bisect_left(keys, key, 1, len(keys) -
+    1) - 1: the first segment whose right knot's key (ascending) is at or
+    above ``key``, the last one past the table."""
     l0, l1 = log_x[k], log_x[k + 1]
     frac = (logx - l0) / (l1 - l0)
     return math.exp(log_y[k] + frac * (log_y[k + 1] - log_y[k]))
@@ -225,7 +237,29 @@ def fuse_time(curve: FuseCurve, i_fault: float) -> float:
         return NO_OPERATION
     if i_fault > cur[-1]:
         return curve.mm_points[-1][1]
-    return _interp(cur, log_i, log_t, i_fault, math.log(i_fault))
+    k = bisect_left(cur, i_fault, 1, len(cur) - 1) - 1
+    return _interp(log_i, log_t, k, math.log(i_fault))
+
+
+def _table_times(table, currents: Iterable[float]) -> list[float]:
+    """A table's time at each of a run of non-decreasing currents, as
+    fuse_time reads its MM table, in one pass: the segment fuse_time's
+    bisect picks only moves right as the currents rise, so a walk on from
+    the previous current's segment finds it."""
+    cur, neg_t, log_i, log_t = table
+    first, last, tail = cur[0], cur[-1], -neg_t[-1]
+    k, top = 0, len(cur) - 2
+    times = []
+    for i in currents:
+        if i < first:
+            times.append(NO_OPERATION)
+        elif i > last:
+            times.append(tail)
+        else:
+            while k < top and cur[k + 1] < i:
+                k += 1
+            times.append(_interp(log_i, log_t, k, math.log(i)))
+    return times
 
 
 def fuse_inverse_current(curve: FuseCurve, t_target: float) -> float:
@@ -241,4 +275,5 @@ def fuse_inverse_current(curve: FuseCurve, t_target: float) -> float:
             f"[{points[-1][1]}, {points[0][1]}]"
         )
     _, neg_t, log_i, log_t = curve.mm_logs
-    return _interp(neg_t, log_t, log_i, -t_target, math.log(t_target))
+    k = bisect_left(neg_t, -t_target, 1, len(neg_t) - 1) - 1
+    return _interp(log_t, log_i, k, math.log(t_target))

@@ -27,7 +27,6 @@ recloser-recloser disparities exact sums of the per-DG contributions.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .model import (DGKind, DGUnit, Network, UnknownElementError)
@@ -124,34 +123,27 @@ def _fault_node(network: Network, location: FaultLocation) -> int:
     return network.lateral(location.ref).tap_node
 
 
-def _dg_current(network: Network, currents: Sequence[float], lo: int,
-                hi: int) -> float:
-    """Summed contribution of the DG tapped at lo <= node < hi, in feeder
-    order, from a fault's source_currents."""
-    return sum(currents[s] for s, u in enumerate(network.dg_units, 1)
-               if lo <= u.tap_node < hi)
-
-
-def _recloser_current(network: Network, recloser_node: int,
-                      currents: Sequence[float]) -> float:
-    """Current a directional recloser sees of a fault downstream of it:
-    the substation's and that of the DG tapped upstream of it."""
-    return currents[0] + _dg_current(network, currents, 0, recloser_node)
-
-
 @dataclass(frozen=True)
 class FaultKernel:
     """Every three-phase fault of one operating state, from one reduction.
 
     ``v_oc[k][s]`` is source s's open-circuit voltage at node k and
     ``z_kk[k]`` that node's driving-point impedance; the sources are the
-    substation, then every DG unit in feeder order (a unit that is off
-    injects nothing, so its voltage is zero).
+    substation, then every DG unit in network.dg_units order (a unit that
+    is off injects nothing, so its voltage is zero).  ``upstream[r]``,
+    ``downstream[r]`` and ``between[r]`` are the DG sources, by index in
+    that order, tapped upstream of network.reclosers[r] (the ones it
+    sees), downstream of it (its fuse disparity) and between it and the
+    previous recloser or the substation (its recloser disparity); a
+    device current or disparity sums a fault's source_currents over one.
     """
 
     network: Network
     v_oc: tuple[tuple[complex, ...], ...]
     z_kk: tuple[complex, ...]
+    upstream: tuple[tuple[int, ...], ...]
+    downstream: tuple[tuple[int, ...], ...]
+    between: tuple[tuple[int, ...], ...]
 
     def source_currents(self, node: int, fault_impedance: float,
                         ) -> list[float]:
@@ -178,16 +170,12 @@ class FaultKernel:
         i_recloser: dict[str, float] = {}
         delta_fr: dict[str, float] = {}
         delta_rr: dict[str, float] = {}
-        prev_node = 0
-        for rec in network.reclosers:
-            i_recloser[rec.id] = (
-                _recloser_current(network, rec.node, currents)
-                if rec.node <= f_node else 0.0)
-            delta_fr[rec.id] = _dg_current(network, currents, rec.node,
-                                           network.n_nodes)
-            delta_rr[rec.id] = _dg_current(network, currents, prev_node,
-                                           rec.node)
-            prev_node = rec.node
+        for rec, up, down, between in zip(network.reclosers, self.upstream,
+                                          self.downstream, self.between):
+            i_recloser[rec.id] = (i_sub + sum(currents[s] for s in up)
+                                  if rec.node <= f_node else 0.0)
+            delta_fr[rec.id] = sum(currents[s] for s in down)
+            delta_rr[rec.id] = sum(currents[s] for s in between)
 
         i_fuse: dict[int, float] = {}
         if location.kind == "lateral":
@@ -213,8 +201,9 @@ def fault_kernel(network: Network, sol: PowerFlowSolution) -> FaultKernel:
     ``down[k]`` the one it sees through section k: Z[k, k] = 1 / (up[k] +
     down[k]).  Each section divides a source's open-circuit voltage by
     the factor its reduction used, outward from I_s * Z[j, j] at the tap.
-    Raises PowerFlowNotConverged, through the DG terminal voltages, when
-    ``sol`` did not converge.
+    Each recloser's DG sources are split at its node and the previous
+    recloser's.  Raises PowerFlowNotConverged, through the DG terminal
+    voltages, when ``sol`` did not converge.
     """
     models = build_all_fault_models(network, sol)
     n = network.n_nodes
@@ -249,8 +238,18 @@ def fault_kernel(network: Network, sol: PowerFlowSolution) -> FaultKernel:
         for k in range(j, n - 1):
             v[k + 1] = v[k] / down_div[k]
         columns.append(v)
-    return FaultKernel(network=network, v_oc=tuple(zip(*columns)),
-                       z_kk=tuple(z_kk))
+
+    # built per state, so once per optimizer probe: list comprehensions
+    # fill a tuple faster than generators
+    taps = [(s, u.tap_node) for s, u in enumerate(network.dg_units, 1)]
+    nodes = [rec.node for rec in network.reclosers]
+    return FaultKernel(
+        network=network, v_oc=tuple(zip(*columns)), z_kk=tuple(z_kk),
+        upstream=tuple([tuple([s for s, t in taps if t < r]) for r in nodes]),
+        downstream=tuple([tuple([s for s, t in taps if t >= r])
+                          for r in nodes]),
+        between=tuple([tuple([s for s, t in taps if p <= t < r])
+                       for p, r in zip([0] + nodes, nodes)]))
 
 
 def check_fault(network: Network, location: FaultLocation,

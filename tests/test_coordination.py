@@ -15,7 +15,7 @@ from feederprot import optimizer as opt
 from feederprot.curves import (FuseCurve, NO_OPERATION, RecloserCurve,
                                RecloserSettings, TCIConstants, fuse_time)
 from feederprot.model import RecloserPlacement
-from feederprot.netfile import FAMILIES
+from feederprot.netfile import FAMILIES, FUSES
 from feederprot.power_flow import solve_distflow
 
 from conftest import (pair_checks, radial_chains, recloser_zone,
@@ -163,6 +163,73 @@ class TestCheckPair:
             assert report.failure_mode == self.brute_force(*case), case[0].id
 
 
+def scalar_samples(pair, primary, backup):
+    """check_pair's samples from one scalar curve call per axis index:
+    the backup at the linked current, and no trip where that current is
+    not positive."""
+    shift = (pair.delta if pair.kind is coord.PairKind.FUSE_RECLOSER
+             else -pair.delta)
+    samples = []
+    for k in range(len(pair.axis)):
+        i = pair.axis[k]
+        ib = i + shift
+        samples.append((i, primary.time_at(i),
+                        backup.time_at(ib) if ib > 0 else NO_OPERATION))
+    return samples
+
+
+def bits(samples):
+    return [tuple(x.hex() for x in sample) for sample in samples]
+
+
+class TestSamplesMatchScalarCurves:
+    """check_pair evaluates each curve over the whole axis in one pass;
+    its samples are the scalar curves' bit for bit."""
+
+    def assert_same(self, pair, primary, backup, required=0.1):
+        report = coord.check_pair(pair, primary, backup, required)
+        assert bits(report.samples) == \
+            bits(scalar_samples(pair, primary, backup)), pair.id
+
+    @given(radial_chains())
+    def test_radial_chains(self, chain):
+        net, floor = chain
+        for case in pair_checks(net, FUSES, 0.1, 0.3, floor):
+            self.assert_same(*case)
+
+    def test_fuse_below_on_and_past_its_knots(self):
+        # MM knots placed on linked currents of the axis: the first ones
+        # fall below the table, the last ones past it; at knots 1 and 3
+        # these times round differently on the segments either side, so
+        # a walk that stops one segment off shows
+        pair = fr_pair(40.0, 0.5, 0.25)[0]
+        linked = [i + pair.delta for i in pair.axis]
+        knots = [linked[k] for k in (7, 8, 100, 201, 202, 300)]
+        times = (30.0, 3.0, 2.0, 0.3, 0.2, 0.1)
+        fuse = FuseCurve("knots", tuple(zip(knots, times)),
+                         tuple((i, 1.5 * t) for i, t in zip(knots, times)))
+        assert linked[0] < knots[0] and knots[-1] < linked[-1]
+        self.assert_same(pair, recloser_curve(), fuse)
+
+    def test_backup_currents_down_to_and_below_zero(self):
+        axis = coord.CurrentAxis.spanning(3.0, 9.0)
+        for delta in (axis[40], 5.0, 12.0):  # i - delta hits 0.0 at k = 40
+            self.assert_same(*rr_pair(9.0, 3.0, delta)[:3])
+
+    def test_multiples_past_the_float_range(self):
+        # mult ** m overflows above about 1.3e154 for m = 2
+        self.assert_same(*rr_pair(1e200, 3.0, 1.0)[:3])
+        self.assert_same(*fr_pair(1e200, 3.0, 1.0)[:3])
+
+    def test_multiples_below_the_operating_region(self):
+        # c = 4, m = 2: no trip at or below twice the pickup
+        primary = RecloserCurve("fast", TCIConstants(1.0, 0.1, 4.0, 2.0, 0.0),
+                                RecloserSettings(1.0, 0.5))
+        pair, _, fuse, _ = fr_pair(8.0, 0.5, 0.1)
+        self.assert_same(pair, primary, fuse)
+        self.assert_same(pair, primary, primary)
+
+
 class TestMarginTolerance:
     def test_dial_overrun_stays_inside_margin_tol(self):
         # at the rule's pickups, at most half the minimum line-line fault
@@ -241,11 +308,16 @@ def reference_zone(kernel, rec, floor):
     """(I_max, I_min) of one recloser from a sweep of its own zone."""
     network = kernel.network
     zone = recloser_zone(network, rec.id)
-    bolted = [flt._recloser_current(network, rec.node,
-                                    kernel.source_currents(k, 0.0))
-              for k in zone]
-    floored = flt._recloser_current(
-        network, rec.node, kernel.source_currents(zone[-1], floor))
+
+    def seen(currents):
+        # the substation's current, plus that of each DG unit tapped
+        # upstream of the recloser, summed in network.dg_units order
+        return currents[0] + sum(currents[s] for s, u
+                                 in enumerate(network.dg_units, 1)
+                                 if u.tap_node < rec.node)
+
+    bolted = [seen(kernel.source_currents(k, 0.0)) for k in zone]
+    floored = seen(kernel.source_currents(zone[-1], floor))
     return max(bolted), floored
 
 

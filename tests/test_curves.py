@@ -63,6 +63,9 @@ class TestRecloserCurveMath:
         st = RecloserSettings(pickup=2.0, time_dial=0.1)
         t = tci_time(VERY_INVERSE, st, 10.0)
         assert abs(t - (19.61 * 0.1 / 24.0 + 0.0491)) < 1e-12
+        # bit for bit, the formula's terms in the order it writes them
+        c = VERY_INVERSE
+        assert t == c.a * 0.1 / ((10.0 / 2.0) ** c.m - c.c) + c.b * 0.1 + c.K
 
     def test_no_operation_below_pickup(self):
         st = RecloserSettings(pickup=2.0, time_dial=0.5)

@@ -275,20 +275,32 @@ class TestDGModels:
 
 
 class TestDeviceCurrents:
-    def test_disparities_are_explicit_sums(self, five_node_scenario,
-                                           five_node_solution):
-        net = five_node_scenario.network
-        kernel = flt.fault_kernel(net, five_node_solution)
-        study = kernel.study(flt.at_lateral(2))
-        prev = 0
-        for rec in net.reclosers:
-            fr = sum(study.i_dg[u.id] for u in net.dg_units
-                     if u.tap_node >= rec.node)
-            rr = sum(study.i_dg[u.id] for u in net.dg_units
-                     if prev <= u.tap_node < rec.node)
-            assert abs(study.delta_fr[rec.id] - fr) < 1e-12
-            assert abs(study.delta_rr[rec.id] - rr) < 1e-12
-            prev = rec.node
+    @given(radial_chains())
+    def test_disparities_are_explicit_sums(self, chain):
+        # each sum from its definition, in network.dg_units order, which
+        # radial_chains draws apart from the feeder order of the taps
+        net, floor = chain
+        kernel = flt.fault_kernel(net, solve_distflow(net))
+        locations = ([flt.at_node(k) for k in range(net.n_nodes)]
+                     + [flt.at_lateral(lat.id) for lat in net.laterals
+                        if lat.fuse is not None])
+
+        def dg(study, lo, hi):
+            return sum(study.i_dg[u.id] for u in net.dg_units
+                       if lo <= u.tap_node < hi)
+        for loc in locations:
+            f_node = (loc.ref if loc.kind == "node"
+                      else net.lateral(loc.ref).tap_node)
+            for study in (kernel.study(loc), kernel.study(loc, floor)):
+                prev = 0
+                for rec in net.reclosers:
+                    assert study.delta_fr[rec.id] == \
+                        dg(study, rec.node, net.n_nodes)
+                    assert study.delta_rr[rec.id] == dg(study, prev, rec.node)
+                    assert study.i_recloser[rec.id] == (
+                        0.0 if rec.node > f_node
+                        else study.i_substation + dg(study, 0, rec.node))
+                    prev = rec.node
 
     def test_downstream_recloser_is_blocked(self, five_node_scenario,
                                             five_node_solution):
