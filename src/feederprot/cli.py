@@ -22,8 +22,7 @@ from pathlib import Path
 from . import coordination as coord
 from . import fault as flt
 from . import optimizer as opt
-from .curves import RecloserSettings
-from .model import Network, UnknownElementError, validate
+from .model import Network, UnknownElementError, left_sum, validate
 from .netfile import (FAMILIES, NetworkFileError, Scenario, dump_settings,
                       load_scenario, load_network)
 from .power_flow import PowerFlowDivergence, PowerFlowNotConverged
@@ -124,13 +123,14 @@ def _columns(name: str, repeat: tuple[tuple, ...] = ()) -> tuple[str, str]:
     return ",".join(header), kinds
 
 
-def _write_csv(out_dir: Path, name: str, rows: list | tuple, manifest: list,
-               at: str = "", repeat: tuple[tuple, ...] = ()) -> None:
+def _write_csv(out_dir: Path, name: str, rows: list | tuple, at: str = "",
+               repeat: tuple[tuple, ...] = ()) -> tuple[str, int]:
     """Write rows to out_dir as the table TABLES[name], `at` filling the
-    name's {} and `repeat` its repeated columns (as in _columns)."""
+    name's {} and `repeat` its repeated columns (as in _columns); return
+    its manifest entry, (file name, rows)."""
     filename = name.format(at)
     _artifact(out_dir, filename, _csv(*_columns(name, repeat), rows))
-    manifest.append((filename, len(rows)))
+    return filename, len(rows)
 
 
 def _config(scn: Scenario) -> opt.OptimizerConfig:
@@ -153,13 +153,12 @@ def cmd_powerflow(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
     lines.append("  section  P (pu)      Q (pu)")
     for i, (p, q) in enumerate(zip(sol.p_flow, sol.q_flow)):
         lines.append(f"  {i:>2}->{i + 1:<2}   {p:+.6f}   {q:+.6f}")
-    manifest: list[tuple[str, int]] = []
-    _write_csv(out_dir, "powerflow_nodes.csv",
-               [[n, v] for n, v in enumerate(sol.v_mag)], manifest)
-    _write_csv(out_dir, "powerflow_sections.csv",
-               [[i, i + 1, p, q]
-                for i, (p, q) in enumerate(zip(sol.p_flow, sol.q_flow))],
-               manifest)
+    manifest = [
+        _write_csv(out_dir, "powerflow_nodes.csv",
+                   [[n, v] for n, v in enumerate(sol.v_mag)]),
+        _write_csv(out_dir, "powerflow_sections.csv",
+                   [[i, i + 1, p, q]
+                    for i, (p, q) in enumerate(zip(sol.p_flow, sol.q_flow))])]
     code = EXIT_OK if sol.converged else EXIT_INFEASIBLE
     return RunReport(lines, manifest), code
 
@@ -204,9 +203,7 @@ def cmd_fault(scn: Scenario, location: flt.FaultLocation,
         pu = _fmt(i)
         lines.append(f"  dg {did}: {pu} pu")
         rows.append(["dg", did, pu, i * amps, "", ""])
-    manifest: list[tuple[str, int]] = []
-    _write_csv(out_dir, "fault.csv", rows, manifest)
-    return RunReport(lines, manifest), EXIT_OK
+    return RunReport(lines, [_write_csv(out_dir, "fault.csv", rows)]), EXIT_OK
 
 
 def cmd_coordinate(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
@@ -233,9 +230,9 @@ def cmd_coordinate(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
         rows.append([pair.id, pair.kind.value, report.range_ok,
                      report.margin_ok, worst, at, report.failure_mode.value,
                      report.backup_delay])
-        _write_csv(out_dir, "pair_{}_curves.csv", report.samples, manifest,
-                   pair.id)
-    _write_csv(out_dir, "coordination.csv", rows, manifest)
+        manifest.append(_write_csv(out_dir, "pair_{}_curves.csv",
+                                   report.samples, pair.id))
+    manifest.append(_write_csv(out_dir, "coordination.csv", rows))
     return RunReport(lines, manifest), EXIT_OK if all_ok else EXIT_INFEASIBLE
 
 
@@ -249,20 +246,18 @@ def _available(scn: Scenario, step: int = 0) -> dict[int, float]:
     return out
 
 
-def _start(scn: Scenario, config: opt.OptimizerConfig, header: str,
-           ) -> tuple[Network, dict[str, RecloserSettings]]:
-    """The network re-dialed to the start settings, and the settings of
-    its coordinating curves: a recloser the settings file omits keeps
-    its own.  Start settings that fail print the header and raise."""
+def _start(scn: Scenario, config: opt.OptimizerConfig,
+           header: str) -> Network:
+    """The network re-dialed to the start settings: a recloser the
+    settings file omits keeps its own.  Start settings that fail print
+    the header and raise."""
     try:
         settings = scn.initial_settings or opt.baseline_settings(
             scn.network, scn.fuse_curves, config)
-        net = opt.apply_settings(scn.network, settings)
+        return opt.apply_settings(scn.network, settings)
     except opt.InfeasibleError:  # no start settings: no artifacts either
         print(header)
         raise  # main names the pair on stderr
-    return net, {rec.id: rec.sequence.coordinating_curve.settings
-                 for rec in net.reclosers}
 
 
 def cmd_optimize(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
@@ -270,27 +265,26 @@ def cmd_optimize(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
     # alternating the two; the report line keeps the alternation's wording
     # for existing parsers
     config = _config(scn)
-    net, settings = _start(
+    net = _start(
         scn, config, "alternating optimization: infeasible after 0 iterations")
     (study, settings, feasible), = opt.operate(
-        net, settings, [({}, _available(scn), True)], scn.fuse_curves, config)
+        net, [({}, _available(scn), True)], scn.fuse_curves, config)
     rows: list[list] = []
     if feasible:
         slacks = opt.pair_slacks(study, scn.fuse_curves, config)
         rows.append([1, _fmt(opt.total_clearing_time(study, settings)),
-                     _fmt(sum(u.p_out for u in study.network.dg_units)),
+                     _fmt(left_sum(u.p_out for u in study.network.dg_units)),
                      _fmt(min(slacks.values(), default=0.0))])
     stop = "slack_fixed_point" if rows else "infeasible"
     lines = [f"alternating optimization: {stop} after {len(rows)} iterations"]
     lines += [f"  iter {k}: total clearing {clearing} s, DG output "
               f"{output} pu, worst slack {worst} pu"
               for k, clearing, output, worst in rows]
-    manifest: list[tuple[str, int]] = []
-    _write_csv(out_dir, "trace.csv", rows, manifest)
+    trace = _write_csv(out_dir, "trace.csv", rows)
     _artifact(out_dir, "settings_final.json", dump_settings(settings))
-    manifest.append(("settings_final.json", len(settings)))
-    _write_csv(out_dir, "dispatch_final.csv",
-               [[u.id, u.p_out] for u in study.network.dg_units], manifest)
+    manifest = [trace, ("settings_final.json", len(settings)),
+                _write_csv(out_dir, "dispatch_final.csv",
+                           [[u.id, u.p_out] for u in study.network.dg_units])]
     return RunReport(lines, manifest), EXIT_OK if rows else EXIT_INFEASIBLE
 
 
@@ -302,7 +296,7 @@ def cmd_timeseries(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
     config = _config(scn)
     lines = [f"time-series run: {steps} steps, dispatch every "
              f"{scn.dispatch_every}, settings every {scn.settings_every}"]
-    net, settings = _start(scn, config, lines[0])
+    net = _start(scn, config, lines[0])
     # natural output of non-curtailable units follows the profile; the
     # plan is lazy, so each step reads its profile values as it starts
     plan = (({u.id: scn.profile[u.id][step] for u in scn.network.dg_units
@@ -312,20 +306,19 @@ def cmd_timeseries(scn: Scenario, out_dir: Path) -> tuple[RunReport, int]:
     rows: list[list] = []
     rec_ids = tuple(r.id for r in scn.network.reclosers)
     for step, (study, settings, feasible) in enumerate(
-            opt.operate(net, settings, plan, scn.fuse_curves, config)):
+            opt.operate(net, plan, scn.fuse_curves, config)):
         clearing = _fmt(opt.total_clearing_time(study, settings))
         slacks = opt.pair_slacks(study, scn.fuse_curves, config)
         outputs = [u.p_out for u in study.network.dg_units]
         rows.append([step, *outputs, *(settings[r].time_dial for r in rec_ids),
                      clearing, "" if slacks is None else
                      _fmt(min(slacks.values(), default=0.0)), int(feasible)])
-        lines.append(f"  step {step}: DG total {_fmt(sum(outputs))} pu, "
+        lines.append(f"  step {step}: DG total {_fmt(left_sum(outputs))} pu, "
                      f"clearing {clearing} s, feasible {feasible}")
 
-    manifest: list[tuple[str, int]] = []
-    _write_csv(out_dir, "timeseries.csv", rows, manifest, repeat=(
+    entry = _write_csv(out_dir, "timeseries.csv", rows, repeat=(
         tuple(u.id for u in scn.network.dg_units), rec_ids))
-    return RunReport(lines, manifest), (
+    return RunReport(lines, [entry]), (
         EXIT_OK if all(row[-1] for row in rows) else EXIT_INFEASIBLE)
 
 

@@ -21,7 +21,7 @@ from functools import cached_property
 
 from . import fault as flt
 from .curves import FuseCurve, NO_OPERATION, RecloserCurve
-from .model import Network
+from .model import Network, left_sum
 
 DEFAULT_FR_MARGIN = 0.1  # s, artifact default
 DEFAULT_RR_MARGIN = 0.3  # s, artifact default
@@ -200,8 +200,7 @@ def backup_delay(backup: RecloserCurve, delta_rr: float,
     i_base = i_primary - delta_rr
     if i_base <= 0:
         return NO_OPERATION
-    t_hi = backup.time_at(i_primary)
-    t_lo = backup.time_at(i_base)
+    t_lo, t_hi = backup.times_at((i_base, i_primary))
     if math.isinf(t_hi) or math.isinf(t_lo):
         return NO_OPERATION
     return t_hi - t_lo
@@ -230,7 +229,7 @@ def study_pairs(kernel: flt.FaultKernel, fault_impedance_floor: float,
     for rec, upstream, downstream, end in zip(
             network.reclosers, kernel.upstream, kernel.downstream, ends):
         def seen(currents: list[float]) -> float:
-            return currents[0] + sum(currents[s] for s in upstream)
+            return currents[0] + left_sum(currents[s] for s in upstream)
 
         def floored(k: int) -> float:
             return seen(kernel.source_currents(k, fault_impedance_floor))
@@ -244,11 +243,11 @@ def study_pairs(kernel: flt.FaultKernel, fault_impedance_floor: float,
             pairs.append(PairStudy(
                 f"{rec.id}-L{lat.id}", PairKind.FUSE_RECLOSER, rec.id,
                 lat.id, seen(bolted[k]), floored(k),
-                sum(bolted[k][s] for s in downstream)))
+                left_sum(bolted[k][s] for s in downstream)))
     for up, down, between in zip(network.reclosers, network.reclosers[1:],
                                  kernel.between[1:]):
         pairs.append(PairStudy(
             f"{up.id}-{down.id}", PairKind.RECLOSER_RECLOSER, down.id, up.id,
             *zones[down.id],
-            sum(bolted[down.node][s] for s in between)))
+            left_sum(bolted[down.node][s] for s in between)))
     return pairs, zones

@@ -108,14 +108,15 @@ class ReclosingSequence:
 
     def fast_above_slow(self) -> float | None:
         """First test current (1.5-20x the top pickup) at which a fast
-        curve trips after a slow one, or None."""
+        curve trips after a slow one, or None.  Each curve is read once,
+        at all five currents."""
         top = max(c.settings.pickup for c in self.curves)
-        for i in (top * m for m in (1.5, 2.0, 5.0, 10.0, 20.0)):
-            t_fast = max((c.time_at(i) for c in self.curves
-                          if c.tag == "fast"), default=math.inf)
-            if math.isfinite(t_fast) and any(
-                    c.time_at(i) < t_fast for c in self.curves
-                    if c.tag == "slow"):
+        currents = [top * m for m in (1.5, 2.0, 5.0, 10.0, 20.0)]
+        fast = [c.times_at(currents) for c in self.curves if c.tag == "fast"]
+        slow = [c.times_at(currents) for c in self.curves if c.tag == "slow"]
+        for k, i in enumerate(currents):
+            t_fast = max((t[k] for t in fast), default=math.inf)
+            if math.isfinite(t_fast) and any(t[k] < t_fast for t in slow):
                 return i
         return None
 

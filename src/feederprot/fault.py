@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .model import (DGKind, DGUnit, Network, UnknownElementError)
+from .model import DGKind, DGUnit, Network, UnknownElementError, left_sum
 from .power_flow import PowerFlowSolution, dg_terminal_voltages
 
 
@@ -165,17 +165,17 @@ class FaultKernel:
         currents = self.source_currents(f_node, fault_impedance)
         i_sub = currents[0]
         i_dg = dict(zip((u.id for u in network.dg_units), currents[1:]))
-        total = i_sub + sum(i_dg.values())
+        total = i_sub + left_sum(i_dg.values())
 
         i_recloser: dict[str, float] = {}
         delta_fr: dict[str, float] = {}
         delta_rr: dict[str, float] = {}
         for rec, up, down, between in zip(network.reclosers, self.upstream,
                                           self.downstream, self.between):
-            i_recloser[rec.id] = (i_sub + sum(currents[s] for s in up)
+            i_recloser[rec.id] = (i_sub + left_sum(currents[s] for s in up)
                                   if rec.node <= f_node else 0.0)
-            delta_fr[rec.id] = sum(currents[s] for s in down)
-            delta_rr[rec.id] = sum(currents[s] for s in between)
+            delta_fr[rec.id] = left_sum(currents[s] for s in down)
+            delta_rr[rec.id] = left_sum(currents[s] for s in between)
 
         i_fuse: dict[int, float] = {}
         if location.kind == "lateral":

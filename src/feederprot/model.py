@@ -9,10 +9,22 @@ emission.  Networks are immutable; derived states are built with
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
 from .curves import ReclosingSequence
+
+
+def left_sum(terms: Iterable[float]) -> float:
+    """The terms added left to right from 0, as sum() adds floats up to
+    Python 3.11.  From 3.12 sum() compensates rounding (Neumaier), which
+    can move a total's last bit and the answers with it, so every float
+    total of the package is taken here."""
+    total = 0
+    for term in terms:  # as fast as sum() on a few terms, unlike reduce()
+        total += term
+    return total
 
 
 class UnknownElementError(KeyError):

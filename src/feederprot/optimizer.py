@@ -16,8 +16,8 @@ fuse-recloser constraint:
 
 Both need the settings ladder solved at one operating state.
 study_state solves a state once into a StateStudy, one flat record: its
-load flow, pairs, zone currents and pickup bounds, and one ladder pass
-with dials, headroom and verdict, a value only its settings() raises.
+pairs, zone currents and pickups, and its verdict, an empty pickup rule
+or one ladder pass's with dials and headroom; only settings() raises it.
 The dispatch probe reads the verdict and headroom, the settings step
 the dials, total_clearing_time the zone currents and pair_slacks the
 floor dials.  solve_dispatch returns its answer's study, so no
@@ -64,7 +64,7 @@ from .coordination import (DEFAULT_FR_MARGIN, DEFAULT_RR_MARGIN, PairKind,
 from .curves import (TIME_DIAL_MAX, TIME_DIAL_MIN, FuseCurve, RecloserCurve,
                      RecloserSettings, fuse_inverse_current, fuse_time,
                      tci_time)
-from .model import Network
+from .model import Network, left_sum
 from .power_flow import DEFAULT_TOL, PowerFlowSolution, solve_distflow
 
 LL_FACTOR = math.sqrt(3) / 2  # line-line fault proxy from the 3-phase value
@@ -121,8 +121,9 @@ def _load_current(network: Network, sol: PowerFlowSolution, node: int) -> float:
     The pickup rule keys off the load the device must carry, so DG
     injection downstream must not shrink it.
     """
-    p = sum(lat.load_p for lat in network.laterals if lat.tap_node >= node)
-    q = sum(lat.load_q for lat in network.laterals if lat.tap_node >= node)
+    past = [lat for lat in network.laterals if lat.tap_node >= node]
+    p = left_sum(lat.load_p for lat in past)
+    q = left_sum(lat.load_q for lat in past)
     return math.hypot(p, q) / sol.v_mag[node]
 
 
@@ -322,19 +323,17 @@ def _solve_settings_at_pickups(network: Network, pairs: Sequence[PairStudy],
 class StateStudy:
     """One operating state, solved once and read by every consumer.
 
-    ``dials`` are the ladder's floor dials at ``pickup_lo``, kept through
-    a violated bound and None when the ladder stopped or did not run.
     ``error`` is the verdict: None, or the first InfeasibleError, an
-    empty pickup rule first; only settings() raises it.  ``headroom``
-    is the ladder's, None when the failure has no such measure.
+    empty pickup rule first, which leaves the ladder unrun; only
+    settings() raises it.  ``dials`` are the ladder's floor dials at
+    ``pickup_lo``, kept through a violated bound and None when it stopped
+    or did not run; ``headroom`` is its own, None without such a measure.
     """
 
     network: Network
-    flow: PowerFlowSolution
     pairs: Sequence[PairStudy]
     i_max: dict[str, float]  # each recloser's zone maximum
     pickup_lo: dict[str, float]  # twice the maximum load current
-    pickup_hi: dict[str, float]  # half the minimum line-line fault current
     dials: dict[str, RecloserSettings] | None
     headroom: float | None
     error: InfeasibleError | None
@@ -352,30 +351,28 @@ def study_state(network: Network, fuse_curves: dict[str, FuseCurve],
 
     Pickups sit at twice the maximum load current, which maximizes the
     margin headroom of each fuse pair alone, not the ladder's.  The rule
-    is empty when that is zero, which leaves the ladder unrun, or
-    exceeds half the minimum line-line fault current.
+    is empty when that is zero or exceeds half the minimum line-line
+    fault current; the ladder runs only when no recloser's rule is.
     """
     flow = solve_distflow(network, tol=config.powerflow_tol)
     pairs, zones = study_pairs(flt.fault_kernel(network, flow),
                                config.fault_impedance_floor)
     pickup_lo = {rec.id: 2.0 * _load_current(network, flow, rec.node)
                  for rec in network.reclosers}
-    dials = headroom = error = None
-    if all(lo > 0 for lo in pickup_lo.values()):
-        dials, headroom, error = _solve_settings_at_pickups(
-            network, pairs, pickup_lo, fuse_curves, config)
-    pickup_hi = {rid: 0.5 * LL_FACTOR * mn for rid, (_, mn) in zones.items()}
-    for rid, hi in pickup_hi.items():
-        lo = pickup_lo[rid]
+    for rid, (_, i_min) in zones.items():
+        lo, hi = pickup_lo[rid], 0.5 * LL_FACTOR * i_min
         if not 0 < lo <= hi:
-            headroom, error = None, InfeasibleError(
+            dials, headroom, error = None, None, InfeasibleError(
                 rid, f"pickup rule empty: 2x load {lo:.4g} exceeds half "
                      f"line-line fault {hi:.4g}" if lo else
                      "pickup rule empty: no load past the recloser")
             break
-    return StateStudy(network, flow, pairs,
+    else:
+        dials, headroom, error = _solve_settings_at_pickups(
+            network, pairs, pickup_lo, fuse_curves, config)
+    return StateStudy(network, pairs,
                       {rid: mx for rid, (mx, _) in zones.items()},
-                      pickup_lo, pickup_hi, dials, headroom, error)
+                      pickup_lo, dials, headroom, error)
 
 
 def apply_settings(network: Network,
@@ -628,34 +625,38 @@ def solve_dispatch(network: Network, available: dict[int, float],
     return study_at(outputs)
 
 
-def operate(network: Network, settings: dict[str, RecloserSettings],
+def operate(network: Network,
             steps: Iterable[tuple[dict[int, float], dict[int, float] | None,
                                   bool]],
             fuse_curves: dict[str, FuseCurve], config: OptimizerConfig,
             ) -> Iterator[tuple[StateStudy, dict[str, RecloserSettings], bool]]:
     """Yield (study, settings in service, feasible) for each step of a plan
     of (outputs to set, ceilings to dispatch under or None, adopt the
-    dispatch's settings?), each read as its step starts.  A failed
+    dispatch's settings?), each read as its step starts.  The settings in
+    service start as the network's coordinating curves'.  A failed
     dispatch leaves each curtailable unit at its ceiling and reports the
     study it made there, a rejected re-dial the dispatch; both keep the
-    settings in service."""
+    settings in service.  Any other step reports its study's verdict."""
+    settings = {rec.id: rec.sequence.coordinating_curve.settings
+                for rec in network.reclosers}
     for outputs, ceilings, adopt in steps:
         network = network.with_dg_outputs(outputs)
-        study, feasible = None, True
-        if ceilings is not None:
+        if ceilings is None:
+            study = study_state(network, fuse_curves, config)
+        else:
             try:
                 study = solve_dispatch(network, ceilings, fuse_curves, config)
-                network = study.network
-                if adopt:
-                    network = apply_settings(network, study.settings())
-                    settings = study.settings()
-            except InfeasibleError as exc:
+            except InfeasibleError as exc:  # its study at the ceilings
+                study = exc.ceiling
+            network = study.network
+        feasible = study.error is None
+        if feasible and adopt and ceilings is not None:
+            try:
+                network = apply_settings(network, study.settings())
+                settings = study.settings()
+            except InfeasibleError:  # a rejected re-dial
                 feasible = False
-                if study is None:
-                    network = network.with_dg_outputs(ceilings)
-                    study = exc.ceiling
-        yield (study or study_state(network, fuse_curves, config), settings,
-               feasible)
+        yield study, settings, feasible
 
 
 def baseline_settings(network: Network, fuse_curves: dict[str, FuseCurve],

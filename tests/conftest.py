@@ -3,6 +3,9 @@ chains, and small helpers."""
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import add
+
 import pytest
 from hypothesis import settings, strategies as st
 
@@ -35,6 +38,13 @@ DG_PARAMS = {
     "inverter_off": (DGKind.INVERTER,
                      InverterParams(k_off=2.0, k_clamp=1.5, coupling_x=0.3)),
 }
+
+
+def added_in_order(terms):
+    """The terms added one at a time, left to right, from 0: sum() before
+    Python 3.12, which compensates float rounding.  A reference the
+    tests compare with == adds as the package does."""
+    return reduce(add, terms, 0)
 
 
 def sequence(constants=VI):

@@ -292,16 +292,13 @@ class TestExitCodes:
         row = (tmp_path / "timeseries.csv").read_text().splitlines()[1]
         assert row.endswith(",0")
 
-    def test_timeseries_without_floor_dials_is_degraded(self, tmp_path,
-                                                         capsys):
-        # no load past R2 empties its pickup rule, so no state has floor
-        # dials or a slack; started from a settings file, the run still
-        # writes every step, degraded, with an empty slack cell, and
-        # each failed dispatch leaves unit 1 at its step's ceiling
+    def scaled_load_scenario(self, tmp_path, scale, profile, cadence=None):
+        """The five-node scenario started from a settings file, on its
+        network with each lateral's load scaled by scale[lateral id]."""
         net = json.loads((fixtures_dir() / "five_node.json").read_text())
         for lateral in net["laterals"]:
-            if lateral["id"] in (3, 4):
-                lateral["p"] = lateral["q"] = 0.0
+            lateral["p"] *= scale.get(lateral["id"], 1.0)
+            lateral["q"] *= scale.get(lateral["id"], 1.0)
         (tmp_path / "net.json").write_text(json.dumps(net))
         (tmp_path / "settings.json").write_text(json.dumps(
             {"RLY": {"pickup": 1.3, "time_dial": 0.5},
@@ -310,24 +307,60 @@ class TestExitCodes:
         doc = json.loads(Path(FIVE_NODE).read_text())
         doc.update(network=str(tmp_path / "net.json"),
                    initial_settings=str(tmp_path / "settings.json"),
-                   profile={"1": [0.3, 0.2]})
+                   profile=profile)
+        if cadence is not None:
+            doc["cadence"] = cadence
         scenario = tmp_path / "scn.json"
         scenario.write_text(json.dumps(doc))
+        return scenario
+
+    def test_timeseries_without_floor_dials_is_degraded(self, tmp_path,
+                                                         capsys):
+        # an empty pickup rule leaves no state floor dials or a slack;
+        # started from a settings file, the run still writes every step,
+        # degraded, with an empty slack cell, and each failed dispatch
+        # leaves unit 1 at its step's ceiling
+        for name, scale in (
+                ("unloaded-R2", {3: 0.0, 4: 0.0}),  # no load past R2
+                # twice R1's load above half its minimum line-line fault
+                # current
+                ("loads-x1.25", dict.fromkeys((1, 2, 3, 4), 1.25))):
+            (tmp_path / name).mkdir()
+            scenario = self.scaled_load_scenario(tmp_path / name, scale,
+                                                 {"1": [0.3, 0.2]})
+            out = tmp_path / name / "out"
+            assert main(["timeseries", "--scenario", str(scenario),
+                         "--out-dir", str(out)]) == EXIT_INFEASIBLE
+            report = capsys.readouterr().out.splitlines()
+            assert report[0] == ("time-series run: 2 steps, dispatch every "
+                                 "1, settings every 1")
+            assert [line.endswith("feasible False")
+                    for line in report[1:3]] == [True, True]
+            rows = (out / "timeseries.csv").read_text().splitlines()
+            assert rows[0].endswith(",total_clearing_time_s,worst_slack_pu,"
+                                    "feasible")
+            assert len(rows) == 3
+            for step, (row, ceiling) in enumerate(zip(rows[1:], (0.3, 0.2))):
+                assert row.startswith(f"{step},{ceiling},0.25,0.5,0.6,0.4,")
+                assert row.endswith(",,0"), name
+
+    @pytest.mark.parametrize("load, flag, code", [
+        (1.0, "1", EXIT_OK), (1.25, "0", EXIT_INFEASIBLE)])
+    def test_step_without_a_dispatch_reports_its_state(self, tmp_path, load,
+                                                       flag, code):
+        # with a dispatch every second step, step 1 studies step 0's state
+        # without a dispatch and reports that state's verdict: feasible
+        # at the shipped loads, and a rule-empty R1 at 1.25 times them
+        scenario = self.scaled_load_scenario(
+            tmp_path, dict.fromkeys((1, 2, 3, 4), load),
+            {"1": [0.3, 0.2, 0.1]}, {"dispatch_every": 2, "settings_every": 2})
         out = tmp_path / "out"
         assert main(["timeseries", "--scenario", str(scenario),
-                     "--out-dir", str(out)]) == EXIT_INFEASIBLE
-        report = capsys.readouterr().out.splitlines()
-        assert report[0] == ("time-series run: 2 steps, dispatch every 1, "
-                             "settings every 1")
-        assert [line.endswith("feasible False") for line in report[1:3]] \
-            == [True, True]
-        rows = (out / "timeseries.csv").read_text().splitlines()
-        assert rows[0].endswith(",total_clearing_time_s,worst_slack_pu,"
-                                "feasible")
-        assert len(rows) == 3
-        for step, (row, ceiling) in enumerate(zip(rows[1:], (0.3, 0.2))):
-            assert row.startswith(f"{step},{ceiling},0.25,0.5,0.6,0.4,")
-            assert row.endswith(",,0")
+                     "--out-dir", str(out)]) == code
+        rows = [row.split(",", 1)[1] for row in
+                (out / "timeseries.csv").read_text().splitlines()[1:]]
+        assert [row.rpartition(",")[2] for row in rows] == [flag] * 3
+        assert rows[1] == rows[0]
 
     def partial_settings_scenario(self, tmp_path, settings):
         """The degraded run's five-node scenario, started from a settings
@@ -726,22 +759,20 @@ class TestArtifactBytes:
         rows = data.draw(st.lists(st.tuples(*map(KIND_CELLS.get, kinds)),
                                   max_size=5))
         at = data.draw(IDS) if "{}" in name else ""
-        manifest = []
         # every example writes over the last one's file
-        cli._write_csv(tmp_path, name, rows, manifest, at, repeat)
+        entry = cli._write_csv(tmp_path, name, rows, at, repeat)
         file = name.replace("{}", at)
         assert (tmp_path / file).read_bytes() \
             == csv_writer_text(header, rows).encode("utf-8")
-        assert manifest == [(file, len(rows))]
+        assert entry == (file, len(rows))
 
     def test_no_rows_is_the_header_alone(self, tmp_path):
-        manifest = []
-        cli._write_csv(tmp_path, "timeseries.csv", [], manifest,
-                       repeat=((1,), ('R,"2',)))
+        entry = cli._write_csv(tmp_path, "timeseries.csv", [],
+                               repeat=((1,), ('R,"2',)))
         assert (tmp_path / "timeseries.csv").read_bytes() == (
             b'step,dg_1_p_pu,"tds_R,""2",total_clearing_time_s,'
             b'worst_slack_pu,feasible\r\n')
-        assert manifest == [("timeseries.csv", 0)]
+        assert entry == ("timeseries.csv", 0)
 
     def test_formats_md_lists_every_declared_table(self):
         """FORMATS.md names each table and its columns as declared, <id>

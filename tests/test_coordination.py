@@ -18,8 +18,8 @@ from feederprot.model import RecloserPlacement
 from feederprot.netfile import FAMILIES, FUSES
 from feederprot.power_flow import solve_distflow
 
-from conftest import (pair_checks, radial_chains, recloser_zone,
-                      scenario_config, sequence)
+from conftest import (added_in_order, pair_checks, radial_chains,
+                      recloser_zone, scenario_config, sequence)
 from test_power_flow import long_chain, scaled_dg
 
 VI = TCIConstants(a=19.61, b=0.491, c=1.0, m=2.0, K=0.0)
@@ -298,8 +298,8 @@ def reference_pairs(network, sol, floor):
         i_min = kernel.study(flt.at_node(zone[-1]),
                              floor).i_recloser[down.id]
         study = kernel.study(flt.at_node(down.node))
-        delta = sum(study.i_dg[u.id] for u in network.dg_units
-                    if up.node <= u.tap_node < down.node)
+        delta = added_in_order(study.i_dg[u.id] for u in network.dg_units
+                         if up.node <= u.tap_node < down.node)
         out[f"{up.id}-{down.id}"] = (i_max, i_min, delta)
     return out
 
@@ -312,9 +312,9 @@ def reference_zone(kernel, rec, floor):
     def seen(currents):
         # the substation's current, plus that of each DG unit tapped
         # upstream of the recloser, summed in network.dg_units order
-        return currents[0] + sum(currents[s] for s, u
-                                 in enumerate(network.dg_units, 1)
-                                 if u.tap_node < rec.node)
+        return currents[0] + added_in_order(currents[s] for s, u
+                                      in enumerate(network.dg_units, 1)
+                                      if u.tap_node < rec.node)
 
     bolted = [seen(kernel.source_currents(k, 0.0)) for k in zone]
     floored = seen(kernel.source_currents(zone[-1], floor))

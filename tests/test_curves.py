@@ -2,9 +2,11 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from feederprot.curves import (
     CurveRangeError, FuseCurve, NO_OPERATION, RecloserCurve, RecloserSettings,
@@ -12,6 +14,8 @@ from feederprot.curves import (
     invert_tci_for_current, tci_asymptote, tci_time)
 from feederprot import netfile
 from feederprot.netfile import FAMILIES, FUSES
+
+from conftest import radial_chains
 
 VERY_INVERSE = TCIConstants(a=19.61, b=0.491, c=1.0, m=2.0, K=0.0)
 
@@ -147,6 +151,19 @@ class TestRecloserCurveMath:
             TCIConstants(a=1.0, b=-0.1, c=1.0, m=2.0, K=0.0)
 
 
+def scalar_fast_above_slow(seq: ReclosingSequence) -> float | None:
+    """Reference: the crossing as the package found it reading each curve
+    at one test current at a time."""
+    top = max(c.settings.pickup for c in seq.curves)
+    for i in (top * m for m in (1.5, 2.0, 5.0, 10.0, 20.0)):
+        t_fast = max((c.time_at(i) for c in seq.curves if c.tag == "fast"),
+                     default=math.inf)
+        if math.isfinite(t_fast) and any(
+                c.time_at(i) < t_fast for c in seq.curves if c.tag == "slow"):
+            return i
+    return None
+
+
 class TestReclosingSequence:
     def _curve(self, tag, dial=0.5):
         return RecloserCurve(tag=tag, constants=VERY_INVERSE,
@@ -174,6 +191,33 @@ class TestReclosingSequence:
     def test_rejects_empty_sequence(self):
         with pytest.raises(ValueError):
             ReclosingSequence(curves=(), pattern="")
+
+    def test_crossing_of_a_hand_built_sequence(self):
+        # the later fast curve trips after the extremely inverse slow one
+        # first at the fourth test current, 10 times the top pickup
+        ei = FAMILIES["extremely_inverse"]
+        seq = ReclosingSequence(curves=(
+            self._curve("fast", 0.3), self._curve("fast", 0.5),
+            RecloserCurve("slow", ei, RecloserSettings(0.8, 1.0))),
+            pattern="F-F-S")
+        assert seq.fast_above_slow() == scalar_fast_above_slow(seq) == 10.0
+        relay = ReclosingSequence(curves=(self._curve("slow"),), pattern="S")
+        assert relay.fast_above_slow() is scalar_fast_above_slow(relay) \
+            is None
+
+    @given(radial_chains(), st.sampled_from(sorted(FAMILIES)),
+           st.floats(0.1, 1.0), st.floats(0.5, 2.0))
+    def test_crossing_matches_scalar_reads(self, chain, family, dial,
+                                           pickup):
+        # each chain's sequences as drawn, then with the fast curve
+        # re-dialed and the slow one of a drawn family
+        network, _ = chain
+        for rec in network.reclosers:
+            fast, slow = rec.sequence.curves
+            for seq in (rec.sequence, replace(rec.sequence, curves=(
+                    replace(fast, settings=RecloserSettings(pickup, dial)),
+                    replace(slow, constants=FAMILIES[family])))):
+                assert seq.fast_above_slow() == scalar_fast_above_slow(seq)
 
 
 class TestFuseCurves:

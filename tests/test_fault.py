@@ -13,7 +13,7 @@ from feederprot.model import (DGKind, DGUnit, InverterParams,
                               SynchronousParams, UnknownElementError)
 from feederprot.power_flow import PowerFlowNotConverged, solve_distflow
 
-from conftest import radial_chains, recloser_zone
+from conftest import added_in_order, radial_chains, recloser_zone
 from test_power_flow import long_chain, scaled_dg
 
 
@@ -286,8 +286,8 @@ class TestDeviceCurrents:
                         if lat.fuse is not None])
 
         def dg(study, lo, hi):
-            return sum(study.i_dg[u.id] for u in net.dg_units
-                       if lo <= u.tap_node < hi)
+            return added_in_order(study.i_dg[u.id] for u in net.dg_units
+                            if lo <= u.tap_node < hi)
         for loc in locations:
             f_node = (loc.ref if loc.kind == "node"
                       else net.lateral(loc.ref).tap_node)

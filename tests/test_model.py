@@ -12,7 +12,7 @@ from feederprot.model import (AsynchronousParams, DGKind, DGUnit,
                               FeederSection, InverterParams, Lateral, Network,
                               RecloserPlacement, SubstationSource,
                               SynchronousParams, UnknownElementError,
-                              validate, validate_flow)
+                              left_sum, validate, validate_flow)
 
 VI = TCIConstants(a=19.61, b=0.491, c=1.0, m=2.0, K=0.0)
 
@@ -233,3 +233,12 @@ class TestDerivedStates:
         assert out.dg(2).p_out == net.dg(2).p_out
         # the original is untouched
         assert net.dg(1).p_out == 0.3
+
+
+class TestLeftSum:
+    def test_adds_left_to_right(self):
+        # a compensated sum, as sum() takes over floats from Python 3.12,
+        # keeps the 1.0 that adding left to right rounds away
+        assert left_sum([1e16, 1.0, -1e16]) == 0.0
+        assert left_sum([0.1, 0.2, 0.3]) == (0.1 + 0.2) + 0.3
+        assert left_sum([]) == 0

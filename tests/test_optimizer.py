@@ -23,7 +23,7 @@ from feederprot.model import (FeederSection, Lateral, Network,
 from feederprot.netfile import FUSES, fixtures_dir
 from feederprot.power_flow import solve_distflow
 
-from conftest import (dispatched, pair_checks, radial_chains,
+from conftest import (dispatched, added_in_order, pair_checks, radial_chains,
                       recloser_zone, scenario_config)
 
 VI = TCIConstants(a=19.61, b=0.491, c=1.0, m=2.0, K=0.0)
@@ -66,8 +66,9 @@ def load_rule_pickups(network, sol):
     load current carried past the device, DG netting excluded."""
     out = {}
     for rec in network.reclosers:
-        p = sum(l.load_p for l in network.laterals if l.tap_node >= rec.node)
-        q = sum(l.load_q for l in network.laterals if l.tap_node >= rec.node)
+        past = [l for l in network.laterals if l.tap_node >= rec.node]
+        p = added_in_order(l.load_p for l in past)
+        q = added_in_order(l.load_q for l in past)
         out[rec.id] = 2.0 * math.hypot(p, q) / sol.v_mag[rec.node]
     return out
 
@@ -866,7 +867,8 @@ def bisected_pair_slacks(network, fuse_curves, config):
     bolted-fault solve at the lateral."""
     study = opt.study_state(network, fuse_curves, config)
     dials, pickups = study.dials, study.pickup_lo
-    kernel = flt.fault_kernel(network, study.flow)
+    kernel = flt.fault_kernel(
+        network, solve_distflow(network, tol=config.powerflow_tol))
     slacks = {}
     for pd in study.pairs:
         if pd.kind is not coord.PairKind.FUSE_RECLOSER:
@@ -1260,22 +1262,41 @@ class TestPairSlacks:
         config = replace(scenario_config(scn), fr_margin=fr_margin)
         self.check(scn.network, fuses, config)
 
-    def test_no_floor_dials_no_slacks(self, five_node_scenario):
-        # no load past R2 empties its pickup rule: the ladder does not
-        # run, and only settings() raises the stored verdict
+    def test_no_floor_dials_no_slacks(self, five_node_scenario,
+                                      monkeypatch):
+        # an empty pickup rule is found before the ladder, which does not
+        # run, and only settings() raises the stored verdict: no load
+        # past R2, or every lateral load x1.25, which puts twice R1's load
+        # above half its minimum line-line fault current
         scn = five_node_scenario
-        network = replace(scn.network, laterals=tuple(
-            replace(lat, load_p=0.0, load_q=0.0) if lat.tap_node >= 3
-            else lat for lat in scn.network.laterals))
         config = scenario_config(scn)
-        study = opt.study_state(network, scn.fuse_curves, config)
-        assert study.dials is None and study.headroom is None
-        assert opt.pair_slacks(study, scn.fuse_curves, config) is None
-        with pytest.raises(opt.InfeasibleError) as exc:
-            study.settings()
-        assert exc.value is study.error
-        assert str(exc.value) == ("infeasible at pair R2: pickup rule "
-                                  "empty: no load past the recloser")
+        calls = []
+        ladder = opt._solve_settings_at_pickups
+
+        def counted(*args):
+            calls.append(args)
+            return ladder(*args)
+
+        monkeypatch.setattr(opt, "_solve_settings_at_pickups", counted)
+        for laterals, verdict in (
+                ([replace(lat, load_p=0.0, load_q=0.0) if lat.tap_node >= 3
+                  else lat for lat in scn.network.laterals],
+                 "infeasible at pair R2: pickup rule empty: no load past "
+                 "the recloser"),
+                ([replace(lat, load_p=1.25 * lat.load_p,
+                          load_q=1.25 * lat.load_q)
+                  for lat in scn.network.laterals],
+                 "infeasible at pair R1: pickup rule empty: 2x load ")):
+            study = opt.study_state(
+                replace(scn.network, laterals=tuple(laterals)),
+                scn.fuse_curves, config)
+            assert calls == []
+            assert study.dials is None and study.headroom is None
+            assert opt.pair_slacks(study, scn.fuse_curves, config) is None
+            with pytest.raises(opt.InfeasibleError) as exc:
+                study.settings()
+            assert exc.value is study.error
+            assert str(exc.value).startswith(verdict)
 
     def test_feasible_case_b_steps_report_no_negative_slack(self,
                                                             case_b_run):
@@ -1479,17 +1500,16 @@ class TestOperate:
     def start(self, scn):
         config = cli._config(scn)
         settings = opt.baseline_settings(scn.network, scn.fuse_curves, config)
-        return opt.apply_settings(scn.network, settings), settings, config
+        return opt.apply_settings(scn.network, settings), config
 
-    def records(self, scn, network, settings, config, steps):
+    def records(self, scn, network, config, steps):
         """Each step's outputs, settings, clearing time, worst slack and
         verdict, as a ``timeseries`` row reads them."""
         out = []
         for study, in_service, feasible in opt.operate(
-                network, settings, cadence_plan(scn, steps), scn.fuse_curves,
-                config):
+                network, cadence_plan(scn, steps), scn.fuse_curves, config):
             slacks = opt.pair_slacks(study, scn.fuse_curves, config)
-            out.append(((study, in_service),
+            out.append((study,
                         ([u.p_out for u in study.network.dg_units],
                          in_service,
                          opt.total_clearing_time(study, in_service),
@@ -1513,18 +1533,18 @@ class TestOperate:
     def test_resumed_at_a_settings_step_repeats_every_later_record(
             self, case_b_scenario):
         scn = case_b_scenario
-        network, settings, config = self.start(scn)
-        records = self.records(scn, network, settings, config, range(24))
+        network, config = self.start(scn)
+        records = self.records(scn, network, config, range(24))
         for k in (5, 10, 15, 20):
             assert k % scn.settings_every == 0
-            (study, in_service), _ = records[k - 1]
-            resumed = self.records(scn, study.network, in_service, config,
-                                   range(k, 24))
+            # the network a step studies holds the settings in service
+            study, _ = records[k - 1]
+            resumed = self.records(scn, study.network, config, range(k, 24))
             assert [r for _, r in resumed] == [r for _, r in records[k:]]
 
     def test_reads_each_step_as_it_starts(self, case_b_scenario):
         scn = case_b_scenario
-        network, settings, config = self.start(scn)
+        network, config = self.start(scn)
         log = []
 
         def plan():
@@ -1532,8 +1552,8 @@ class TestOperate:
                 log.append(("step", k))
                 yield step
 
-        for k, _ in enumerate(opt.operate(network, settings, plan(),
-                                          scn.fuse_curves, config)):
+        for k, _ in enumerate(opt.operate(network, plan(), scn.fuse_curves,
+                                          config)):
             log.append(("record", k))
         assert log == [("step", 0), ("record", 0), ("step", 1),
                        ("record", 1), ("step", 2), ("record", 2)]
