@@ -108,11 +108,13 @@ class ReclosingSequence:
 
     def fast_above_slow(self) -> float | None:
         """First test current (1.5-20x the top pickup) at which a fast
-        curve trips after a slow one, or None.  Each curve is read once,
-        at all five currents."""
+        curve trips after a slow one, or None.  Each curve is read at most
+        once, at all five currents."""
         top = max(c.settings.pickup for c in self.curves)
         currents = [top * m for m in (1.5, 2.0, 5.0, 10.0, 20.0)]
         fast = [c.times_at(currents) for c in self.curves if c.tag == "fast"]
+        if not fast:  # no fast curve to trip after a slow one
+            return None
         slow = [c.times_at(currents) for c in self.curves if c.tag == "slow"]
         for k, i in enumerate(currents):
             t_fast = max((t[k] for t in fast), default=math.inf)

@@ -633,12 +633,10 @@ def operate(network: Network,
     """Yield (study, settings in service, feasible) for each step of a plan
     of (outputs to set, ceilings to dispatch under or None, adopt the
     dispatch's settings?), each read as its step starts.  The settings in
-    service start as the network's coordinating curves'.  A failed
+    service are those of the network's coordinating curves.  A failed
     dispatch leaves each curtailable unit at its ceiling and reports the
     study it made there, a rejected re-dial the dispatch; both keep the
     settings in service.  Any other step reports its study's verdict."""
-    settings = {rec.id: rec.sequence.coordinating_curve.settings
-                for rec in network.reclosers}
     for outputs, ceilings, adopt in steps:
         network = network.with_dg_outputs(outputs)
         if ceilings is None:
@@ -653,10 +651,10 @@ def operate(network: Network,
         if feasible and adopt and ceilings is not None:
             try:
                 network = apply_settings(network, study.settings())
-                settings = study.settings()
             except InfeasibleError:  # a rejected re-dial
                 feasible = False
-        yield study, settings, feasible
+        yield study, {rec.id: rec.sequence.coordinating_curve.settings
+                      for rec in network.reclosers}, feasible
 
 
 def baseline_settings(network: Network, fuse_curves: dict[str, FuseCurve],
