@@ -252,8 +252,10 @@ def _start(scn: Scenario, config: opt.OptimizerConfig,
     settings file omits keeps its own.  Start settings that fail print
     the header and raise."""
     try:
-        settings = scn.initial_settings or opt.baseline_settings(
-            scn.network, scn.fuse_curves, config)
+        settings = scn.initial_settings
+        if settings is None:  # no file; an empty one re-dials none
+            settings = opt.baseline_settings(scn.network, scn.fuse_curves,
+                                             config)
         return opt.apply_settings(scn.network, settings)
     except opt.InfeasibleError:  # no start settings: no artifacts either
         print(header)

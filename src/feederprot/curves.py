@@ -150,28 +150,6 @@ def tci_times(constants: TCIConstants, settings: RecloserSettings,
     return times
 
 
-def tci_asymptote(constants: TCIConstants, settings: RecloserSettings) -> float:
-    """High-current limit of the trip time: b*D + K."""
-    return constants.b * settings.time_dial + constants.K
-
-
-def invert_tci_for_current(constants: TCIConstants, settings: RecloserSettings,
-                           t_target: float) -> float:
-    """Unique current with tci_time(current) == t_target, closed form.
-
-    Raises CurveRangeError when t_target is at or below the b*D + K
-    asymptote, where no current reaches the requested time.
-    """
-    floor = tci_asymptote(constants, settings)
-    if t_target <= floor:
-        raise CurveRangeError(
-            f"target time {t_target} s at or below curve asymptote {floor} s"
-        )
-    d = settings.time_dial
-    mult = (constants.c + constants.a * d / (t_target - floor)) ** (1.0 / constants.m)
-    return mult * settings.pickup
-
-
 @dataclass(frozen=True)
 class FuseCurve:
     """Tabulated MM and TC points, (current, time), log-log interpolated.

@@ -47,6 +47,17 @@ def added_in_order(terms):
     return reduce(add, terms, 0)
 
 
+def tci_inverse(constants, settings, t_target: float) -> float:
+    """The current at which an inverse curve trips in t_target seconds,
+    closed form: (I/Ip)**m = c + a*D / (t_target - b*D - K), which holds
+    above the b*D + K asymptote only."""
+    d = settings.time_dial
+    above = t_target - (constants.b * d + constants.K)
+    assert above > 0, f"{t_target} s is at or below the asymptote"
+    return (constants.c + constants.a * d / above) ** (1.0 / constants.m) \
+        * settings.pickup
+
+
 def sequence(constants=VI):
     return ReclosingSequence(
         curves=tuple(RecloserCurve(tag=tag, constants=constants,

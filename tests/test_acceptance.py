@@ -17,13 +17,13 @@ from feederprot import coordination as coord
 from feederprot import fault as flt
 from feederprot import optimizer as opt
 from feederprot.curves import (NO_OPERATION, RecloserSettings, TCIConstants,
-                               invert_tci_for_current, tci_time)
+                               tci_time)
 from feederprot.model import (AsynchronousParams, DGKind, DGUnit,
                               InverterParams, SynchronousParams)
 from feederprot.netfile import FUSES, fixtures_dir
 from feederprot.power_flow import solve_distflow
 
-from conftest import pair_checks
+from conftest import pair_checks, tci_inverse
 from test_optimizer import grid_search_settings, two_recloser_toy
 
 
@@ -142,7 +142,7 @@ def test_04_curve_math_properties():
 
     st = RecloserSettings(pickup=1.5, time_dial=0.4)
     for t_target in (0.25, 0.8, 3.0):
-        i = invert_tci_for_current(consts, st, t_target)
+        i = tci_inverse(consts, st, t_target)
         assert abs(tci_time(consts, st, i) - t_target) < 1e-9 * t_target
     report("curve math", "monotone signs at 100 points, affinity residual "
            "< 1e-12, inversion round trip 1e-9")

@@ -390,6 +390,47 @@ class TestExitCodes:
         rows = (tmp_path / "timeseries" / "timeseries.csv").read_text()
         assert rows.splitlines()[1].startswith("0,0.3,0.25,0.55,0.25,0.1,")
 
+    def test_an_empty_settings_file_keeps_each_recloser_s_own(
+            self, tmp_path, capsys, monkeypatch):
+        # {} re-dials no recloser, as a file of each recloser's own
+        # settings does: neither solves the no-DG baseline; before, {}
+        # read as no file and optimize started from that baseline
+        flows = []
+        modules = [m for n, m in sys.modules.items()
+                   if n.startswith("feederprot.")]
+        solve = netfile.solve_distflow
+        for module in modules:
+            if getattr(module, "solve_distflow", None) is solve:
+                monkeypatch.setattr(module, "solve_distflow",
+                                    lambda *a, **kw: flows.append(1)
+                                    or solve(*a, **kw))
+        doc = json.loads(Path(CASE_A).read_text())
+        doc["network"] = str(fixtures_dir() / doc["network"])
+        own = {rec.id: rec.sequence.coordinating_curve.settings
+               for rec in load_scenario(CASE_A).network.reclosers}
+        for margins, code, count in (((), EXIT_OK, 8),
+                                     (("--margins", "0.2,0.3"),
+                                      EXIT_INFEASIBLE, 3)):
+            runs = []
+            for name, text in (("empty", "{}"), ("own", dump_settings(own))):
+                work = tmp_path / f"{code}-{name}"
+                work.mkdir()
+                (work / "settings.json").write_text(text)
+                doc["initial_settings"] = str(work / "settings.json")
+                (work / "scn.json").write_text(json.dumps(doc))
+                flows.clear()
+                assert main(["optimize", "--scenario", str(work / "scn.json"),
+                             *margins, "--out-dir", str(work / "out")]) \
+                    == code
+                capsys.readouterr()
+                runs.append((len(flows), {
+                    f.name: f.read_bytes() for f in (work / "out").iterdir()}))
+            assert runs[0] == runs[1]
+            assert runs[0][0] == count
+        # the infeasible run keeps the start settings: each its own
+        assert runs[0][1]["settings_final.json"].decode() == \
+            dump_settings(own)
+
     def test_unknown_recloser_in_settings_is_an_input_error(self, tmp_path,
                                                             capsys):
         scenario = self.partial_settings_scenario(

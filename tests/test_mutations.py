@@ -1,12 +1,12 @@
 """Every single-leaf change to a shipped input file is a clean outcome.
 
-Each leaf of a fixture is set in turn to one of ten changes (null, true,
-a string, 0, -1, 1e-300, 1e308, an empty array, an empty object, or the
-key deleted) and a command runs on the result through ``cli.main``. The
-sweep is exhaustive, not random, and every outcome must hold three
-things: ``main`` returns 0, 1 or 2 and nothing escapes it; an input error
-(exit 2) names the changed file; and a value of another JSON kind than
-the one it replaces is never accepted (exit 0).
+Each leaf of a fixture is set in turn to one of eleven changes (null,
+true, a string, the empty string, 0, -1, 1e-300, 1e308, an empty array,
+an empty object, or the key deleted) and a command runs on the result
+through ``cli.main``. The sweep is exhaustive, not random, and every
+outcome must hold three things: ``main`` returns 0, 1 or 2 and nothing
+escapes it; an input error (exit 2) names the changed file; and a value
+of another JSON kind than the one it replaces is never accepted (exit 0).
 """
 
 import copy
@@ -20,7 +20,7 @@ from feederprot.cli import EXIT_INFEASIBLE, EXIT_INPUT, EXIT_OK, main
 from feederprot.netfile import fixtures_dir
 
 DELETE = object()
-CHANGES = (None, True, "x", 0, -1, 1e-300, 1e308, [], {}, DELETE)
+CHANGES = (None, True, "x", "", 0, -1, 1e-300, 1e308, [], {}, DELETE)
 COMMANDS = (["powerflow"], ["fault", "--at", "node:2"], ["coordinate"],
             ["optimize"], ["timeseries"])
 # case B's start settings: each recloser's coordinating curve on ieee37

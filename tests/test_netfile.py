@@ -130,10 +130,21 @@ class TestLoadScenario:
         assert scn.profile == {}
 
     def test_network_reference_resolution(self, tmp_path):
-        # unresolvable reference names both search locations
-        path = write_doc(tmp_path, {"network": "missing.json"})
+        # an unresolvable reference names the scenario file, its key and
+        # both search locations; "" and "." name directories, not files
+        for ref in ("missing.json", "", "."):
+            for key, doc in (("network", {"network": ref}),
+                             ("initial_settings",
+                              {"network": "five_node.json",
+                               "initial_settings": ref})):
+                path = write_doc(tmp_path, doc, "scn.json")
+                with pytest.raises(NetworkFileError) as exc:
+                    load_scenario(path)
+                assert str(exc.value) == (
+                    f"{path}: {key}: cannot resolve file reference {ref!r} "
+                    f"(looked in {tmp_path} and {fixtures_dir()})")
         with pytest.raises(NetworkFileError, match="cannot resolve"):
-            load_scenario(path)
+            load_scenario("")
 
     def test_fixtures_dir_is_overridden_by_the_environment(self, tmp_path,
                                                            monkeypatch):
@@ -172,9 +183,8 @@ class TestLoadScenario:
                     load_scenario(write_doc(tmp_path, doc))
         doc = {"network": "five_node.json", "max_iters": 3,
                "cadence": {"dispatch_every": 2, "settings_every": 4}}
-        scn = load_scenario(write_doc(tmp_path, doc))
-        assert (scn.max_iters, scn.dispatch_every, scn.settings_every) == \
-            (3, 2, 4)
+        scn = load_scenario(write_doc(tmp_path, doc))  # max_iters dropped
+        assert (scn.dispatch_every, scn.settings_every) == (2, 4)
 
     def test_profile_lengths_must_agree(self, tmp_path):
         doc = {"network": "five_node.json",
